@@ -1,15 +1,16 @@
-"""Micro-benchmark: scalar vs vectorized event kernel on the walker path.
+"""Micro-benchmark: scalar walker vs vectorized event kernel.
 
 Times trace recording for every (benchmark, input) cell of the suite
-under both kernels, asserts the event streams are byte-identical, and
-writes ``BENCH_kernel.json``::
+with the scalar :class:`CFGWalker` (the reference the vector kernel is
+tested against) and the vector path, asserts the event streams are
+byte-identical, and writes ``BENCH_kernel.json``::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py --out BENCH_kernel.json
 
 Measurement protocol: the machine this runs on is noisy, so cells are
 timed **interleaved** (scalar then vector inside the same repetition,
 repeated ``--reps`` times) and each cell reports its **best-of-N
-minimum** for both kernels.  Solo back-to-back sweeps systematically
+minimum** for both walkers.  Solo back-to-back sweeps systematically
 flatter whichever side runs second; interleaved minima are the honest
 comparison.
 
@@ -17,17 +18,9 @@ The headline ``walker`` section times the raw event kernels with no
 per-block index on either side (``CFGWalker.run`` vs
 ``VecWalker.run_batches`` + assembly).  The secondary ``replay_ready``
 section times the full hand-off to the replay DBTs — trace plus
-per-block event index (built incrementally by the vector path, by one
-full argsort on the scalar path) — the denominator that matters for
-end-to-end study runs.
-
-The ``replay_path`` section races the *consumers* of that hand-off:
-the per-event scalar replay oracle against the batched windowed sweep,
-each running the same multi-threshold replay over an identical
-pre-recorded trace and then pricing every threshold's translation map
-(the batched side sharing one ``CostTables`` across the sweep, exactly
-as the harness does).  Both sides must produce bit-identical cost
-breakdowns.
+per-block event index (built incrementally by the study's
+:func:`record_trace`, by one full argsort after ``CFGWalker.run``) —
+the denominator that matters for end-to-end study runs.
 
 Run as a script (pytest collects this file but finds no tests in it).
 """
@@ -59,7 +52,8 @@ def bench_kernels(reps, scale, with_index=False):
 
     ``with_index=False`` races the raw kernels (no per-block event index
     on either side); ``with_index=True`` races the replay-ready hand-off
-    (trace *plus* index, via the public :func:`record_trace` path).
+    (trace *plus* index; the vector side is the study's
+    :func:`record_trace`).
     """
     import numpy as np
 
@@ -75,12 +69,10 @@ def bench_kernels(reps, scale, with_index=False):
             cfg = benchmark.cfg
             if with_index:
                 t0 = time.perf_counter()
-                scalar = record_trace(cfg, behavior, steps, seed=seed,
-                                      kernel="scalar")
+                scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
                 scalar.events()
                 t1 = time.perf_counter()
-                vector = record_trace(cfg, behavior, steps, seed=seed,
-                                      kernel="vector")
+                vector = record_trace(cfg, behavior, steps, seed=seed)
                 vector.events()
                 t2 = time.perf_counter()
             else:
@@ -101,76 +93,16 @@ def bench_kernels(reps, scale, with_index=False):
     return best, mismatches
 
 
-def bench_replay(reps, scale):
-    """Interleaved best-of-N replay-path times; asserts bit identity.
-
-    Each cell pre-records one reference trace (vector kernel — both
-    contenders consume identical bytes), then races, per repetition,
-    the scalar oracle (per-event merged-heap sweep + per-call cost
-    estimates) against the batched path (windowed numpy sweep + one
-    shared ``CostTables``) over the full ``SIM_THRESHOLDS`` ladder.
-    The cost breakdowns must agree field for field with ``==`` on the
-    raw floats — the same identity the golden corpus pins.
-    """
-    from repro.dbt import MultiThresholdReplay
-    from repro.perfmodel import CostTables, estimate_cost
-    from repro.stochastic import record_trace
-    from repro.workloads.spec import SIM_THRESHOLDS
-
-    thresholds = list(SIM_THRESHOLDS)
-    best = {}
-    mismatches = []
-    for label, benchmark, input_name in _cells(scale):
-        if input_name != "ref":
-            continue  # replay only ever runs over the reference trace
-        behavior, steps, seed = _cell_params(benchmark, input_name)
-        cfg = benchmark.cfg
-        sizes = benchmark.workload.sizes
-        trace = record_trace(cfg, behavior, steps, seed=seed,
-                             kernel="vector")
-
-        def run_side(kernel):
-            sweep = MultiThresholdReplay(trace, cfg, thresholds,
-                                         replay_kernel=kernel).run()
-            tables = (CostTables(trace, sizes)
-                      if kernel == "batched" else None)
-            return [estimate_cost(trace,
-                                  sweep.state(t).translation_map(),
-                                  sizes, tables=tables)
-                    for t in thresholds]
-
-        cell = [float("inf"), float("inf")]
-        for rep in range(reps):
-            t0 = time.perf_counter()
-            scalar = run_side("scalar")
-            t1 = time.perf_counter()
-            batched = run_side("batched")
-            t2 = time.perf_counter()
-            cell[0] = min(cell[0], t1 - t0)
-            cell[1] = min(cell[1], t2 - t1)
-            if rep == 0 and any(
-                    (a.unoptimized, a.optimized, a.side_exits,
-                     a.translation, a.num_side_exits,
-                     a.optimized_fraction) !=
-                    (b.unoptimized, b.optimized, b.side_exits,
-                     b.translation, b.num_side_exits,
-                     b.optimized_fraction)
-                    for a, b in zip(scalar, batched)):
-                mismatches.append(label)
-        best[label] = cell
-    return best, mismatches
-
-
-def _section(best, a="scalar_s", b="vector_s"):
+def _section(best):
     total_scalar = sum(cell[0] for cell in best.values())
     total_vector = sum(cell[1] for cell in best.values())
     return {
-        "cells": {label: {a: round(cell[0], 4),
-                          b: round(cell[1], 4),
+        "cells": {label: {"scalar_s": round(cell[0], 4),
+                          "vector_s": round(cell[1], 4),
                           "speedup": round(cell[0] / cell[1], 2)}
                   for label, cell in sorted(best.items())},
-        f"total_{a}": round(total_scalar, 3),
-        f"total_{b}": round(total_vector, 3),
+        "total_scalar_s": round(total_scalar, 3),
+        "total_vector_s": round(total_vector, 3),
         "speedup": round(total_scalar / total_vector, 2),
     }
 
@@ -187,32 +119,23 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail (exit 1) if the aggregate walker "
                              "speedup lands below this")
-    parser.add_argument("--min-replay-speedup", type=float, default=0.0,
-                        help="fail (exit 1) if the aggregate replay-"
-                             "path speedup lands below this")
     args = parser.parse_args(argv)
 
     print(f"kernel bench: full suite, reps={args.reps}, "
           f"scale={args.scale} (interleaved best-of-N minima)")
     walker_best, mismatches = bench_kernels(args.reps, args.scale)
     replay_best, _ = bench_kernels(1, args.scale, with_index=True)
-    replay_path_best, replay_mismatches = bench_replay(args.reps,
-                                                       args.scale)
 
     walker = _section(walker_best)
     replay_ready = _section(replay_best)
-    replay_path = _section(replay_path_best, a="scalar_s", b="batched_s")
     payload = {
         "bench": "kernel",
         "protocol": f"interleaved best-of-{args.reps} minima per cell",
         "scale": args.scale,
         "walker": walker,
         "replay_ready": replay_ready,
-        "replay_path": replay_path,
         "identical_streams": not mismatches,
         "mismatched_cells": mismatches,
-        "identical_replay_outcomes": not replay_mismatches,
-        "mismatched_replay_cells": replay_mismatches,
     }
     with open(args.out, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -225,28 +148,15 @@ def main(argv=None) -> int:
           f"vector {walker['total_vector_s']:.2f}s "
           f"-> {walker['speedup']:.2f}x")
     print(f"replay-ready (trace+index): {replay_ready['speedup']:.2f}x")
-    print(f"replay path (sweep+pricing): scalar "
-          f"{replay_path['total_scalar_s']:.2f}s batched "
-          f"{replay_path['total_batched_s']:.2f}s "
-          f"-> {replay_path['speedup']:.2f}x")
     print(f"wrote {args.out}")
 
     if mismatches:
         print(f"FAIL: event streams differ for {mismatches}",
               file=sys.stderr)
         return 1
-    if replay_mismatches:
-        print(f"FAIL: replay outcomes differ for {replay_mismatches}",
-              file=sys.stderr)
-        return 1
     if walker["speedup"] < args.min_speedup:
         print(f"FAIL: walker speedup {walker['speedup']:.2f}x below "
               f"required {args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if replay_path["speedup"] < args.min_replay_speedup:
-        print(f"FAIL: replay-path speedup {replay_path['speedup']:.2f}x "
-              f"below required {args.min_replay_speedup:.2f}x",
-              file=sys.stderr)
         return 1
     return 0
 

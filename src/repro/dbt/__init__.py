@@ -6,9 +6,7 @@
 * :mod:`repro.dbt.regions` — optimisation-phase region formation.
 * :mod:`repro.dbt.translator` — the live, event-driven translator.
 * :mod:`repro.dbt.replay` — threshold sweeps over recorded traces.
-* :mod:`repro.dbt.multireplay` — single-pass sweeps of many thresholds.
-* :mod:`repro.dbt.replay_kernel` — scalar-oracle vs batched replay
-  kernel selection (``$REPRO_REPLAY_KERNEL``).
+* :mod:`repro.dbt.multireplay` — sweeps of many thresholds over one trace.
 * :mod:`repro.dbt.batchreplay` — the batched windowed replay sweep.
 * :mod:`repro.dbt.codecache` — block-level translation summaries for the
   performance model.
@@ -17,21 +15,15 @@
 from .codecache import TranslationMap, translation_map_from_replay
 from .config import DBTConfig
 from .counters import CounterTable
-from .multireplay import MultiThresholdReplay, ThresholdReplayState
+from .multireplay import MultiThresholdReplay
 from .pool import CandidatePool
 from .regions import FormationResult, RegionFormer
-from .replay import ReplayDBT, inip_from_trace
-from .replay_kernel import (DEFAULT_REPLAY_CHUNK, DEFAULT_REPLAY_KERNEL,
-                            REPLAY_CHUNK_ENV, REPLAY_KERNEL_ENV,
-                            REPLAY_KERNELS, resolve_replay_chunk,
-                            resolve_replay_kernel)
+from .replay import ReplayDBT, ThresholdReplayState, inip_from_trace
 from .translator import TwoPhaseDBT
 
 __all__ = [
-    "CandidatePool", "CounterTable", "DBTConfig", "DEFAULT_REPLAY_CHUNK",
-    "DEFAULT_REPLAY_KERNEL", "FormationResult", "MultiThresholdReplay",
-    "REPLAY_CHUNK_ENV", "REPLAY_KERNEL_ENV", "REPLAY_KERNELS",
-    "RegionFormer", "ReplayDBT", "ThresholdReplayState", "TranslationMap",
-    "TwoPhaseDBT", "inip_from_trace", "resolve_replay_chunk",
-    "resolve_replay_kernel", "translation_map_from_replay",
+    "CandidatePool", "CounterTable", "DBTConfig", "FormationResult",
+    "MultiThresholdReplay", "RegionFormer", "ReplayDBT",
+    "ThresholdReplayState", "TranslationMap", "TwoPhaseDBT",
+    "inip_from_trace", "translation_map_from_replay",
 ]

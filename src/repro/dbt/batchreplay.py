@@ -1,6 +1,6 @@
 """The batched replay sweep: registration windows instead of heap pops.
 
-The scalar replay walk (:class:`~repro.dbt.replay.ReplayDBT`) pops one
+The reference replay walk (``tests/reference.py``) pops one
 ``(position, block)`` registration event at a time off a heap and runs
 the candidate-pool state machine per event in Python.  This module
 replays the *same* event stream in bulk:
@@ -12,11 +12,10 @@ replays the *same* event stream in bulk:
    detection, pool-membership lookup and the running pool-size cumsum
    find the earliest trigger as array operations;
 3. only at a trigger does Python run: the pool is drained and the
-   caller's optimisation callback fires, exactly like the scalar
-   ``_optimize``; the scan then resumes after the trigger with the
-   updated freeze set.
+   caller's optimisation callback fires, exactly like the heap walk's;
+   the scan then resumes after the trigger with the updated freeze set.
 
-Equivalence to the scalar walk (the differential suite in
+Equivalence to the heap walk (the differential suite in
 ``tests/dbt/test_replay_diff.py`` pins it case by case):
 
 * within one threshold every registration event has a **distinct** trace
@@ -24,12 +23,12 @@ Equivalence to the scalar walk (the differential suite in
   position reproduces the heap's total order exactly;
 * between two triggers the only state that changes is pool membership —
   precisely what the cumulative-sum scan models — so the earliest
-  trigger found by the scan is the trigger the scalar walk would hit;
+  trigger found by the scan is the trigger the heap walk would hit;
 * frozen blocks are excluded when a window is built and re-filtered
-  after every trigger, matching the scalar walk's skip-on-pop check;
-* the pool drains completely at every trigger (scalar ``drain``), so
-  blocks dropped by region formation without being optimised re-register
-  later as fresh members, in both kernels.
+  after every trigger, matching the heap walk's skip-on-pop check;
+* the pool drains completely at every trigger (``CandidatePool.drain``),
+  so blocks dropped by region formation without being optimised
+  re-register later as fresh members, in both walks.
 """
 
 from __future__ import annotations
@@ -40,7 +39,9 @@ from typing import Callable, Dict, List, Mapping, Set
 import numpy as np
 
 from .config import DBTConfig
-from .replay_kernel import DEFAULT_REPLAY_CHUNK
+
+#: Target registration events per window.
+REPLAY_CHUNK = 2048
 
 #: The optimisation callback: ``(drained_pool_blocks, now) -> newly
 #: frozen block ids``.  Bound to the host replay's ``_optimize_blocks``.
@@ -49,7 +50,8 @@ OptimizeFn = Callable[[List[int], int], Set[int]]
 
 @dataclass
 class ReplaySweepStats:
-    """What one batched sweep did, for the ``replay.kernel.*`` counters."""
+    """What one batched sweep did, for the ``replay.kernel.batched.*``
+    counters."""
 
     windows: int = 0
     events: int = 0
@@ -59,7 +61,7 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
                        config: DBTConfig,
                        optimize_blocks: OptimizeFn,
                        num_blocks: int,
-                       chunk: int = DEFAULT_REPLAY_CHUNK
+                       chunk: int = REPLAY_CHUNK
                        ) -> ReplaySweepStats:
     """Drain one threshold's registration stream in sorted windows.
 
@@ -75,7 +77,7 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
         chunk: target registration events per window.  Windows adapt to
             event density — only *live* (unfrozen, unexhausted) blocks
             contribute — so post-freeze registrations are never
-            materialised and tiny thresholds cost what the scalar heap
+            materialised and tiny thresholds cost what a heap walk
             pays, not the full registration count.
     """
     stats = ReplaySweepStats()

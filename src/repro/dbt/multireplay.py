@@ -1,94 +1,31 @@
-"""Single-pass multi-threshold replay: one trace walk, every INIP(T).
+"""Multi-threshold replay: every INIP(T) of a sweep from one trace.
 
-:class:`~repro.dbt.replay.ReplayDBT` replays one threshold per pass, so a
-13-point sweep re-seeds a heap and re-walks the registration stream 13
-times.  :class:`MultiThresholdReplay` maintains the per-threshold pipeline
-state (candidate pool, freeze steps, regions) for *all* swept thresholds
-simultaneously and drains one merged event heap, so the sweep costs a
-single ordered pass over the union of every threshold's registration
-events.
-
-It is event-for-event equivalent to N independent replays:
-
-* threshold states never interact — each has its own pool, freeze map and
-  region former, exactly as in N separate :class:`ReplayDBT` instances;
-* within one threshold every registration event has a *distinct* trace
-  position (exactly one block executes per step, and a block's k-th and
-  j-th registrations happen at different executions), so ordering the
-  merged heap by ``(position, threshold, block)`` preserves each
-  threshold's own event order exactly.
-
-``tests/dbt/test_multireplay.py`` enforces the equivalence snapshot-for-
-snapshot, region-for-region and event-for-event.
+:class:`MultiThresholdReplay` holds one
+:class:`~repro.dbt.replay.ThresholdReplayState` (candidate pool, freeze
+steps, regions) per swept threshold over a shared trace, event index
+and loop forest, and sweeps each threshold's registration stream
+independently with the batched replay.  Threshold states never interact,
+so every state ends exactly where a :class:`~repro.dbt.replay.ReplayDBT`
+at that threshold would; ``tests/dbt/test_multireplay.py`` enforces it
+snapshot-for-snapshot, region-for-region and event-for-event.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
-from ..obs.profile import sampled_span
 from ..obs.registry import inc
 from ..obs.spans import span
-from ..profiles.model import ProfileSnapshot, Region
-from ..stochastic.trace import ExecutionTrace, assemble_trace
-from .batchreplay import run_batched_replay
-from .codecache import TranslationMap, translation_map_from_replay
+from ..profiles.model import ProfileSnapshot
+from ..stochastic.trace import ExecutionTrace
 from .config import DBTConfig
-from .pool import CandidatePool
-from .regions import RegionFormer
-from .replay import (frozen_counter_view, registration_positions,
-                     snapshot_from_state)
-from .replay_kernel import resolve_replay_chunk, resolve_replay_kernel
-
-
-class ThresholdReplayState:
-    """One threshold's pipeline state inside a multi-threshold replay.
-
-    After :meth:`MultiThresholdReplay.run` this carries exactly what a
-    finished :class:`~repro.dbt.replay.ReplayDBT` at the same threshold
-    would (``freeze_step``/``regions``/``optimized``/
-    ``optimization_events`` plus ``trace``/``cfg``/``config``/``loops``),
-    so it slots into every consumer of a ran replay —
-    :class:`~repro.core.study.ThresholdOutcome` and
-    :func:`~repro.dbt.codecache.translation_map_from_replay` included.
-    """
-
-    __slots__ = ("trace", "cfg", "config", "loops", "former", "freeze_step",
-                 "regions", "optimized", "optimization_events", "_events",
-                 "_tmap")
-
-    def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
-                 config: DBTConfig, loops: LoopForest):
-        self.trace = trace
-        self.cfg = cfg
-        self.config = config
-        self.loops = loops
-        self.former = RegionFormer(cfg, loops, config)
-        self.freeze_step: Dict[int, int] = {}
-        self.regions: List[Region] = []
-        self.optimized: Set[int] = set()
-        self.optimization_events: List[Tuple[int, List[int]]] = []
-        self._events = trace.events()
-        self._tmap: Optional[TranslationMap] = None
-
-    def snapshot(self, input_name: str = "ref") -> ProfileSnapshot:
-        """The INIP(T) profile of this threshold's finished state."""
-        return snapshot_from_state(self.trace, self._events, self.config,
-                                   self.freeze_step, self.regions,
-                                   input_name)
-
-    def translation_map(self) -> TranslationMap:
-        """The code-cache summary for the perf model (cached)."""
-        if self._tmap is None:
-            self._tmap = translation_map_from_replay(self)
-        return self._tmap
+from .replay import ThresholdReplayState
 
 
 class MultiThresholdReplay:
-    """Replays the two-phase pipeline at many thresholds in one pass.
+    """Replays the two-phase pipeline at many thresholds over one trace.
 
     Args:
         trace: the recorded run shared by every threshold.
@@ -97,21 +34,12 @@ class MultiThresholdReplay:
         base_config: DBT knobs; its threshold field is overridden per
             swept point.
         loops: optional precomputed loop forest.
-        replay_kernel: ``"scalar"`` (merged heap, the oracle) or
-            ``"batched"`` (per-threshold windowed numpy sweeps); default
-            ``$REPRO_REPLAY_KERNEL``, else ``"batched"``.  Threshold
-            states never interact, so sweeping them one by one in the
-            batched kernel is equivalent to draining the merged heap.
-        replay_chunk: target events per batched window (default
-            ``$REPRO_REPLAY_CHUNK``, else 2048; scalar ignores it).
     """
 
     def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
                  thresholds: Sequence[int],
                  base_config: Optional[DBTConfig] = None,
-                 loops: Optional[LoopForest] = None,
-                 replay_kernel: Optional[str] = None,
-                 replay_chunk: Optional[int] = None):
+                 loops: Optional[LoopForest] = None):
         if trace.num_blocks != cfg.num_nodes:
             raise ValueError("trace and CFG disagree on block count")
         if not thresholds:
@@ -120,8 +48,6 @@ class MultiThresholdReplay:
         self.trace = trace
         self.cfg = cfg
         self.loops = loops or find_loops(cfg)
-        self.replay_kernel = resolve_replay_kernel(replay_kernel)
-        self.replay_chunk = resolve_replay_chunk(replay_chunk)
         self.states: Dict[int, ThresholdReplayState] = {}
         for t in thresholds:
             if t not in self.states:
@@ -129,138 +55,39 @@ class MultiThresholdReplay:
                     trace, cfg, base_config.with_threshold(t), self.loops)
         self._ran = False
 
-    @classmethod
-    def from_batches(cls, batches, cfg: ControlFlowGraph,
-                     thresholds: Sequence[int],
-                     base_config: Optional[DBTConfig] = None,
-                     loops: Optional[LoopForest] = None,
-                     replay_kernel: Optional[str] = None,
-                     replay_chunk: Optional[int] = None
-                     ) -> "MultiThresholdReplay":
-        """Ingest a streaming event-batch producer (the vector kernel).
-
-        Concatenates the batches into the shared trace while updating
-        the per-block counter tables chunk by chunk (see
-        :func:`repro.stochastic.trace.assemble_trace`), so none of the
-        threshold states pays a full-trace argsort.
-        """
-        trace = assemble_trace(batches, cfg.num_nodes, build_index=True)
-        return cls(trace, cfg, thresholds, base_config=base_config,
-                   loops=loops, replay_kernel=replay_kernel,
-                   replay_chunk=replay_chunk)
-
     @property
     def thresholds(self) -> List[int]:
         """Swept thresholds in ascending order."""
         return sorted(self.states)
 
     def run(self) -> "MultiThresholdReplay":
-        """Drain every threshold's registration stream, updating every
+        """Sweep every threshold's registration stream, updating every
         state."""
         if self._ran:
             return self
         self._ran = True
-        events = self.trace.events()
-        order = self.thresholds
-        states = [self.states[t] for t in order]
-        positions = [registration_positions(events, t) for t in order]
+        states = [self.states[t] for t in self.thresholds]
+        windows = 0
+        swept = 0
+        with span("replay.multi_run", thresholds=len(states)):
+            for state in states:
+                stats = state.sweep()
+                windows += stats.windows
+                swept += stats.events
+        inc("replay.kernel.batched.windows", windows)
+        inc("replay.kernel.batched.events", swept)
 
-        with span("replay.multi_run", thresholds=len(states),
-                  kernel=self.replay_kernel):
-            if self.replay_kernel == "batched":
-                self._run_batched(states, positions, events)
-            else:
-                self._run_scalar(states, positions, events)
-                inc("replay.kernel.scalar.runs")
-
-        # One shared pass over the trace, however many thresholds ride
-        # it: replay.runs / replay.blocks_translated count the pass,
-        # not the states (see the obs catalog), matching the cost model.
+        # One sweep of the trace, however many thresholds ride it:
+        # replay.runs / replay.blocks_translated count the sweep, not the
+        # states (see the obs catalog), matching the cost model.
         inc("replay.runs")
-        inc("replay.blocks_translated", len(events))
+        inc("replay.blocks_translated", len(self.trace.events()))
         for state in states:
             inc("replay.retranslations", len(state.optimized))
             inc("replay.regions_formed", len(state.regions))
             inc("replay.optimization_events",
                 len(state.optimization_events))
         return self
-
-    def _run_scalar(self, states: List[ThresholdReplayState],
-                    positions: List[Dict], events) -> None:
-        """The oracle: one merged heap over every threshold's stream."""
-        pools = [CandidatePool(s.config) for s in states]
-        # Per (threshold, block): index of the next registration to
-        # schedule once the current one has been consumed unfrozen.
-        next_k: List[Dict[int, int]] = [
-            {block: 1 for block in regs} for regs in positions]
-        heap: List[Tuple[int, int, int]] = [
-            (int(regs[0]), idx, block)
-            for idx, per_block in enumerate(positions)
-            for block, regs in per_block.items()]
-        heapq.heapify(heap)
-
-        while heap:
-            pos, idx, block = heapq.heappop(heap)
-            state = states[idx]
-            freeze_step = state.freeze_step
-            if block in freeze_step:
-                continue  # counting stopped before this occurrence
-            trigger = pools[idx].register(block)
-            if trigger:
-                drained = pools[idx].drain()
-                self._optimize_blocks(state, events, drained, now=pos + 1)
-            if block not in freeze_step:
-                regs = positions[idx][block]
-                k = next_k[idx][block]
-                if k < len(regs):
-                    next_k[idx][block] = k + 1
-                    heapq.heappush(heap, (int(regs[k]), idx, block))
-
-    def _run_batched(self, states: List[ThresholdReplayState],
-                     positions: List[Dict], events) -> None:
-        """Windowed numpy sweeps, one per threshold state.
-
-        States never interact (each has its own pool and freeze map), so
-        sweeping them independently is equivalent to the merged heap.
-        """
-        windows = 0
-        swept = 0
-        for state, per_block in zip(states, positions):
-            def optimize(drained: List[int], now: int,
-                         _state: ThresholdReplayState = state) -> Set[int]:
-                return self._optimize_blocks(_state, events, drained, now)
-
-            stats = run_batched_replay(
-                per_block, state.config, optimize,
-                self.trace.num_blocks, chunk=self.replay_chunk)
-            windows += stats.windows
-            swept += stats.events
-        inc("replay.kernel.batched.runs")
-        inc("replay.kernel.batched.windows", windows)
-        inc("replay.kernel.batched.events", swept)
-
-    def _optimize_blocks(self, state: ThresholdReplayState, events,
-                         drained: List[int], now: int) -> Set[int]:
-        """Run one state's optimisation phase over a drained pool;
-        returns the newly frozen blocks (shared by both kernels)."""
-        pool_blocks = [b for b in drained if b not in state.optimized]
-        if len(pool_blocks) != len(drained):
-            inc("pool.evictions", len(drained) - len(pool_blocks))
-        if not pool_blocks:
-            return set()
-        counters = frozen_counter_view(events, state.freeze_step, now)
-        with sampled_span("region.form", threshold=state.config.threshold,
-                          blocks=len(pool_blocks)):
-            result = state.former.form(
-                pool_blocks, counters, state.optimized,
-                next_region_id=len(state.regions), formed_at=now)
-        state.regions.extend(result.regions)
-        for b in result.newly_optimized:
-            state.freeze_step[b] = now
-        state.optimized.update(result.newly_optimized)
-        state.optimization_events.append(
-            (now, sorted(result.newly_optimized)))
-        return result.newly_optimized
 
     # -- output ---------------------------------------------------------------------
 

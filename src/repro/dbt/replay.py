@@ -6,17 +6,17 @@ decisions depend only on *when each block reaches multiples of T* — sparse
 events — the pipeline can be replayed over the per-block event index of a
 recorded :class:`~repro.stochastic.trace.ExecutionTrace` in time
 proportional to the number of registrations, not the number of steps.
+The registration stream is drained in sorted windows by
+:func:`repro.dbt.batchreplay.run_batched_replay`.
 
 The replay is algebraically identical to :class:`repro.dbt.translator
 .TwoPhaseDBT` fed the same trace; ``tests/dbt/test_replay_equivalence.py``
 asserts snapshot-for-snapshot equality.  For sweeping many thresholds over
-one trace in a single pass, see :class:`repro.dbt.multireplay
-.MultiThresholdReplay`.
+one trace, see :class:`repro.dbt.multireplay.MultiThresholdReplay`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -27,13 +27,11 @@ from ..obs.profile import sampled_span
 from ..obs.registry import inc
 from ..obs.spans import span
 from ..profiles.model import BlockProfile, ProfileSnapshot, Region
-from ..stochastic.trace import BlockEvents, ExecutionTrace, assemble_trace
-from .batchreplay import run_batched_replay
+from ..stochastic.trace import BlockEvents, ExecutionTrace
+from .batchreplay import ReplaySweepStats, run_batched_replay
 from .codecache import TranslationMap, translation_map_from_replay
 from .config import DBTConfig
-from .pool import CandidatePool
 from .regions import RegionFormer
-from .replay_kernel import resolve_replay_chunk, resolve_replay_kernel
 
 
 def registration_positions(events: Mapping[int, BlockEvents],
@@ -109,141 +107,61 @@ def snapshot_from_state(trace: ExecutionTrace,
     return snapshot
 
 
-class ReplayDBT:
-    """Replays the two-phase pipeline over a recorded trace.
+class ThresholdReplayState:
+    """One threshold's two-phase pipeline state over a recorded trace.
 
-    Args:
-        trace: the recorded run (shared across thresholds).
-        cfg: static CFG the trace was produced from.
-        config: DBT configuration (the threshold lives here).
-        loops: optional precomputed loop forest (recomputed otherwise —
-            pass it in when sweeping thresholds over one CFG).
-        replay_kernel: ``"scalar"`` (heap walk, the oracle) or
-            ``"batched"`` (windowed numpy sweep); default
-            ``$REPRO_REPLAY_KERNEL``, else ``"batched"``.  Both kernels
-            produce identical freeze steps, regions and translation
-            maps (the differential suite pins it).
-        replay_chunk: target events per batched window (default
-            ``$REPRO_REPLAY_CHUNK``, else 2048; scalar ignores it).
+    After :meth:`sweep` this carries the threshold's freeze steps,
+    regions, optimised set and optimisation events next to the
+    ``trace``/``cfg``/``config``/``loops`` it was replayed from, which is
+    everything :class:`~repro.core.study.ThresholdOutcome` and
+    :func:`~repro.dbt.codecache.translation_map_from_replay` read.
+    :class:`~repro.dbt.multireplay.MultiThresholdReplay` holds one per
+    swept threshold; :class:`ReplayDBT` is the self-running single-
+    threshold form.
     """
 
+    __slots__ = ("trace", "cfg", "config", "loops", "former", "freeze_step",
+                 "regions", "optimized", "optimization_events", "_events",
+                 "_tmap")
+
     def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
-                 config: DBTConfig, loops: Optional[LoopForest] = None,
-                 replay_kernel: Optional[str] = None,
-                 replay_chunk: Optional[int] = None):
+                 config: DBTConfig, loops: LoopForest):
         if trace.num_blocks != cfg.num_nodes:
             raise ValueError("trace and CFG disagree on block count")
         self.trace = trace
         self.cfg = cfg
         self.config = config
-        self.loops = loops or find_loops(cfg)
-        self.replay_kernel = resolve_replay_kernel(replay_kernel)
-        self.replay_chunk = resolve_replay_chunk(replay_chunk)
-        self.former = RegionFormer(cfg, self.loops, config)
-
+        self.loops = loops
+        self.former = RegionFormer(cfg, loops, config)
         self.freeze_step: Dict[int, int] = {}
         self.regions: List[Region] = []
         self.optimized: Set[int] = set()
         self.optimization_events: List[Tuple[int, List[int]]] = []
         self._events = trace.events()
-        self._ran = False
         self._tmap: Optional[TranslationMap] = None
 
-    @classmethod
-    def from_batches(cls, batches, cfg: ControlFlowGraph,
-                     config: DBTConfig,
-                     loops: Optional[LoopForest] = None,
-                     replay_kernel: Optional[str] = None,
-                     replay_chunk: Optional[int] = None) -> "ReplayDBT":
-        """Ingest a streaming event-batch producer (the vector kernel).
-
-        The batches are concatenated into the trace while the per-block
-        use/taken counter tables (the event index) are updated chunk by
-        chunk, so the replay never pays a full-trace argsort.  Identical
-        to constructing from the equivalent recorded trace.
-        """
-        trace = assemble_trace(batches, cfg.num_nodes, build_index=True)
-        return cls(trace, cfg, config, loops=loops,
-                   replay_kernel=replay_kernel, replay_chunk=replay_chunk)
-
-    # -- frozen-aware counter view --------------------------------------------
-
-    def _counters_at(self, now: int):
-        """Counter view at live-step ``now`` (= trace position + 1)."""
-        return frozen_counter_view(self._events, self.freeze_step, now)
-
-    # -- the replay ----------------------------------------------------------------
-
-    def run(self) -> "ReplayDBT":
-        """Process every registration event in trace order."""
-        if self._ran:
-            return self
-        self._ran = True
-        threshold = self.config.threshold
-        events = self._events
-
-        with span("replay.run", threshold=threshold,
-                  kernel=self.replay_kernel):
-            positions = registration_positions(events, threshold)
-            if self.replay_kernel == "batched":
-                stats = run_batched_replay(
-                    positions, self.config, self._optimize_blocks,
-                    self.trace.num_blocks, chunk=self.replay_chunk)
-                inc("replay.kernel.batched.runs")
-                inc("replay.kernel.batched.windows", stats.windows)
-                inc("replay.kernel.batched.events", stats.events)
-            else:
-                self._run_scalar(positions)
-                inc("replay.kernel.scalar.runs")
-        # Every block seen in the trace got a quick translation; the
-        # optimised set was retranslated into regions.
-        inc("replay.runs")
-        inc("replay.blocks_translated", len(events))
-        inc("replay.retranslations", len(self.optimized))
-        inc("replay.regions_formed", len(self.regions))
-        inc("replay.optimization_events", len(self.optimization_events))
-        return self
-
-    def _run_scalar(self, positions: Dict[int, np.ndarray]) -> None:
-        """The oracle heap walk: one Python iteration per registration."""
-        pool = CandidatePool(self.config)
-        freeze_step = self.freeze_step
-        # Heap of (trace position, block, registration ordinal k) over
-        # the precomputed per-block registration-position arrays; only
-        # each block's *next* registration is enqueued, so tiny
-        # thresholds don't flood the heap up front.
-        heap: List[Tuple[int, int, int]] = [
-            (int(regs[0]), block, 1)
-            for block, regs in positions.items()]
-        heapq.heapify(heap)
-
-        while heap:
-            pos, block, k = heapq.heappop(heap)
-            if block in freeze_step:
-                continue  # counting stopped before this occurrence
-            trigger = pool.register(block)
-            if trigger:
-                self._optimize(pool, now=pos + 1)
-            if block not in freeze_step:
-                regs = positions[block]
-                if k < len(regs):
-                    heapq.heappush(heap, (int(regs[k]), block, k + 1))
-
-    def _optimize(self, pool: CandidatePool, now: int) -> None:
-        self._optimize_blocks(pool.drain(), now)
+    def sweep(self) -> ReplaySweepStats:
+        """Drive this threshold's registration stream through the
+        pipeline, updating the state in place."""
+        positions = registration_positions(self._events,
+                                           self.config.threshold)
+        return run_batched_replay(positions, self.config,
+                                  self._optimize_blocks,
+                                  self.trace.num_blocks)
 
     def _optimize_blocks(self, drained: List[int], now: int) -> Set[int]:
         """Run the optimisation phase over a drained pool; returns the
-        newly frozen blocks (shared by both replay kernels)."""
+        newly frozen blocks."""
         pool_blocks = [b for b in drained if b not in self.optimized]
         if len(pool_blocks) != len(drained):
             inc("pool.evictions", len(drained) - len(pool_blocks))
         if not pool_blocks:
             return set()
+        counters = frozen_counter_view(self._events, self.freeze_step, now)
         with sampled_span("region.form", threshold=self.config.threshold,
                           blocks=len(pool_blocks)):
             result = self.former.form(
-                pool_blocks, self._counters_at(now), self.optimized,
+                pool_blocks, counters, self.optimized,
                 next_region_id=len(self.regions), formed_at=now)
         self.regions.extend(result.regions)
         for b in result.newly_optimized:
@@ -255,19 +173,64 @@ class ReplayDBT:
     # -- output ---------------------------------------------------------------------
 
     def snapshot(self, input_name: str = "ref") -> ProfileSnapshot:
-        """The INIP(T) profile (runs the replay on first call)."""
-        self.run()
+        """The INIP(T) profile of this threshold's state."""
         return snapshot_from_state(self.trace, self._events, self.config,
                                    self.freeze_step, self.regions,
                                    input_name)
 
     def translation_map(self) -> TranslationMap:
-        """The code-cache summary for the perf model (cached; runs the
-        replay on first call)."""
+        """The code-cache summary for the perf model (cached)."""
         if self._tmap is None:
-            self.run()
             self._tmap = translation_map_from_replay(self)
         return self._tmap
+
+
+class ReplayDBT(ThresholdReplayState):
+    """Replays the two-phase pipeline over a recorded trace.
+
+    Args:
+        trace: the recorded run (shared across thresholds).
+        cfg: static CFG the trace was produced from.
+        config: DBT configuration (the threshold lives here).
+        loops: optional precomputed loop forest (recomputed otherwise —
+            pass it in when sweeping thresholds over one CFG).
+    """
+
+    __slots__ = ("_ran",)
+
+    def __init__(self, trace: ExecutionTrace, cfg: ControlFlowGraph,
+                 config: DBTConfig, loops: Optional[LoopForest] = None):
+        super().__init__(trace, cfg, config, loops or find_loops(cfg))
+        self._ran = False
+
+    def run(self) -> "ReplayDBT":
+        """Process every registration event in trace order."""
+        if self._ran:
+            return self
+        self._ran = True
+        with span("replay.run", threshold=self.config.threshold):
+            stats = self.sweep()
+        inc("replay.kernel.batched.windows", stats.windows)
+        inc("replay.kernel.batched.events", stats.events)
+        # Every block seen in the trace got a quick translation; the
+        # optimised set was retranslated into regions.
+        inc("replay.runs")
+        inc("replay.blocks_translated", len(self._events))
+        inc("replay.retranslations", len(self.optimized))
+        inc("replay.regions_formed", len(self.regions))
+        inc("replay.optimization_events", len(self.optimization_events))
+        return self
+
+    def snapshot(self, input_name: str = "ref") -> ProfileSnapshot:
+        """The INIP(T) profile (runs the replay on first call)."""
+        self.run()
+        return super().snapshot(input_name)
+
+    def translation_map(self) -> TranslationMap:
+        """The code-cache summary for the perf model (cached; runs the
+        replay on first call)."""
+        self.run()
+        return super().translation_map()
 
 
 def inip_from_trace(trace: ExecutionTrace, cfg: ControlFlowGraph,

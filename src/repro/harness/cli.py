@@ -127,20 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the semantic verifier over every "
                              "study (default: $REPRO_VERIFY, else off); "
                              "error-severity findings exit with code 4")
-    parser.add_argument("--kernel", choices=["scalar", "vector"],
-                        default=None,
-                        help="trace-recording engine (default: "
-                             "$REPRO_KERNEL, else vector; results are "
-                             "byte-identical — scalar is the slow "
-                             "oracle the vector kernel is tested "
-                             "against)")
-    parser.add_argument("--replay-kernel", choices=["scalar", "batched"],
-                        default=None,
-                        help="replay engine (default: "
-                             "$REPRO_REPLAY_KERNEL, else batched; "
-                             "results are byte-identical — scalar is "
-                             "the per-event oracle the batched sweep "
-                             "is tested against)")
     parser.add_argument("--profile", action="store_true", default=None,
                         help="arm the fine-grained profiling spans in "
                              "every worker (default: $REPRO_PROFILE, "
@@ -201,8 +187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                              use_cache=not args.no_cache,
                              jobs=args.jobs, retries=args.retries,
                              job_timeout=args.job_timeout,
-                             verify=args.verify, kernel=args.kernel,
-                             replay_kernel=args.replay_kernel)
+                             verify=args.verify)
     if args.figures:
         wanted = args.figures
     else:
@@ -237,8 +222,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         retries=args.retries,
         job_timeout=args.job_timeout,
         verify=args.verify,
-        kernel=args.kernel,
-        replay_kernel=args.replay_kernel,
         profile=args.profile,
         flight_dir=args.flight_dir,
         pool=args.pool,
@@ -270,9 +253,7 @@ def print_summary(name: str, steps_scale: float = 1.0,
                   jobs: Optional[int] = None,
                   retries: Optional[int] = None,
                   job_timeout: Optional[float] = None,
-                  verify: Optional[bool] = None,
-                  kernel: Optional[str] = None,
-                  replay_kernel: Optional[str] = None) -> int:
+                  verify: Optional[bool] = None) -> int:
     """Print one benchmark's complete study card."""
     from ..workloads.spec import nominal_label
     from .tables import Table
@@ -285,7 +266,7 @@ def print_summary(name: str, steps_scale: float = 1.0,
         include_perf=include_perf,
         cache_dir=DEFAULT_CACHE_DIR if use_cache else None,
         jobs=jobs, retries=retries, job_timeout=job_timeout,
-        verify=verify, kernel=kernel, replay_kernel=replay_kernel)
+        verify=verify)
     if name not in results.benchmarks:
         return _report_quarantine(results)
     result = results.benchmarks[name]

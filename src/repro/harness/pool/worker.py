@@ -39,11 +39,10 @@ _log = obslog.get_logger("repro.harness.pool.worker")
 
 #: A study job as shipped to a worker (everything here pickles):
 #: (name, thresholds, config, costs, steps_scale, include_perf, verify,
-#: kernel, replay_kernel, profile, inject) — the last two elements are
-#: the profiling flag and the fault kind the parent drew for this
-#: attempt.
+#: profile, inject) — the last two elements are the profiling flag and
+#: the fault kind the parent drew for this attempt.
 Job = Tuple[str, Tuple[int, ...], DBTConfig, CostModel, float, bool,
-            bool, str, str, bool, Optional[str]]
+            bool, bool, Optional[str]]
 
 #: perf_counter() at pool-worker initialisation (None in the parent).
 _WORKER_SPAWNED_AT: Optional[float] = None
@@ -154,7 +153,7 @@ def pool_worker_init(profile: bool = False) -> None:
 def run_study_job(job: Job) -> WorkerOutput:
     """Run one benchmark's study in a worker process."""
     (name, thresholds, config, costs, steps_scale, include_perf, verify,
-     kernel, replay_kernel, profile, inject) = job
+     profile, inject) = job
     # A forked worker inherits the parent's registry/trace contents (and
     # a warm pool worker keeps state across jobs) — start each job clean
     # so the returned state is exactly this benchmark's signals.
@@ -175,8 +174,7 @@ def run_study_job(job: Job) -> WorkerOutput:
         benchmark = get_benchmark(name)
         result = study_benchmark(benchmark, thresholds, config=config,
                                  costs=costs, steps_scale=steps_scale,
-                                 include_perf=include_perf, verify=verify,
-                                 kernel=kernel, replay_kernel=replay_kernel)
+                                 include_perf=include_perf, verify=verify)
     except Exception as exc:
         # Ship the failure in a picklable envelope with the flight ring;
         # injected crashes (os._exit) and hangs never reach this point.

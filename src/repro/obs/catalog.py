@@ -39,11 +39,7 @@ class Instrument:
 
 
 CATALOG: List[Instrument] = [
-    # -- kernels and the interpreter reference --------------------------------
-    Instrument("kernel.scalar.runs", "counter",
-               "Trace recordings performed by the scalar walker."),
-    Instrument("kernel.scalar.steps", "counter",
-               "Simulated steps walked by the scalar kernel."),
+    # -- walker and the interpreter reference ---------------------------------
     Instrument("kernel.vector.runs", "counter",
                "Trace recordings performed by the vector walker."),
     Instrument("kernel.vector.steps", "counter",
@@ -74,18 +70,13 @@ CATALOG: List[Instrument] = [
     Instrument("translator.retranslations", "counter",
                "Blocks retranslated at the optimized tier."),
     Instrument("replay.runs", "counter",
-               "Replay passes over a recorded trace (all replayers); a "
-               "multi-threshold sweep is one shared pass, counted once."),
+               "Replay runs over a recorded trace (all replayers); a "
+               "multi-threshold sweep counts once, however many "
+               "thresholds it holds."),
     Instrument("replay.blocks_translated", "counter",
-               "Distinct blocks quick-translated per replay pass; a "
-               "multi-threshold sweep counts its shared pass once, not "
-               "once per threshold state."),
-    Instrument("replay.kernel.scalar.runs", "counter",
-               "Replay passes driven by the scalar heap-walk kernel "
-               "(the oracle)."),
-    Instrument("replay.kernel.batched.runs", "counter",
-               "Replay passes driven by the batched windowed-sweep "
-               "kernel."),
+               "Distinct blocks quick-translated per replay run; a "
+               "multi-threshold sweep counts its trace once, not once "
+               "per threshold state."),
     Instrument("replay.kernel.batched.windows", "counter",
                "Position windows materialized by the batched replay "
                "kernel."),

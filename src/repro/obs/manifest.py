@@ -74,8 +74,7 @@ def render_manifest(manifest: Optional[Dict[str, Any]]) -> str:
                "observability layer)"
     lines = ["run manifest"]
     for key in ("fingerprint", "repro_version", "created_at", "python",
-                "steps_scale", "include_perf", "total_seconds", "jobs",
-                "kernel", "replay_kernel"):
+                "steps_scale", "include_perf", "total_seconds", "jobs"):
         if manifest.get(key) is not None:
             lines.append(f"  {key:15s} {manifest[key]}")
     benchmarks = manifest.get("benchmarks") or []

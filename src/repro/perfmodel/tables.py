@@ -22,12 +22,12 @@ by ``tests/perfmodel/test_cost_tables.py``.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..dbt.codecache import TranslationMap
-from ..stochastic.trace import EventIndexBuilder, ExecutionTrace
+from ..stochastic.trace import ExecutionTrace
 from .costs import DEFAULT_COSTS, CostModel
 
 #: Above this many pair codes the membership LUT would out-cost the
@@ -72,68 +72,6 @@ class CostTables:
         self.opt_price = step_sizes * costs.opt_cost
         self.src = blocks[:-1]
         self.codes = self.src * trace.num_blocks + blocks[1:]
-
-    @classmethod
-    def from_batches(cls, batches, num_blocks: int,
-                     block_sizes: Sequence[int],
-                     costs: CostModel = DEFAULT_COSTS
-                     ) -> Tuple[ExecutionTrace, "CostTables"]:
-        """Stream an event-batch producer into ``(trace, tables)``.
-
-        One pass over the batches builds the trace, its per-block event
-        index *and* the cost tables — each chunk's prices and pair codes
-        are computed as it arrives (the last block of the previous chunk
-        is carried so boundary-straddling edges get their code), so no
-        per-event Python objects and no second full-length pass exist.
-        Equivalent to ``assemble_trace`` followed by the constructor.
-        """
-        sizes = np.asarray(block_sizes, dtype=float)
-        if len(sizes) != num_blocks:
-            raise ValueError("block_sizes length does not match block count")
-        builder = EventIndexBuilder(num_blocks)
-        blk_chunks, taken_chunks = [], []
-        b64_chunks, unopt_chunks, opt_chunks = [], [], []
-        src_chunks, code_chunks = [], []
-        prev = None  # last block of the previous non-empty chunk
-        for batch in batches:
-            blocks = np.asarray(batch.blocks, dtype=np.int32)
-            taken = np.asarray(batch.taken, dtype=np.int8)
-            if not len(blocks):
-                continue
-            builder.add(blocks, taken)
-            blk_chunks.append(blocks)
-            taken_chunks.append(taken)
-            b64 = blocks.astype(np.int64)
-            b64_chunks.append(b64)
-            step_sizes = sizes[b64]
-            unopt_chunks.append(step_sizes * costs.interp_cost +
-                                costs.profile_overhead)
-            opt_chunks.append(step_sizes * costs.opt_cost)
-            joined = b64 if prev is None else np.concatenate(
-                (np.array([prev], dtype=np.int64), b64))
-            if len(joined) > 1:
-                src_chunks.append(joined[:-1])
-                code_chunks.append(joined[:-1] * num_blocks + joined[1:])
-            prev = int(b64[-1])
-
-        def cat(chunks, dtype):
-            return (np.concatenate(chunks) if chunks
-                    else np.zeros(0, dtype=dtype))
-
-        trace = ExecutionTrace(cat(blk_chunks, np.int32),
-                               cat(taken_chunks, np.int8), num_blocks)
-        trace.attach_events(builder.finalize())
-        tables = cls.__new__(cls)
-        tables.num_blocks = num_blocks
-        tables.sizes = sizes
-        tables.costs = costs
-        tables.blocks = cat(b64_chunks, np.int64)
-        tables.positions = np.arange(len(tables.blocks), dtype=np.int64)
-        tables.unopt_price = cat(unopt_chunks, float)
-        tables.opt_price = cat(opt_chunks, float)
-        tables.src = cat(src_chunks, np.int64)
-        tables.codes = cat(code_chunks, np.int64)
-        return trace, tables
 
     @property
     def num_steps(self) -> int:

@@ -127,8 +127,8 @@ class ExecutionTrace:
         """Install a pre-built per-block event index.
 
         The streaming producers (:class:`EventIndexBuilder` fed by the
-        vector kernel or a batched ingest) index events chunk by chunk as
-        the trace is generated; attaching the result here lets every
+        vector kernel through :func:`assemble_trace`) index events chunk
+        by chunk as the trace is generated; attaching the result here lets every
         consumer skip the full-trace argsort of :meth:`events`.  The index
         must describe exactly this trace — a cheap total-step check guards
         against the obvious mixups, and the differential tests pin exact
@@ -232,9 +232,8 @@ class EventIndexBuilder:
     The whole-trace :meth:`ExecutionTrace._build_events` is one stable
     argsort over the full run; this builder performs the same grouping one
     chunk at a time (each chunk's local argsort shifted by the global step
-    offset), so the streaming vector kernel and the batched replay ingest
-    can maintain counter tables without ever materialising a second
-    full-length array.  :meth:`finalize` concatenates each block's
+    offset), so the streaming vector kernel can maintain counter tables
+    without ever materialising a second full-length array.  :meth:`finalize` concatenates each block's
     per-chunk pieces — chunks arrive in step order, so the concatenation
     is already sorted — and produces a dict **identical** to
     ``_build_events`` on the concatenated trace (the differential suite

@@ -36,6 +36,9 @@ branch execution; one uniform is consumed per decision in execution
 order; a trace truncated mid-segment never records an outcome for the
 segment's terminal branch.  The differential suite
 (``tests/stochastic/test_vecwalker_diff.py``) pins all of this.
+
+:func:`record_trace` is the one entry point the workloads layer uses to
+record a benchmark run.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ import numpy as np
 from ..cfg.graph import ControlFlowGraph
 from ..interp.events import EventBatch
 from ..obs import inc
+from ..obs.spans import span
 from .behavior import BranchBehavior, ProgramBehavior
-from .trace import NO_BRANCH, ExecutionTrace
+from .trace import NO_BRANCH, ExecutionTrace, assemble_trace
 
 #: ``seg_branch`` sentinel: the segment ends at an exit block.
 SEG_EXIT = -1
@@ -327,7 +331,7 @@ class VecWalker:
         streaming consumers that want counter tables per chunk should
         iterate :meth:`run_batches` into an
         :class:`~repro.stochastic.trace.EventIndexBuilder` instead —
-        that is what the replay DBTs' ``from_batches`` ingest does.
+        that is what :func:`record_trace` does.
         """
         chunks_blocks: List[np.ndarray] = []
         chunks_taken: List[np.ndarray] = []
@@ -694,3 +698,18 @@ def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,
              max_steps: int, seed: int = 0) -> ExecutionTrace:
     """One-shot convenience wrapper around :class:`VecWalker`."""
     return VecWalker(cfg, behavior, seed=seed).run(max_steps)
+
+
+def record_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
+                 max_steps: int, seed: int = 0) -> ExecutionTrace:
+    """Record one run of ``cfg`` under ``behavior``, instrumented.
+
+    The walker's event batches stream through
+    :func:`~repro.stochastic.trace.assemble_trace`, so the per-block
+    event index arrives pre-built chunk by chunk and ``trace.events()``
+    is free for the replay consumers.
+    """
+    with span("kernel.record_trace", steps=int(max_steps)):
+        walker = VecWalker(cfg, behavior, seed=seed)
+        return assemble_trace(walker.run_batches(max_steps),
+                              cfg.num_nodes, build_index=True)

@@ -7,43 +7,44 @@ import os
 import pytest
 
 from repro.cfg import ControlFlowGraph
+from repro.dbt.batchreplay import ReplaySweepStats
 from repro.ir import Cond, ProgramBuilder
 from repro.stochastic import ProgramBehavior, steady, walk
 
-#: Runtime knobs the suite must not inherit from the developer's shell —
-#: a stray REPRO_JOBS=1 or REPRO_KERNEL=scalar would silently change
-#: what the tests exercise.
-_REPRO_ENV_VARS = ("REPRO_JOBS", "REPRO_POOL", "REPRO_BATCH",
-                   "REPRO_KERNEL", "REPRO_REPLAY_KERNEL",
-                   "REPRO_REPLAY_CHUNK", "REPRO_FAULT_SPEC",
-                   "REPRO_VERIFY", "REPRO_RETRIES", "REPRO_JOB_TIMEOUT",
-                   "REPRO_PROFILE", "REPRO_PROFILE_SAMPLE",
-                   "REPRO_FLIGHT_DIR", "REPRO_FLIGHT_CAPACITY")
-
-#: CI sets these to run the tier-1 suite once per kernel cell; they are
-#: applied as REPRO_KERNEL / REPRO_REPLAY_KERNEL *after* the scrub, so
-#: they are the one sanctioned way to parameterise the suite by kernel
-#: from the outside.
-_TEST_KERNEL_VAR = "REPRO_TEST_KERNEL"
-_TEST_REPLAY_KERNEL_VAR = "REPRO_TEST_REPLAY_KERNEL"
+from .reference import heap_replay, walker_trace
 
 
 @pytest.fixture(autouse=True)
 def _hermetic_repro_env(monkeypatch):
-    """Clear every ``REPRO_*`` runtime knob around each test."""
-    for var in _REPRO_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    test_kernel = os.environ.get(_TEST_KERNEL_VAR)
-    if test_kernel:
-        monkeypatch.setenv("REPRO_KERNEL", test_kernel)
-    test_replay = os.environ.get(_TEST_REPLAY_KERNEL_VAR)
-    if test_replay:
-        monkeypatch.setenv("REPRO_REPLAY_KERNEL", test_replay)
+    """Clear every ``REPRO_*`` runtime knob around each test.
+
+    A stray ``REPRO_JOBS=1`` or ``REPRO_FAULT_SPEC`` in the developer's
+    shell would silently change what the tests exercise.
+    """
+    for var in [v for v in os.environ if v.startswith("REPRO_")]:
+        monkeypatch.delenv(var)
     yield
     # Warm pool workers hold fork-time state (environment, module
     # globals) — a worker parked by one test must not serve the next.
     from repro.harness.pool import shutdown_warm_pools
     shutdown_warm_pools()
+
+
+@pytest.fixture
+def oracle_engines(monkeypatch):
+    """Route the study pipeline through the reference engines.
+
+    Trace recording runs the scalar walker and every replay drains its
+    registrations off a heap (see ``tests/reference.py``).  The patches
+    live in this process only, so use it with ``jobs=1``.
+    """
+    def reference_sweep(positions, config, optimize_blocks, num_blocks):
+        heap_replay(positions, config, optimize_blocks)
+        return ReplaySweepStats()
+
+    monkeypatch.setattr("repro.workloads.spec.record_trace", walker_trace)
+    monkeypatch.setattr("repro.dbt.replay.run_batched_replay",
+                        reference_sweep)
 
 
 @pytest.fixture

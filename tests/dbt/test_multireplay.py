@@ -1,7 +1,7 @@
-"""The single-pass sweep invariant: MultiThresholdReplay == N ReplayDBTs.
+"""The sweep invariant: MultiThresholdReplay == N ReplayDBTs.
 
-The merged-heap replay must be event-for-event equivalent to running an
-independent :class:`ReplayDBT` per threshold: identical snapshots,
+The multi-threshold replay must be event-for-event equivalent to running
+an independent :class:`ReplayDBT` per threshold: identical snapshots,
 freeze steps, regions and optimisation-event streams — for any CFG,
 behaviour, threshold set and trigger policy.
 """

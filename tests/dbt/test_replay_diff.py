@@ -1,12 +1,13 @@
-"""Differential wall: the batched replay kernel must equal the scalar
-oracle.
+"""Differential wall: the batched replay sweep must equal the reference
+heap walk.
 
 Every test asserts the same contract from a different angle: for the
-same (trace, CFG, DBT config), ``ReplayDBT``/``MultiThresholdReplay``
-driven by the batched windowed sweep produce *identical* pipeline
-outcomes to the scalar heap walk — same freeze steps, same regions,
-same optimization events, same translation maps — regardless of window
-chunking, trigger sizing or the register-twice rule.
+same (trace, CFG, DBT config), the batched windowed sweep — through
+``run_batched_replay`` at any window target, ``ReplayDBT`` and
+``MultiThresholdReplay`` — produces *identical* pipeline outcomes to the
+reference heap walk of ``tests/reference.py``: same freeze steps, same
+regions, same optimization events, same translation maps — regardless
+of window chunking, trigger sizing or the register-twice rule.
 
 The hypothesis tests fuzz arbitrary CFG shapes x behaviour mixes x
 thresholds x chunkings; the named tests pin the structural edge cases
@@ -14,19 +15,20 @@ thresholds x chunkings; the named tests pin the structural edge cases
 empty traces).
 """
 
-import numpy as np
+from contextlib import contextmanager
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
-from repro.dbt.replay_kernel import (DEFAULT_REPLAY_CHUNK,
-                                     DEFAULT_REPLAY_KERNEL,
-                                     resolve_replay_chunk,
-                                     resolve_replay_kernel)
+from repro.dbt.batchreplay import run_batched_replay
 from repro.stochastic import (ProgramBehavior, drifting, phased, steady,
                               walk, warmup)
+
+from ..reference import reference_replay
 
 # Window sizes straddling every interesting boundary: degenerate (1,
 # every window holds one registration per live block), small primes (so
@@ -52,11 +54,20 @@ def _replay_fingerprint(dbt):
     )
 
 
+@contextmanager
+def _window_target(chunk):
+    """Production replays inside the block sweep ``chunk``-event windows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.dbt.replay.run_batched_replay",
+                   partial(run_batched_replay, chunk=chunk))
+        yield
+
+
 def _pair(trace, cfg, config, chunk):
-    """(scalar oracle, batched) replays of the same inputs, both ran."""
-    oracle = ReplayDBT(trace, cfg, config, replay_kernel="scalar").run()
-    batched = ReplayDBT(trace, cfg, config, replay_kernel="batched",
-                        replay_chunk=chunk).run()
+    """(reference, batched at ``chunk``) replays of the same inputs."""
+    oracle = reference_replay(trace, cfg, config)
+    with _window_target(chunk):
+        batched = ReplayDBT(trace, cfg, config).run()
     return oracle, batched
 
 
@@ -135,33 +146,28 @@ def test_fuzz_batched_equals_scalar(case):
 @given(replay_case(), st.lists(st.integers(min_value=1, max_value=60),
                                min_size=1, max_size=5))
 def test_fuzz_multireplay_batched_equals_scalar(case, thresholds):
+    """Every multireplay state (windows at ``chunk``) == the reference
+    replay at its threshold."""
     trace, cfg, config, chunk = case
-    oracle = MultiThresholdReplay(trace, cfg, thresholds,
-                                  base_config=config,
-                                  replay_kernel="scalar").run()
-    batched = MultiThresholdReplay(trace, cfg, thresholds,
-                                   base_config=config,
-                                   replay_kernel="batched",
-                                   replay_chunk=chunk).run()
-    for t in oracle.thresholds:
-        assert _replay_fingerprint(oracle.state(t)) == \
+    with _window_target(chunk):
+        batched = MultiThresholdReplay(trace, cfg, thresholds,
+                                       base_config=config).run()
+    for t in batched.thresholds:
+        oracle = reference_replay(trace, cfg, config.with_threshold(t))
+        assert _replay_fingerprint(oracle) == \
             _replay_fingerprint(batched.state(t)), f"t={t} chunk={chunk}"
 
 
 @settings(max_examples=30, deadline=None)
 @given(replay_case())
 def test_fuzz_multireplay_state_equals_single_replay(case):
-    """Batched multireplay states == independent scalar ReplayDBT runs."""
-    trace, cfg, config, chunk = case
-    thresholds = sorted({1, config.threshold, 3 * config.threshold})
-    multi = MultiThresholdReplay(trace, cfg, thresholds, base_config=config,
-                                 replay_kernel="batched",
-                                 replay_chunk=chunk).run()
-    for t in thresholds:
-        single = ReplayDBT(trace, cfg, config.with_threshold(t),
-                           replay_kernel="scalar").run()
+    """Production ReplayDBT runs == reference replays, at 1, T and 3T."""
+    trace, cfg, config, _ = case
+    for t in sorted({1, config.threshold, 3 * config.threshold}):
+        single = ReplayDBT(trace, cfg, config.with_threshold(t)).run()
+        oracle = reference_replay(trace, cfg, config.with_threshold(t))
         assert _replay_fingerprint(single) == \
-            _replay_fingerprint(multi.state(t)), f"t={t}"
+            _replay_fingerprint(oracle), f"t={t}"
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +250,11 @@ def test_empty_and_tiny_traces():
 
 
 def test_snapshots_identical_across_kernels(nested_cfg, nested_trace):
-    """The INIP(T) snapshot — the paper-facing artefact — is kernel-blind."""
+    """The INIP(T) snapshot — the paper-facing artefact — of the
+    production ReplayDBT equals the reference replay's."""
     config = DBTConfig(threshold=50)
-    oracle, batched = _pair(nested_trace, nested_cfg, config, 2048)
+    oracle = reference_replay(nested_trace, nested_cfg, config)
+    batched = ReplayDBT(nested_trace, nested_cfg, config)
     a, b = oracle.snapshot(), batched.snapshot()
     assert a.blocks.keys() == b.blocks.keys()
     for block in a.blocks:
@@ -255,56 +263,3 @@ def test_snapshots_identical_across_kernels(nested_cfg, nested_trace):
             (pb.use, pb.taken, pb.frozen_at)
     assert a.profiling_ops == b.profiling_ops
 
-
-# ---------------------------------------------------------------------------
-# Kernel selection semantics.
-# ---------------------------------------------------------------------------
-
-def test_resolve_replay_kernel_default_and_env(monkeypatch):
-    # The CI matrix pins $REPRO_REPLAY_KERNEL via REPRO_TEST_REPLAY_KERNEL;
-    # drop it so the bare default is observable.
-    monkeypatch.delenv("REPRO_REPLAY_KERNEL", raising=False)
-    assert resolve_replay_kernel() == DEFAULT_REPLAY_KERNEL
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "scalar")
-    assert resolve_replay_kernel() == "scalar"
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "  Batched  ")
-    assert resolve_replay_kernel() == "batched"
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "")
-    assert resolve_replay_kernel() == DEFAULT_REPLAY_KERNEL
-    # Explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "scalar")
-    assert resolve_replay_kernel("batched") == "batched"
-
-
-def test_resolve_replay_kernel_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError):
-        resolve_replay_kernel("turbo")
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "turbo")
-    with pytest.raises(ValueError):
-        resolve_replay_kernel()
-
-
-def test_resolve_replay_chunk(monkeypatch):
-    assert resolve_replay_chunk() == DEFAULT_REPLAY_CHUNK
-    assert resolve_replay_chunk(7) == 7
-    monkeypatch.setenv("REPRO_REPLAY_CHUNK", "123")
-    assert resolve_replay_chunk() == 123
-    monkeypatch.setenv("REPRO_REPLAY_CHUNK", "nope")
-    with pytest.raises(ValueError):
-        resolve_replay_chunk()
-    with pytest.raises(ValueError):
-        resolve_replay_chunk(0)
-
-
-def test_replay_env_var_drives_instances(nested_cfg, nested_trace,
-                                         monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "scalar")
-    assert ReplayDBT(nested_trace, nested_cfg,
-                     DBTConfig()).replay_kernel == "scalar"
-    assert MultiThresholdReplay(nested_trace, nested_cfg,
-                                [5]).replay_kernel == "scalar"
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "batched")
-    monkeypatch.setenv("REPRO_REPLAY_CHUNK", "64")
-    replay = ReplayDBT(nested_trace, nested_cfg, DBTConfig())
-    assert replay.replay_kernel == "batched"
-    assert replay.replay_chunk == 64

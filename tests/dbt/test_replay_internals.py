@@ -1,8 +1,8 @@
 """Direct unit coverage for the replay building blocks.
 
-The differential wall (``test_replay_diff.py``) proves the batched and
-scalar kernels agree with each other; this file pins what the shared
-primitives they are built on actually compute — registration positions,
+The differential wall (``test_replay_diff.py``) proves the batched
+sweep agrees with the reference heap walk; this file pins what the
+shared primitives both are built on actually compute — registration positions,
 freeze-respecting counter views, the candidate pool state machine — and
 the multi-threshold counter semantics.
 """
@@ -202,46 +202,55 @@ def _study_inputs():
     return cfg, trace
 
 
+def _engines(request, kernel):
+    """``"scalar"`` runs the pipeline on the reference engines."""
+    if kernel == "scalar":
+        request.getfixturevalue("oracle_engines")
+
+
 @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-def test_multireplay_counts_one_shared_pass(kernel):
-    """A multi-threshold sweep is one pass over the trace: replay.runs
-    and replay.blocks_translated must match a single ReplayDBT run, not
-    scale with the number of threshold states."""
+def test_multireplay_counts_one_shared_pass(request, kernel):
+    """A multi-threshold sweep counts as one replay of the trace:
+    replay.runs and replay.blocks_translated must match a single
+    ReplayDBT run, not scale with the number of threshold states, on
+    either engine."""
+    _engines(request, kernel)
     cfg, trace = _study_inputs()
     thresholds = [2, 10, 50, 200]
     events = trace.events()
 
     runs0 = counter_value("replay.runs")
     translated0 = counter_value("replay.blocks_translated")
-    MultiThresholdReplay(trace, cfg, thresholds,
-                         replay_kernel=kernel).run()
+    MultiThresholdReplay(trace, cfg, thresholds).run()
     assert counter_value("replay.runs") - runs0 == 1
     assert counter_value("replay.blocks_translated") - translated0 == \
         len(events)
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-def test_multireplay_per_state_counters_still_sum(kernel):
+def test_multireplay_per_state_counters_still_sum(request, kernel):
     """Retranslations/regions/optimization events stay per-state."""
+    _engines(request, kernel)
     cfg, trace = _study_inputs()
     thresholds = [2, 10, 50]
     retr0 = counter_value("replay.retranslations")
-    multi = MultiThresholdReplay(trace, cfg, thresholds,
-                                 replay_kernel=kernel).run()
+    multi = MultiThresholdReplay(trace, cfg, thresholds).run()
     expected = sum(len(multi.state(t).optimized) for t in thresholds)
     assert counter_value("replay.retranslations") - retr0 == expected
     assert expected > 0
 
 
 def test_replay_kernel_counters_attribute_the_pass():
+    """Each replay credits its windows and swept events to the batched
+    sweep counters, alone or as a multi-threshold sweep's state."""
     cfg, trace = _study_inputs()
-    s0 = counter_value("replay.kernel.scalar.runs")
-    b0 = counter_value("replay.kernel.batched.runs")
-    ReplayDBT(trace, cfg, DBTConfig(threshold=10),
-              replay_kernel="scalar").run()
-    assert counter_value("replay.kernel.scalar.runs") - s0 == 1
-    ReplayDBT(trace, cfg, DBTConfig(threshold=10),
-              replay_kernel="batched").run()
-    assert counter_value("replay.kernel.batched.runs") - b0 == 1
-    assert counter_value("replay.kernel.batched.events") > 0
-    assert counter_value("replay.kernel.batched.windows") > 0
+    w0 = counter_value("replay.kernel.batched.windows")
+    e0 = counter_value("replay.kernel.batched.events")
+    ReplayDBT(trace, cfg, DBTConfig(threshold=10)).run()
+    windows = counter_value("replay.kernel.batched.windows") - w0
+    swept = counter_value("replay.kernel.batched.events") - e0
+    assert windows > 0 and swept > 0
+    MultiThresholdReplay(trace, cfg, [10]).run()
+    assert counter_value("replay.kernel.batched.windows") - w0 == \
+        2 * windows
+    assert counter_value("replay.kernel.batched.events") - e0 == 2 * swept

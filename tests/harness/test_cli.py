@@ -99,7 +99,7 @@ def test_metrics_and_trace_export(tmp_path, capsys):
         trace = json.load(f)
     names = {event["name"] for event in trace["traceEvents"]}
     assert "full_study" in names
-    assert "replay.multi_run" in names  # the single-pass threshold sweep
+    assert "replay.multi_run" in names  # the multi-threshold sweep
 
 
 def test_csv_export(tmp_path, capsys):

@@ -4,13 +4,9 @@ survive retries, timeouts and quarantine without double-counting."""
 import json
 import os
 
-import pytest
-
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
-from repro.harness.faults import (FAULT_SPEC_ENV, HANG_SECONDS_ENV,
-                                  JOB_TIMEOUT_ENV, RETRIES_ENV,
-                                  FaultPlan)
+from repro.harness.faults import FAULT_SPEC_ENV, FaultPlan
 from repro.harness.parallel import RetryPolicy, dispatch_study_jobs
 from repro.obs import counter_value
 from repro.perfmodel import DEFAULT_COSTS
@@ -20,13 +16,6 @@ KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
                      costs=DEFAULT_COSTS, steps_scale=0.02,
                      include_perf=False)
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_env(monkeypatch):
-    for var in (FAULT_SPEC_ENV, RETRIES_ENV, JOB_TIMEOUT_ENV,
-                HANG_SECONDS_ENV):
-        monkeypatch.delenv(var, raising=False)
 
 
 def _dispatch(names, plan, retries=2, job_timeout=None, jobs=2):

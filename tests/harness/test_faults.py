@@ -42,14 +42,6 @@ DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
 HANG = "30"
 
 
-@pytest.fixture(autouse=True)
-def _clean_fault_env(monkeypatch):
-    """Fault-policy environment must never leak between tests."""
-    for var in (FAULT_SPEC_ENV, RETRIES_ENV, JOB_TIMEOUT_ENV,
-                HANG_SECONDS_ENV):
-        monkeypatch.delenv(var, raising=False)
-
-
 def _dispatch(names, plan, retries=2, job_timeout=None, jobs=2):
     """Run the dispatcher with zero backoff (tests shouldn't sleep)."""
     policy = RetryPolicy(retries=retries, job_timeout=job_timeout,

@@ -10,13 +10,15 @@ rests on:
    regeneration (see EXPERIMENTS.md, "Regenerating the golden corpus")
    instead of silent drift.
 2. **Reduced-study matrix** — a small study is recomputed under every
-   combination of event kernel (scalar/vector), job count (1/2) and
-   verification mode, and every cell must serialise to identical bytes.
-   This is the fast, always-on version of the full-corpus guarantee.
+   pool backend, job count (1/2) and verification mode, and every cell
+   must serialise to identical bytes; the same study on the reference
+   engines (``oracle_engines``) must render identical figures.  This is
+   the fast, always-on version of the full-corpus guarantee.
 3. **Full-scale gate** — with ``REPRO_GOLDEN_FULL=1`` the entire
-   full-scale study is regenerated under both kernels and its rendered
-   figures compared byte-for-byte against the committed corpus.  Slow
-   (minutes); run before regenerating the corpus or cutting a release.
+   full-scale study is regenerated on the production and the reference
+   engines and its rendered figures compared byte-for-byte against the
+   committed corpus.  Slow (minutes); run before regenerating the corpus
+   or cutting a release.
 """
 
 import hashlib
@@ -97,63 +99,50 @@ def test_golden_corpus_digest(name):
 
 
 def test_reduced_study_matrix_byte_identical():
-    """kernel x replay kernel x dispatch mode x verify: identical bytes."""
+    """dispatch mode x verify: identical bytes."""
     modes = [dict(jobs=1),                            # inprocess backend
              dict(jobs=2),                            # process backend
              dict(jobs=2, pool="batched", batch=2)]   # batched backend
     baseline = None
-    for kernel in ("scalar", "vector"):
-        for replay_kernel in ("scalar", "batched"):
-            for mode in modes:
-                # Verification is dispatch- and kernel-blind; sweeping
-                # it across every pool backend and replay kernel would
-                # slow the wall without adding coverage.
-                verifies = ((False, True)
-                            if "pool" not in mode
-                            and replay_kernel == "batched"
-                            else (False,))
-                for verify in verifies:
-                    results = run_full_study(kernel=kernel,
-                                             replay_kernel=replay_kernel,
-                                             verify=verify,
-                                             **mode, **REDUCED)
-                    got = _figure_bytes(results)
-                    label = (f"kernel={kernel} replay={replay_kernel} "
-                             f"mode={mode} verify={verify}")
-                    if baseline is None:
-                        baseline = got
-                    else:
-                        assert got == baseline, f"{label} diverged"
-                    assert results.manifest["kernel"] == kernel, label
-                    assert results.manifest["replay_kernel"] == \
-                        replay_kernel, label
-                    if "pool" in mode:
-                        assert results.manifest["pool"] == \
-                            mode["pool"], label
-                        assert results.manifest["batch_size"] == \
-                            mode["batch"], label
+    for mode in modes:
+        # Verification is dispatch-blind; sweeping it across every pool
+        # backend would slow the wall without adding coverage.
+        for verify in ((False, True) if "pool" not in mode else (False,)):
+            results = run_full_study(verify=verify, **mode, **REDUCED)
+            got = _figure_bytes(results)
+            label = f"mode={mode} verify={verify}"
+            if baseline is None:
+                baseline = got
+            else:
+                assert got == baseline, f"{label} diverged"
+            assert "kernel" not in results.manifest, label
+            assert "replay_kernel" not in results.manifest, label
+            if "pool" in mode:
+                assert results.manifest["pool"] == mode["pool"], label
+                assert results.manifest["batch_size"] == mode["batch"], \
+                    label
 
 
-def test_reduced_figures_render_identically_across_kernels():
-    """Rendered figure text (what results/*.txt holds) is kernel-blind,
-    on both the recording and the replay axis."""
-    scalar = run_full_study(jobs=1, kernel="scalar",
-                            replay_kernel="scalar", **REDUCED)
-    vector = run_full_study(jobs=1, kernel="vector",
-                            replay_kernel="batched", **REDUCED)
+def test_reduced_figures_render_identically_across_kernels(request):
+    """Rendered figure text (what results/*.txt holds) is engine-blind:
+    the reference walker and heap replay render the same figures."""
+    vector = run_full_study(jobs=1, **REDUCED)
+    request.getfixturevalue("oracle_engines")
+    scalar = run_full_study(jobs=1, **REDUCED)
+    assert _figure_bytes(scalar) == _figure_bytes(vector)
     for fignum, builder in sorted(FIGURES.items()):
         assert render(builder(scalar)) == render(builder(vector)), \
-            f"figure {fignum} renders differently under the two kernels"
+            f"figure {fignum} renders differently on the reference engines"
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_GOLDEN_FULL"),
                     reason="full-scale regeneration; set REPRO_GOLDEN_FULL=1")
-def test_full_corpus_regenerates_identically():
-    """The committed corpus is reproducible from scratch, either kernel."""
-    scalar = run_full_study(include_perf=True, cache_dir=None,
-                            kernel="scalar", replay_kernel="scalar")
-    vector = run_full_study(include_perf=True, cache_dir=None,
-                            kernel="vector", replay_kernel="batched")
+def test_full_corpus_regenerates_identically(request):
+    """The committed corpus is reproducible from scratch, on the
+    production and on the reference engines."""
+    vector = run_full_study(include_perf=True, cache_dir=None)
+    request.getfixturevalue("oracle_engines")
+    scalar = run_full_study(include_perf=True, cache_dir=None, jobs=1)
     assert _figure_bytes(scalar) == _figure_bytes(vector)
     for fignum, builder in sorted(FIGURES.items()):
         name = f"{builder.__name__}.txt"

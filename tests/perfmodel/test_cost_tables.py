@@ -13,7 +13,9 @@ import pytest
 from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
 from repro.perfmodel import CostModel, CostTables, estimate_cost
 from repro.perfmodel.tables import _LUT_CAP
-from repro.stochastic import VecWalker, walk
+from repro.stochastic import walk
+
+from ..reference import reference_replay
 
 
 def _exact_equal(a, b, label=""):
@@ -49,37 +51,6 @@ def test_tables_bitwise_across_custom_costs(nested_cfg, nested_trace):
     direct = estimate_cost(nested_trace, tmap, sizes, costs)
     shared = estimate_cost(nested_trace, tmap, sizes, costs, tables=tables)
     _exact_equal(direct, shared)
-
-
-def test_from_batches_equals_from_trace(nested_cfg, nested_behavior):
-    """Streaming construction == whole-trace construction, array for
-    array, and the attached event index matches the lazy one."""
-    sizes = _sizes(nested_cfg)
-    walker = VecWalker(nested_cfg, nested_behavior, seed=9, chunk_steps=763)
-    trace, tables = CostTables.from_batches(
-        walker.run_batches(40_000), nested_cfg.num_nodes, sizes)
-    whole = walk(nested_cfg, nested_behavior, max_steps=40_000, seed=9)
-    expected = CostTables(whole, sizes)
-
-    np.testing.assert_array_equal(trace.blocks, whole.blocks)
-    np.testing.assert_array_equal(trace.taken, whole.taken)
-    for field in ("blocks", "positions", "unopt_price", "opt_price",
-                  "src", "codes"):
-        np.testing.assert_array_equal(getattr(tables, field),
-                                      getattr(expected, field), field)
-    lazy = whole.events()
-    built = trace.events()
-    assert built.keys() == lazy.keys()
-    for block in lazy:
-        np.testing.assert_array_equal(built[block].steps,
-                                      lazy[block].steps)
-
-
-def test_from_batches_empty_stream():
-    trace, tables = CostTables.from_batches(iter(()), 4, [1, 2, 3, 4])
-    assert trace.num_steps == 0
-    assert tables.num_steps == 0
-    assert len(tables.codes) == 0
 
 
 def test_edge_inside_lut_equals_isin(nested_cfg, nested_trace,
@@ -145,20 +116,22 @@ def test_measured_estimator_accepts_tables():
 def test_multireplay_maps_price_identically_under_tables(nested_cfg,
                                                          nested_trace):
     """The full sweep shape the harness runs: one tables object, many
-    maps from a multi-threshold replay, both replay kernels."""
+    maps from a multi-threshold replay, each priced like the reference
+    replay's map at the same threshold."""
     sizes = _sizes(nested_cfg)
     thresholds = [5, 50, 500]
     tables = CostTables(nested_trace, sizes)
-    sweeps = {k: MultiThresholdReplay(nested_trace, nested_cfg, thresholds,
-                                      replay_kernel=k).run()
-              for k in ("scalar", "batched")}
+    sweep = MultiThresholdReplay(nested_trace, nested_cfg, thresholds).run()
     for t in thresholds:
-        per_kernel = []
-        for kernel, sweep in sweeps.items():
-            tmap = sweep.state(t).translation_map()
+        priced = []
+        for label, replay in (
+                ("batched", sweep.state(t)),
+                ("reference", reference_replay(
+                    nested_trace, nested_cfg, DBTConfig(threshold=t)))):
+            tmap = replay.translation_map()
             direct = estimate_cost(nested_trace, tmap, sizes)
             shared = estimate_cost(nested_trace, tmap, sizes,
                                    tables=tables)
-            _exact_equal(direct, shared, f"t={t} kernel={kernel}")
-            per_kernel.append(shared)
-        _exact_equal(*per_kernel, label=f"t={t} across kernels")
+            _exact_equal(direct, shared, f"t={t} {label}")
+            priced.append(shared)
+        _exact_equal(*priced, label=f"t={t} batched vs reference")

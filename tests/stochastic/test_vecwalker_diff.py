@@ -1,4 +1,4 @@
-"""Differential wall: the vector kernel must equal the scalar oracle.
+"""Differential wall: the vector kernel must equal the scalar walker.
 
 Every test here asserts the same contract from a different angle: for
 the same (CFG, behaviour, seed), :class:`VecWalker` produces an event
@@ -21,11 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
-from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
 from repro.stochastic import (CFGWalker, ProgramBehavior, VecWalker,
                               assemble_trace, drifting,
-                              numpy_uniform_stream, phased, steady, vec_walk,
-                              warmup)
+                              numpy_uniform_stream, phased, record_trace,
+                              steady, vec_walk, warmup)
 from repro.stochastic.trace import EventIndexBuilder
 
 # Chunk sizes straddling every interesting boundary: degenerate (1),
@@ -248,7 +247,7 @@ def test_vec_walk_convenience_matches_walk():
 
 
 # ---------------------------------------------------------------------------
-# Streaming consumers: batches, incremental index, replay ingest.
+# Streaming consumers: batches, incremental index, trace recording.
 # ---------------------------------------------------------------------------
 
 def test_streamed_batches_reassemble_exactly(nested_cfg, nested_behavior):
@@ -285,39 +284,6 @@ def test_incremental_index_equals_lazy_index(nested_cfg, nested_behavior):
                                       lazy[block].taken_prefix)
 
 
-def _replay_fingerprint(dbt):
-    return (sorted(dbt.freeze_step.items()),
-            sorted(dbt.optimized),
-            [(r.region_id, tuple(r.members)) for r in dbt.regions])
-
-
-def test_replay_from_batches_equals_scalar_replay(nested_cfg,
-                                                  nested_behavior):
-    """Batched ingest must reach the same regions/freezes as the scalar
-    trace fed through the classic constructor."""
-    config = DBTConfig(threshold=50)
-    scalar = scalar_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    expected = ReplayDBT(scalar, nested_cfg, config).run()
-
-    walker = VecWalker(nested_cfg, nested_behavior, seed=8, chunk_steps=509)
-    got = ReplayDBT.from_batches(walker.run_batches(60_000), nested_cfg,
-                                 config).run()
-    assert _replay_fingerprint(expected) == _replay_fingerprint(got)
-
-
-def test_multireplay_from_batches(nested_cfg, nested_behavior):
-    thresholds = [5, 50, 500]
-    scalar = scalar_trace(nested_cfg, nested_behavior, 60_000, seed=8)
-    expected = MultiThresholdReplay(scalar, nested_cfg, thresholds).run()
-
-    walker = VecWalker(nested_cfg, nested_behavior, seed=8, chunk_steps=509)
-    got = MultiThresholdReplay.from_batches(
-        walker.run_batches(60_000), nested_cfg, thresholds).run()
-    for t in thresholds:
-        assert _replay_fingerprint(expected.state(t)) == \
-            _replay_fingerprint(got.state(t))
-
-
 def test_assemble_trace_prebuilt_index_is_attached(nested_cfg,
                                                    nested_behavior):
     walker = VecWalker(nested_cfg, nested_behavior, seed=2, chunk_steps=997)
@@ -326,3 +292,12 @@ def test_assemble_trace_prebuilt_index_is_attached(nested_cfg,
     assert trace._events is not None  # index arrived pre-built
     lazy = scalar_trace(nested_cfg, nested_behavior, 20_000, seed=2)
     assert_traces_equal(lazy, trace)
+
+
+def test_record_trace_equals_scalar_walker(nested_cfg, nested_behavior):
+    """The study's recording entry point: the scalar walker's trace, with
+    its event index already attached."""
+    trace = record_trace(nested_cfg, nested_behavior, 30_000, seed=8)
+    assert trace._events is not None
+    scalar = scalar_trace(nested_cfg, nested_behavior, 30_000, seed=8)
+    assert_traces_equal(scalar, trace)
