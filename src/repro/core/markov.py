@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..obs.registry import inc, observe
 from ..profiles.model import ProfileSnapshot
 from .normalize import CopyRef, DuplicatedGraph
 
@@ -146,6 +147,11 @@ def normalize_avep(graph: DuplicatedGraph,
     x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     for v, i in index.items():
         result[v] = float(x[i])
-    # Numerical noise can leave tiny negative frequencies on dead copies.
+    # Numerical noise can leave tiny negative frequencies on dead copies;
+    # count what the clip hides so the solver's health stays visible.
+    negative = result[result < 0.0]
+    if len(negative):
+        inc("navep.clipped_copies", len(negative))
+    observe("navep.clipped_negative_mass", float(-np.sum(negative)))
     np.clip(result, 0.0, None, out=result)
     return NormalizedProfile(graph, result)

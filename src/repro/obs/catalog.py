@@ -91,6 +91,12 @@ CATALOG: List[Instrument] = [
                "Optimization events fired during replay."),
     Instrument("pool.evictions", "counter",
                "Blocks evicted from the translation pool."),
+    Instrument("navep.clipped_copies", "counter",
+               "Negative NAVEP copy frequencies clipped to zero after "
+               "the least-squares solve."),
+    Instrument("navep.clipped_negative_mass", "histogram",
+               "Negative frequency mass clipped per NAVEP solve (0 when "
+               "the solution was non-negative)."),
     Instrument("perfmodel.estimates", "counter",
                "Cost-model estimates computed."),
     Instrument("perfmodel.side_exits", "counter",

@@ -85,7 +85,12 @@ class Histogram:
         frac = index - lo
         if lo + 1 >= len(values):
             return values[-1]
-        return values[lo] * (1.0 - frac) + values[lo + 1] * frac
+        a, b = values[lo], values[lo + 1]
+        # numpy's lerp: a*(1-frac) + b*frac would underflow to 0.0 on
+        # subnormals (p50 < min for [5e-324, 5e-324]); the difference
+        # form, clamped to [a, b], cannot.
+        lerp = a + (b - a) * frac if frac < 0.5 else b - (b - a) * (1 - frac)
+        return min(max(lerp, a), b)
 
     def summary(self) -> Dict[str, float]:
         """count/sum/min/max/mean plus the p50/p90/p99 percentiles."""

@@ -85,4 +85,4 @@ def estimate_cost_measured(trace, tmap, program: Program,
         tables = CostTables(trace, sizes, costs)
     elif tables.num_steps != trace.num_steps:
         raise ValueError("tables were built from a different trace")
-    return _breakdown(tables, tmap, costs, measured[tables.blocks])
+    return _breakdown(tables, tmap, costs, measured)

@@ -45,50 +45,40 @@ class CostBreakdown:
 
 def _breakdown(tables: CostTables, tmap: TranslationMap, costs: CostModel,
                opt_price: np.ndarray) -> CostBreakdown:
-    """Price one translation map against precomputed trace tables.
+    """Price one translation map from the trace's per-edge step index.
 
-    ``opt_price`` is the per-step cost of a step that runs optimised —
-    the flat ``tables.opt_price`` for the analytic model, or measured
-    per-block costs gathered over the trace for the derived model.
-    Every arithmetic operation here matches the historical per-call
-    estimator element for element, so totals are bit-identical.
+    ``opt_price`` is the per-block cost of an optimised execution: the
+    flat ``tables.opt_price``, or measured costs for the derived model.
     """
-    blocks = tables.blocks
-    optimized = tmap.optimized_at[blocks] <= tables.positions
-
-    unopt_cost = float(np.sum(
-        np.where(~optimized, tables.unopt_price, 0.0)))
-    opt_cost = float(np.sum(np.where(optimized, opt_price, 0.0)))
+    opt_steps, opt_edge_steps = tables.optimized_steps(tmap)
+    unopt_cost = float(np.sum((tables.use - opt_steps) * tables.unopt_price))
+    opt_cost = float(np.sum(opt_steps * opt_price))
 
     # Side exits: an optimised block whose *dynamic* successor edge is
     # not covered by any region's internal/back edges fell out of
-    # translated code unexpectedly.  Exits from region tails are the
-    # planned region exit and are free.
+    # translated code.  Exits from region tails are planned and free.
     num_side_exits = 0
-    if len(blocks) > 1 and tmap.internal_pairs:
-        inside = tables.edge_inside(tmap)
+    if tables.num_steps > 1 and tmap.internal_pairs:
         tails = np.zeros(tables.num_blocks, dtype=bool)
-        for block in tmap.tail_blocks:
-            tails[block] = True
-        side = optimized[:-1] & ~inside & ~tails[tables.src]
-        num_side_exits = int(np.sum(side))
-    side_cost = num_side_exits * costs.side_exit_penalty
-
-    translation = float(tmap.instructions_translated(tables.sizes) *
-                        costs.translation_cost)
-
+        tails[list(tmap.tail_blocks)] = True
+        side = ~(np.isin(tables.edge_code, tmap.internal_pair_codes()) |
+                 tails[tables.edge_src])
+        num_side_exits = int(np.sum(opt_edge_steps[side]))
+    n = tables.num_steps
     return CostBreakdown(
-        unoptimized=unopt_cost, optimized=opt_cost, side_exits=side_cost,
-        translation=translation, num_side_exits=num_side_exits,
-        optimized_fraction=(float(np.mean(optimized))
-                            if len(blocks) else 0.0))
+        unoptimized=unopt_cost, optimized=opt_cost,
+        side_exits=num_side_exits * costs.side_exit_penalty,
+        translation=float(tmap.instructions_translated(tables.sizes) *
+                          costs.translation_cost),
+        num_side_exits=num_side_exits,
+        optimized_fraction=int(np.sum(opt_steps)) / n if n else 0.0)
 
 
 def estimate_cost(trace: ExecutionTrace, tmap: TranslationMap,
                   block_sizes: Sequence[int],
                   costs: CostModel = DEFAULT_COSTS,
                   tables: Optional[CostTables] = None) -> CostBreakdown:
-    """Replay ``trace`` against the translation map and price every step.
+    """Price every step of ``trace`` under the translation map.
 
     Args:
         trace: the recorded run.
@@ -101,8 +91,8 @@ def estimate_cost(trace: ExecutionTrace, tmap: TranslationMap,
         tables: optional precomputed :class:`CostTables` for this
             (trace, block_sizes, costs) triple — pass one when sweeping
             many translation maps over the same trace so the
-            trace-invariant work is paid once.  Results are bit-identical
-            with or without.
+            trace-invariant index is built once.  Results are
+            bit-identical with or without.
     """
     if tables is None:
         tables = CostTables(trace, block_sizes, costs)

@@ -1,28 +1,34 @@
-"""Precomputed per-trace cost tables for the performance model.
+"""Per-edge step index of a trace, for pricing many translation maps.
 
-A threshold sweep estimates the cost of one recorded trace against many
-translation maps (one per threshold).  Most of what
-:func:`~repro.perfmodel.execution.estimate_cost` computes per call is a
-function of the *trace* alone — the int64 block ids, the position ramp,
-the per-step unoptimised/optimised prices, the dynamic-edge pair codes —
-so recomputing it for every threshold dominated study time.
-:class:`CostTables` hoists those invariants out of the loop; the
-estimators take an optional ``tables`` argument and skip straight to the
-per-map work.
+A threshold sweep prices one recorded trace against many translation
+maps.  All the estimator needs are *counts* over a block's or an edge's
+occurrences: how many of block ``b``'s steps ran optimised, and how many
+optimised steps left through a side exit.  A map settles both with one
+number per block: step ``s`` of ``b`` runs optimised iff
+``optimized_at[b] <= s``.  So :class:`CostTables` indexes the trace
+once, in O(N), and each map is priced in O((blocks + edges) · log N):
 
-Bitwise identity is the design constraint: every float in a table is
-produced by exactly the elementwise operation the un-hoisted estimator
-performed, so the sums the estimators reduce them to are bit-for-bit the
-same and the SHA-pinned golden corpus is untouched.  The only true
-replacement is the internal-edge membership test, which swaps
-``np.isin`` (a sort-based search per call) for a boolean lookup table
-over the pair-code space — an exact set-membership equivalence, checked
-by ``tests/perfmodel/test_cost_tables.py``.
+* ``keys`` holds ``edge * N + step`` for every step with a successor,
+  grouped by dynamic edge ``(src, dst)`` and sorted.  It is built by
+  splitting each block's sorted steps from the event index
+  (``trace.events()``) by successor, so no full-trace sort is paid;
+* per map, one ``searchsorted`` of ``edge * N + optimized_at[src]``
+  counts each edge's optimised steps, and a ``bincount`` over ``src``
+  (plus the last step, which has no edge) gives them per block.
+
+Exactness: the estimator sums ``count * price``.  With integral sizes
+and costs (every study's sizes and ``DEFAULT_COSTS``) every price,
+product and partial sum is an integer below 2^53, so any summation
+order is exact and totals equal the historical per-step sums bit for
+bit; the SHA-pinned golden corpus does not move.  With fractional costs
+the per-block sums differ from per-step pairwise sums only by rounding.
+``tests/perfmodel/test_pricing_diff.py`` checks both against the
+per-step oracle in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -30,28 +36,21 @@ from ..dbt.codecache import TranslationMap
 from ..stochastic.trace import ExecutionTrace
 from .costs import DEFAULT_COSTS, CostModel
 
-#: Above this many pair codes the membership LUT would out-cost the
-#: ``np.isin`` it replaces; fall back (16M bools = 16 MB).
-_LUT_CAP = 1 << 24
-
 
 class CostTables:
     """Trace-invariant inputs of the cost estimators, computed once.
 
     Attributes:
-        num_blocks: size of the block id space.
-        sizes: float instruction size per block id.
-        costs: the cost calibration the prices were computed under.
-        blocks: the trace's block ids as int64.
-        positions: ``arange(num_steps)`` — the step ramp ``optimized_at``
-            is compared against.
-        unopt_price: per-step cost if the step runs unoptimised
-            (``size * interp_cost + profile_overhead``).
-        opt_price: per-step cost if the step runs optimised under the
-            flat model (``size * opt_cost``).
-        src: source block of every dynamic edge (``blocks[:-1]``).
-        codes: pair code of every dynamic edge
-            (``src * num_blocks + dst``).
+        num_blocks, num_steps: the trace's block id space and length.
+        sizes: float instruction size per block id; ``costs`` the
+            calibration the per-block prices were computed under.
+        use: executions per block.
+        unopt_price / opt_price: per-block cost of one unoptimised
+            (``size * interp_cost + profile_overhead``) or optimised
+            (flat model, ``size * opt_cost``) execution.
+        keys: sorted ``edge * num_steps + step``, grouped by edge.
+        edge_src / edge_code / edge_end: per dynamic edge, its source
+            block, pair code ``src * num_blocks + dst`` and segment end.
     """
 
     def __init__(self, trace: ExecutionTrace,
@@ -60,36 +59,46 @@ class CostTables:
         sizes = np.asarray(block_sizes, dtype=float)
         if len(sizes) != trace.num_blocks:
             raise ValueError("block_sizes length does not match block count")
-        blocks = trace.blocks.astype(np.int64)
-        step_sizes = sizes[blocks]
         self.num_blocks = trace.num_blocks
+        self.num_steps = n = trace.num_steps
         self.sizes = sizes
         self.costs = costs
-        self.blocks = blocks
-        self.positions = np.arange(len(blocks), dtype=np.int64)
-        self.unopt_price = (step_sizes * costs.interp_cost +
-                            costs.profile_overhead)
-        self.opt_price = step_sizes * costs.opt_cost
-        self.src = blocks[:-1]
-        self.codes = self.src * trace.num_blocks + blocks[1:]
+        self.unopt_price = sizes * costs.interp_cost + costs.profile_overhead
+        self.opt_price = sizes * costs.opt_cost
+        self.use = np.zeros(self.num_blocks, dtype=np.int64)
+        self._last_block = int(trace.blocks[-1]) if n else 0
 
-    @property
-    def num_steps(self) -> int:
-        """Steps in the underlying trace."""
-        return len(self.blocks)
+        segments, src, dst = [], [], []
+        for block, events in trace.events().items():
+            steps = events.steps
+            self.use[block] = len(steps)
+            if steps[-1] == n - 1:
+                steps = steps[:-1]
+            succ = trace.blocks[steps + 1]
+            while len(steps):  # one pass per distinct successor
+                here = succ == succ[0]
+                segments.append(steps[here] + len(segments) * n)
+                src.append(block)
+                dst.append(succ[0])
+                steps, succ = steps[~here], succ[~here]
+        self.keys = (np.concatenate(segments) if segments
+                     else np.empty(0, dtype=np.int64))
+        self.edge_src = np.array(src, dtype=np.int64)
+        self.edge_code = (self.edge_src * self.num_blocks +
+                          np.array(dst, dtype=np.int64))
+        self.edge_end = np.cumsum([len(s) for s in segments], dtype=int)
 
-    def edge_inside(self, tmap: TranslationMap) -> np.ndarray:
-        """Per dynamic edge: does it stay inside an optimised region?
-
-        Exact set membership of each edge's pair code in the map's
-        internal codes — a boolean gather through a lookup table over
-        the pair-code space when that space is small enough
-        (:data:`_LUT_CAP`), ``np.isin`` otherwise.
-        """
-        internal_codes = tmap.internal_pair_codes()
-        pair_space = self.num_blocks * self.num_blocks
-        if pair_space <= _LUT_CAP:
-            member = np.zeros(pair_space, dtype=bool)
-            member[internal_codes] = True
-            return member[self.codes]
-        return np.isin(self.codes, internal_codes)
+    def optimized_steps(self, tmap: TranslationMap
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Steps that run optimised under ``tmap``: per block, per edge."""
+        n = self.num_steps
+        start = np.ceil(np.clip(tmap.optimized_at, 0, n)).astype(np.int64)
+        edges = np.arange(len(self.edge_src), dtype=np.int64)
+        first = np.searchsorted(self.keys,
+                                edges * n + start[self.edge_src])
+        per_edge = self.edge_end - first
+        per_block = np.bincount(self.edge_src, weights=per_edge,
+                                minlength=self.num_blocks).astype(np.int64)
+        if n and start[self._last_block] < n:
+            per_block[self._last_block] += 1  # the last step has no edge
+        return per_block, per_edge

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt.batchreplay import ReplaySweepStats
@@ -12,6 +13,12 @@ from repro.ir import Cond, ProgramBuilder
 from repro.stochastic import ProgramBehavior, steady, walk
 
 from .reference import heap_replay, walker_trace
+
+# ``--hypothesis-profile=ci``: more examples for every property test that
+# does not pin its own count, and a reproduction blob on any failure.
+# Without the flag the default profile applies.
+settings.register_profile("ci", max_examples=500, print_blob=True,
+                          deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -93,3 +93,57 @@ def test_no_duplication_is_identity(nested_cfg):
     navep = normalize_avep(graph, avep)
     for block in range(9):
         assert navep.frequency_of(CopyRef(block)) == 10 * (block + 1)
+
+
+def test_clipped_negative_copies_are_counted(nested_cfg, monkeypatch):
+    """A negative least-squares copy is clipped to zero as before, and
+    the clip is recorded instead of hidden."""
+    import numpy as np
+
+    from repro.obs.registry import counter_value, get_registry
+
+    snapshot = ProfileSnapshot(label="INIP", input_name="ref", threshold=1)
+    snapshot.regions.append(Region(
+        region_id=0, kind=RegionKind.LOOP, members=[2, 3],
+        internal_edges=[(0, 1, EdgeKind.TAKEN)],
+        back_edges=[(1, EdgeKind.ALWAYS)],
+        exit_edges=[(0, EdgeKind.FALL, 4)],
+        tail=1))
+    graph = DuplicatedGraph(nested_cfg, snapshot)
+    avep = _avep({
+        0: (1, 0), 1: (100, 0), 2: (2000, 1900), 3: (1900, 0),
+        4: (100, 80), 5: (80, 0), 6: (20, 0), 7: (100, 1), 8: (1, 0),
+    })
+    mass = get_registry().histogram("navep.clipped_negative_mass")
+
+    def solve():
+        copies, solves = counter_value("navep.clipped_copies"), mass.count
+        frequencies = normalize_avep(graph, avep).frequencies
+        assert mass.count == solves + 1  # one observation per solve
+        return (frequencies, counter_value("navep.clipped_copies") - copies,
+                mass.values()[-1])
+
+    clean, clean_copies, clean_mass = solve()
+    # lstsq solves for the unknown copies only, in node order; force the
+    # hottest of them negative.
+    duplicated = graph.duplicated_blocks()
+    unknown = [v for v, ref in enumerate(graph.nodes)
+               if ref.is_instance or ref.block_id in duplicated]
+    k = int(np.argmax(clean[unknown]))
+    assert clean[unknown[k]] > 0
+    real_lstsq = np.linalg.lstsq
+
+    def negative_hottest(a, b, rcond=None):
+        x, *rest = real_lstsq(a, b, rcond=rcond)
+        x = x.copy()
+        x[k] = -2.5
+        return (x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", negative_hottest)
+    clipped, copies, clipped_mass = solve()
+
+    assert clipped[unknown[k]] == 0.0
+    others = np.arange(graph.num_nodes) != unknown[k]
+    np.testing.assert_array_equal(clipped[others], clean[others])
+    assert copies == clean_copies + 1
+    assert clipped_mass == pytest.approx(clean_mass + 2.5)

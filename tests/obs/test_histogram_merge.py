@@ -10,7 +10,7 @@ parallel run's histograms are indistinguishable from a serial run's.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import Histogram, MetricsRegistry
@@ -45,7 +45,8 @@ def test_percentile_matches_numpy_linear_interpolation(values, p):
 
 
 @given(values=value_lists)
-@settings(max_examples=100, deadline=None)
+@example(values=[5e-324, 5e-324])
+@settings(deadline=None)
 def test_summary_percentiles_are_order_statistics(values):
     histogram = Histogram("test")
     for value in values:
@@ -61,7 +62,7 @@ def test_summary_percentiles_are_order_statistics(values):
 
 
 @given(values=value_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_export_merge_round_trip_is_lossless(values):
     source = _registry_with(values)
     target = MetricsRegistry()
@@ -72,7 +73,7 @@ def test_export_merge_round_trip_is_lossless(values):
 
 
 @given(a=value_lists, b=value_lists)
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_merged_percentiles_equal_percentiles_of_the_union(a, b):
     parent = _registry_with(a)
     parent.merge_state(_registry_with(b).export_state())

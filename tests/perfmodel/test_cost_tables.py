@@ -1,10 +1,10 @@
-"""CostTables: hoisted trace invariants must not move a single bit.
+"""CostTables: the per-edge step index must not move a single bit.
 
-The shared-tables fast path only exists because its results are
-*bit-identical* to the per-call estimator (the golden corpus is pinned
-by SHA-256, so even a one-ulp drift would show).  These tests compare
-breakdowns field for field with ``==`` on the raw floats — no
-``approx`` anywhere.
+The shared-tables path only exists because its results are
+*bit-identical* to the per-call estimator and the per-step oracle (the
+golden corpus is pinned by SHA-256, so even a one-ulp drift would
+show).  These tests compare breakdowns field for field with ``==`` on
+the raw floats — no ``approx`` anywhere.
 """
 
 import numpy as np
@@ -12,10 +12,9 @@ import pytest
 
 from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
 from repro.perfmodel import CostModel, CostTables, estimate_cost
-from repro.perfmodel.tables import _LUT_CAP
 from repro.stochastic import walk
 
-from ..reference import reference_replay
+from ..reference import reference_breakdown, reference_replay
 
 
 def _exact_equal(a, b, label=""):
@@ -53,20 +52,18 @@ def test_tables_bitwise_across_custom_costs(nested_cfg, nested_trace):
     _exact_equal(direct, shared)
 
 
-def test_edge_inside_lut_equals_isin(nested_cfg, nested_trace,
-                                     monkeypatch):
-    """The pair-code LUT and np.isin are the same set-membership test."""
+def test_side_exit_counts_equal_oracle(nested_cfg, nested_trace):
+    """Per-edge side-exit counting matches the per-step membership test."""
     sizes = _sizes(nested_cfg)
     tables = CostTables(nested_trace, sizes)
-    tmap = ReplayDBT(nested_trace, nested_cfg,
-                     DBTConfig(threshold=5)).translation_map()
-    assert tmap.internal_pairs  # the fixture trace must form regions
-    lut = tables.edge_inside(tmap)
-    assert lut.any()
-    monkeypatch.setattr("repro.perfmodel.tables._LUT_CAP", 0)
-    fallback = tables.edge_inside(tmap)
-    np.testing.assert_array_equal(lut, fallback)
-    assert _LUT_CAP >= 1 << 20  # the LUT covers every study-size CFG
+    for threshold in (1, 5, 50, 500):
+        tmap = ReplayDBT(nested_trace, nested_cfg,
+                         DBTConfig(threshold=threshold)).translation_map()
+        assert tmap.internal_pairs  # the fixture trace must form regions
+        priced = estimate_cost(nested_trace, tmap, sizes, tables=tables)
+        oracle = reference_breakdown(nested_trace, tmap, sizes)
+        assert priced.num_side_exits == oracle.num_side_exits > 0
+        assert priced.side_exits == oracle.side_exits
 
 
 def test_tables_reject_foreign_trace(nested_cfg, nested_trace,

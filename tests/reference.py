@@ -11,7 +11,11 @@ live here, where only tests can reach them:
 * :func:`heap_replay` — one threshold's registration stream drained off
   a heap, one Python iteration per registration, with
   ``run_batched_replay``'s ``(positions, config, optimize)`` callback
-  contract.
+  contract;
+* :func:`reference_breakdown` — the performance model priced step by
+  step, one full-length pass over the trace per map, against which the
+  per-edge step index of :class:`~repro.perfmodel.CostTables` is
+  checked.
 
 The ``oracle_engines`` fixture (``tests/conftest.py``) swaps both into
 the study pipeline; :func:`reference_replay` runs one threshold through
@@ -21,15 +25,17 @@ the heap walk directly.
 from __future__ import annotations
 
 import heapq
-from typing import List, Mapping, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cfg import ControlFlowGraph
 from repro.cfg.loops import find_loops
-from repro.dbt import CandidatePool, DBTConfig, ThresholdReplayState
+from repro.dbt import (CandidatePool, DBTConfig, ThresholdReplayState,
+                       TranslationMap)
 from repro.dbt.batchreplay import OptimizeFn
 from repro.dbt.replay import registration_positions
+from repro.perfmodel import DEFAULT_COSTS, CostBreakdown, CostModel
 from repro.stochastic import CFGWalker, ExecutionTrace, ProgramBehavior
 
 
@@ -72,3 +78,50 @@ def reference_replay(trace: ExecutionTrace, cfg: ControlFlowGraph,
     positions = registration_positions(state._events, config.threshold)
     heap_replay(positions, config, state._optimize_blocks)
     return state
+
+
+def reference_breakdown(trace: ExecutionTrace, tmap: TranslationMap,
+                        block_sizes: Sequence[float],
+                        costs: CostModel = DEFAULT_COSTS,
+                        opt_price: Optional[np.ndarray] = None
+                        ) -> CostBreakdown:
+    """Price one translation map step by step.
+
+    Step ``s`` runs optimised iff ``optimized_at[blocks[s]] <= s``; an
+    optimised step whose dynamic edge is neither internal to a region
+    nor leaves through a region tail is a side exit.  ``opt_price`` is
+    the per-block cost of an optimised execution (measured costs),
+    ``size * opt_cost`` when omitted.
+    """
+    sizes = np.asarray(block_sizes, dtype=float)
+    blocks = trace.blocks.astype(np.int64)
+    step_sizes = sizes[blocks]
+    unopt_price = step_sizes * costs.interp_cost + costs.profile_overhead
+    if opt_price is None:
+        step_opt_price = step_sizes * costs.opt_cost
+    else:
+        step_opt_price = np.asarray(opt_price, dtype=float)[blocks]
+    optimized = tmap.optimized_at[blocks] <= np.arange(len(blocks))
+
+    unopt_cost = float(np.sum(np.where(~optimized, unopt_price, 0.0)))
+    opt_cost = float(np.sum(np.where(optimized, step_opt_price, 0.0)))
+
+    num_side_exits = 0
+    if len(blocks) > 1 and tmap.internal_pairs:
+        src = blocks[:-1]
+        codes = src * trace.num_blocks + blocks[1:]
+        inside = np.isin(codes, tmap.internal_pair_codes())
+        tails = np.zeros(trace.num_blocks, dtype=bool)
+        for block in tmap.tail_blocks:
+            tails[block] = True
+        side = optimized[:-1] & ~inside & ~tails[src]
+        num_side_exits = int(np.sum(side))
+
+    return CostBreakdown(
+        unoptimized=unopt_cost, optimized=opt_cost,
+        side_exits=num_side_exits * costs.side_exit_penalty,
+        translation=float(tmap.instructions_translated(sizes) *
+                          costs.translation_cost),
+        num_side_exits=num_side_exits,
+        optimized_fraction=(float(np.mean(optimized))
+                            if len(blocks) else 0.0))
