@@ -15,12 +15,12 @@ flatter whichever side runs second; interleaved minima are the honest
 comparison.
 
 The headline ``walker`` section times the raw event kernels with no
-per-block index on either side (``CFGWalker.run`` vs
-``VecWalker.run_batches`` + assembly).  The secondary ``replay_ready``
-section times the full hand-off to the replay DBTs — trace plus
-per-block event index (built incrementally by the study's
-:func:`record_trace`, by one full argsort after ``CFGWalker.run``) —
-the denominator that matters for end-to-end study runs.
+per-block index on either side (``CFGWalker.run`` vs ``VecWalker.run``).
+The secondary ``replay_ready`` section times the full hand-off to the
+replay DBTs — trace plus per-block event index, built lazily by
+``events()`` on both sides (``CFGWalker.run().events()`` vs the study's
+``record_trace(...).events()``) — the denominator that matters for the
+ref trace of an end-to-end study run.
 
 Run as a script (pytest collects this file but finds no tests in it).
 """
@@ -57,8 +57,7 @@ def bench_kernels(reps, scale, with_index=False):
     """
     import numpy as np
 
-    from repro.stochastic import (CFGWalker, VecWalker, assemble_trace,
-                                  record_trace)
+    from repro.stochastic import CFGWalker, VecWalker, record_trace
 
     cells = list(_cells(scale))
     best = {label: [float("inf"), float("inf")] for label, _, _ in cells}
@@ -79,9 +78,7 @@ def bench_kernels(reps, scale, with_index=False):
                 t0 = time.perf_counter()
                 scalar = CFGWalker(cfg, behavior, seed=seed).run(steps)
                 t1 = time.perf_counter()
-                vector = assemble_trace(
-                    VecWalker(cfg, behavior, seed=seed).run_batches(steps),
-                    cfg.num_nodes, build_index=False)
+                vector = VecWalker(cfg, behavior, seed=seed).run(steps)
                 t2 = time.perf_counter()
             cell = best[label]
             cell[0] = min(cell[0], t1 - t0)

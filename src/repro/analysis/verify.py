@@ -499,7 +499,11 @@ def verify_normalization(normalized, avep: ProfileSnapshot,
     ``b``'s AVEP use count.  The solve is a least-squares blend of flow
     and conservation equations, so small drift is expected: relative
     error above ``warn_tol`` warns, above ``error_tol`` errors.
-    Negative or non-finite copy frequencies are always errors.
+    Non-finite or negative stored copy frequencies are always errors.
+    The solver clips negative copies to zero, so the *raw* solution is
+    judged from the clipped mass it records: a duplicated block whose
+    copies lost more than ``error_tol`` of its AVEP frequency to the
+    clip is an error too.
 
     Args:
         normalized: a :class:`repro.core.markov.NormalizedProfile`.
@@ -519,7 +523,15 @@ def verify_normalization(normalized, avep: ProfileSnapshot,
     for block in sorted(graph.duplicated_blocks()):
         expected = float(avep.block_frequency(block))
         actual = normalized.block_total(block)
-        drift = abs(actual - expected) / max(expected, 1.0)
+        scale = max(expected, 1.0)
+        clipped = normalized.block_negative_mass(block)
+        if clipped > error_tol * scale:
+            report.error(
+                "navep.negative-frequency", f"block {block}",
+                f"the solve put {clipped:.1f} of negative frequency on its "
+                f"copies (clipped to 0) against an AVEP count of "
+                f"{expected:.1f}")
+        drift = abs(actual - expected) / scale
         if drift > error_tol:
             report.error(
                 "navep.flow-not-conserved", f"block {block}",

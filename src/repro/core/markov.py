@@ -31,11 +31,16 @@ class NormalizedProfile:
     Attributes:
         graph: the duplicated graph the frequencies live on.
         frequencies: per-copy frequency array (indexable by node index).
+        negative_mass: per-copy mass the solve put below zero and the
+            clip removed from ``frequencies`` (all zeros when the raw
+            least-squares solution was non-negative).
     """
 
-    def __init__(self, graph: DuplicatedGraph, frequencies: np.ndarray):
+    def __init__(self, graph: DuplicatedGraph, frequencies: np.ndarray,
+                 negative_mass: np.ndarray):
         self.graph = graph
         self.frequencies = frequencies
+        self.negative_mass = negative_mass
 
     def frequency_of(self, ref: CopyRef) -> float:
         """Frequency of one copy."""
@@ -49,6 +54,11 @@ class NormalizedProfile:
         §3.3 approximation note).
         """
         return float(sum(self.frequencies[i]
+                         for i in self.graph.copies_of(block_id)))
+
+    def block_negative_mass(self, block_id: int) -> float:
+        """Negative mass the clip removed from ``block_id``'s copies."""
+        return float(sum(self.negative_mass[i]
                          for i in self.graph.copies_of(block_id)))
 
 
@@ -103,7 +113,7 @@ def normalize_avep(graph: DuplicatedGraph,
     for v, f in known.items():
         result[v] = f
     if m == 0:
-        return NormalizedProfile(graph, result)
+        return NormalizedProfile(graph, result, np.zeros_like(result))
 
     # Flow rows: f_u - sum p_vu f_v = inflow_u + sum p_vu F_v (v known).
     flow = np.eye(m)
@@ -148,10 +158,13 @@ def normalize_avep(graph: DuplicatedGraph,
     for v, i in index.items():
         result[v] = float(x[i])
     # Numerical noise can leave tiny negative frequencies on dead copies;
-    # count what the clip hides so the solver's health stays visible.
-    negative = result[result < 0.0]
-    if len(negative):
-        inc("navep.clipped_copies", len(negative))
-    observe("navep.clipped_negative_mass", float(-np.sum(negative)))
+    # keep what the clip hides so the solver's health stays visible (the
+    # verifier judges the raw solution from ``negative_mass``).
+    negative = result < 0.0
+    negative_mass = np.where(negative, -result, 0.0)
+    if negative.any():
+        inc("navep.clipped_copies", int(negative.sum()))
+    observe("navep.clipped_negative_mass",
+            float(negative_mass[negative].sum()))
     np.clip(result, 0.0, None, out=result)
-    return NormalizedProfile(graph, result)
+    return NormalizedProfile(graph, result, negative_mass)

@@ -141,9 +141,11 @@ def iter_trace_batches(trace: "ExecutionTraceLike",
                        chunk_steps: int = 65536) -> Iterator[EventBatch]:
     """Slice a recorded trace into :class:`EventBatch` chunks.
 
-    Lets batch consumers (:func:`~repro.stochastic.trace.assemble_trace`,
-    the event-index builder) run off a stored trace exactly as they would
-    off the streaming vector kernel.  ``chunk_steps`` must be positive.
+    Lets batch consumers (a :class:`BatchListener`, or
+    :func:`replay_batches` into a scalar listener) run off a stored trace
+    exactly as they would off the streaming vector kernel's
+    :meth:`~repro.stochastic.vecwalker.VecWalker.run_batches`.
+    ``chunk_steps`` must be positive.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be >= 1, got {chunk_steps}")

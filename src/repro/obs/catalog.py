@@ -52,6 +52,8 @@ CATALOG: List[Instrument] = [
                "Vector decisions satisfied from the batched window."),
     Instrument("kernel.vector.decisions.slow", "counter",
                "Vector decisions that fell back to the scalar path."),
+    Instrument("trace.index_builds", "counter",
+               "Per-block event indexes built (lazily, on first use)."),
     Instrument("interp.runs", "counter",
                "Reference interpreter executions."),
     Instrument("interp.steps", "counter",

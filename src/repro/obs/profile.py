@@ -130,7 +130,7 @@ PHASE_OF_SPAN: Dict[str, str] = {
     # trace recording
     "workload.build": "workload-build",
     "kernel.record_trace": "walker",
-    "kernel.assemble": "walker",
+    "trace.index": "walker",
     "record_traces": "walker",
     # replay pipeline
     "replay.multi_run": "replay-walk",

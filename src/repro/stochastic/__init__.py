@@ -2,8 +2,8 @@
 
 * :mod:`repro.stochastic.behavior` — time-varying branch models (phases,
   warm-up, drift) and the trip-count ⇄ loop-back-probability relation.
-* :mod:`repro.stochastic.trace` — numpy-backed execution traces plus the
-  incremental per-block event-index builder.
+* :mod:`repro.stochastic.trace` — numpy-backed execution traces with a
+  lazily built per-block event index.
 * :mod:`repro.stochastic.walker` — the scalar CFG walker (the reference
   the vector walker is tested against), plus adapters between traces
   and the interpreter's listener protocol.
@@ -15,17 +15,15 @@
 from .behavior import (BranchBehavior, Phase, ProgramBehavior, drifting,
                        loopback_for_trip_count, phased, steady,
                        trip_count_for_loopback, warmup)
-from .trace import (NO_BRANCH, BlockEvents, EventIndexBuilder,
-                    ExecutionTrace, TraceError, assemble_trace)
+from .trace import NO_BRANCH, BlockEvents, ExecutionTrace, TraceError
 from .vecwalker import (VecWalker, numpy_uniform_stream, record_trace,
                         vec_walk)
 from .walker import CFGWalker, TraceRecorder, replay_trace, walk
 
 __all__ = [
     "NO_BRANCH", "BlockEvents", "BranchBehavior", "CFGWalker",
-    "EventIndexBuilder", "ExecutionTrace", "Phase", "ProgramBehavior",
-    "TraceError", "TraceRecorder", "VecWalker", "assemble_trace",
-    "drifting", "loopback_for_trip_count", "numpy_uniform_stream",
+    "ExecutionTrace", "Phase", "ProgramBehavior", "TraceError",
+    "TraceRecorder", "VecWalker", "drifting", "loopback_for_trip_count", "numpy_uniform_stream",
     "phased", "record_trace", "replay_trace", "steady",
     "trip_count_for_loopback", "vec_walk", "walk", "warmup",
 ]

@@ -19,6 +19,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import inc
+from ..obs.spans import span
+
 #: sentinel in the taken array for non-branch block executions.
 NO_BRANCH = -1
 
@@ -118,33 +121,44 @@ class ExecutionTrace:
     # -- per-block event index ---------------------------------------------------
 
     def events(self) -> Dict[int, BlockEvents]:
-        """Per-block event index (cached after first construction)."""
+        """Per-block event index, built on first use and cached.
+
+        Only the replay and pricing consumers of the *ref* trace read it,
+        so a trace that is only counted (``use_counts`` /
+        ``taken_counts``, e.g. the train run) never pays for it.
+        """
         if self._events is None:
-            self._events = self._build_events()
+            with span("trace.index", steps=len(self.blocks)):
+                self._events = self._build_events()
+            inc("trace.index_builds")
         return self._events
 
-    def attach_events(self, events: Dict[int, BlockEvents]) -> None:
-        """Install a pre-built per-block event index.
-
-        The streaming producers (:class:`EventIndexBuilder` fed by the
-        vector kernel through :func:`assemble_trace`) index events chunk
-        by chunk as the trace is generated; attaching the result here lets every
-        consumer skip the full-trace argsort of :meth:`events`.  The index
-        must describe exactly this trace — a cheap total-step check guards
-        against the obvious mixups, and the differential tests pin exact
-        equality with :meth:`_build_events`.
-        """
-        total = sum(ev.use for ev in events.values())
-        if total != len(self.blocks):
-            raise TraceError(
-                f"event index covers {total} steps, trace has "
-                f"{len(self.blocks)}")
-        self._events = events
-
     def _build_events(self) -> Dict[int, BlockEvents]:
-        builder = EventIndexBuilder(self.num_blocks)
-        builder.add(self.blocks, self.taken)
-        return builder.finalize()
+        """Group the steps by block with one stable whole-trace argsort.
+
+        Ids are narrowed to the smallest unsigned width holding
+        ``num_blocks`` (checked in ``__init__``); for 8/16-bit keys
+        numpy's stable sort is an O(N) radix sort.  Every block's
+        ``steps`` is a read-only view of the one shared ``order`` array.
+        """
+        keys = self.blocks
+        if self.num_blocks <= 1 << 8:
+            keys = keys.astype(np.uint8)
+        elif self.num_blocks <= 1 << 16:
+            keys = keys.astype(np.uint16)
+        order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+        order.flags.writeable = False
+        counts = np.bincount(keys, minlength=self.num_blocks)
+        ends = np.cumsum(counts)
+        has_taken = self.taken_counts() > 0
+        events: Dict[int, BlockEvents] = {}
+        for bid in np.flatnonzero(counts).tolist():
+            steps = order[ends[bid] - counts[bid]:ends[bid]]
+            prefix = np.zeros(len(steps) + 1, dtype=np.int64)
+            if has_taken[bid]:
+                np.cumsum(self.taken[steps] == 1, out=prefix[1:])
+            events[bid] = BlockEvents(steps=steps, taken_prefix=prefix)
+        return events
 
     def edge_counts(self) -> Dict[Tuple[int, int], int]:
         """Dynamic traversal count of every executed control-flow edge."""
@@ -224,101 +238,3 @@ class ExecutionTrace:
         """Build a trace from plain Python sequences (tests, examples)."""
         return cls(np.asarray(blocks, dtype=np.int32),
                    np.asarray(taken, dtype=np.int8), num_blocks)
-
-
-class EventIndexBuilder:
-    """Incrementally builds the per-block event index from event chunks.
-
-    The whole-trace :meth:`ExecutionTrace._build_events` is one stable
-    argsort over the full run; this builder performs the same grouping one
-    chunk at a time (each chunk's local argsort shifted by the global step
-    offset), so the streaming vector kernel can maintain counter tables
-    without ever materialising a second full-length array.  :meth:`finalize` concatenates each block's
-    per-chunk pieces — chunks arrive in step order, so the concatenation
-    is already sorted — and produces a dict **identical** to
-    ``_build_events`` on the concatenated trace (the differential suite
-    pins this).
-    """
-
-    def __init__(self, num_blocks: int):
-        self.num_blocks = int(num_blocks)
-        self._offset = 0
-        self._steps: Dict[int, list] = {}
-        self._outcomes: Dict[int, list] = {}
-
-    @property
-    def num_steps(self) -> int:
-        """Total steps indexed so far."""
-        return self._offset
-
-    def add(self, blocks: np.ndarray, taken: np.ndarray) -> None:
-        """Index one chunk of parallel ``blocks``/``taken`` arrays.
-
-        The per-event work is all bulk numpy: one stable argsort groups
-        the chunk by block, then the shifted step array and the 0/1
-        outcome array are built whole-chunk; the only Python loop slices
-        *views* of those arrays per present block.
-        """
-        n = len(blocks)
-        if n == 0:
-            return
-        order = np.argsort(blocks, kind="stable")
-        sorted_blocks = blocks[order]
-        steps = order.astype(np.int64)
-        steps += self._offset
-        outcomes = (taken[order] == 1).astype(np.int64)
-        boundaries = np.flatnonzero(np.diff(sorted_blocks)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        ends = np.append(boundaries, n)
-        for j, bid in enumerate(sorted_blocks[starts]):
-            bid = int(bid)
-            lo, hi = starts[j], ends[j]
-            self._steps.setdefault(bid, []).append(steps[lo:hi])
-            self._outcomes.setdefault(bid, []).append(outcomes[lo:hi])
-        self._offset += n
-
-    def add_batch(self, batch) -> None:
-        """Index one :class:`repro.interp.events.EventBatch`."""
-        self.add(batch.blocks, batch.taken)
-
-    def finalize(self) -> Dict[int, BlockEvents]:
-        """Assemble the per-block index from the accumulated chunks."""
-        events: Dict[int, BlockEvents] = {}
-        for bid, pieces in self._steps.items():
-            steps = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-            outs = self._outcomes[bid]
-            outcomes = outs[0] if len(outs) == 1 else np.concatenate(outs)
-            prefix = np.zeros(len(steps) + 1, dtype=np.int64)
-            np.cumsum(outcomes, out=prefix[1:])
-            events[bid] = BlockEvents(steps=steps, taken_prefix=prefix)
-        return events
-
-
-def assemble_trace(batches, num_blocks: int,
-                   build_index: bool = True) -> ExecutionTrace:
-    """Concatenate an event-batch stream into an :class:`ExecutionTrace`.
-
-    ``batches`` is any iterable of objects with parallel ``blocks`` /
-    ``taken`` arrays (duck-typed so callers can pass
-    :class:`repro.interp.events.EventBatch` chunks or raw pairs).  With
-    ``build_index`` the per-block event index is built incrementally
-    during the same pass and attached, so ``trace.events()`` is free.
-    """
-    chunks_blocks = []
-    chunks_taken = []
-    builder = EventIndexBuilder(num_blocks) if build_index else None
-    for batch in batches:
-        chunks_blocks.append(batch.blocks)
-        chunks_taken.append(batch.taken)
-        if builder is not None:
-            builder.add(batch.blocks, batch.taken)
-    if chunks_blocks:
-        blocks = np.concatenate(chunks_blocks)
-        taken = np.concatenate(chunks_taken)
-    else:
-        blocks = np.zeros(0, dtype=np.int32)
-        taken = np.zeros(0, dtype=np.int8)
-    trace = ExecutionTrace(blocks, taken, num_blocks)
-    if builder is not None:
-        trace.attach_events(builder.finalize())
-    return trace

@@ -54,7 +54,7 @@ from ..interp.events import EventBatch
 from ..obs import inc
 from ..obs.spans import span
 from .behavior import BranchBehavior, ProgramBehavior
-from .trace import NO_BRANCH, ExecutionTrace, assemble_trace
+from .trace import NO_BRANCH, ExecutionTrace
 
 #: ``seg_branch`` sentinel: the segment ends at an exit block.
 SEG_EXIT = -1
@@ -66,6 +66,9 @@ DEFAULT_CHUNK_STEPS = 1 << 16
 
 #: Uniform-draw granularity for the bulk RNG stream.
 _DRAW = 1 << 14
+
+#: Uniforms converted to Python floats per slice of the per-decision path.
+_FLOAT_SLICE = 512
 
 #: Upper bound on loop-pattern length; longer bodies use the slow path.
 _MAX_PATTERN = 64
@@ -249,8 +252,8 @@ class VecWalker:
         self._seg_branch = seg_branch
         self._seg_len = seg_len
         self._seg_cycle_at = seg_cycle_at
-        self._seg_len_np = np.asarray(seg_len, dtype=np.int64)
-        offsets = np.zeros(n, dtype=np.int64)
+        self._seg_len_np = np.asarray(seg_len, dtype=np.int32)
+        offsets = np.zeros(n, dtype=np.int32)
         np.cumsum(self._seg_len_np[:-1], out=offsets[1:])
         self._seg_off_np = offsets
         self._flat_blocks = (np.concatenate(seg_blocks) if seg_blocks
@@ -327,11 +330,8 @@ class VecWalker:
             start: Optional[int] = None) -> ExecutionTrace:
         """Walk the CFG for up to ``max_steps`` block executions.
 
-        The per-block event index stays lazy (as with the scalar walker);
-        streaming consumers that want counter tables per chunk should
-        iterate :meth:`run_batches` into an
-        :class:`~repro.stochastic.trace.EventIndexBuilder` instead —
-        that is what :func:`record_trace` does.
+        The per-block event index stays lazy, as with the scalar walker:
+        :meth:`ExecutionTrace.events` builds it on first use.
         """
         chunks_blocks: List[np.ndarray] = []
         chunks_taken: List[np.ndarray] = []
@@ -381,9 +381,12 @@ class VecWalker:
 
         rs = numpy_uniform_stream(self.seed)
         U = rs.random_sample(_DRAW)
-        u_list = U.tolist()  # plain-float view for the per-decision path
         ulen = _DRAW
         ci = 0
+        # Plain-float view of ``U[fl_lo:fl_hi]`` for the per-decision
+        # path, converted one slice at a time and only where it reads.
+        u_list: List[float] = []
+        fl_lo = fl_hi = 0
 
         v = self.cfg.entry if start is None else start
         g = 0
@@ -441,8 +444,15 @@ class VecWalker:
                 lens[-1] = tail_len  # truncated final segment (a prefix)
             ends = np.cumsum(lens)
             total = int(ends[-1]) if len(ends) else 0
-            idx = np.repeat(seg_off_np[starts] - (ends - lens), lens)
-            idx += np.arange(total, dtype=np.int64)
+            # Ragged gather index: +1 inside a segment, and at each
+            # segment start a jump from the previous segment's last
+            # flat offset to this one's first, all summed in place.
+            idx = np.ones(total, dtype=np.int32)
+            if total:
+                offs = seg_off_np[starts]
+                idx[0] = offs[0]
+                idx[ends[:-1]] = offs[1:] - (offs[:-1] + lens[:-1] - 1)
+                np.cumsum(idx, dtype=np.int32, out=idx)
             blocks = flat_blocks[idx]
             taken = np.full(total, NO_BRANCH, dtype=np.int8)
             if n_dec:
@@ -478,9 +488,8 @@ class VecWalker:
                         fresh = rs.random_sample(
                             -(-(K - (ulen - ci)) // _DRAW) * _DRAW)
                         U = np.concatenate([U[ci:], fresh])
-                        u_list = U.tolist()
                         ulen = len(U)
-                        ci = 0
+                        ci = fl_hi = 0
                     u = U[ci:ci + K]
                     O1 = u < cur_p[b]
                     w = warm_left[b]
@@ -533,9 +542,8 @@ class VecWalker:
                         fresh = rs.random_sample(
                             -(-(need - (ulen - ci)) // _DRAW) * _DRAW)
                         U = np.concatenate([U[ci:], fresh])
-                        u_list = U.tolist()
                         ulen = len(U)
-                        ci = 0
+                        ci = fl_hi = 0
                     Uf = U[ci:ci + need]
                     cached = prob_rows.get(v)
                     if cached is None or cached[0] != p_version:
@@ -643,12 +651,15 @@ class VecWalker:
                     p = warm_p[b]
                 else:
                     p = cur_p[b]
-                if ci == ulen:
-                    U = rs.random_sample(_DRAW)
-                    u_list = U.tolist()
-                    ulen = _DRAW
-                    ci = 0
-                if u_list[ci] < p:
+                if ci >= fl_hi:
+                    if ci == ulen:
+                        U = rs.random_sample(_DRAW)
+                        ulen = _DRAW
+                        ci = 0
+                    fl_lo = ci
+                    fl_hi = min(ci + _FLOAT_SLICE, ulen)
+                    u_list = U[ci:fl_hi].tolist()
+                if u_list[ci - fl_lo] < p:
                     slow_append((v << 1) | 1)
                     v = nt
                 else:
@@ -702,14 +713,6 @@ def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,
 
 def record_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
                  max_steps: int, seed: int = 0) -> ExecutionTrace:
-    """Record one run of ``cfg`` under ``behavior``, instrumented.
-
-    The walker's event batches stream through
-    :func:`~repro.stochastic.trace.assemble_trace`, so the per-block
-    event index arrives pre-built chunk by chunk and ``trace.events()``
-    is free for the replay consumers.
-    """
+    """Record one run of ``cfg`` under ``behavior``, instrumented."""
     with span("kernel.record_trace", steps=int(max_steps)):
-        walker = VecWalker(cfg, behavior, seed=seed)
-        return assemble_trace(walker.run_batches(max_steps),
-                              cfg.num_nodes, build_index=True)
+        return VecWalker(cfg, behavior, seed=seed).run(max_steps)

@@ -1,12 +1,18 @@
 """NAVEP frequency-recovery tests (the paper's Figure 4 mechanics)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import verify_normalization
+from repro.analysis.verify import (CONSERVATION_ERROR_TOL,
+                                   CONSERVATION_WARN_TOL)
 from repro.core import CopyRef, DuplicatedGraph, normalize_avep
 from repro.dbt import DBTConfig, ReplayDBT
 from repro.profiles import (BlockProfile, EdgeKind, ProfileSnapshot, Region,
                             RegionKind, avep_from_trace)
-from repro.stochastic import ProgramBehavior, steady, walk
+from repro.stochastic import ProgramBehavior, record_trace, steady, walk
 
 
 def _avep(block_counts):
@@ -98,8 +104,6 @@ def test_no_duplication_is_identity(nested_cfg):
 def test_clipped_negative_copies_are_counted(nested_cfg, monkeypatch):
     """A negative least-squares copy is clipped to zero as before, and
     the clip is recorded instead of hidden."""
-    import numpy as np
-
     from repro.obs.registry import counter_value, get_registry
 
     snapshot = ProfileSnapshot(label="INIP", input_name="ref", threshold=1)
@@ -147,3 +151,120 @@ def test_clipped_negative_copies_are_counted(nested_cfg, monkeypatch):
     np.testing.assert_array_equal(clipped[others], clean[others])
     assert copies == clean_copies + 1
     assert clipped_mass == pytest.approx(clean_mass + 2.5)
+
+
+# ---------------------------------------------------------------------------
+# The paper's §3.1 invariant as a property, and the raw-solution check.
+# ---------------------------------------------------------------------------
+
+def _solve_nested(cfg, p_inner, p_diamond, p_exit, steps, seed, threshold,
+                  trigger):
+    behavior = ProgramBehavior()
+    behavior.set(2, steady(p_inner))
+    behavior.set(4, steady(p_diamond))
+    behavior.set(7, steady(p_exit))
+    trace = record_trace(cfg, behavior, steps, seed=seed)
+    avep = avep_from_trace(trace)
+    inip = ReplayDBT(trace, cfg, DBTConfig(
+        threshold=threshold, pool_trigger_size=trigger)).snapshot()
+    graph = DuplicatedGraph(cfg, inip)
+    return graph, avep, normalize_avep(graph, avep)
+
+
+@given(p_inner=st.floats(0.5, 0.98), p_diamond=st.floats(0.0, 1.0),
+       p_exit=st.floats(0.0, 0.01), steps=st.integers(10_000, 40_000),
+       seed=st.integers(0, 2**31 - 1),
+       threshold=st.sampled_from((1, 2, 5, 10, 20, 50, 100)),
+       trigger=st.integers(1, 4))
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_copies_sum_to_avep_frequency_property(
+        nested_cfg, p_inner, p_diamond, p_exit, steps, seed, threshold,
+        trigger):
+    """On well-mixed runs every duplicated block's copies sum to its AVEP
+    frequency within the verifier's warning band, and ``--verify`` has
+    nothing to say about the solve."""
+    graph, avep, navep = _solve_nested(nested_cfg, p_inner, p_diamond,
+                                       p_exit, steps, seed, threshold,
+                                       trigger)
+    for block in graph.duplicated_blocks():
+        expected = avep.block_frequency(block)
+        drift = abs(navep.block_total(block) - expected) / max(expected, 1)
+        assert drift <= CONSERVATION_WARN_TOL, f"block {block}"
+    assert not verify_normalization(navep, avep).diagnostics
+
+
+@given(p_inner=st.sampled_from((0.0, 0.3, 0.5, 0.9, 0.99, 1.0)),
+       p_diamond=st.floats(0.0, 1.0), p_exit=st.floats(0.0, 1.0),
+       steps=st.integers(0, 5_000), seed=st.integers(0, 2**31 - 1),
+       threshold=st.integers(1, 100), trigger=st.integers(1, 4))
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_clip_bookkeeping_property(nested_cfg, p_inner, p_diamond, p_exit,
+                                   steps, seed, threshold, trigger):
+    """Whatever the run, stored frequencies are finite and non-negative
+    and the clipped mass sits only on the copies the clip zeroed."""
+    _, _, navep = _solve_nested(nested_cfg, p_inner, p_diamond, p_exit,
+                                steps, seed, threshold, trigger)
+    assert np.isfinite(navep.frequencies).all()
+    assert (navep.frequencies >= 0.0).all()
+    assert (navep.negative_mass >= 0.0).all()
+    assert not (navep.negative_mass * navep.frequencies).any()
+
+
+def _forced_negative(nested_cfg, monkeypatch, fraction):
+    """Solve the loop-region instance with its hottest unknown copy forced
+    to ``-fraction`` times its block's AVEP frequency."""
+    snapshot = ProfileSnapshot(label="INIP", input_name="ref", threshold=1)
+    snapshot.regions.append(Region(
+        region_id=0, kind=RegionKind.LOOP, members=[2, 3],
+        internal_edges=[(0, 1, EdgeKind.TAKEN)],
+        back_edges=[(1, EdgeKind.ALWAYS)],
+        exit_edges=[(0, EdgeKind.FALL, 4)],
+        tail=1))
+    graph = DuplicatedGraph(nested_cfg, snapshot)
+    avep = _avep({
+        0: (1, 0), 1: (100, 0), 2: (2000, 1900), 3: (1900, 0),
+        4: (100, 80), 5: (80, 0), 6: (20, 0), 7: (100, 1), 8: (1, 0),
+    })
+    clean = normalize_avep(graph, avep)
+    duplicated = graph.duplicated_blocks()
+    unknown = [v for v, ref in enumerate(graph.nodes)
+               if ref.is_instance or ref.block_id in duplicated]
+    k = int(np.argmax(clean.frequencies[unknown]))
+    block = graph.nodes[unknown[k]].block_id
+    forced = -fraction * avep.block_frequency(block)
+    real_lstsq = np.linalg.lstsq
+
+    def negative_hottest(a, b, rcond=None):
+        x, *rest = real_lstsq(a, b, rcond=rcond)
+        x = x.copy()
+        x[k] = forced
+        return (x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", negative_hottest)
+    navep = normalize_avep(graph, avep)
+    monkeypatch.undo()
+    assert navep.frequencies[unknown[k]] == 0.0  # the clip still applies
+    assert navep.negative_mass[unknown[k]] == -forced
+    return block, avep, navep
+
+
+def test_forced_negative_solution_is_a_verify_error(nested_cfg,
+                                                    monkeypatch):
+    block, avep, navep = _forced_negative(
+        nested_cfg, monkeypatch, 2 * CONSERVATION_ERROR_TOL)
+    assert navep.block_negative_mass(block) > \
+        CONSERVATION_ERROR_TOL * avep.block_frequency(block)
+    report = verify_normalization(navep, avep)
+    assert (("navep.negative-frequency", f"block {block}")
+            in {(d.code, d.where) for d in report.diagnostics})
+
+
+def test_small_clip_stays_within_tolerance(nested_cfg, monkeypatch):
+    """Clipped mass under ``error_tol`` of the block's frequency is solver
+    noise, not a negative-frequency error."""
+    _, avep, navep = _forced_negative(nested_cfg, monkeypatch,
+                                      CONSERVATION_ERROR_TOL / 10)
+    report = verify_normalization(navep, avep)
+    assert "navep.negative-frequency" not in report.codes()

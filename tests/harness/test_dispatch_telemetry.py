@@ -10,6 +10,8 @@ from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
 from repro.harness.parallel import RetryPolicy, dispatch_study_jobs
 from repro.obs.dispatch import SEGMENTS, JobTimeline, summarize
+from repro.obs.profile import PHASE_OF_SPAN
+from repro.obs.registry import counter_value
 from repro.obs.spans import clear_trace, trace_events, write_trace
 from repro.perfmodel import DEFAULT_COSTS
 
@@ -162,6 +164,22 @@ def test_profile_mode_sharpens_attribution():
     # The profile-gated region.form spans only exist in profile mode.
     names = {e["name"] for e in trace_events()}
     assert "region.form" in names
+
+
+def test_only_ref_traces_build_an_event_index():
+    """Only the ref trace is replayed, so a two-benchmark serial study
+    builds two indexes (the train traces are only counted), and the
+    lazy builds still charge the walker phase."""
+    clear_trace()
+    before = counter_value("trace.index_builds")
+    # Long enough runs that fixed harness overhead stays under 5%.
+    results = run_full_study(names=["gzip", "mcf"], cache_dir=None,
+                             jobs=1, profile=True,
+                             **dict(KWARGS, steps_scale=0.25))
+    assert counter_value("trace.index_builds") - before == 2
+    assert PHASE_OF_SPAN["trace.index"] == "walker"
+    assert sum(e["name"] == "trace.index" for e in trace_events()) == 2
+    assert results.manifest["profile"]["coverage"] >= 0.95
 
 
 # -- Chrome trace lanes -------------------------------------------------------

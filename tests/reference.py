@@ -15,7 +15,10 @@ live here, where only tests can reach them:
 * :func:`reference_breakdown` — the performance model priced step by
   step, one full-length pass over the trace per map, against which the
   per-edge step index of :class:`~repro.perfmodel.CostTables` is
-  checked.
+  checked;
+* :func:`reference_events` — the per-block event index, one linear scan
+  of the trace per block, against which the radix-sorted
+  :meth:`~repro.stochastic.ExecutionTrace.events` is checked.
 
 The ``oracle_engines`` fixture (``tests/conftest.py``) swaps both into
 the study pipeline; :func:`reference_replay` runs one threshold through
@@ -25,7 +28,7 @@ the heap walk directly.
 from __future__ import annotations
 
 import heapq
-from typing import List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,7 +39,8 @@ from repro.dbt import (CandidatePool, DBTConfig, ThresholdReplayState,
 from repro.dbt.batchreplay import OptimizeFn
 from repro.dbt.replay import registration_positions
 from repro.perfmodel import DEFAULT_COSTS, CostBreakdown, CostModel
-from repro.stochastic import CFGWalker, ExecutionTrace, ProgramBehavior
+from repro.stochastic import (BlockEvents, CFGWalker, ExecutionTrace,
+                              ProgramBehavior)
 
 
 def walker_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
@@ -125,3 +129,19 @@ def reference_breakdown(trace: ExecutionTrace, tmap: TranslationMap,
         num_side_exits=num_side_exits,
         optimized_fraction=(float(np.mean(optimized))
                             if len(blocks) else 0.0))
+
+
+def reference_events(trace: ExecutionTrace) -> Dict[int, BlockEvents]:
+    """The per-block event index, one scan of the trace per block.
+
+    Each executed block gets its steps in order (``flatnonzero``) and
+    the running count of its taken outcomes, with the dtypes the
+    production index promises: int64 steps and int64 prefixes.
+    """
+    events: Dict[int, BlockEvents] = {}
+    for block in sorted(set(trace.blocks.tolist())):
+        steps = np.flatnonzero(trace.blocks == block).astype(np.int64)
+        prefix = np.zeros(len(steps) + 1, dtype=np.int64)
+        prefix[1:] = np.cumsum(trace.taken[steps] == 1)
+        events[block] = BlockEvents(steps=steps, taken_prefix=prefix)
+    return events

@@ -21,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
+from repro.obs.registry import counter_value
 from repro.stochastic import (CFGWalker, ProgramBehavior, VecWalker,
-                              assemble_trace, drifting,
-                              numpy_uniform_stream, phased, record_trace,
-                              steady, vec_walk, warmup)
-from repro.stochastic.trace import EventIndexBuilder
+                              drifting, numpy_uniform_stream, phased,
+                              record_trace, steady, vec_walk, warmup)
+from repro.stochastic import vecwalker
 
 # Chunk sizes straddling every interesting boundary: degenerate (1),
 # prime (so chunk edges never align with loop periods), and larger than
@@ -247,7 +247,7 @@ def test_vec_walk_convenience_matches_walk():
 
 
 # ---------------------------------------------------------------------------
-# Streaming consumers: batches, incremental index, trace recording.
+# Streaming consumers: batches and trace recording.
 # ---------------------------------------------------------------------------
 
 def test_streamed_batches_reassemble_exactly(nested_cfg, nested_behavior):
@@ -267,37 +267,157 @@ def test_streamed_batches_reassemble_exactly(nested_cfg, nested_behavior):
     assert pos == scalar.num_steps
 
 
-def test_incremental_index_equals_lazy_index(nested_cfg, nested_behavior):
-    """EventIndexBuilder fed chunk-by-chunk == trace.events() built lazily."""
-    walker = VecWalker(nested_cfg, nested_behavior, seed=6, chunk_steps=997)
-    builder = EventIndexBuilder(nested_cfg.num_nodes)
-    for batch in walker.run_batches(30_000):
-        builder.add_batch(batch)
-    incremental = builder.finalize()
-
-    lazy = scalar_trace(nested_cfg, nested_behavior, 30_000, seed=6).events()
-    assert incremental.keys() == lazy.keys()
-    for block in lazy:
-        np.testing.assert_array_equal(incremental[block].steps,
-                                      lazy[block].steps)
-        np.testing.assert_array_equal(incremental[block].taken_prefix,
-                                      lazy[block].taken_prefix)
-
-
-def test_assemble_trace_prebuilt_index_is_attached(nested_cfg,
-                                                   nested_behavior):
-    walker = VecWalker(nested_cfg, nested_behavior, seed=2, chunk_steps=997)
-    trace = assemble_trace(walker.run_batches(20_000), nested_cfg.num_nodes,
-                           build_index=True)
-    assert trace._events is not None  # index arrived pre-built
-    lazy = scalar_trace(nested_cfg, nested_behavior, 20_000, seed=2)
-    assert_traces_equal(lazy, trace)
-
-
 def test_record_trace_equals_scalar_walker(nested_cfg, nested_behavior):
     """The study's recording entry point: the scalar walker's trace, with
-    its event index already attached."""
+    the event index left for first use."""
     trace = record_trace(nested_cfg, nested_behavior, 30_000, seed=8)
-    assert trace._events is not None
+    assert trace._events is None  # built lazily, not while recording
     scalar = scalar_trace(nested_cfg, nested_behavior, 30_000, seed=8)
     assert_traces_equal(scalar, trace)
+    assert trace._events is not None
+
+
+# ---------------------------------------------------------------------------
+# Chunk decode: the lazy float view of the uniform stream and the
+# ragged segment gather.
+# ---------------------------------------------------------------------------
+
+def decisions():
+    return (counter_value("kernel.vector.decisions.window"),
+            counter_value("kernel.vector.decisions.slow"))
+
+
+@pytest.mark.parametrize("draw,float_slice", [(8, 3), (16, 5), (64, 7)])
+def test_slow_decisions_after_window_refill(nested_cfg, nested_behavior,
+                                            monkeypatch, draw, float_slice):
+    """A tiny uniform buffer makes nearly every inner-loop window refill
+    (concatenate) ``U``; the outer diamond and latch then decide on the
+    slow path straight off the refilled buffer's float view."""
+    monkeypatch.setattr(vecwalker, "_DRAW", draw)
+    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", float_slice)
+    window0, slow0 = decisions()
+    vector = vector_trace(nested_cfg, nested_behavior, 20_000, 12, 4096)
+    window1, slow1 = decisions()
+    assert window1 > window0 and slow1 > slow0  # both paths ran
+    scalar = scalar_trace(nested_cfg, nested_behavior, 20_000, seed=12)
+    assert_traces_equal(scalar, vector)
+
+
+def slow_only_cfg():
+    """A loop of two splits that never exits and is never window-eligible
+    (split B's arms do not reconverge on one branch), so every decision
+    takes the per-decision path."""
+    cfg = ControlFlowGraph([
+        (1,),        # 0 entry
+        (2, 3),      # 1 split A
+        (4,),        # 2
+        (4,),        # 3
+        (5, 6),      # 4 split B
+        (7,),        # 5
+        (1, 8),      # 6 latch: taken -> loop, fall -> exit
+        (1,),        # 7 back to A without passing the latch
+        (),          # 8 exit
+    ])
+    behavior = ProgramBehavior()
+    behavior.set(1, steady(0.5))
+    behavior.set(4, steady(0.4))
+    behavior.set(6, steady(1.0))
+    return cfg, behavior
+
+
+@pytest.mark.parametrize("draw,float_slice", [
+    (vecwalker._DRAW, vecwalker._FLOAT_SLICE),  # the shipped sizes
+    (50, 7),     # slices straddle each refill unevenly
+    (20, 20),    # a slice ends exactly on each refill
+    (13, 64),    # a slice is clipped by the end of the buffer
+])
+def test_slow_run_crosses_float_slices_and_refills(monkeypatch, draw,
+                                                   float_slice):
+    cfg, behavior = slow_only_cfg()
+    monkeypatch.setattr(vecwalker, "_DRAW", draw)
+    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", float_slice)
+    steps = 8 * vecwalker._DRAW + 10_000  # ~3 decisions per 8 steps
+    window0, slow0 = decisions()
+    vector = vector_trace(cfg, behavior, steps, 31, 4096)
+    window1, slow1 = decisions()
+    assert window1 == window0  # no window ever ran
+    assert slow1 - slow0 > 2 * draw + 2 * float_slice
+    assert_traces_equal(scalar_trace(cfg, behavior, steps, seed=31),
+                        vector)
+
+
+def test_one_step_chunks_with_tiny_buffers(nested_cfg, nested_behavior,
+                                           monkeypatch):
+    """``chunk_steps=1``: every window and decision seals its own batch."""
+    monkeypatch.setattr(vecwalker, "_DRAW", 16)
+    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
+    walker = VecWalker(nested_cfg, nested_behavior, seed=5, chunk_steps=1)
+    batches = list(walker.run_batches(5_000))
+    assert len(batches) > 300  # one per slow decision or window
+    scalar = scalar_trace(nested_cfg, nested_behavior, 5_000, seed=5)
+    np.testing.assert_array_equal(
+        np.concatenate([b.blocks for b in batches]), scalar.blocks)
+    np.testing.assert_array_equal(
+        np.concatenate([b.taken for b in batches]), scalar.taken)
+    assert_traces_equal(scalar, walker.run(5_000))
+
+
+def long_segment_cfg():
+    """Segments of 5 and 4 blocks, so budgets cut them at every offset."""
+    cfg = ControlFlowGraph([
+        (1,), (2,), (3,), (4,),   # 0..3 straight line
+        (5, 9),                   # 4 branch
+        (6,), (7,), (8,),         # 5..7 straight line
+        (1, 10),                  # 8 latch
+        (6,),                     # 9 joins mid-chain
+        (),                       # 10 exit
+    ])
+    behavior = ProgramBehavior()
+    behavior.set(4, steady(0.7))
+    behavior.set(8, steady(0.98))
+    return cfg, behavior
+
+
+@pytest.mark.parametrize("steps", range(1, 40))
+def test_budget_truncates_mid_segment(steps):
+    """The decode's tail: a budget ending inside a segment emits only its
+    prefix, with no outcome for the unreached terminal branch."""
+    cfg, behavior = long_segment_cfg()
+    for chunk in (1, 4, 4096):
+        assert_traces_equal(scalar_trace(cfg, behavior, steps, seed=2),
+                            vector_trace(cfg, behavior, steps, 2, chunk),
+                            f"steps={steps} chunk={chunk}")
+
+
+def test_segment_offsets_jump_backwards():
+    """Branches into lower-numbered segment starts make consecutive
+    decoded segments move *backwards* in the flat segment table, so the
+    gather's jumps are negative as often as positive."""
+    cfg = ControlFlowGraph([
+        (9,),          # 0 entry -> high-numbered start
+        (2, 6),        # 1 branch
+        (3,),          # 2
+        (1, 7),        # 3 branch: back to 1 or forward to 7
+        (1,),          # 4
+        (4,),          # 5 -> 4 -> 1: a 3-block run walking downwards
+        (5, 8),        # 6 branch
+        (3,),          # 7
+        (1, 10),       # 8 branch: back to 1 or out
+        (8,),          # 9
+        (),            # 10 exit
+    ])
+    behavior = ProgramBehavior()
+    behavior.set(1, steady(0.5))
+    behavior.set(3, steady(0.5))
+    behavior.set(6, steady(0.6))
+    behavior.set(8, steady(0.995))
+    vec = VecWalker(cfg, behavior, seed=4)
+    offsets = vec._seg_off_np
+    for chunk in CHUNKS:
+        vector = vector_trace(cfg, behavior, 20_000, 4, chunk)
+        scalar = scalar_trace(cfg, behavior, 20_000, seed=4)
+        assert_traces_equal(scalar, vector, f"chunk={chunk}")
+    # The walk really does step backwards through the flat table.
+    starts = np.flatnonzero(scalar.taken != -1) + 1
+    nxt = scalar.blocks[starts[:-1]]
+    assert (np.diff(offsets[nxt]) < 0).any()
