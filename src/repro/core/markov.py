@@ -154,7 +154,13 @@ def normalize_avep(graph: DuplicatedGraph,
     else:
         a = flow
         rhs = flow_rhs
-    x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+    # Report the solve's health: how far the blend of flow and
+    # conservation rows is from exact, and whether it pinned x at all.
+    observe("navep.residual_norm", float(np.linalg.norm(a @ x - rhs)))
+    observe("navep.rank_deficit", m - int(rank))
+    if rank < m:
+        inc("navep.rank_deficient")
     for v, i in index.items():
         result[v] = float(x[i])
     # Numerical noise can leave tiny negative frequencies on dead copies;

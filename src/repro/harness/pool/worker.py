@@ -171,7 +171,8 @@ def run_study_job(job: Job) -> WorkerOutput:
             faults.fire(inject, name)
         from ..runner import study_benchmark  # late: runner imports us
 
-        benchmark = get_benchmark(name)
+        with obsspans.span("workload.build", bench=name):
+            benchmark = get_benchmark(name)
         result = study_benchmark(benchmark, thresholds, config=config,
                                  costs=costs, steps_scale=steps_scale,
                                  include_perf=include_perf, verify=verify)

@@ -416,6 +416,30 @@ def _observe_dispatch(records) -> None:
             observe(f"dispatch.{segment}_seconds", record.segment(segment))
 
 
+def _navep_health(outputs) -> Optional[Dict]:
+    """The worst NAVEP solve of this run's computed benchmarks.
+
+    Read from each job's own metric state, so earlier studies in the
+    same process do not leak in; ``None`` when nothing was solved.
+    """
+    solves = deficient = deficit = 0
+    worst: Optional[Tuple[float, str]] = None
+    for name, output in sorted(outputs.items()):
+        histograms = output.metrics.get("histograms", {})
+        residuals = histograms.get("navep.residual_norm", [])
+        solves += len(residuals)
+        if residuals and (worst is None or max(residuals) > worst[0]):
+            worst = (max(residuals), name)
+        deficit = max([deficit] + histograms.get("navep.rank_deficit", []))
+        deficient += output.metrics.get("counters", {}).get(
+            "navep.rank_deficient", 0)
+    if worst is None:
+        return None
+    return {"solves": solves, "max_residual_norm": worst[0],
+            "max_residual_bench": worst[1], "rank_deficient": deficient,
+            "max_rank_deficit": int(deficit)}
+
+
 def _write_flight_dumps(failures, flights, flight_dir, cache_dir) -> None:
     """One diagnosis artifact per quarantined benchmark, if anywhere."""
     resolved = flightrec.resolve_flight_dir(flight_dir, cache_dir)
@@ -545,6 +569,8 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
                "profile_enabled": profile,
                "profile": profile_data,
                "dispatch": dispatch_summary,
+               "navep": (_navep_health(dispatch.outputs)
+                         if dispatch is not None else None),
                "verify_findings": {
                    name: len(result.verify_findings)
                    for name, result in sorted(collected.items())

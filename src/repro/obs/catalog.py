@@ -52,6 +52,11 @@ CATALOG: List[Instrument] = [
                "Vector decisions satisfied from the batched window."),
     Instrument("kernel.vector.decisions.slow", "counter",
                "Vector decisions that fell back to the scalar path."),
+    Instrument("kernel.vector.windows", "counter",
+               "All-states speculation windows the vector kernel ran."),
+    Instrument("kernel.vector.decisions.discarded", "counter",
+               "Window decisions evaluated beyond the accepted prefix "
+               "(speculation waste)."),
     Instrument("trace.index_builds", "counter",
                "Per-block event indexes built (lazily, on first use)."),
     Instrument("interp.runs", "counter",
@@ -99,6 +104,14 @@ CATALOG: List[Instrument] = [
     Instrument("navep.clipped_negative_mass", "histogram",
                "Negative frequency mass clipped per NAVEP solve (0 when "
                "the solution was non-negative)."),
+    Instrument("navep.residual_norm", "histogram",
+               "Euclidean residual norm of each NAVEP least-squares "
+               "solve, before the clip."),
+    Instrument("navep.rank_deficit", "histogram",
+               "Unknowns minus matrix rank per NAVEP solve (0 when the "
+               "system has full column rank)."),
+    Instrument("navep.rank_deficient", "counter",
+               "NAVEP solves whose system was rank-deficient."),
     Instrument("perfmodel.estimates", "counter",
                "Cost-model estimates computed."),
     Instrument("perfmodel.side_exits", "counter",

@@ -110,4 +110,12 @@ def render_manifest(manifest: Optional[Dict[str, Any]]) -> str:
     if manifest.get("dispatch"):
         from . import dispatch as _dispatch
         lines.append(_dispatch.render(manifest["dispatch"]))
+    navep = manifest.get("navep")
+    if navep:
+        lines.append(
+            f"NAVEP health: {navep['solves']} solves; worst residual "
+            f"{navep['max_residual_norm']:.3g} "
+            f"({navep['max_residual_bench']}); "
+            f"{navep['rank_deficient']} rank-deficient "
+            f"(max deficit {navep['max_rank_deficit']})")
     return "\n".join(lines)

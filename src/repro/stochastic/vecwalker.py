@@ -19,16 +19,19 @@ loop with chunked numpy evaluation.  Three layers make that possible:
    reconstructed with one vectorized ragged gather over the decided
    segment starts.
 
-3. **Loop-pattern windows.**  For a loop latch whose body executes a
-   fixed branch sequence (every intermediate two-way split reconverges
-   before the next branch — which all generated workload diamonds do),
-   the kernel speculates ``K`` iterations at once: one ``(K, plen)``
-   comparison of pre-drawn uniforms against the per-column probabilities
-   (with warm-up overrides patched into the leading rows) decides every
-   branch of the window; the first latch fall-through, the next phase
-   boundary, and the step budget clip how much is accepted, and uniforms
-   beyond the accepted prefix are simply not consumed — so speculation
-   depth never affects the event stream.
+3. **All-states windows.**  Between phase boundaries and warm-up
+   expiries every branch has a fixed probability, so the walk is a
+   finite-state machine whose state is the branch ending the current
+   segment, plus one sink for exits and branch-free cycles (:class:`_Fsm`).
+   A window of pre-drawn uniforms is split into blocks that run from
+   *every* state in lockstep; chaining the blocks' end maps gives each
+   block's true start state, and the true path is gathered from there.
+   This is the data-parallel FSM technique of Mytkowicz, Musuvathi and
+   Schulte (ASPLOS 2014).  The first sink, the next phase boundary or
+   step budget, and the last warm-up use of a warming branch clip how
+   much is accepted; uniforms beyond the accepted prefix are not
+   consumed, so window size never affects the event stream.  Decisions
+   too close to a boundary for a window to pay run one at a time.
 
 Behaviour semantics mirror the scalar walker exactly: phase changes apply
 to any decision at global step ``>= until``; warm-up counts down per
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,23 +73,23 @@ _DRAW = 1 << 14
 #: Uniforms converted to Python floats per slice of the per-decision path.
 _FLOAT_SLICE = 512
 
-#: Upper bound on loop-pattern length; longer bodies use the slow path.
-_MAX_PATTERN = 64
+#: Decisions per lockstep block of an all-states window.
+_BLOCK = 32
 
-#: Speculation-window bounds (iterations per vectorized window).
-_WIN_MIN = 8
-_WIN_MAX = 4096
+#: Decisions composed into one lockstep gather (a power of two dividing
+#: ``_BLOCK``), as deep as a composed table of at most ``_MAX_COMPOSED``
+#: entries allows.
+_MAX_DEPTH = 4
+_MAX_COMPOSED = 1 << 15
 
-#: A pattern is only worth a numpy round-trip when one loop *visit* is
-#: expected to decide at least this many branches (``plen / (1 - p)`` for
-#: the latch's current phase); shorter-lived loops run faster on the
-#: per-decision path.
-_MIN_WINDOW_DECISIONS = 64
+#: Decisions a window evaluates: it starts at ``_WINDOW_START`` and
+#: doubles, up to ``_WINDOW``, while it is accepted whole.
+_WINDOW_START = 1 << 10
+_WINDOW = 1 << 14
 
-#: Break-even for the specialized self-loop window (``plen == 1``): its
-#: constant iteration length removes the reshape / arm gathers /
-#: searchsorted of the general window, so much shorter trips still pay.
-_MIN_SIMPLE_DECISIONS = 16
+#: With fewer decisions than this left before the next phase boundary or
+#: the step budget, decisions run one at a time instead of in a window.
+_MIN_DECISIONS = 32
 
 
 def numpy_uniform_stream(seed: int) -> np.random.RandomState:
@@ -106,51 +109,104 @@ def numpy_uniform_stream(seed: int) -> np.random.RandomState:
     return rs
 
 
-class _LoopPattern:
-    """Compile-time description of one vectorizable loop body.
+class _Fsm:
+    """The walk as a finite-state machine under fixed branch probabilities.
 
-    ``branches`` is the fixed sequence of branch ids executed per
-    iteration starting from the latch's taken successor; the last entry
-    is the latch itself.  ``warm_slots`` lists the pattern positions whose
-    branch has a warm-up phase (so the run-time window knows which columns
-    may need patching).  ``min_iter_steps`` lower-bounds the steps one
-    iteration emits (used to size speculation windows).
+    State ``s < S`` means the current segment ends at the ``s``-th branch;
+    state ``S`` is the sink (an exit or a branch-free cycle).  With ``q``
+    the sorted distinct probabilities, ``u < p_s`` holds exactly when
+    ``bucket(u) = searchsorted(q, u, "right") <= rank(p_s)``, so each
+    table is indexed by ``bucket * (S + 1) + state``: ``next_state``,
+    ``next_start`` (the next segment's first block) and ``outcome``.
+
+    The lockstep pass steps ``depth`` decisions per gather through
+    ``composed``, the transition table of ``depth`` consecutive buckets
+    (one of up to ``(len(q) + 1) ** depth`` composite buckets).
     """
 
-    __slots__ = ("start", "latch", "branches", "plen", "warm_slots",
-                 "min_iter_steps", "max_iter_steps", "base", "arm_start",
-                 "arm_len", "max_win", "p_gate")
+    __slots__ = ("q", "width", "next_state", "next_start", "outcome",
+                 "depth", "composed", "_every_state")
 
-    def __init__(self, start: int, latch: int, branches: List[int],
-                 warm_slots: List[Tuple[int, int]], min_iter_steps: int,
-                 max_iter_steps: int, succ2: List[Tuple[int, int]],
-                 seg_len: List[int]):
-        self.start = start
-        self.latch = latch
-        self.branches = branches
-        self.plen = len(branches)
-        self.warm_slots = warm_slots
-        self.min_iter_steps = min_iter_steps
-        self.max_iter_steps = max_iter_steps
-        self.max_win = max(1, min(_WIN_MAX, (1 << 16) // self.plen))
-        # Flat per-(position, outcome) successor tables: one gather per
-        # window resolves decision k to `arm_*[base[k] + outcome_k]`.
-        self.arm_start = np.empty(2 * self.plen, dtype=np.int64)
-        self.arm_len = np.empty(2 * self.plen, dtype=np.int64)
-        for j, b in enumerate(branches):
-            for o in (0, 1):
-                nxt = succ2[b][o]
-                self.arm_start[2 * j + o] = nxt
-                self.arm_len[2 * j + o] = seg_len[nxt]
-        self.base = np.tile(np.arange(self.plen, dtype=np.int64) * 2,
-                            self.max_win)
-        # Minimum latch probability for a window to be worth its numpy
-        # round-trip: a visit decides ~plen/(1-p) branches, so require
-        # p >= 1 - plen/break_even (checked against the latch's
-        # *current* phase at run time).
-        break_even = (_MIN_SIMPLE_DECISIONS if self.plen == 1
-                      else _MIN_WINDOW_DECISIONS)
-        self.p_gate = 1.0 - self.plen / break_even
+    def __init__(self, probs: Sequence[float], taken: np.ndarray,
+                 fall: np.ndarray, state_of: np.ndarray):
+        num = len(probs)
+        p = np.asarray(probs, dtype=np.float64)
+        q = np.array(sorted(set(probs)), dtype=np.float64)
+        rows = len(q) + 1
+        took = np.arange(rows)[:, None] <= np.searchsorted(q, p)
+        next_start = np.zeros((rows, num + 1), dtype=np.int32)
+        next_start[:, :num] = np.where(took, taken, fall)
+        next_state = np.full((rows, num + 1), num, dtype=state_of.dtype)
+        next_state[:, :num] = state_of[next_start[:, :num]]
+        outcome = np.zeros((rows, num + 1), dtype=np.int8)
+        outcome[:, :num] = took
+        # Square the table while it stays cache-sized:
+        # composed_2d[c1 * R + c2, s] = composed_d[c2, composed_d[c1, s]].
+        depth = 1
+        composed = next_state
+        while depth < _MAX_DEPTH and composed.size * len(composed) \
+                <= _MAX_COMPOSED:
+            r = len(composed)
+            composed = composed[np.arange(r)[None, :, None],
+                                composed[:, None, :]].reshape(r * r, -1)
+            depth *= 2
+        self.q = q
+        self.width = num + 1
+        self.next_state = next_state.ravel()
+        self.next_start = next_start.ravel()
+        self.outcome = outcome.ravel()
+        self.depth = depth
+        self.composed = composed.ravel()
+        self._every_state = np.arange(num + 1,
+                                      dtype=state_of.dtype)[:, None]
+
+    def path(self, u: np.ndarray, s0: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Decide ``len(u)`` (a multiple of ``_BLOCK``) decisions from ``s0``.
+
+        Returns the state before each decision and each decision's flat
+        table index.
+        """
+        width = self.width
+        depth = self.depth
+        rows = len(self.q) + 1
+        T = self.composed
+        idx_type = np.int16 if T.size <= np.iinfo(np.int16).max else np.int32
+        bucket = (u >= self.q[0]).view(np.int8).astype(idx_type)
+        for x in self.q[1:]:
+            bucket += u >= x
+        nb = len(u) // _BLOCK
+        steps = _BLOCK // depth
+        fine = bucket.reshape(nb, steps, depth)
+        # ro[t, j]: composed-table row offset of step t of block j.
+        ro = fine[:, :, 0].copy()
+        for i in range(1, depth):
+            ro *= rows
+            ro += fine[:, :, i]
+        ro = np.ascontiguousarray(ro.T) * idx_type(width)
+        # Every block from every state in lockstep, keeping each step's
+        # states: seen[t, s, j] is where block j is after step t from s.
+        seen = np.empty((steps, width, nb), dtype=T.dtype)
+        T.take(ro[0] + self._every_state, out=seen[0])
+        for t in range(1, steps):
+            T.take(seen[t - 1] + ro[t], out=seen[t])
+        # Chain the end maps (block j + 1 starts where block j ends),
+        # then gather the true path from the kept steps.
+        ends = seen[-1].ravel().tolist()
+        starts = [s0]
+        s = s0
+        for j in range(nb - 1):
+            s = ends[s * nb + j]
+            starts.append(s)
+        first = np.asarray(starts, dtype=np.intp)
+        states = np.empty((nb, steps, depth), dtype=T.dtype)
+        states[:, 0, 0] = first
+        states[:, 1:, 0] = seen[:-1, first, np.arange(nb)].T
+        fine = fine * idx_type(width)
+        for i in range(1, depth):
+            states[:, :, i] = self.next_state.take(
+                states[:, :, i - 1] + fine[:, :, i - 1])
+        states = states.ravel()
+        return states, states + fine.ravel()
 
 
 class VecWalker:
@@ -193,9 +249,6 @@ class VecWalker:
                 fall_succ[v] = succ[1]
             elif len(succ) == 1:
                 single_succ[v] = succ[0]
-        self._is_branch = is_branch
-        self._taken_succ = taken_succ
-        self._fall_succ = fall_succ
 
         # Branch behaviours, flattened exactly like the scalar walker.
         cur_p0 = [0.5] * n
@@ -249,8 +302,6 @@ class VecWalker:
             seg_len.append(len(chain))
             seg_cycle_at.append(cycle_at)
         self._seg_blocks = seg_blocks
-        self._seg_branch = seg_branch
-        self._seg_len = seg_len
         self._seg_cycle_at = seg_cycle_at
         self._seg_len_np = np.asarray(seg_len, dtype=np.int32)
         offsets = np.zeros(n, dtype=np.int32)
@@ -258,71 +309,32 @@ class VecWalker:
         self._seg_off_np = offsets
         self._flat_blocks = (np.concatenate(seg_blocks) if seg_blocks
                              else np.zeros(0, dtype=np.int32))
-
-        # Decision successor table: succ2[b][outcome] = next segment start.
-        self._succ2 = [(fall_succ[v], taken_succ[v]) for v in range(n)]
-        self._patterns = self._find_patterns()
         # Fused per-node tuple for the decision loop: one list index
-        # yields (segment length, terminal branch, the branch's fall /
-        # taken successors — i.e. the next segment start per outcome —
-        # and the loop pattern rooted at this node, if any).
+        # yields (segment length, terminal branch, and the branch's fall /
+        # taken successors — i.e. the next segment start per outcome).
         self._seg_info = [
             (seg_len[v], seg_branch[v],
              fall_succ[seg_branch[v]] if seg_branch[v] >= 0 else -1,
-             taken_succ[seg_branch[v]] if seg_branch[v] >= 0 else -1,
-             self._patterns.get(v))
+             taken_succ[seg_branch[v]] if seg_branch[v] >= 0 else -1)
             for v in range(n)]
 
-    def _find_patterns(self) -> Dict[int, _LoopPattern]:
-        """Discover vectorizable loop bodies (fixed branch sequences).
-
-        A latch ``l`` qualifies when the chain of segments from its taken
-        successor executes the same branches every iteration: each
-        intermediate branch's two arms must *reconverge* — both arm
-        segments end at the same next branch — and the chain must return
-        to ``l``.  Nested latches break reconvergence for their outer
-        loop (the inner trip count varies), so inner loops vectorize and
-        outer levels fall back to the per-decision path.
-        """
-        patterns: Dict[int, _LoopPattern] = {}
-        seg_branch = self._seg_branch
-        seg_len = self._seg_len
-        for latch in range(self.cfg.num_nodes):
-            if not self._is_branch[latch]:
-                continue
-            start = self._taken_succ[latch]
-            x = seg_branch[start]
-            chain: List[int] = []
-            min_steps = seg_len[start]
-            max_steps_i = seg_len[start]
-            ok = True
-            while True:
-                if x < 0:
-                    ok = False
-                    break
-                chain.append(x)
-                if x == latch:
-                    break
-                if len(chain) > _MAX_PATTERN or x in chain[:-1]:
-                    ok = False
-                    break
-                t_arm = self._taken_succ[x]
-                f_arm = self._fall_succ[x]
-                nt = seg_branch[t_arm]
-                if nt < 0 or nt != seg_branch[f_arm]:
-                    ok = False
-                    break
-                min_steps += min(seg_len[t_arm], seg_len[f_arm])
-                max_steps_i += max(seg_len[t_arm], seg_len[f_arm])
-                x = nt
-            if not ok or start in patterns:
-                continue
-            warm_slots = [(j, b) for j, b in enumerate(chain)
-                          if self._warm0[b] > 0]
-            patterns[start] = _LoopPattern(start, latch, chain, warm_slots,
-                                           max(min_steps, 1), max_steps_i,
-                                           self._succ2, seg_len)
-        return patterns
+        # FSM numbering: one state per branch in node order, then the
+        # sink; ``_state_of[v]`` is the state of a segment starting at v.
+        branches = [v for v in range(n) if is_branch[v]]
+        sink = len(branches)
+        state_of = {b: s for s, b in enumerate(branches)}
+        self._branches = branches
+        self._state_of = np.array(
+            [state_of.get(seg_branch[v], sink) for v in range(n)],
+            dtype=np.min_scalar_type(sink))
+        self._taken_np = np.array([taken_succ[b] for b in branches],
+                                  dtype=np.int32)
+        self._fall_np = np.array([fall_succ[b] for b in branches],
+                                 dtype=np.int32)
+        # Shortest branch-ended segment: a window decides at most
+        # ``steps // _min_seg`` branches in ``steps`` steps.
+        self._min_seg = min((seg_len[v] for v in range(n)
+                             if seg_branch[v] >= 0), default=1)
 
     # -- execution -------------------------------------------------------------
 
@@ -330,20 +342,23 @@ class VecWalker:
             start: Optional[int] = None) -> ExecutionTrace:
         """Walk the CFG for up to ``max_steps`` block executions.
 
-        The per-block event index stays lazy, as with the scalar walker:
+        Batches are written into arrays preallocated for ``max_steps``;
+        a walk that ends early keeps one truncated copy.  The per-block
+        event index stays lazy, as with the scalar walker:
         :meth:`ExecutionTrace.events` builds it on first use.
         """
-        chunks_blocks: List[np.ndarray] = []
-        chunks_taken: List[np.ndarray] = []
-        for batch in self.run_batches(max_steps, start=start):
-            chunks_blocks.append(batch.blocks)
-            chunks_taken.append(batch.taken)
-        if chunks_blocks:
-            blocks = np.concatenate(chunks_blocks)
-            taken = np.concatenate(chunks_taken)
-        else:
-            blocks = np.zeros(0, dtype=np.int32)
-            taken = np.zeros(0, dtype=np.int8)
+        size = max(int(max_steps), 0)
+        blocks = np.empty(size, dtype=np.int32)
+        taken = np.empty(size, dtype=np.int8)
+        n = 0
+        for batch in self.run_batches(size, start=start):
+            k = len(batch.blocks)
+            blocks[n:n + k] = batch.blocks
+            taken[n:n + k] = batch.taken
+            n += k
+        if n < size:
+            blocks = blocks[:n].copy()
+            taken = taken[:n].copy()
         return ExecutionTrace(blocks, taken, self.cfg.num_nodes)
 
     def run_batches(self, max_steps: int,
@@ -354,30 +369,30 @@ class VecWalker:
         arrays; chunk boundaries are a delivery detail.
         """
         max_steps = int(max_steps)
-        seg_len = self._seg_len
         seg_len_np = self._seg_len_np
         seg_off_np = self._seg_off_np
         flat_blocks = self._flat_blocks
         seg_info = self._seg_info
         chunk_steps = self.chunk_steps
+        branches = self._branches
+        state_of = self._state_of
+        sink = len(branches)
+        min_seg = self._min_seg
 
         # Per-run mutable behaviour state (compile state is never touched).
         cur_p = list(self._cur_p0)
         warm_left = list(self._warm0)
         warm_p = self._warm_p
+        warming = [(s, x) for s, x in enumerate(branches) if warm_left[x]]
         changes = self._changes
         change_idx = 0
         num_changes = len(changes)
         next_change = changes[0][0] if changes else math.inf
-        limit = next_change if next_change < max_steps else max_steps
-        p_version = 0
-        prob_rows: Dict[int, Tuple[int, np.ndarray]] = {}
-        win_iters: Dict[int, int] = {}
-        # One loop *visit* may span several windows (clipped by phase
-        # boundaries or undersized speculation); adapt the window depth to
-        # the visit-cumulative trip length, not the last partial window.
-        visit_start = -1
-        visit_iters = 0
+        # Windows accept decisions at steps < ``limit``; rounding a
+        # fractional phase end up keeps that test exact for int steps.
+        limit = math.ceil(min(next_change, max_steps))
+        fsm: Optional[_Fsm] = None  # rebuilt after any probability change
+        window = _WINDOW_START
 
         rs = numpy_uniform_stream(self.seed)
         U = rs.random_sample(_DRAW)
@@ -390,7 +405,6 @@ class VecWalker:
 
         v = self.cfg.entry if start is None else start
         g = 0
-        chunk_start = 0
         # Decided segments accumulate as (starts, outcomes) array pieces,
         # interleaved with (lo, hi) index markers into ``slow_t`` for the
         # slow-path token runs (decoded in one pass per chunk).
@@ -404,6 +418,8 @@ class VecWalker:
         done = False
         slow_decisions = 0
         window_decisions = 0
+        windows = 0
+        discarded = 0
         num_chunks = 0
 
         def build_batch() -> Optional[EventBatch]:
@@ -466,172 +482,75 @@ class VecWalker:
 
         chunk_limit = chunk_steps
         while not done and g < max_steps:
-            L, b, nf, nt, pat = seg_info[v]
-            if pat is not None:
-                latch = pat.latch
-                lp = warm_p[latch] if warm_left[latch] > 0 else cur_p[latch]
-                if lp < pat.p_gate:
-                    # The latch's current phase exits too quickly for a
-                    # window to beat the per-decision path.
-                    pass
-                elif pat.plen == 1:
-                    # ---- specialized self-loop window ----
-                    # The latch is the only branch and every iteration emits
-                    # exactly ``L`` steps, so decision ``k`` sits at global
-                    # step ``g - 1 + (k+1)*L``: clipping against the next
-                    # phase boundary / step budget is pure arithmetic, the
-                    # accepted starts are one broadcast store, and no arm
-                    # gathers are needed (taken returns to ``v``, fall
-                    # leaves).
-                    K = win_iters.get(v, _WIN_MIN)
-                    if ulen - ci < K:
-                        fresh = rs.random_sample(
-                            -(-(K - (ulen - ci)) // _DRAW) * _DRAW)
-                        U = np.concatenate([U[ci:], fresh])
-                        ulen = len(U)
-                        ci = fl_hi = 0
-                    u = U[ci:ci + K]
-                    O1 = u < cur_p[b]
-                    w = warm_left[b]
-                    if w > 0:
-                        wk = w if w < K else K
-                        O1[:wk] = u[:wk] < warm_p[b]
-                    fi = int(O1.argmin())
-                    a = K if O1[fi] else fi + 1
-                    avail = (limit - g) // L
-                    acc = a if a <= avail else int(avail)
-                    if acc > 0:
-                        if w > 0:
-                            warm_left[b] = w - acc if acc < w else 0
-                        ns = len(slow_t)
-                        if ns > slow_lo:
-                            pieces.append((slow_lo, ns))
-                            slow_lo = ns
-                        starts_run = np.empty(acc, dtype=np.int64)
-                        starts_run[:] = v
-                        pieces.append((starts_run, O1[:acc].view(np.int8)))
-                        ci += acc
-                        g += acc * L
-                        if v != visit_start:
-                            visit_start = v
-                            visit_iters = 0
-                        visit_iters += acc
-                        exited = acc == a and not O1[acc - 1]
-                        grow = (4 * visit_iters if exited
-                                else 2 * max(visit_iters, K))
-                        win_iters[v] = min(max(_WIN_MIN, grow), pat.max_win)
-                        if exited:
-                            visit_start = -1
-                            v = nf
-                        window_decisions += acc
-                        if g >= chunk_limit:
-                            batch = build_batch()
-                            if batch is not None:
-                                num_chunks += 1
-                                yield batch
-                            chunk_limit = g + chunk_steps
-                        continue
-                else:
-                    # ---- vectorized loop window ----
-                    plen = pat.plen
-                    K = win_iters.get(v, _WIN_MIN)
-                    if K > pat.max_win:
-                        K = pat.max_win
-                    need = K * plen
-                    if ulen - ci < need:
-                        fresh = rs.random_sample(
-                            -(-(need - (ulen - ci)) // _DRAW) * _DRAW)
-                        U = np.concatenate([U[ci:], fresh])
-                        ulen = len(U)
-                        ci = fl_hi = 0
-                    Uf = U[ci:ci + need]
-                    cached = prob_rows.get(v)
-                    if cached is None or cached[0] != p_version:
-                        row_flat = np.tile(
-                            np.array([cur_p[pb] for pb in pat.branches]),
-                            pat.max_win)
-                        prob_rows[v] = (p_version, row_flat)
-                    else:
-                        row_flat = cached[1]
-                    O = (Uf < row_flat[:need]).view(np.int8)
-                    for j, wb in pat.warm_slots:
-                        w = warm_left[wb]
-                        if w > 0:
-                            w = min(w, K)
-                            O[j::plen][:w] = (
-                                Uf[j::plen][:w] < warm_p[wb]).view(np.int8)
-                    latch_col = O[plen - 1::plen]
-                    fi = int(latch_col.argmin())  # first fall-through, if any
-                    a_iters = K if latch_col[fi] else fi + 1
-                    m = a_iters * plen
-                    o_flat = O[:m]
-                    arm_idx = pat.base[:m] + o_flat
-                    starts_flat = pat.arm_start[arm_idx]
-                    # Common case: even the longest possible window stays clear
-                    # of the next phase boundary and the step budget, so every
-                    # decision is accepted without materialising positions.
-                    if g + a_iters * pat.max_iter_steps < limit:
-                        acc = m
-                        g = g + seg_len[v] + int(
-                            pat.arm_len[arm_idx[:m - 1]].sum())
-                    else:
-                        # Decision k's branch ends segment k, so its global
-                        # step is a shifted running sum of segment lengths.
-                        pos = np.empty(m, dtype=np.int64)
-                        pos[0] = seg_len[v]
-                        pos[1:] = pat.arm_len[arm_idx[:m - 1]]
-                        np.cumsum(pos, out=pos)
-                        pos += g - 1
-                        if pos[m - 1] < limit:
-                            acc = m
-                        else:
-                            acc = int(np.searchsorted(pos, limit, side="left"))
-                        if acc == 0:
-                            # A phase boundary or the step budget precedes the
-                            # first decision — the slow path resolves it.
-                            pat = None
-                        else:
-                            g = int(pos[acc - 1]) + 1
-                    if pat is not None:
-                        for j, wb in pat.warm_slots:
-                            w = warm_left[wb]
-                            if w > 0:
-                                used = acc // plen + (1 if j < acc % plen else 0)
-                                warm_left[wb] = w - used if used < w else 0
-                        starts_piece = np.empty(acc, dtype=np.int64)
-                        starts_piece[0] = v
-                        starts_piece[1:] = starts_flat[:acc - 1]
-                        ns = len(slow_t)
-                        if ns > slow_lo:
-                            pieces.append((slow_lo, ns))
-                            slow_lo = ns
-                        pieces.append((starts_piece, o_flat[:acc]))
-                        ci += acc
-                        if v != visit_start:
-                            visit_start = v
-                            visit_iters = 0
-                        visit_iters += acc // plen
-                        # Size the next window off the cumulative trip length
-                        # of the whole visit, so a typical visit is decided in
-                        # one numpy round-trip next time around.
-                        exited = acc == m and not latch_col[a_iters - 1]
-                        grow = (4 * visit_iters if exited
-                                else 2 * max(visit_iters, K))
-                        win_iters[v] = min(max(_WIN_MIN, grow), pat.max_win)
-                        if exited:
-                            visit_start = -1
-                        v = int(starts_flat[acc - 1])
-                        window_decisions += acc
-                        if g >= chunk_limit:
-                            batch = build_batch()
-                            if batch is not None:
-                                num_chunks += 1
-                                yield batch
-                            chunk_limit = g + chunk_steps
-                        continue
+            L, b, nf, nt = seg_info[v]
+            end = g + L
+            if b >= 0 and end <= limit and \
+                    (limit - g) // min_seg >= _MIN_DECISIONS:
+                # ---- all-states window ----
+                if fsm is None:
+                    fsm = _Fsm([warm_p[x] if warm_left[x] > 0 else cur_p[x]
+                                for x in branches],
+                               self._taken_np, self._fall_np, state_of)
+                W = min(window, (limit - g) // min_seg)
+                W = -(-W // _BLOCK) * _BLOCK
+                if ulen - ci < W:
+                    fresh = rs.random_sample(
+                        -(-(W - (ulen - ci)) // _DRAW) * _DRAW)
+                    U = np.concatenate([U[ci:], fresh])
+                    ulen = len(U)
+                    ci = fl_hi = 0
+                st, fi = fsm.path(U[ci:ci + W], int(state_of[v]))
+                # Accept up to the first sink, the first decision at or
+                # past ``limit`` and the last warm-up use of any branch.
+                m = W - int(np.count_nonzero(st == sink))
+                nxt = fsm.next_start.take(fi[:m])
+                starts = np.empty(m, dtype=np.int32)
+                starts[0] = v
+                starts[1:] = nxt[:m - 1]
+                pos = np.cumsum(seg_len_np.take(starts), dtype=np.int64)
+                pos += g - 1
+                if pos[m - 1] >= limit:
+                    m = int(np.searchsorted(pos, limit, side="left"))
+                for s, x in warming:
+                    uses = np.flatnonzero(st[:m] == s)
+                    if len(uses) >= warm_left[x]:
+                        m = int(uses[warm_left[x] - 1]) + 1
+                outcomes = fsm.outcome.take(fi[:m])
+                expired = False
+                if warming:
+                    for s, x in warming:
+                        warm_left[x] -= int(np.count_nonzero(st[:m] == s))
+                        expired = expired or not warm_left[x]
+                    if expired:
+                        warming = [(s, x) for s, x in warming
+                                   if warm_left[x]]
+                        fsm = None
+                ns = len(slow_t)
+                if ns > slow_lo:
+                    pieces.append((slow_lo, ns))
+                    slow_lo = ns
+                pieces.append((starts[:m], outcomes))
+                g = int(pos[m - 1]) + 1
+                v = int(nxt[m - 1])
+                ci += m
+                windows += 1
+                window_decisions += m
+                discarded += W - m
+                # Regrow from the accepted length after a warm-up clip;
+                # double while whole windows are accepted.
+                if expired:
+                    window = -(-m // _BLOCK) * _BLOCK
+                elif m == W and window < _WINDOW:
+                    window *= 2
+                if g >= chunk_limit:
+                    batch = build_batch()
+                    if batch is not None:
+                        num_chunks += 1
+                        yield batch
+                    chunk_limit = g + chunk_steps
+                continue
 
             # ---- per-decision slow path ----
-            end = g + L
             if b >= 0 and end <= max_steps:
                 if end > next_change:
                     pos_d = end - 1
@@ -642,13 +561,15 @@ class VecWalker:
                         change_idx += 1
                     next_change = changes[change_idx][0] \
                         if change_idx < num_changes else math.inf
-                    limit = (next_change if next_change < max_steps
-                             else max_steps)
-                    p_version += 1
+                    limit = math.ceil(min(next_change, max_steps))
+                    fsm = None
                 w = warm_left[b]
                 if w > 0:
                     warm_left[b] = w - 1
                     p = warm_p[b]
+                    if w == 1:
+                        warming = [(s, x) for s, x in warming if x != b]
+                        fsm = None
                 else:
                     p = cur_p[b]
                 if ci >= fl_hi:
@@ -700,9 +621,11 @@ class VecWalker:
         inc("kernel.vector.runs")
         inc("kernel.vector.steps", g)
         inc("kernel.vector.chunks", num_chunks)
+        inc("kernel.vector.windows", windows)
         inc("kernel.vector.decisions", slow_decisions + window_decisions)
         inc("kernel.vector.decisions.window", window_decisions)
         inc("kernel.vector.decisions.slow", slow_decisions)
+        inc("kernel.vector.decisions.discarded", discarded)
 
 
 def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,

@@ -268,3 +268,83 @@ def test_small_clip_stays_within_tolerance(nested_cfg, monkeypatch):
                                       CONSERVATION_ERROR_TOL / 10)
     report = verify_normalization(navep, avep)
     assert "navep.negative-frequency" not in report.codes()
+
+
+# -- solver health: residual norm and rank -----------------------------------
+
+
+def _loop_region_system(nested_cfg):
+    snapshot = ProfileSnapshot(label="INIP", input_name="ref", threshold=1)
+    snapshot.regions.append(Region(
+        region_id=0, kind=RegionKind.LOOP, members=[2, 3],
+        internal_edges=[(0, 1, EdgeKind.TAKEN)],
+        back_edges=[(1, EdgeKind.ALWAYS)],
+        exit_edges=[(0, EdgeKind.FALL, 4)],
+        tail=1))
+    graph = DuplicatedGraph(nested_cfg, snapshot)
+    avep = _avep({
+        0: (1, 0), 1: (100, 0), 2: (2000, 1900), 3: (1900, 0),
+        4: (100, 80), 5: (80, 0), 6: (20, 0), 7: (100, 1), 8: (1, 0),
+    })
+    return graph, avep
+
+
+def _health_solve(graph, avep):
+    """Solve once; return (residual norm, rank deficit, deficient count)
+    as recorded for that solve."""
+    from repro.obs.registry import counter_value, get_registry
+
+    residuals = get_registry().histogram("navep.residual_norm")
+    deficits = get_registry().histogram("navep.rank_deficit")
+    solves, deficient = residuals.count, counter_value("navep.rank_deficient")
+    navep = normalize_avep(graph, avep)
+    assert residuals.count == deficits.count == solves + 1
+    return (navep, residuals.values()[-1], deficits.values()[-1],
+            counter_value("navep.rank_deficient") - deficient)
+
+
+def test_full_rank_solve_reports_health(nested_cfg):
+    """Every solve records its residual norm and rank deficit; the loop
+    region's system has full column rank."""
+    graph, avep = _loop_region_system(nested_cfg)
+    _, residual, deficit, deficient = _health_solve(graph, avep)
+    assert np.isfinite(residual) and residual >= 0.0
+    assert deficit == 0 and deficient == 0
+
+
+def test_forced_rank_deficient_system_is_counted(nested_cfg, monkeypatch):
+    """With one unknown's column zeroed the system loses a rank: the
+    solve counts as rank-deficient and its residual is the distance of
+    that solution from the real system."""
+    graph, avep = _loop_region_system(nested_cfg)
+    clean, _, _, _ = _health_solve(graph, avep)
+    real_lstsq = np.linalg.lstsq
+
+    def drop_first_column(a, b, rcond=None):
+        a = a.copy()
+        a[:, 0] = 0.0
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", drop_first_column)
+    navep, residual, deficit, deficient = _health_solve(graph, avep)
+    monkeypatch.undo()
+    assert deficit == 1 and deficient == 1
+    assert residual > 0.0
+    assert not np.array_equal(navep.frequencies, clean.frequencies)
+
+
+def test_study_manifest_reports_navep_health():
+    """The manifest carries the run's worst NAVEP solve, and the report
+    renders it."""
+    from repro.harness import run_full_study
+    from repro.obs.manifest import render_manifest
+
+    results = run_full_study(names=["gzip", "mcf"], thresholds=[5, 50],
+                             steps_scale=0.02, include_perf=False,
+                             cache_dir=None, jobs=1)
+    health = results.manifest["navep"]
+    assert health["solves"] > 0
+    assert health["max_residual_bench"] in ("gzip", "mcf")
+    assert health["max_residual_norm"] >= 0.0
+    assert health["rank_deficient"] == 0 and health["max_rank_deficit"] == 0
+    assert "NAVEP health:" in render_manifest(results.manifest)

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
@@ -133,6 +136,50 @@ def test_serial_manifest_attributes_without_double_counting():
     assert profile["total_seconds"] <= \
         results.manifest["total_seconds"] * 1.5
     assert profile["coverage"] > 0.85
+
+
+def test_cold_process_serial_coverage():
+    """In a fresh process, building the benchmark before its study (suite
+    imports, CFG construction) is a named ``workload.build`` span, so
+    attribution stays above the bar without a warm interpreter."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = ("from repro.harness import run_full_study\n"
+            "r = run_full_study(names=['gzip'], thresholds=[5, 50], "
+            "steps_scale=0.02, include_perf=False, jobs=1, "
+            "cache_dir=None)\n"
+            "p = r.manifest['profile']\n"
+            "print(p['coverage'], p['phases']['workload-build']['spans'])\n")
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    coverage, builds = out.stdout.split()
+    assert float(coverage) > 0.85
+    assert int(builds) == 1
+    assert PHASE_OF_SPAN["workload.build"] == "workload-build"
+
+
+def test_walker_counters_reach_the_study():
+    """A serial two-benchmark study reports the walker's window and
+    speculation-waste counters, and every decision is either windowed or
+    slow."""
+    names = ["kernel.vector.decisions", "kernel.vector.decisions.window",
+             "kernel.vector.decisions.slow", "kernel.vector.windows",
+             "kernel.vector.decisions.discarded"]
+    before = {name: counter_value(name) for name in names}
+    results = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
+                             **KWARGS)
+    delta = {name: counter_value(name) - before[name] for name in names}
+    counters = results.manifest["metrics"]["counters"]
+    assert all(name in counters for name in names)
+    assert delta["kernel.vector.windows"] > 0
+    assert delta["kernel.vector.decisions.window"] + \
+        delta["kernel.vector.decisions.slow"] == \
+        delta["kernel.vector.decisions"]
+    assert delta["kernel.vector.decisions.slow"] < \
+        delta["kernel.vector.decisions.window"]
+    assert delta["kernel.vector.decisions.discarded"] >= 0
 
 
 def test_cached_run_skips_dispatch_section(tmp_path):

@@ -4,16 +4,20 @@ Every test here asserts the same contract from a different angle: for
 the same (CFG, behaviour, seed), :class:`VecWalker` produces an event
 stream byte-identical to :class:`CFGWalker` — same blocks, same branch
 outcomes, same counter tables, same per-block event index, same replay
-regions — regardless of chunk size or which vectorized fast path the
-input happens to exercise.
+regions — regardless of chunk size, window and block sizes, or whether
+a decision ran in an all-states window or one at a time.
 
 The hypothesis tests fuzz arbitrary CFG shapes and behaviour mixes; the
 named tests pin the structural edge cases (chunk boundaries at 1 /
-prime / beyond the run length, warm-up expiry mid-chunk, phase changes
-mid-window, single-successor cycles, immediate exits, start overrides).
+prime / beyond the run length, phase boundaries inside a lockstep
+block, warm-up expiry mid-window, budgets and sinks mid-window,
+single-successor cycles, immediate exits, start overrides, one branch
+and hundreds of branches).
 """
 
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +26,10 @@ from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
 from repro.obs.registry import counter_value
-from repro.stochastic import (CFGWalker, ProgramBehavior, VecWalker,
-                              drifting, numpy_uniform_stream, phased,
-                              record_trace, steady, vec_walk, warmup)
+from repro.stochastic import (BranchBehavior, CFGWalker, Phase,
+                              ProgramBehavior, VecWalker, drifting,
+                              numpy_uniform_stream, phased, record_trace,
+                              steady, vec_walk, warmup)
 from repro.stochastic import vecwalker
 
 # Chunk sizes straddling every interesting boundary: degenerate (1),
@@ -88,8 +93,11 @@ def test_numpy_stream_chunking_is_invisible():
 
 @st.composite
 def cfg_strategy(draw):
-    """Arbitrary small CFGs: 0/1/2 successors per node, cycles allowed."""
-    n = draw(st.integers(min_value=1, max_value=9))
+    """Arbitrary small CFGs: 0/1/2 successors per node, cycles allowed.
+
+    Up to 24 nodes, so some draws hold more branches than the suite's
+    largest CFG (17)."""
+    n = draw(st.integers(min_value=1, max_value=24))
     node = st.integers(min_value=0, max_value=n - 1)
     succs = []
     for _ in range(n):
@@ -131,7 +139,9 @@ def behavior_strategy(draw, cfg, steps):
 
 @st.composite
 def walk_case(draw):
-    steps = draw(st.integers(min_value=0, max_value=500))
+    # Up to 3000 steps: enough decisions to cross lockstep blocks and
+    # the first window's size, and to grow the window.
+    steps = draw(st.integers(min_value=0, max_value=3000))
     cfg = draw(cfg_strategy())
     behavior = draw(behavior_strategy(cfg, steps))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -150,7 +160,7 @@ def test_fuzz_vector_equals_scalar(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(walk_case(), st.integers(min_value=0, max_value=8))
+@given(walk_case(), st.integers(min_value=0, max_value=23))
 def test_fuzz_start_override(case, start):
     cfg, behavior, steps, seed, _ = case
     if start >= cfg.num_nodes:
@@ -182,7 +192,8 @@ def test_nested_cfg_every_chunking(nested_cfg, nested_behavior, chunk):
     lambda: drifting(0.99, 0.01, 2_000, segments=7),
 ])
 def test_each_behavior_kind_on_hot_self_loop(make):
-    """A hot self-loop hits the simple-window fast path for every kind."""
+    """A hot self-loop (a one-branch FSM) runs in windows for every
+    behaviour kind."""
     cfg = ControlFlowGraph([(1,), (1, 2), ()])
     behavior = ProgramBehavior()
     behavior.set(1, make())
@@ -193,8 +204,9 @@ def test_each_behavior_kind_on_hot_self_loop(make):
 
 
 def test_multi_block_loop_body_general_window():
-    """A loop whose body spans several blocks exercises the general
-    (plen > 1) window path with a mid-body conditional."""
+    """A loop whose body spans several blocks, with a mid-body
+    conditional that skips the tail: segments of different lengths
+    inside one window."""
     cfg = ControlFlowGraph([
         (1,),        # 0 entry
         (2, 4),      # 1 header: fall -> body, taken -> out
@@ -278,8 +290,8 @@ def test_record_trace_equals_scalar_walker(nested_cfg, nested_behavior):
 
 
 # ---------------------------------------------------------------------------
-# Chunk decode: the lazy float view of the uniform stream and the
-# ragged segment gather.
+# Chunk decode and the per-decision fallback: the lazy float view of the
+# uniform stream, refills, and the ragged segment gather.
 # ---------------------------------------------------------------------------
 
 def decisions():
@@ -287,26 +299,51 @@ def decisions():
             counter_value("kernel.vector.decisions.slow"))
 
 
+def windows():
+    return counter_value("kernel.vector.windows")
+
+
+def phases(p, every, count, offset=0):
+    """A behaviour alternating between ``p`` and ``1 - p`` every ``every``
+    global steps, ``count`` times, starting at step ``offset + every``."""
+    cuts = [offset + every * (k + 1) for k in range(count)]
+    return BranchBehavior(phases=tuple(
+        [Phase(until, p if k % 2 == 0 else 1.0 - p)
+         for k, until in enumerate(cuts)] + [Phase(math.inf, p)]))
+
+
+def phased_nested_behavior():
+    """``nested_cfg`` whose diamond changes phase every 1500 steps."""
+    behavior = ProgramBehavior()
+    behavior.set(2, steady(0.96))
+    behavior.set(4, phases(0.8, 1_500, 12, offset=17))
+    behavior.set(7, steady(0.001))
+    return behavior
+
+
 @pytest.mark.parametrize("draw,float_slice", [(8, 3), (16, 5), (64, 7)])
-def test_slow_decisions_after_window_refill(nested_cfg, nested_behavior,
-                                            monkeypatch, draw, float_slice):
-    """A tiny uniform buffer makes nearly every inner-loop window refill
-    (concatenate) ``U``; the outer diamond and latch then decide on the
-    slow path straight off the refilled buffer's float view."""
+def test_slow_decisions_after_window_refill(nested_cfg, monkeypatch, draw,
+                                            float_slice):
+    """Just before each phase boundary the kernel falls back to one
+    decision at a time.  A tiny uniform buffer makes every window refill
+    (concatenate) ``U`` first, so those slow decisions read the refilled
+    buffer's float view."""
     monkeypatch.setattr(vecwalker, "_DRAW", draw)
     monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", float_slice)
+    behavior = phased_nested_behavior()
     window0, slow0 = decisions()
-    vector = vector_trace(nested_cfg, nested_behavior, 20_000, 12, 4096)
+    vector = vector_trace(nested_cfg, behavior, 20_000, 12, 4096)
     window1, slow1 = decisions()
     assert window1 > window0 and slow1 > slow0  # both paths ran
-    scalar = scalar_trace(nested_cfg, nested_behavior, 20_000, seed=12)
+    scalar = scalar_trace(nested_cfg, behavior, 20_000, seed=12)
     assert_traces_equal(scalar, vector)
 
 
 def slow_only_cfg():
-    """A loop of two splits that never exits and is never window-eligible
-    (split B's arms do not reconverge on one branch), so every decision
-    takes the per-decision path."""
+    """A loop of two splits that never exits.  Every branch changes
+    phase every 20 steps, so no window ever fits ``_MIN_DECISIONS``
+    decisions before the next boundary and every decision takes the
+    per-decision path."""
     cfg = ControlFlowGraph([
         (1,),        # 0 entry
         (2, 3),      # 1 split A
@@ -318,11 +355,12 @@ def slow_only_cfg():
         (1,),        # 7 back to A without passing the latch
         (),          # 8 exit
     ])
+    steps = 8 * vecwalker._DRAW + 10_000
     behavior = ProgramBehavior()
-    behavior.set(1, steady(0.5))
-    behavior.set(4, steady(0.4))
+    behavior.set(1, phases(0.5, 20, steps // 20))
+    behavior.set(4, phases(0.4, 20, steps // 20, offset=7))
     behavior.set(6, steady(1.0))
-    return cfg, behavior
+    return cfg, behavior, steps
 
 
 @pytest.mark.parametrize("draw,float_slice", [
@@ -333,10 +371,9 @@ def slow_only_cfg():
 ])
 def test_slow_run_crosses_float_slices_and_refills(monkeypatch, draw,
                                                    float_slice):
-    cfg, behavior = slow_only_cfg()
+    cfg, behavior, steps = slow_only_cfg()
     monkeypatch.setattr(vecwalker, "_DRAW", draw)
     monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", float_slice)
-    steps = 8 * vecwalker._DRAW + 10_000  # ~3 decisions per 8 steps
     window0, slow0 = decisions()
     vector = vector_trace(cfg, behavior, steps, 31, 4096)
     window1, slow1 = decisions()
@@ -346,20 +383,43 @@ def test_slow_run_crosses_float_slices_and_refills(monkeypatch, draw,
                         vector)
 
 
-def test_one_step_chunks_with_tiny_buffers(nested_cfg, nested_behavior,
-                                           monkeypatch):
-    """``chunk_steps=1``: every window and decision seals its own batch."""
+def test_one_step_chunks_with_tiny_buffers(nested_cfg, monkeypatch):
+    """``chunk_steps=1``: every window and every slow decision seals its
+    own batch, plus at most one for the final truncated segment."""
     monkeypatch.setattr(vecwalker, "_DRAW", 16)
     monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
-    walker = VecWalker(nested_cfg, nested_behavior, seed=5, chunk_steps=1)
+    behavior = phased_nested_behavior()
+    walker = VecWalker(nested_cfg, behavior, seed=5, chunk_steps=1)
+    (_, slow0), windows0 = decisions(), windows()
     batches = list(walker.run_batches(5_000))
-    assert len(batches) > 300  # one per slow decision or window
-    scalar = scalar_trace(nested_cfg, nested_behavior, 5_000, seed=5)
+    (_, slow1), windows1 = decisions(), windows()
+    sealed = (windows1 - windows0) + (slow1 - slow0)
+    assert windows1 > windows0 and slow1 > slow0
+    assert len(batches) - sealed in (0, 1)
+    assert all(len(b.blocks) for b in batches)
+    scalar = scalar_trace(nested_cfg, behavior, 5_000, seed=5)
     np.testing.assert_array_equal(
         np.concatenate([b.blocks for b in batches]), scalar.blocks)
     np.testing.assert_array_equal(
         np.concatenate([b.taken for b in batches]), scalar.taken)
     assert_traces_equal(scalar, walker.run(5_000))
+
+
+@pytest.mark.parametrize("window", [32, 64, 1024])
+def test_chunks_overshoot_by_at_most_one_window(nested_cfg, nested_behavior,
+                                                monkeypatch, window):
+    """A batch is sealed at the first window or decision that reaches
+    ``chunk_steps``, so it overshoots by less than one window's steps."""
+    monkeypatch.setattr(vecwalker, "_WINDOW_START", window)
+    monkeypatch.setattr(vecwalker, "_WINDOW", window)
+    walker = VecWalker(nested_cfg, nested_behavior, seed=6, chunk_steps=500)
+    batches = list(walker.run_batches(40_000))
+    longest = int(walker._seg_len_np.max())
+    for batch in batches[:-1]:
+        assert 500 <= len(batch.blocks) < 500 + window * longest
+    scalar = scalar_trace(nested_cfg, nested_behavior, 40_000, seed=6)
+    np.testing.assert_array_equal(
+        np.concatenate([b.blocks for b in batches]), scalar.blocks)
 
 
 def long_segment_cfg():
@@ -421,3 +481,163 @@ def test_segment_offsets_jump_backwards():
     starts = np.flatnonzero(scalar.taken != -1) + 1
     nxt = scalar.blocks[starts[:-1]]
     assert (np.diff(offsets[nxt]) < 0).any()
+
+
+# ---------------------------------------------------------------------------
+# All-states windows: where a window's accepted prefix is clipped.
+# ---------------------------------------------------------------------------
+
+def assert_window_run(cfg, behavior, steps, seed, chunks=(13, 4096),
+                      start=None):
+    """Equal to the scalar walker at every chunking, and windows ran."""
+    scalar = scalar_trace(cfg, behavior, steps, seed, start=start)
+    for chunk in chunks:
+        before = windows()
+        vector = vector_trace(cfg, behavior, steps, seed, chunk, start=start)
+        assert windows() > before, f"chunk={chunk}"
+        assert_traces_equal(scalar, vector, f"chunk={chunk}")
+    return scalar
+
+
+@pytest.mark.parametrize("offset", range(0, 64, 7))
+def test_phase_boundary_inside_lockstep_block(nested_cfg, offset):
+    """Boundaries at every offset within a 32-decision block: the window
+    runs past the boundary and keeps only the decisions before it."""
+    behavior = ProgramBehavior()
+    behavior.set(2, phases(0.96, 4_000, 3, offset=offset))
+    behavior.set(4, phases(0.8, 2_500, 5, offset=3 * offset))
+    behavior.set(7, steady(0.001))
+    assert_window_run(nested_cfg, behavior, 16_000, seed=offset)
+
+
+def test_two_warmups_expire_inside_one_window(nested_cfg, monkeypatch):
+    """Both warming branches reach their last warm-up use inside the
+    first window: each expiry clips the window and rebuilds the FSM."""
+    behavior = ProgramBehavior()
+    behavior.set(2, warmup(uses=40, p_init=0.5, p_steady=0.96))
+    behavior.set(4, warmup(uses=3, p_init=0.05, p_steady=0.8))
+    behavior.set(7, steady(0.001))
+    discarded = counter_value("kernel.vector.decisions.discarded")
+    assert_window_run(nested_cfg, behavior, 20_000, seed=3)
+    assert counter_value("kernel.vector.decisions.discarded") > discarded
+
+
+@pytest.mark.parametrize("min_decisions", [1, vecwalker._MIN_DECISIONS])
+@pytest.mark.parametrize("extra", range(0, 9, 2))
+def test_budget_ends_mid_segment_inside_window(monkeypatch, min_decisions,
+                                               extra):
+    """The step budget clips a window, and the walk ends inside a
+    segment.  With ``_MIN_DECISIONS = 1`` windows run right up to the
+    budget instead of handing the last decisions to the slow path."""
+    monkeypatch.setattr(vecwalker, "_MIN_DECISIONS", min_decisions)
+    cfg, behavior = long_segment_cfg()
+    assert_window_run(cfg, behavior, 6_000 + extra, seed=extra)
+
+
+def test_exit_reached_mid_window():
+    """A loop exit decided mid-window: the sink clips the window and the
+    exit segment ends the trace before the budget."""
+    cfg = ControlFlowGraph([(1,), (2, 4), (3,), (1,), (5,), ()])
+    behavior = ProgramBehavior()
+    behavior.set(1, steady(0.9995))
+    trace = assert_window_run(cfg, behavior, 10**6, seed=9)
+    assert 0 < trace.num_steps < 10**6
+    assert trace.blocks[-1] == 5
+
+
+def test_branch_free_cycle_reached_mid_window():
+    """The outer latch leaves into a branch-free cycle mid-window; the
+    cycle then fills the rest of the budget."""
+    cfg = ControlFlowGraph([
+        (1,), (2,), (3, 4), (2,), (5, 6), (7,), (7,),
+        (8, 1),      # 7 outer latch: taken -> cycle
+        (9,), (8,),  # 8 <-> 9, no branch
+    ])
+    behavior = ProgramBehavior()
+    behavior.set(2, steady(0.96))
+    behavior.set(4, steady(0.8))
+    behavior.set(7, steady(0.002))
+    trace = assert_window_run(cfg, behavior, 60_000, seed=2)
+    assert set(trace.blocks[-10:].tolist()) == {8, 9}
+
+
+@pytest.mark.parametrize("other", [0.1, 1.0])
+def test_uniform_equal_to_probability_falls_through(other):
+    """``u < p`` is strict: a uniform exactly equal to the branch
+    probability falls through in a window, as in the scalar walker.  An
+    unreachable branch at ``other`` puts ``p`` first or second among the
+    distinct probabilities."""
+    first = numpy_uniform_stream(21).random_sample(200)
+    k = int(np.argmax(first))
+    cfg = ControlFlowGraph([(0, 1), (), (2, 1)])
+    behavior = ProgramBehavior()
+    behavior.set(0, steady(float(first[k])))
+    behavior.set(2, steady(other))
+    trace = assert_window_run(cfg, behavior, 10_000, seed=21)
+    assert trace.num_steps == k + 2  # k taken, the equal draw, the exit
+
+
+@pytest.mark.parametrize("start", [2, 4, 7, 8])
+def test_start_override_inside_loops(nested_cfg, nested_behavior, start):
+    """Walks that start mid-loop (or at the exit) begin in the FSM state
+    of the start block's segment."""
+    if start == 8:
+        trace = vector_trace(nested_cfg, nested_behavior, 5_000, 1, 13,
+                             start=start)
+        assert_traces_equal(scalar_trace(nested_cfg, nested_behavior, 5_000,
+                                         1, start=start), trace)
+        return
+    assert_window_run(nested_cfg, nested_behavior, 30_000, seed=start,
+                      start=start)
+
+
+def test_one_branch_fsm():
+    """S = 1: one branch state plus the sink, across phases."""
+    cfg = ControlFlowGraph([(0, 1), ()])
+    behavior = ProgramBehavior()
+    behavior.set(0, phases(0.9999, 20_000, 3))
+    assert_window_run(cfg, behavior, 80_000, seed=4)
+
+
+def ring_cfg(n, seed):
+    """``n`` branches in a ring, each jumping 1 or ~n/3 ahead, with two
+    blocks of straight line and a rarely taken exit."""
+    rng = random.Random(seed)
+    succs = []
+    for i in range(n):
+        succs.append(((i + 1) % n, (i + n // 3 + rng.randrange(3)) % n))
+    succs[0] = (n, 1)      # the exit branch
+    succs.append((n + 1,))  # n: straight line
+    succs.append(())        # n + 1: exit
+    behavior = ProgramBehavior()
+    for i in range(n):
+        behavior.set(i, steady(rng.uniform(0.05, 0.95)))
+    behavior.set(0, steady(0.0005))
+    return ControlFlowGraph(succs), behavior
+
+
+@pytest.mark.parametrize("n", [18, 255, 256, 300])
+def test_more_branches_than_the_suite(n):
+    """Up to 300 branches: the state dtype widens past ``uint8`` at 256
+    states and the table index past ``int16``."""
+    cfg, behavior = ring_cfg(n, seed=n)
+    walker = VecWalker(cfg, behavior)
+    assert len(walker._branches) == n
+    assert walker._state_of.dtype == (np.uint8 if n < 256 else np.uint16)
+    assert_window_run(cfg, behavior, 30_000, seed=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_case(), st.sampled_from([(4, 8), (8, 32), (32, 64)]))
+def test_fuzz_small_blocks_and_windows(case, sizes):
+    """Tiny blocks and windows, and windows down to one decision before a
+    boundary, so every clip lands at every position of a block."""
+    cfg, behavior, steps, seed, chunk = case
+    block, window = sizes
+    with mock.patch.object(vecwalker, "_BLOCK", block), \
+            mock.patch.object(vecwalker, "_WINDOW_START", window), \
+            mock.patch.object(vecwalker, "_WINDOW", 4 * window), \
+            mock.patch.object(vecwalker, "_MIN_DECISIONS", 1):
+        vector = vector_trace(cfg, behavior, steps, seed, chunk)
+    assert_traces_equal(scalar_trace(cfg, behavior, steps, seed), vector,
+                        f"steps={steps} seed={seed} sizes={sizes}")
