@@ -37,7 +37,7 @@ def _measure(name: str):
     initial = compare_inip_to_avep(bench.cfg, inip, avep)
     from repro.core import compare_flat_profiles
     train = compare_flat_profiles(
-        bench.cfg, avep_from_trace(bench.trace("train"),
+        bench.cfg, avep_from_trace(bench.counts("train"),
                                    input_name="train"), avep)
     return {
         "static": static.sd_bp, "inip": initial.sd_bp,

@@ -36,8 +36,8 @@ def sweep(name: str) -> None:
           f"{bench.workload.num_blocks} blocks, "
           f"{bench.run_steps:,} block executions) ===")
     ref_trace = bench.trace("ref")
-    train_trace = bench.trace("train")
-    study = run_threshold_sweep(name, bench.cfg, ref_trace, train_trace,
+    train_counts = bench.counts("train")  # INIP(train) needs no steps
+    study = run_threshold_sweep(name, bench.cfg, ref_trace, train_counts,
                                 THRESHOLDS, base_config=DBTConfig(),
                                 loops=bench.loop_forest())
 

@@ -31,7 +31,7 @@ Quickstart::
 
     bench = get_benchmark("gzip")
     study = run_threshold_sweep(
-        bench.name, bench.cfg, bench.trace("ref"), bench.trace("train"),
+        bench.name, bench.cfg, bench.trace("ref"), bench.counts("train"),
         thresholds=SIM_THRESHOLDS[:5])
     print(study.sd_bp_series())
 """

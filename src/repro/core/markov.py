@@ -36,11 +36,41 @@ class NormalizedProfile:
             least-squares solution was non-negative).
     """
 
+    _drift: Optional[Tuple[ProfileSnapshot, Dict[int, float]]]
+
     def __init__(self, graph: DuplicatedGraph, frequencies: np.ndarray,
                  negative_mass: np.ndarray):
         self.graph = graph
         self.frequencies = frequencies
         self.negative_mass = negative_mass
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Per-copy frequency array (indexable by node index)."""
+        return self._frequencies
+
+    @frequencies.setter
+    def frequencies(self, value: np.ndarray) -> None:
+        self._frequencies = value
+        self._drift = None  # recomputed for the new array on next read
+
+    def conservation_drift(self, avep: ProfileSnapshot) -> Dict[int, float]:
+        """Relative conservation drift of every duplicated block.
+
+        ``|block_total(b) - use(b)| / max(use(b), 1)`` against ``avep``'s
+        use count: how far the solve strays from the invariant that a
+        block's copies sum to its AVEP frequency.  Computed once per
+        ``frequencies`` array and AVEP; :func:`normalize_avep` records
+        the worst of it and the verifier reads it back.
+        """
+        if self._drift is None or self._drift[0] is not avep:
+            drift = {}
+            for block in sorted(self.graph.duplicated_blocks()):
+                expected = float(avep.block_frequency(block))
+                drift[block] = (abs(self.block_total(block) - expected) /
+                                max(expected, 1.0))
+            self._drift = (avep, drift)
+        return self._drift[1]
 
     def frequency_of(self, ref: CopyRef) -> float:
         """Frequency of one copy."""
@@ -86,11 +116,15 @@ def normalize_avep(graph: DuplicatedGraph,
     """
     duplicated = graph.duplicated_blocks()
 
-    # Edge probabilities on the duplicated graph from AVEP BPs.
+    # Edge probabilities on the duplicated graph from AVEP BPs (every
+    # copy of a block shares the block's BP, so each is looked up once).
+    bp_of: Dict[int, Optional[float]] = {}
     edge_prob: Dict[Tuple[int, int], float] = {}
     for src, dst, kind in graph.edges:
-        bp = _avep_branch_probability(avep, graph.nodes[src].block_id)
-        p = kind.probability(bp)
+        block = graph.nodes[src].block_id
+        if block not in bp_of:
+            bp_of[block] = _avep_branch_probability(avep, block)
+        p = kind.probability(bp_of[block])
         if p:
             key = (src, dst)
             edge_prob[key] = edge_prob.get(key, 0.0) + p
@@ -173,4 +207,7 @@ def normalize_avep(graph: DuplicatedGraph,
     observe("navep.clipped_negative_mass",
             float(negative_mass[negative].sum()))
     np.clip(result, 0.0, None, out=result)
-    return NormalizedProfile(graph, result, negative_mass)
+    navep = NormalizedProfile(graph, result, negative_mass)
+    observe("navep.conservation_drift",
+            max(navep.conservation_drift(avep).values(), default=0.0))
+    return navep

@@ -61,6 +61,10 @@ class DuplicatedGraph:
         self.nodes: List[CopyRef] = []
         self._index: Dict[CopyRef, int] = {}
         self.edges: List[Tuple[int, int, EdgeKind]] = []
+        # block id -> node indices of its copies, in node order.
+        self._copies: Dict[int, List[int]] = {}
+        # block id -> node that control flow targeting it reaches.
+        self._lands_on: List[int] = []
         # Region entered at block b => control transfers to b land on the
         # region's entry instance rather than the original block.
         self._entry_region: Dict[int, Region] = {}
@@ -81,44 +85,44 @@ class DuplicatedGraph:
 
     def _redirect(self, block_id: int) -> int:
         """Node that control flow targeting ``block_id`` actually reaches."""
-        region = self._entry_region.get(block_id)
-        if region is not None:
-            return self._index[CopyRef(region.entry_block,
-                                       region.region_id, 0)]
-        return self._index[CopyRef(block_id)]
+        return self._lands_on[block_id]
 
     def _build(self) -> None:
         cfg = self.cfg
-        for block_id in range(cfg.num_nodes):
-            self._add_node(CopyRef(block_id))
-        for region in self.snapshot.regions:
-            for instance, block_id in enumerate(region.members):
-                self._add_node(CopyRef(block_id, region.region_id, instance))
+        originals = [self._add_node(CopyRef(block_id))
+                     for block_id in range(cfg.num_nodes)]
+        instances = [[self._add_node(CopyRef(block_id, region.region_id, i))
+                      for i, block_id in enumerate(region.members)]
+                     for region in self.snapshot.regions]
+        for idx, ref in enumerate(self.nodes):
+            self._copies.setdefault(ref.block_id, []).append(idx)
+        # Control flow targeting a block lands on its original node, or
+        # on the entry instance of the region the block seeds.
+        self._lands_on = list(originals)
+        for block_id, region in self._entry_region.items():
+            self._lands_on[block_id] = self._index[
+                CopyRef(region.entry_block, region.region_id, 0)]
+        redirect = self._lands_on
 
         # Original blocks keep their CFG successors, redirected through
         # region entries.
         for block_id in range(cfg.num_nodes):
-            src = self._index[CopyRef(block_id)]
+            src = originals[block_id]
             succ = cfg.successors(block_id)
             if len(succ) == 2:
-                self.edges.append((src, self._redirect(succ[0]),
-                                   EdgeKind.TAKEN))
-                self.edges.append((src, self._redirect(succ[1]),
-                                   EdgeKind.FALL))
+                self.edges.append((src, redirect[succ[0]], EdgeKind.TAKEN))
+                self.edges.append((src, redirect[succ[1]], EdgeKind.FALL))
             elif len(succ) == 1:
-                self.edges.append((src, self._redirect(succ[0]),
-                                   EdgeKind.ALWAYS))
+                self.edges.append((src, redirect[succ[0]], EdgeKind.ALWAYS))
 
         # Region instances follow the region structure.
-        for region in self.snapshot.regions:
-            base = {i: self._index[CopyRef(b, region.region_id, i)]
-                    for i, b in enumerate(region.members)}
+        for region, base in zip(self.snapshot.regions, instances):
             for s, d, kind in region.internal_edges:
                 self.edges.append((base[s], base[d], kind))
             for s, kind in region.back_edges:
                 self.edges.append((base[s], base[0], kind))
             for s, kind, target in region.exit_edges:
-                self.edges.append((base[s], self._redirect(target), kind))
+                self.edges.append((base[s], redirect[target], kind))
 
     # -- queries ------------------------------------------------------------------
 
@@ -134,12 +138,14 @@ class DuplicatedGraph:
     def duplicated_blocks(self) -> Set[int]:
         """Blocks with at least one region instance (the 'duplicated' ones
         whose copy frequencies must be solved rather than read off AVEP)."""
-        return {ref.block_id for ref in self.nodes if ref.is_instance}
+        # Every block has its original node, so more copies means
+        # at least one region instance.
+        return {block for block, copies in self._copies.items()
+                if len(copies) > 1}
 
     def copies_of(self, block_id: int) -> List[int]:
-        """Node indices of every copy of ``block_id``."""
-        return [i for i, ref in enumerate(self.nodes)
-                if ref.block_id == block_id]
+        """Node indices of every copy of ``block_id``, in node order."""
+        return list(self._copies.get(block_id, ()))
 
     def entry_node(self) -> int:
         """Node where program entry lands (redirected through regions)."""

@@ -13,7 +13,7 @@ trace) this module produces everything the evaluation section plots:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
@@ -23,7 +23,7 @@ from ..dbt.replay import ThresholdReplayState
 from ..obs.spans import span
 from ..profiles.merge import avep_from_trace
 from ..profiles.model import ProfileSnapshot
-from ..stochastic.trace import ExecutionTrace
+from ..stochastic.trace import ExecutionTrace, RunCounts
 from .comparison import (ComparisonResult, compare_flat_profiles,
                          compare_inip_to_avep)
 from .train_regions import TrainRegionComparison, compare_train_regions
@@ -98,7 +98,7 @@ class BenchmarkStudy:
 def run_threshold_sweep(name: str,
                         cfg: ControlFlowGraph,
                         ref_trace: ExecutionTrace,
-                        train_trace: ExecutionTrace,
+                        train_trace: Union[ExecutionTrace, RunCounts],
                         thresholds: Sequence[int],
                         base_config: Optional[DBTConfig] = None,
                         loops: Optional[LoopForest] = None
@@ -112,7 +112,9 @@ def run_threshold_sweep(name: str,
             this single trace, so differences are purely due to profile
             truncation and region structure — the paper's controlled
             comparison).
-        train_trace: training-input run (INIP(train)).
+        train_trace: training-input run (INIP(train)); only its
+            whole-run counts are read, so a count-only
+            :class:`~repro.stochastic.trace.RunCounts` is enough.
         thresholds: retranslation thresholds to sweep.
         base_config: DBT knobs; its threshold field is overridden per
             sweep point.

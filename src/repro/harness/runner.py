@@ -159,12 +159,13 @@ def study_benchmark(benchmark: SyntheticBenchmark,
     with span("study_benchmark", bench=benchmark.name):
         with span("record_traces", bench=benchmark.name):
             ref_trace = benchmark.trace("ref")
-            train_trace = benchmark.trace("train")
+            # INIP(train) is a whole-run profile: counts, no steps.
+            train_counts = benchmark.counts("train")
         loops = benchmark.loop_forest()
         with span("threshold_sweep", bench=benchmark.name,
                   thresholds=len(thresholds)):
             study = run_threshold_sweep(
-                benchmark.name, benchmark.cfg, ref_trace, train_trace,
+                benchmark.name, benchmark.cfg, ref_trace, train_counts,
                 thresholds, base_config=config, loops=loops)
 
         result = BenchmarkResult(
@@ -424,12 +425,16 @@ def _navep_health(outputs) -> Optional[Dict]:
     """
     solves = deficient = deficit = 0
     worst: Optional[Tuple[float, str]] = None
+    drift: Tuple[float, Optional[str]] = (0.0, None)
     for name, output in sorted(outputs.items()):
         histograms = output.metrics.get("histograms", {})
         residuals = histograms.get("navep.residual_norm", [])
         solves += len(residuals)
         if residuals and (worst is None or max(residuals) > worst[0]):
             worst = (max(residuals), name)
+        drifts = histograms.get("navep.conservation_drift", [])
+        if drifts and max(drifts) > drift[0]:
+            drift = (max(drifts), name)
         deficit = max([deficit] + histograms.get("navep.rank_deficit", []))
         deficient += output.metrics.get("counters", {}).get(
             "navep.rank_deficient", 0)
@@ -437,7 +442,9 @@ def _navep_health(outputs) -> Optional[Dict]:
         return None
     return {"solves": solves, "max_residual_norm": worst[0],
             "max_residual_bench": worst[1], "rank_deficient": deficient,
-            "max_rank_deficit": int(deficit)}
+            "max_rank_deficit": int(deficit),
+            "max_conservation_drift": drift[0],
+            "max_drift_bench": drift[1]}
 
 
 def _write_flight_dumps(failures, flights, flight_dir, cache_dir) -> None:

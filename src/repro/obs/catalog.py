@@ -57,8 +57,14 @@ CATALOG: List[Instrument] = [
     Instrument("kernel.vector.decisions.discarded", "counter",
                "Window decisions evaluated beyond the accepted prefix "
                "(speculation waste)."),
+    Instrument("kernel.vector.count_runs", "counter",
+               "Count-only walks (whole-run use/taken, no per-step "
+               "arrays); also counted in kernel.vector.runs."),
     Instrument("trace.index_builds", "counter",
                "Per-block event indexes built (lazily, on first use)."),
+    Instrument("trace.count_passes", "counter",
+               "Whole-run counts bincounted from a trace's per-step "
+               "arrays (traces not recorded by the vector walker)."),
     Instrument("interp.runs", "counter",
                "Reference interpreter executions."),
     Instrument("interp.steps", "counter",
@@ -112,6 +118,10 @@ CATALOG: List[Instrument] = [
                "system has full column rank)."),
     Instrument("navep.rank_deficient", "counter",
                "NAVEP solves whose system was rank-deficient."),
+    Instrument("navep.conservation_drift", "histogram",
+               "Worst relative conservation drift per NAVEP solve: how "
+               "far a duplicated block's copies sum from its AVEP use "
+               "count (0 when no block is duplicated)."),
     Instrument("perfmodel.estimates", "counter",
                "Cost-model estimates computed."),
     Instrument("perfmodel.side_exits", "counter",

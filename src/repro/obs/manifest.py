@@ -117,5 +117,8 @@ def render_manifest(manifest: Optional[Dict[str, Any]]) -> str:
             f"{navep['max_residual_norm']:.3g} "
             f"({navep['max_residual_bench']}); "
             f"{navep['rank_deficient']} rank-deficient "
-            f"(max deficit {navep['max_rank_deficit']})")
+            f"(max deficit {navep['max_rank_deficit']}); worst "
+            f"conservation drift "
+            f"{navep.get('max_conservation_drift', 0.0):.2%} "
+            f"({navep.get('max_drift_bench') or '-'})")
     return "\n".join(lines)

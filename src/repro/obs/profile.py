@@ -130,6 +130,7 @@ PHASE_OF_SPAN: Dict[str, str] = {
     # trace recording
     "workload.build": "workload-build",
     "kernel.record_trace": "walker",
+    "kernel.record_counts": "walker",
     "trace.index": "walker",
     "record_traces": "walker",
     # replay pipeline

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..stochastic.trace import ExecutionTrace
+from ..stochastic.trace import ExecutionTrace, RunCounts
 from .model import BlockProfile, ProfileSnapshot
 
 
-def avep_from_trace(trace: ExecutionTrace, input_name: str = "ref",
+def avep_from_trace(trace: Union[ExecutionTrace, RunCounts],
+                    input_name: str = "ref",
                     label: str = "AVEP") -> ProfileSnapshot:
     """Build the average-behaviour profile of a whole run.
 
     This is the paper's AVEP: run without optimisation, output every
     block's use/taken at program end.  Profiling operations = one per use
-    plus one per taken increment.
+    plus one per taken increment.  Only the whole-run counters are read,
+    so a count-only :class:`~repro.stochastic.trace.RunCounts` works as
+    well as a recorded trace.
     """
     use = trace.use_counts()
     taken = trace.taken_counts()

@@ -25,6 +25,11 @@ from ..obs.spans import span
 #: sentinel in the taken array for non-branch block executions.
 NO_BRANCH = -1
 
+#: Steps per stable argsort when the event index groups a trace by
+#: block: the sort's int64 output and scratch stay this size, not two
+#: whole-trace arrays next to the index.
+_SORT_CHUNK = 1 << 19
+
 
 class TraceError(ValueError):
     """Raised for malformed or inconsistent traces."""
@@ -69,6 +74,44 @@ class BlockEvents:
         return None
 
 
+@dataclass(frozen=True, eq=False)
+class RunCounts:
+    """Whole-run use/taken counters of one run, without its steps.
+
+    This is everything AVEP reads ("every block's use/taken at program
+    end"), so :func:`~repro.profiles.merge.avep_from_trace` accepts it in
+    place of an :class:`ExecutionTrace`.  The arrays are read-only.
+
+    Attributes:
+        use: executions per block id (int64).
+        taken: taken outcomes per block id (int64).
+        num_steps: total block executions of the run.
+    """
+
+    use: np.ndarray
+    taken: np.ndarray
+    num_steps: int
+
+    def __post_init__(self) -> None:
+        if self.use.shape != self.taken.shape or self.use.ndim != 1:
+            raise TraceError("use/taken must be parallel 1-D arrays")
+        self.use.flags.writeable = False
+        self.taken.flags.writeable = False
+
+    @property
+    def num_blocks(self) -> int:
+        """Size of the block id space."""
+        return len(self.use)
+
+    def use_counts(self) -> np.ndarray:
+        """Whole-run use count per block id (the AVEP use counters)."""
+        return self.use
+
+    def taken_counts(self) -> np.ndarray:
+        """Whole-run taken count per block id (the AVEP taken counters)."""
+        return self.taken
+
+
 class ExecutionTrace:
     """One complete block-level run of a benchmark.
 
@@ -77,19 +120,26 @@ class ExecutionTrace:
         taken: parallel int array of branch outcomes (1/0, or
             :data:`NO_BRANCH` when the block has no conditional branch).
         num_blocks: size of the block id space (ids are ``< num_blocks``).
+        counts: the run's whole-run counters, when the recorder already
+            has them (the vector walker does); otherwise they are
+            counted from the arrays on first use.
     """
 
     def __init__(self, blocks: np.ndarray, taken: np.ndarray,
-                 num_blocks: int):
+                 num_blocks: int, counts: Optional[RunCounts] = None):
         blocks = np.asarray(blocks, dtype=np.int32)
         taken = np.asarray(taken, dtype=np.int8)
         if blocks.shape != taken.shape or blocks.ndim != 1:
             raise TraceError("blocks/taken must be parallel 1-D arrays")
         if len(blocks) and (blocks.min() < 0 or blocks.max() >= num_blocks):
             raise TraceError("block id outside [0, num_blocks)")
+        if counts is not None and (counts.num_blocks != num_blocks or
+                                   counts.num_steps != len(blocks)):
+            raise TraceError("counts do not match the trace's shape")
         self.blocks = blocks
         self.taken = taken
         self.num_blocks = int(num_blocks)
+        self._counts = counts
         self._events: Optional[Dict[int, BlockEvents]] = None
 
     def __len__(self) -> int:
@@ -102,16 +152,32 @@ class ExecutionTrace:
 
     # -- aggregate counters ----------------------------------------------------
 
+    def counts(self) -> RunCounts:
+        """The whole-run counters, cached.
+
+        A trace recorded by the vector walker carries the walk's own
+        counts; any other trace is counted once, with one ``bincount``
+        of ``(block << 1) | taken`` over its arrays (counted in
+        ``trace.count_passes``).
+        """
+        if self._counts is None:
+            inc("trace.count_passes")
+            keys = self.blocks.astype(np.int64) << 1
+            keys |= self.taken == 1
+            pairs = np.bincount(keys, minlength=2 * self.num_blocks)
+            self._counts = RunCounts(
+                use=(pairs[0::2] + pairs[1::2]).astype(np.int64),
+                taken=pairs[1::2].astype(np.int64),
+                num_steps=len(self.blocks))
+        return self._counts
+
     def use_counts(self) -> np.ndarray:
         """Whole-run use count per block id (the AVEP use counters)."""
-        return np.bincount(self.blocks, minlength=self.num_blocks).astype(
-            np.int64)
+        return self.counts().use
 
     def taken_counts(self) -> np.ndarray:
         """Whole-run taken count per block id (the AVEP taken counters)."""
-        is_taken = self.taken == 1
-        return np.bincount(self.blocks[is_taken],
-                           minlength=self.num_blocks).astype(np.int64)
+        return self.counts().taken
 
     def branch_blocks(self) -> np.ndarray:
         """Ids of blocks that executed a conditional branch at least once."""
@@ -125,7 +191,7 @@ class ExecutionTrace:
 
         Only the replay and pricing consumers of the *ref* trace read it,
         so a trace that is only counted (``use_counts`` /
-        ``taken_counts``, e.g. the train run) never pays for it.
+        ``taken_counts``) never pays for it.
         """
         if self._events is None:
             with span("trace.index", steps=len(self.blocks)):
@@ -134,22 +200,41 @@ class ExecutionTrace:
         return self._events
 
     def _build_events(self) -> Dict[int, BlockEvents]:
-        """Group the steps by block with one stable whole-trace argsort.
+        """Group the steps by block with stable per-chunk argsorts.
 
         Ids are narrowed to the smallest unsigned width holding
         ``num_blocks`` (checked in ``__init__``); for 8/16-bit keys
-        numpy's stable sort is an O(N) radix sort.  Every block's
-        ``steps`` is a read-only view of the one shared ``order`` array.
+        numpy's stable sort is an O(N) radix sort.  Each chunk of
+        :data:`_SORT_CHUNK` steps is sorted on its own and its runs are
+        appended to their blocks' slices of one shared ``order`` array,
+        which the cached whole-run counts lay out up front; so the sort's
+        scratch stays chunk-sized and no pass counts the steps again.
+        Every block's ``steps`` is a read-only view of ``order``.
         """
         keys = self.blocks
         if self.num_blocks <= 1 << 8:
             keys = keys.astype(np.uint8)
         elif self.num_blocks <= 1 << 16:
             keys = keys.astype(np.uint16)
-        order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
-        order.flags.writeable = False
-        counts = np.bincount(keys, minlength=self.num_blocks)
+        counts = self.use_counts()
         ends = np.cumsum(counts)
+        fill = ends - counts  # next free slot of each block's slice
+        order = np.empty(len(keys), dtype=np.int64)
+        inner = np.arange(1, self.num_blocks, dtype=keys.dtype)
+        for lo in range(0, len(keys), _SORT_CHUNK):
+            part = keys[lo:lo + _SORT_CHUNK]
+            perm = np.argsort(part, kind="stable")
+            # Where each block's run starts in the sorted chunk.
+            bounds = np.empty(self.num_blocks + 1, dtype=np.int64)
+            bounds[0] = 0
+            bounds[1:-1] = np.searchsorted(part[perm], inner)
+            bounds[-1] = len(part)
+            perm += lo
+            for bid in np.flatnonzero(np.diff(bounds)).tolist():
+                a, b = bounds[bid], bounds[bid + 1]
+                order[fill[bid]:fill[bid] + b - a] = perm[a:b]
+                fill[bid] += b - a
+        order.flags.writeable = False
         has_taken = self.taken_counts() > 0
         events: Dict[int, BlockEvents] = {}
         for bid in np.flatnonzero(counts).tolist():

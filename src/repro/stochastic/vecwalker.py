@@ -3,7 +3,7 @@
 :class:`VecWalker` produces **bit-identical** traces to
 :class:`~repro.stochastic.walker.CFGWalker` — same seed ⇒ same event
 stream, counter tables, and regions — while replacing the per-step Python
-loop with chunked numpy evaluation.  Three layers make that possible:
+loop with chunked numpy evaluation.  Four layers make that possible:
 
 1. **Exact RNG equivalence.**  CPython's ``random.Random`` and numpy's
    legacy ``RandomState`` share the same MT19937 generator *and* the same
@@ -33,6 +33,18 @@ loop with chunked numpy evaluation.  Three layers make that possible:
    consumed, so window size never affects the event stream.  Decisions
    too close to a boundary for a window to pay run one at a time.
 
+4. **Counts from decisions.**  Every decided segment is tallied by
+   ``(start << 1) | outcome``: one ``bincount`` per accepted window and
+   per sealed run of per-decision tokens.  At the end the tally becomes
+   the whole-run counts — each visit of a segment start uses every
+   block of its segment, outcome 1 takes its terminal branch — and the
+   truncated last segment or branch-free-cycle tail is added in closed
+   form.  :meth:`VecWalker.run` hands these counts to its
+   :class:`~repro.stochastic.trace.ExecutionTrace`, so AVEP and the
+   event index never rescan the steps; :meth:`VecWalker.count` makes
+   the same walk without decoding a chunk and returns only the
+   :class:`~repro.stochastic.trace.RunCounts`.
+
 Behaviour semantics mirror the scalar walker exactly: phase changes apply
 to any decision at global step ``>= until``; warm-up counts down per
 branch execution; one uniform is consumed per decision in execution
@@ -40,15 +52,17 @@ order; a trace truncated mid-segment never records an outcome for the
 segment's terminal branch.  The differential suite
 (``tests/stochastic/test_vecwalker_diff.py``) pins all of this.
 
-:func:`record_trace` is the one entry point the workloads layer uses to
-record a benchmark run.
+:func:`record_trace` is the entry point the workloads layer uses to
+record a benchmark run, and :func:`record_counts` the one it uses to
+count a run it never replays.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -57,7 +71,7 @@ from ..interp.events import EventBatch
 from ..obs import inc
 from ..obs.spans import span
 from .behavior import BranchBehavior, ProgramBehavior
-from .trace import NO_BRANCH, ExecutionTrace
+from .trace import NO_BRANCH, ExecutionTrace, RunCounts
 
 #: ``seg_branch`` sentinel: the segment ends at an exit block.
 SEG_EXIT = -1
@@ -304,6 +318,7 @@ class VecWalker:
         self._seg_blocks = seg_blocks
         self._seg_cycle_at = seg_cycle_at
         self._seg_len_np = np.asarray(seg_len, dtype=np.int32)
+        self._seg_branch_np = np.asarray(seg_branch, dtype=np.int64)
         offsets = np.zeros(n, dtype=np.int32)
         np.cumsum(self._seg_len_np[:-1], out=offsets[1:])
         self._seg_off_np = offsets
@@ -343,23 +358,42 @@ class VecWalker:
         """Walk the CFG for up to ``max_steps`` block executions.
 
         Batches are written into arrays preallocated for ``max_steps``;
-        a walk that ends early keeps one truncated copy.  The per-block
-        event index stays lazy, as with the scalar walker:
+        a walk that ends early keeps one truncated copy.  The trace
+        carries the walk's own whole-run counts, so its ``use_counts``,
+        ``taken_counts`` and event index never rescan the arrays.  The
+        per-block event index stays lazy, as with the scalar walker:
         :meth:`ExecutionTrace.events` builds it on first use.
         """
         size = max(int(max_steps), 0)
         blocks = np.empty(size, dtype=np.int32)
         taken = np.empty(size, dtype=np.int8)
         n = 0
-        for batch in self.run_batches(size, start=start):
+
+        def store(batch: EventBatch) -> None:
+            nonlocal n
             k = len(batch.blocks)
             blocks[n:n + k] = batch.blocks
             taken[n:n + k] = batch.taken
             n += k
+
+        counts = _drive(self._walk(size, start, record=True), store)
         if n < size:
             blocks = blocks[:n].copy()
             taken = taken[:n].copy()
-        return ExecutionTrace(blocks, taken, self.cfg.num_nodes)
+        return ExecutionTrace(blocks, taken, self.cfg.num_nodes,
+                              counts=counts)
+
+    def count(self, max_steps: int,
+              start: Optional[int] = None) -> RunCounts:
+        """Walk like :meth:`run`, keeping only the whole-run counts.
+
+        The decisions are made exactly as in :meth:`run` (same uniforms,
+        same windows), but no chunk is decoded and no per-step array is
+        allocated.
+        """
+        inc("kernel.vector.count_runs")
+        return _drive(self._walk(max(int(max_steps), 0), start,
+                                 record=False))
 
     def run_batches(self, max_steps: int,
                     start: Optional[int] = None) -> Iterator[EventBatch]:
@@ -368,7 +402,17 @@ class VecWalker:
         Concatenating the chunks yields exactly the scalar walker's
         arrays; chunk boundaries are a delivery detail.
         """
-        max_steps = int(max_steps)
+        yield from self._walk(int(max_steps), start, record=True)
+
+    def _walk(self, max_steps: int, start: Optional[int],
+              record: bool) -> Generator[EventBatch, None, RunCounts]:
+        """The walk behind :meth:`run_batches` and :meth:`count`.
+
+        Every decided segment is tallied by ``(start << 1) | outcome``
+        (one ``bincount`` per window, one per sealed run of slow tokens);
+        the generator returns the tally as :class:`RunCounts`.  With
+        ``record`` it also decodes and yields the event chunks.
+        """
         seg_len_np = self._seg_len_np
         seg_off_np = self._seg_off_np
         flat_blocks = self._flat_blocks
@@ -378,6 +422,8 @@ class VecWalker:
         state_of = self._state_of
         sink = len(branches)
         min_seg = self._min_seg
+        num_blocks = self.cfg.num_nodes
+        tally = np.zeros(2 * num_blocks, dtype=np.int64)
 
         # Per-run mutable behaviour state (compile state is never touched).
         cur_p = list(self._cur_p0)
@@ -415,6 +461,7 @@ class VecWalker:
         tail_node = -1
         tail_len = 0
         tail_raw: Optional[np.ndarray] = None
+        tail_cycle: Optional[Tuple[np.ndarray, np.ndarray, int, int]] = None
         done = False
         slow_decisions = 0
         window_decisions = 0
@@ -422,25 +469,34 @@ class VecWalker:
         discarded = 0
         num_chunks = 0
 
+        def seal_slow() -> Optional[np.ndarray]:
+            # Tally the pending slow-path tokens and hand them back.
+            nonlocal slow_decisions
+            if not slow_t:
+                return None
+            tokens = np.asarray(slow_t, dtype=np.int64)
+            slow_t.clear()
+            slow_decisions += len(tokens)
+            tally[:] += np.bincount(tokens, minlength=2 * num_blocks)
+            return tokens
+
         def build_batch() -> Optional[EventBatch]:
             # Slow-path tokens accumulate per chunk in one flat list;
             # sealing a run (window commit) only records an (lo, hi)
             # marker in ``pieces`` and the whole chunk is decoded here in
             # a single numpy pass, with the markers resolved as views.
-            nonlocal slow_decisions, slow_lo
+            nonlocal slow_lo
             ns = len(slow_t)
             if ns > slow_lo:
                 pieces.append((slow_lo, ns))
+            tokens = seal_slow()
             if not pieces and tail_node < 0 and tail_raw is None:
                 return None
-            if ns:
-                slow_decisions += ns
-                arr = np.asarray(slow_t, dtype=np.int64)
-                sv = arr >> 1
-                so = arr & 1
+            if tokens is not None:
+                sv = tokens >> 1
+                so = tokens & 1
                 resolved = [(sv[p0:p1], so[p0:p1]) if type(p0) is int
                             else (p0, p1) for p0, p1 in pieces]
-                slow_t.clear()
             else:
                 resolved = pieces
             slow_lo = 0
@@ -479,6 +535,17 @@ class VecWalker:
                     taken, np.full(len(tail_raw), NO_BRANCH, dtype=np.int8)])
             pieces.clear()
             return EventBatch(blocks=blocks, taken=taken)
+
+        def flush() -> Iterator[EventBatch]:
+            # Seal the chunk: decode it when recording, else just tally.
+            nonlocal num_chunks
+            if not record:
+                seal_slow()
+                return
+            batch = build_batch()
+            if batch is not None:
+                num_chunks += 1
+                yield batch
 
         chunk_limit = chunk_steps
         while not done and g < max_steps:
@@ -525,11 +592,14 @@ class VecWalker:
                         warming = [(s, x) for s, x in warming
                                    if warm_left[x]]
                         fsm = None
-                ns = len(slow_t)
-                if ns > slow_lo:
-                    pieces.append((slow_lo, ns))
-                    slow_lo = ns
-                pieces.append((starts[:m], outcomes))
+                tally += np.bincount((starts[:m] << 1) | outcomes,
+                                     minlength=2 * num_blocks)
+                if record:
+                    ns = len(slow_t)
+                    if ns > slow_lo:
+                        pieces.append((slow_lo, ns))
+                        slow_lo = ns
+                    pieces.append((starts[:m], outcomes))
                 g = int(pos[m - 1]) + 1
                 v = int(nxt[m - 1])
                 ci += m
@@ -543,10 +613,7 @@ class VecWalker:
                 elif m == W and window < _WINDOW:
                     window *= 2
                 if g >= chunk_limit:
-                    batch = build_batch()
-                    if batch is not None:
-                        num_chunks += 1
-                        yield batch
+                    yield from flush()
                     chunk_limit = g + chunk_steps
                 continue
 
@@ -589,34 +656,51 @@ class VecWalker:
                 ci += 1
                 g = end
                 if g >= chunk_limit:
-                    batch = build_batch()
-                    if batch is not None:
-                        num_chunks += 1
-                        yield batch
+                    yield from flush()
                     chunk_limit = g + chunk_steps
                 continue
 
             # ---- terminal: exit, branch-free cycle, or step budget ----
             remaining = max_steps - g
             if b == SEG_CYCLE and remaining > L:
+                # The path, then ``reps`` whole cycles and a partial one;
+                # counted in closed form, materialised only to record.
                 path = self._seg_blocks[v]
                 cyc = path[self._seg_cycle_at[v]:]
                 reps, rest = divmod(remaining - L, len(cyc))
-                tail_raw = np.concatenate([path, np.tile(cyc, reps),
-                                           cyc[:rest]])
+                tail_cycle = (path, cyc, reps, rest)
+                if record:
+                    tail_raw = np.concatenate([path, np.tile(cyc, reps),
+                                               cyc[:rest]])
+                g += remaining
             else:
                 # Ends at an exit, or truncated mid-segment: emit the
                 # prefix; a cut terminal branch records no outcome, like
                 # the scalar walker that never reaches its step.
                 tail_node = v
                 tail_len = min(L, remaining)
-            g += min(L, remaining) if tail_raw is None else remaining
+                g += tail_len
             done = True
 
-        batch = build_batch()
-        if batch is not None:
-            num_chunks += 1
-            yield batch
+        yield from flush()
+
+        # Every visit of a segment start uses each block of its segment
+        # once (a ragged add over the flat segment table) and, with
+        # outcome 1, takes the segment's terminal branch.
+        use = np.zeros(num_blocks, dtype=np.int64)
+        np.add.at(use, flat_blocks,
+                  np.repeat(tally[0::2] + tally[1::2], seg_len_np))
+        taken_counts = np.zeros(num_blocks, dtype=np.int64)
+        ended = self._seg_branch_np >= 0
+        np.add.at(taken_counts, self._seg_branch_np[ended],
+                  tally[1::2][ended])
+        if tail_node >= 0:
+            use[self._seg_blocks[tail_node][:tail_len]] += 1
+        elif tail_cycle is not None:
+            path, cyc, reps, rest = tail_cycle
+            use[path] += 1
+            use[cyc] += reps
+            use[cyc[:rest]] += 1
 
         inc("kernel.vector.runs")
         inc("kernel.vector.steps", g)
@@ -626,6 +710,24 @@ class VecWalker:
         inc("kernel.vector.decisions.window", window_decisions)
         inc("kernel.vector.decisions.slow", slow_decisions)
         inc("kernel.vector.decisions.discarded", discarded)
+        # These counts needed no pass over steps; the zero increment makes
+        # ``trace.count_passes`` show in the run's manifest.
+        inc("trace.count_passes", 0)
+        return RunCounts(use=use, taken=taken_counts, num_steps=g)
+
+
+def _drive(walk: Generator[EventBatch, None, RunCounts],
+           emit: Optional[Callable[[EventBatch], None]] = None
+           ) -> RunCounts:
+    """Run ``walk`` to its end, handing each batch to ``emit``; return
+    the walk's counts."""
+    while True:
+        try:
+            batch = next(walk)
+        except StopIteration as stop:
+            return stop.value
+        if emit is not None:
+            emit(batch)
 
 
 def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,
@@ -639,3 +741,11 @@ def record_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
     """Record one run of ``cfg`` under ``behavior``, instrumented."""
     with span("kernel.record_trace", steps=int(max_steps)):
         return VecWalker(cfg, behavior, seed=seed).run(max_steps)
+
+
+def record_counts(cfg: ControlFlowGraph, behavior: ProgramBehavior,
+                  max_steps: int, seed: int = 0) -> RunCounts:
+    """Count one run of ``cfg`` under ``behavior`` without recording its
+    steps: :func:`record_trace`'s counts, instrumented."""
+    with span("kernel.record_counts", steps=int(max_steps)):
+        return VecWalker(cfg, behavior, seed=seed).count(max_steps)

@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
 from ..stochastic.behavior import ProgramBehavior
-from ..stochastic.trace import ExecutionTrace
-from ..stochastic.vecwalker import record_trace
+from ..stochastic.trace import ExecutionTrace, RunCounts
+from ..stochastic.vecwalker import record_counts, record_trace
 from .characters import Character, realize_character
 from .generators import Workload
 
@@ -94,17 +94,29 @@ class SyntheticBenchmark:
                 self.workload, self.character, self.run_steps)
         return self._behaviors
 
-    def trace(self, input_name: str = "ref") -> ExecutionTrace:
-        """Record one run under the given input."""
+    def _input(self, input_name: str) -> Tuple[ProgramBehavior, int, int]:
+        """(behaviour, run length, seed) of the named input."""
         ref, train = self.behaviors()
         if input_name == "ref":
-            return record_trace(self.cfg, ref, self.run_steps,
-                                seed=self.seed_ref)
+            return ref, self.run_steps, self.seed_ref
         if input_name == "train":
-            return record_trace(
-                self.cfg, train, self.train_steps,  # type: ignore[arg-type]
-                seed=self.seed_train)
+            return (train, self.train_steps,  # type: ignore[return-value]
+                    self.seed_train)
         raise ValueError(f"unknown input {input_name!r}")
+
+    def trace(self, input_name: str = "ref") -> ExecutionTrace:
+        """Record one run under the given input."""
+        behavior, steps, seed = self._input(input_name)
+        return record_trace(self.cfg, behavior, steps, seed=seed)
+
+    def counts(self, input_name: str = "ref") -> RunCounts:
+        """Count one run under the given input without recording it.
+
+        Equal to ``trace(input_name).counts()``, from the same walk, but
+        no per-step array is built: enough for AVEP and INIP(train).
+        """
+        behavior, steps, seed = self._input(input_name)
+        return record_counts(self.cfg, behavior, steps, seed=seed)
 
     def scaled(self, steps_scale: float) -> "SyntheticBenchmark":
         """A copy with both run lengths scaled by ``steps_scale``.

@@ -12,7 +12,7 @@ from repro.dbt.batchreplay import ReplaySweepStats
 from repro.ir import Cond, ProgramBuilder
 from repro.stochastic import ProgramBehavior, steady, walk
 
-from .reference import heap_replay, walker_trace
+from .reference import heap_replay, walker_counts, walker_trace
 
 # ``--hypothesis-profile=ci``: more examples for every property test that
 # does not pin its own count, and a reproduction blob on any failure.
@@ -41,7 +41,8 @@ def _hermetic_repro_env(monkeypatch):
 def oracle_engines(monkeypatch):
     """Route the study pipeline through the reference engines.
 
-    Trace recording runs the scalar walker and every replay drains its
+    Trace recording runs the scalar walker, count-only runs count the
+    scalar walker's trace with ``bincount``, and every replay drains its
     registrations off a heap (see ``tests/reference.py``).  The patches
     live in this process only, so use it with ``jobs=1``.
     """
@@ -50,6 +51,7 @@ def oracle_engines(monkeypatch):
         return ReplaySweepStats()
 
     monkeypatch.setattr("repro.workloads.spec.record_trace", walker_trace)
+    monkeypatch.setattr("repro.workloads.spec.record_counts", walker_counts)
     monkeypatch.setattr("repro.dbt.replay.run_batched_replay",
                         reference_sweep)
 

@@ -333,6 +333,29 @@ def test_forced_rank_deficient_system_is_counted(nested_cfg, monkeypatch):
     assert not np.array_equal(navep.frequencies, clean.frequencies)
 
 
+def test_solve_records_the_drift_the_verifier_reads(nested_cfg):
+    """Each solve observes its worst relative conservation drift; the
+    verifier reads the same per-block numbers, recomputed only when the
+    frequencies are replaced."""
+    from repro.obs.registry import get_registry
+
+    graph, avep = _loop_region_system(nested_cfg)
+    drifts = get_registry().histogram("navep.conservation_drift")
+    seen = drifts.count
+    navep = normalize_avep(graph, avep)
+    per_block = navep.conservation_drift(avep)
+    assert drifts.count == seen + 1
+    assert set(per_block) == graph.duplicated_blocks()
+    assert drifts.values()[-1] == max(per_block.values())
+    for block, drift in per_block.items():
+        expected = avep.block_frequency(block)
+        assert drift == pytest.approx(
+            abs(navep.block_total(block) - expected) / max(expected, 1))
+    assert navep.conservation_drift(avep) is per_block
+    navep.frequencies = navep.frequencies * 2.0
+    assert navep.conservation_drift(avep) is not per_block
+
+
 def test_study_manifest_reports_navep_health():
     """The manifest carries the run's worst NAVEP solve, and the report
     renders it."""
@@ -348,3 +371,26 @@ def test_study_manifest_reports_navep_health():
     assert health["max_residual_norm"] >= 0.0
     assert health["rank_deficient"] == 0 and health["max_rank_deficit"] == 0
     assert "NAVEP health:" in render_manifest(results.manifest)
+
+
+def test_study_manifest_reports_conservation_drift():
+    """The manifest's navep section carries the run's worst relative
+    conservation drift and its benchmark, and the report prints it."""
+    from repro.harness import run_full_study
+    from repro.obs.manifest import render_manifest
+    from repro.obs.registry import get_registry
+
+    seen = get_registry().histogram("navep.conservation_drift").count
+    results = run_full_study(names=["gzip", "mcf"], thresholds=[5, 50],
+                             steps_scale=0.02, include_perf=False,
+                             cache_dir=None, jobs=1)
+    health = results.manifest["navep"]
+    drift = get_registry().histogram("navep.conservation_drift")
+    assert drift.count - seen == health["solves"]
+    assert health["max_conservation_drift"] in drift.values()
+    assert 0.0 <= health["max_conservation_drift"] < 0.5
+    if health["max_conservation_drift"] > 0:
+        assert health["max_drift_bench"] in ("gzip", "mcf")
+    line = next(line for line in render_manifest(results.manifest).split("\n")
+                if line.startswith("NAVEP health:"))
+    assert "conservation drift" in line

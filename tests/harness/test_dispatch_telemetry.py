@@ -182,6 +182,23 @@ def test_walker_counters_reach_the_study():
     assert delta["kernel.vector.decisions.discarded"] >= 0
 
 
+def test_walk_counts_come_from_the_walker():
+    """A serial gzip+art study reads every whole-run count off the
+    walker's decisions: no per-step counting pass, one count-only train
+    walk per benchmark, and one event index per ref trace."""
+    names = ["trace.count_passes", "kernel.vector.count_runs",
+             "trace.index_builds"]
+    before = {name: counter_value(name) for name in names}
+    results = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
+                             **KWARGS)
+    delta = {name: counter_value(name) - before[name] for name in names}
+    assert delta == {"trace.count_passes": 0,
+                     "kernel.vector.count_runs": 2,
+                     "trace.index_builds": 2}
+    assert all(name in results.manifest["metrics"]["counters"]
+               for name in names)
+
+
 def test_cached_run_skips_dispatch_section(tmp_path):
     cache = str(tmp_path / "cache")
     run_full_study(names=["gzip"], cache_dir=cache, jobs=1, **KWARGS)

@@ -8,6 +8,9 @@ live here, where only tests can reach them:
 
 * :func:`walker_trace` — the scalar :class:`~repro.stochastic.CFGWalker`,
   one Python iteration per step, with ``record_trace``'s signature;
+* :func:`walker_counts` — the same walk counted by :func:`reference_counts`
+  (one ``bincount`` per counter over the recorded arrays), with the
+  count-only ``record_counts``'s signature;
 * :func:`heap_replay` — one threshold's registration stream drained off
   a heap, one Python iteration per registration, with
   ``run_batched_replay``'s ``(positions, config, optimize)`` callback
@@ -20,9 +23,10 @@ live here, where only tests can reach them:
   of the trace per block, against which the radix-sorted
   :meth:`~repro.stochastic.ExecutionTrace.events` is checked.
 
-The ``oracle_engines`` fixture (``tests/conftest.py``) swaps both into
-the study pipeline; :func:`reference_replay` runs one threshold through
-the heap walk directly.
+The ``oracle_engines`` fixture (``tests/conftest.py``) swaps the
+walkers and the heap replay into the study pipeline;
+:func:`reference_replay` runs one threshold through the heap walk
+directly.
 """
 
 from __future__ import annotations
@@ -40,13 +44,30 @@ from repro.dbt.batchreplay import OptimizeFn
 from repro.dbt.replay import registration_positions
 from repro.perfmodel import DEFAULT_COSTS, CostBreakdown, CostModel
 from repro.stochastic import (BlockEvents, CFGWalker, ExecutionTrace,
-                              ProgramBehavior)
+                              ProgramBehavior, RunCounts)
 
 
 def walker_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
                  max_steps: int, seed: int = 0) -> ExecutionTrace:
     """Record one run with the scalar walker."""
     return CFGWalker(cfg, behavior, seed=seed).run(max_steps)
+
+
+def reference_counts(trace: ExecutionTrace) -> RunCounts:
+    """Whole-run use/taken counts of ``trace``, bincounted from its
+    arrays."""
+    n = trace.num_blocks
+    return RunCounts(
+        use=np.bincount(trace.blocks, minlength=n).astype(np.int64),
+        taken=np.bincount(trace.blocks[trace.taken == 1],
+                          minlength=n).astype(np.int64),
+        num_steps=trace.num_steps)
+
+
+def walker_counts(cfg: ControlFlowGraph, behavior: ProgramBehavior,
+                  max_steps: int, seed: int = 0) -> RunCounts:
+    """Count one run: the scalar walker's trace, bincounted."""
+    return reference_counts(walker_trace(cfg, behavior, max_steps, seed))
 
 
 def heap_replay(positions: Mapping[int, np.ndarray], config: DBTConfig,

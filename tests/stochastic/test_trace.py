@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.interp import Interpreter
-from repro.stochastic import (NO_BRANCH, ExecutionTrace, TraceError,
-                              TraceRecorder)
+from repro.obs.registry import counter_value
+from repro.stochastic import (NO_BRANCH, ExecutionTrace, RunCounts,
+                              TraceError, TraceRecorder)
 
 
 def _tiny_trace():
@@ -22,6 +23,32 @@ def test_counts():
     assert list(trace.taken_counts()) == [0, 1, 0]
     assert list(trace.branch_blocks()) == [1]
     assert trace.num_steps == len(trace) == 5
+
+
+def test_array_trace_counts_once_and_caches():
+    """A trace built from arrays is counted by one cached bincount that
+    the counters and the event index share."""
+    trace = _tiny_trace()
+    passes = counter_value("trace.count_passes")
+    use, taken = trace.use_counts(), trace.taken_counts()
+    trace.events()
+    assert trace.use_counts() is use and trace.taken_counts() is taken
+    assert counter_value("trace.count_passes") == passes + 1
+    assert not use.flags.writeable and not taken.flags.writeable
+
+
+def test_recorded_counts_are_read_not_recounted():
+    counts = RunCounts(use=np.array([2, 2, 1]), taken=np.array([0, 1, 0]),
+                       num_steps=5)
+    trace = ExecutionTrace(np.array([0, 1, 0, 1, 2]),
+                           np.array([NO_BRANCH, 1, NO_BRANCH, 0, NO_BRANCH]),
+                           3, counts=counts)
+    passes = counter_value("trace.count_passes")
+    assert trace.counts() is counts
+    assert list(trace.events()[1].taken_prefix) == [0, 1, 1]
+    assert counter_value("trace.count_passes") == passes
+    with pytest.raises(TraceError):
+        ExecutionTrace(trace.blocks[:4], trace.taken[:4], 3, counts=counts)
 
 
 def test_events_index():

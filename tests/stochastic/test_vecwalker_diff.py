@@ -13,6 +13,11 @@ prime / beyond the run length, phase boundaries inside a lockstep
 block, warm-up expiry mid-window, budgets and sinks mid-window,
 single-successor cycles, immediate exits, start overrides, one branch
 and hundreds of branches).
+
+The whole-run counts the walker tallies from its own decisions get the
+same treatment at the end of the file: ``run``'s counts, the count-only
+``count`` and a ``bincount`` of ``run``'s own arrays must all equal the
+scalar walker's counters.
 """
 
 import math
@@ -31,6 +36,9 @@ from repro.stochastic import (BranchBehavior, CFGWalker, Phase,
                               numpy_uniform_stream, phased, record_trace,
                               steady, vec_walk, warmup)
 from repro.stochastic import vecwalker
+from repro.workloads import all_benchmarks, get_benchmark
+
+from ..reference import reference_counts, walker_counts
 
 # Chunk sizes straddling every interesting boundary: degenerate (1),
 # prime (so chunk edges never align with loop periods), and larger than
@@ -641,3 +649,171 @@ def test_fuzz_small_blocks_and_windows(case, sizes):
         vector = vector_trace(cfg, behavior, steps, seed, chunk)
     assert_traces_equal(scalar_trace(cfg, behavior, steps, seed), vector,
                         f"steps={steps} seed={seed} sizes={sizes}")
+
+
+# ---------------------------------------------------------------------------
+# Whole-run counts: tallied from the walker's decisions, never rescanned.
+# ---------------------------------------------------------------------------
+
+def assert_counts_agree(cfg, behavior, steps, seed, chunk=13, start=None,
+                        label=""):
+    """``run``'s counts == ``count`` == bincount of ``run``'s arrays ==
+    the scalar walker's counters, and neither walk counted its steps
+    from an array or ``count`` decoded a chunk."""
+    walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=chunk)
+    passes = counter_value("trace.count_passes")
+    traced = walker.run(steps, start=start)
+    chunks = counter_value("kernel.vector.chunks")
+    counted = walker.count(steps, start=start)
+    assert counter_value("kernel.vector.chunks") == chunks, label
+    walked = traced.counts()
+    assert counter_value("trace.count_passes") == passes, label
+    expected = reference_counts(scalar_trace(cfg, behavior, steps, seed,
+                                             start=start))
+    for got in (walked, counted, reference_counts(traced)):
+        assert got.num_steps == expected.num_steps, label
+        assert got.num_blocks == expected.num_blocks, label
+        np.testing.assert_array_equal(got.use, expected.use, label)
+        np.testing.assert_array_equal(got.taken, expected.taken, label)
+    assert int(counted.use.sum()) == counted.num_steps, label
+    return traced
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_case())
+def test_fuzz_counts_equal_scalar(case):
+    cfg, behavior, steps, seed, chunk = case
+    assert_counts_agree(cfg, behavior, steps, seed, chunk,
+                        label=f"steps={steps} seed={seed} chunk={chunk}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_case(), st.integers(min_value=0, max_value=23))
+def test_fuzz_counts_start_override(case, start):
+    cfg, behavior, steps, seed, chunk = case
+    assert_counts_agree(cfg, behavior, steps, seed, chunk,
+                        start=start % cfg.num_nodes, label=f"start={start}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_case(), st.sampled_from([(4, 8), (8, 32), (32, 64)]))
+def test_fuzz_counts_small_blocks_and_windows(case, sizes):
+    """Windows down to one decision before a boundary
+    (``_MIN_DECISIONS = 1``) and tiny lockstep blocks: every clip of a
+    window's tally lands at every position of a block."""
+    cfg, behavior, steps, seed, chunk = case
+    block, window = sizes
+    with mock.patch.object(vecwalker, "_BLOCK", block), \
+            mock.patch.object(vecwalker, "_WINDOW_START", window), \
+            mock.patch.object(vecwalker, "_WINDOW", 4 * window), \
+            mock.patch.object(vecwalker, "_MIN_DECISIONS", 1):
+        assert_counts_agree(cfg, behavior, steps, seed, chunk,
+                            label=f"steps={steps} sizes={sizes}")
+
+
+def test_counts_at_an_exit_mid_window():
+    cfg = ControlFlowGraph([(1,), (2, 4), (3,), (1,), (5,), ()])
+    behavior = ProgramBehavior()
+    behavior.set(1, steady(0.9995))
+    trace = assert_counts_agree(cfg, behavior, 10**6, seed=9, chunk=4096)
+    assert 0 < trace.num_steps < 10**6
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 61, 60_000])
+def test_counts_of_branch_free_cycle_tails(steps):
+    """The cycle tail is counted in closed form (path, whole cycles and
+    a partial one), both after a window and from the entry on."""
+    after_loop = ControlFlowGraph([
+        (1,), (2,), (3, 4), (2,), (5, 6), (7,), (7,),
+        (8, 1),      # 7 outer latch: taken -> cycle
+        (9,), (10,), (8,),  # 8 -> 9 -> 10 -> 8, no branch
+    ])
+    behavior = ProgramBehavior()
+    behavior.set(2, steady(0.96))
+    behavior.set(4, steady(0.8))
+    behavior.set(7, steady(0.002))
+    for chunk in CHUNKS:
+        assert_counts_agree(after_loop, behavior, steps, seed=2,
+                            chunk=chunk, label=f"chunk={chunk}")
+    pure_cycle = ControlFlowGraph([(1,), (2,), (3,), (1,)])
+    assert_counts_agree(pure_cycle, ProgramBehavior(), steps, seed=0)
+
+
+@pytest.mark.parametrize("steps", list(range(1, 40)) + [6_001, 6_004])
+def test_counts_when_the_budget_ends_mid_segment(steps):
+    """A truncated final segment uses its prefix and records no taken
+    outcome for the unreached branch."""
+    cfg, behavior = long_segment_cfg()
+    for chunk in (1, 4, 4096):
+        assert_counts_agree(cfg, behavior, steps, seed=2, chunk=chunk,
+                            label=f"steps={steps} chunk={chunk}")
+
+
+@pytest.mark.parametrize("start", [2, 4, 7, 8])
+def test_counts_from_start_overrides(nested_cfg, nested_behavior, start):
+    assert_counts_agree(nested_cfg, nested_behavior, 30_000, seed=start,
+                        start=start)
+
+
+@pytest.mark.parametrize("offset", range(0, 64, 9))
+def test_counts_across_phase_boundaries_in_a_lockstep_block(nested_cfg,
+                                                            offset):
+    behavior = ProgramBehavior()
+    behavior.set(2, phases(0.96, 4_000, 3, offset=offset))
+    behavior.set(4, phases(0.8, 2_500, 5, offset=3 * offset))
+    behavior.set(7, steady(0.001))
+    assert_counts_agree(nested_cfg, behavior, 16_000, seed=offset)
+
+
+def test_counts_across_warmup_expiries_in_one_window(nested_cfg):
+    behavior = ProgramBehavior()
+    behavior.set(2, warmup(uses=40, p_init=0.5, p_steady=0.96))
+    behavior.set(4, warmup(uses=3, p_init=0.05, p_steady=0.8))
+    behavior.set(7, steady(0.001))
+    windows0 = windows()
+    assert_counts_agree(nested_cfg, behavior, 20_000, seed=3)
+    assert windows() > windows0
+
+
+@pytest.mark.parametrize("min_decisions", [1, vecwalker._MIN_DECISIONS])
+def test_counts_with_windows_up_to_the_budget(monkeypatch, min_decisions):
+    monkeypatch.setattr(vecwalker, "_MIN_DECISIONS", min_decisions)
+    cfg, behavior = long_segment_cfg()
+    for extra in range(0, 9, 2):
+        assert_counts_agree(cfg, behavior, 6_000 + extra, seed=extra)
+
+
+def test_counts_of_slow_decisions_with_one_step_chunks(nested_cfg,
+                                                       monkeypatch):
+    """``chunk_steps=1`` with tiny buffers: slow tokens are tallied at
+    every seal, in ``count`` as in ``run``."""
+    monkeypatch.setattr(vecwalker, "_DRAW", 16)
+    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
+    _, slow0 = decisions()
+    assert_counts_agree(nested_cfg, phased_nested_behavior(), 5_000, seed=5,
+                        chunk=1)
+    assert decisions()[1] > slow0
+
+
+def test_count_only_walk_is_counted_as_a_run(nested_cfg, nested_behavior):
+    runs = counter_value("kernel.vector.runs")
+    count_runs = counter_value("kernel.vector.count_runs")
+    VecWalker(nested_cfg, nested_behavior, seed=1).count(5_000)
+    assert counter_value("kernel.vector.runs") == runs + 1
+    assert counter_value("kernel.vector.count_runs") == count_runs + 1
+
+
+@pytest.mark.parametrize("input_name", ["ref", "train"])
+@pytest.mark.parametrize("name", [b.name for b in all_benchmarks()])
+def test_benchmark_counts_equal_scalar(name, input_name):
+    """Every benchmark input at 5% length: ``counts`` == the recorded
+    trace's counts == the scalar walker's."""
+    bench = get_benchmark(name).scaled(0.05)
+    counted = bench.counts(input_name)
+    traced = bench.trace(input_name)
+    behavior, steps, seed = bench._input(input_name)
+    expected = walker_counts(bench.cfg, behavior, steps, seed=seed)
+    for got in (counted, traced.counts(), reference_counts(traced)):
+        assert got.num_steps == expected.num_steps
+        np.testing.assert_array_equal(got.use, expected.use)
+        np.testing.assert_array_equal(got.taken, expected.taken)
