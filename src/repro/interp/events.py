@@ -8,12 +8,12 @@ through the :class:`ExecutionListener` protocol; anything implementing it
 
 Scalar listeners pay one Python call per event, which caps the throughput
 of SPEC-scale runs.  :class:`EventBatch` is the array form of the same
-stream — one chunk of parallel ``blocks``/``taken`` arrays — produced by
-the vectorized walker kernel (:mod:`repro.stochastic.vecwalker`) and
-consumed by the batched ingest paths of the replay DBTs.  A batch stream
-and the scalar stream it encodes are interchangeable:
+stream — one chunk of parallel ``blocks``/``taken`` arrays.  A batch
+stream and the scalar stream it encodes are interchangeable:
 :meth:`EventBatch.scatter` replays a batch through any scalar listener,
-and :func:`iter_trace_batches` slices a recorded trace into batches.
+and :func:`iter_trace_batches` slices a recorded trace into batches (as
+:meth:`~repro.stochastic.vecwalker.VecWalker.run_batches` does with the
+trace it records).
 """
 
 from __future__ import annotations
@@ -142,10 +142,9 @@ def iter_trace_batches(trace: "ExecutionTraceLike",
     """Slice a recorded trace into :class:`EventBatch` chunks.
 
     Lets batch consumers (a :class:`BatchListener`, or
-    :func:`replay_batches` into a scalar listener) run off a stored trace
-    exactly as they would off the streaming vector kernel's
-    :meth:`~repro.stochastic.vecwalker.VecWalker.run_batches`.
-    ``chunk_steps`` must be positive.
+    :func:`replay_batches` into a scalar listener) run off any recorded
+    trace; every batch but the last holds ``chunk_steps`` steps, which
+    must be positive.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be >= 1, got {chunk_steps}")

@@ -44,8 +44,6 @@ CATALOG: List[Instrument] = [
                "Trace recordings performed by the vector walker."),
     Instrument("kernel.vector.steps", "counter",
                "Simulated steps walked by the vector kernel."),
-    Instrument("kernel.vector.chunks", "counter",
-               "Vectorised chunks processed across runs."),
     Instrument("kernel.vector.decisions", "counter",
                "Branch decisions drawn by the vector kernel."),
     Instrument("kernel.vector.decisions.window", "counter",
@@ -65,6 +63,9 @@ CATALOG: List[Instrument] = [
     Instrument("trace.count_passes", "counter",
                "Whole-run counts bincounted from a trace's per-step "
                "arrays (traces not recorded by the vector walker)."),
+    Instrument("trace.decodes", "counter",
+               "Per-step blocks/taken arrays decoded from a walker "
+               "trace's decision log (only when something reads them)."),
     Instrument("interp.runs", "counter",
                "Reference interpreter executions."),
     Instrument("interp.steps", "counter",

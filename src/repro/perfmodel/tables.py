@@ -11,7 +11,11 @@ once, in O(N), and each map is priced in O((blocks + edges) · log N):
 * ``keys`` holds ``edge * N + step`` for every step with a successor,
   grouped by dynamic edge ``(src, dst)`` and sorted.  It is built by
   splitting each block's sorted steps from the event index
-  (``trace.events()``) by successor, so no full-trace sort is paid;
+  (``trace.events()``) by successor, so no full-trace sort is paid.  A
+  walker trace names each step's successor from its successor table
+  (a block's only successor, or a branch's taken/fall-through one by
+  the outcomes in ``taken_prefix``), so its steps are never decoded;
+  an array trace reads ``blocks[step + 1]``;
 * per map, one ``searchsorted`` of ``edge * N + optimized_at[src]``
   counts each edge's optimised steps, and a ``bincount`` over ``src``
   (plus the last step, which has no edge) gives them per block.
@@ -66,15 +70,29 @@ class CostTables:
         self.unopt_price = sizes * costs.interp_cost + costs.profile_overhead
         self.opt_price = sizes * costs.opt_cost
         self.use = np.zeros(self.num_blocks, dtype=np.int64)
-        self._last_block = int(trace.blocks[-1]) if n else 0
+        self._last_block = 0
 
+        # A walker trace's successors follow from its CFG: a block's only
+        # successor, or a branch's by the outcome its prefix records.
+        table = trace.successors
         segments, src, dst = [], [], []
         for block, events in trace.events().items():
             steps = events.steps
             self.use[block] = len(steps)
             if steps[-1] == n - 1:
+                self._last_block = block  # the last step has no successor
                 steps = steps[:-1]
-            succ = trace.blocks[steps + 1]
+            if table is None:
+                succ = trace.blocks[steps + 1]
+            elif table[block, 0] == table[block, 1]:
+                if len(steps):
+                    segments.append(steps + len(segments) * n)
+                    src.append(block)
+                    dst.append(int(table[block, 0]))
+                continue
+            else:
+                succ = table[block].take(
+                    np.diff(events.taken_prefix[:len(steps) + 1]))
             while len(steps):  # one pass per distinct successor
                 here = succ == succ[0]
                 segments.append(steps[here] + len(segments) * n)

@@ -7,15 +7,25 @@ blocks without a conditional branch).
 
 Everything the study needs — AVEP, INIP(T) for *any* threshold, the
 performance model, profiling-operation accounting — derives from this one
-array pair, so each benchmark+input is simulated exactly once and replayed
+record, so each benchmark+input is simulated exactly once and replayed
 many times (see :mod:`repro.dbt.replay`).
+
+A trace recorded by the vector walker keeps its run as a
+:class:`DecisionLog` instead of per-step arrays: one segment start and
+one branch outcome per decision, plus the undecided tail.  Its per-block
+event index is built straight from the log (each segment's blocks at
+fixed offsets from the segment's start step), and ``blocks``/``taken``
+are decoded only if something reads them (counted in
+``trace.decodes``).  Traces built from arrays (the scalar walker,
+:meth:`ExecutionTrace.load`, :meth:`ExecutionTrace.from_sequences`) are
+indexed by a radix argsort of their block ids.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +122,179 @@ class RunCounts:
         return self.taken
 
 
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """A CFG's straight-line segments, compiled once per walker.
+
+    Segment ``v`` is the chain from block ``v`` through single-successor
+    blocks up to and including its terminal branch, or up to an exit, or
+    into a branch-free cycle.  Its blocks are distinct.
+
+    Attributes:
+        length: int32 blocks per segment.
+        offset: int32 start of each segment's blocks in ``flat``.
+        flat: int32 concatenation of every segment's blocks.
+        branch: int64 terminal branch per segment; negative when the
+            segment ends at an exit or enters a branch-free cycle.
+        cycle_at: per segment, the index in its blocks where its
+            branch-free cycle begins (``-1`` without one).
+        successors: int32 ``(num_blocks, 2)`` table of each block's
+            successor by outcome: column 1 the taken one, column 0 the
+            fall-through or only one; ``-1`` at exits.
+    """
+
+    length: np.ndarray
+    offset: np.ndarray
+    flat: np.ndarray
+    branch: np.ndarray
+    cycle_at: List[int]
+    successors: np.ndarray
+
+    def blocks(self, v: int) -> np.ndarray:
+        """Blocks of segment ``v``, in order."""
+        lo = int(self.offset[v])
+        return self.flat[lo:lo + int(self.length[v])]
+
+    def tail(self, v: int, steps: int) -> List[Tuple[int, range]]:
+        """Where each block runs when a walk follows segment ``v`` for
+        ``steps`` steps: ``(block, offsets)`` pairs, the offsets counted
+        from the segment's first step.
+
+        Past the segment's end the walk goes round its branch-free cycle,
+        so a cycle block's offsets repeat every cycle length.
+        """
+        if v < 0:
+            return []
+        at = self.cycle_at[v]
+        path = self.blocks(v).tolist()
+        return [(block, range(k, steps, len(path) - at) if 0 <= at <= k
+                 else range(k, k + 1))
+                for k, block in enumerate(path[:steps])]
+
+
+@dataclass(frozen=True, eq=False)
+class DecisionLog:
+    """A walk recorded as its decisions instead of its steps.
+
+    Decision ``i`` runs segment ``starts[i]`` (which ends at a branch)
+    and resolves that branch to ``outcomes[i]``; the segments follow each
+    other step for step.  After the last decision the walk follows
+    segment ``tail_start`` for ``tail_steps`` steps without deciding: a
+    prefix cut by the step budget, an exit segment, or a branch-free
+    cycle (``tail_start`` is ``-1`` when there is no tail).
+
+    Attributes:
+        segments: the walker's segment table.
+        starts: segment start per decision, in the narrowest unsigned
+            type holding every block id.
+        outcomes: int8 branch outcome per decision.
+        tail_start, tail_steps: the undecided tail.
+    """
+
+    segments: SegmentTable
+    starts: np.ndarray
+    outcomes: np.ndarray
+    tail_start: int
+    tail_steps: int
+
+    def decode(self, num_steps: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The per-step ``blocks``/``taken`` arrays of the logged walk."""
+        seg = self.segments
+        starts = self.starts
+        lens = seg.length[starts]
+        ends = np.cumsum(lens)
+        decided = num_steps - self.tail_steps
+        blocks = np.empty(num_steps, dtype=np.int32)
+        taken = np.full(num_steps, NO_BRANCH, dtype=np.int8)
+        if decided:
+            # Ragged gather index: +1 inside a segment, and at each
+            # segment start a jump from the previous segment's last flat
+            # offset to this one's first, all summed in place.
+            idx = np.ones(decided, dtype=np.int32)
+            offs = seg.offset[starts]
+            idx[0] = offs[0]
+            idx[ends[:-1]] = offs[1:] - (offs[:-1] + lens[:-1] - 1)
+            np.cumsum(idx, dtype=np.int32, out=idx)
+            seg.flat.take(idx, out=blocks[:decided])
+            taken[ends - 1] = self.outcomes
+        for block, at in seg.tail(self.tail_start, self.tail_steps):
+            blocks[decided + at.start:decided + at.stop:at.step] = block
+        return blocks, taken
+
+    def events(self, counts: RunCounts) -> Dict[int, BlockEvents]:
+        """The per-block event index of the logged walk.
+
+        Decision ``i`` starts at the sum of the lengths of the segments
+        before it, and block ``b`` at offset ``k`` of segment ``v`` runs
+        at that start plus ``k`` for every decision of ``v``.  One stable
+        (radix, for 8/16-bit starts) argsort groups the decisions by
+        segment; each segment's start steps, plus each offset, fill its
+        blocks' slices of one shared ``order`` array laid out from the
+        whole-run counts.  A block in several segments (a join) merges
+        its sorted runs with one stable sort, of ``step << 1 | outcome``
+        when the block is a branch, whose outcomes give ``taken_prefix``.
+        The tail's steps, the last of the run, close each slice.
+        """
+        seg = self.segments
+        starts = self.starts
+        num_steps = counts.num_steps
+        use = counts.use
+        per_start = np.bincount(starts, minlength=counts.num_blocks)
+        pos = np.zeros(len(starts), dtype=np.int32 if num_steps < 1 << 31
+                       else np.int64)
+        np.cumsum(seg.length[starts[:-1]], out=pos[1:])
+        perm = np.argsort(starts, kind="stable")
+        pos = pos[perm]
+        outcomes = self.outcomes[perm]
+        del perm
+        ends = np.cumsum(use)
+        fill = ends - use  # next free slot of each block's slice
+        order = np.empty(num_steps, dtype=np.int64)
+        runs: Dict[int, List[Tuple[int, int]]] = {}
+        group_end = np.cumsum(per_start)
+        for v in np.flatnonzero(per_start).tolist():
+            hi = int(group_end[v])
+            lo = hi - int(per_start[v])
+            for k, block in enumerate(seg.blocks(v).tolist()):
+                f = fill[block]
+                np.add(pos[lo:hi], k, out=order[f:f + hi - lo])
+                fill[block] = f + hi - lo
+                runs.setdefault(block, []).append((lo, hi))
+        del pos
+        taken_of: Dict[int, np.ndarray] = {}
+        for block, parts in runs.items():
+            is_branch = seg.branch[block] == block
+            if len(parts) == 1:
+                if is_branch:
+                    taken_of[block] = outcomes[parts[0][0]:parts[0][1]]
+                continue
+            steps = order[ends[block] - use[block]:fill[block]]
+            if is_branch:
+                keys = steps << 1
+                keys |= np.concatenate([outcomes[lo:hi] for lo, hi in parts])
+                keys.sort(kind="stable")
+                np.right_shift(keys, 1, out=steps)
+                taken_of[block] = keys & 1
+            else:
+                steps.sort(kind="stable")
+        decided = num_steps - self.tail_steps
+        for block, at in seg.tail(self.tail_start, self.tail_steps):
+            f = fill[block]
+            order[f:f + len(at)] = np.arange(decided + at.start,
+                                             decided + at.stop, at.step)
+            fill[block] = f + len(at)
+        order.flags.writeable = False
+        events: Dict[int, BlockEvents] = {}
+        for block in np.flatnonzero(use).tolist():
+            prefix = np.zeros(int(use[block]) + 1, dtype=np.int64)
+            if counts.taken[block]:
+                np.cumsum(taken_of[block], out=prefix[1:])
+            events[block] = BlockEvents(
+                steps=order[ends[block] - use[block]:ends[block]],
+                taken_prefix=prefix)
+        return events
+
+
 class ExecutionTrace:
     """One complete block-level run of a benchmark.
 
@@ -121,8 +304,11 @@ class ExecutionTrace:
             :data:`NO_BRANCH` when the block has no conditional branch).
         num_blocks: size of the block id space (ids are ``< num_blocks``).
         counts: the run's whole-run counters, when the recorder already
-            has them (the vector walker does); otherwise they are
-            counted from the arrays on first use.
+            has them; otherwise they are counted from the arrays on
+            first use.
+
+    The vector walker records through :meth:`from_log` instead, and the
+    arrays of such a trace are decoded from its log on first read.
     """
 
     def __init__(self, blocks: np.ndarray, taken: np.ndarray,
@@ -136,19 +322,60 @@ class ExecutionTrace:
         if counts is not None and (counts.num_blocks != num_blocks or
                                    counts.num_steps != len(blocks)):
             raise TraceError("counts do not match the trace's shape")
-        self.blocks = blocks
-        self.taken = taken
+        self._blocks: Optional[np.ndarray] = blocks
+        self._taken: Optional[np.ndarray] = taken
+        self._log: Optional[DecisionLog] = None
         self.num_blocks = int(num_blocks)
+        self._num_steps = len(blocks)
         self._counts = counts
         self._events: Optional[Dict[int, BlockEvents]] = None
 
+    @classmethod
+    def from_log(cls, log: DecisionLog, counts: RunCounts
+                 ) -> "ExecutionTrace":
+        """A trace kept as its walker's decision log and counts."""
+        trace = cls.__new__(cls)
+        trace._blocks = trace._taken = None
+        trace._log = log
+        trace.num_blocks = counts.num_blocks
+        trace._num_steps = counts.num_steps
+        trace._counts = counts
+        trace._events = None
+        return trace
+
     def __len__(self) -> int:
-        return len(self.blocks)
+        return self._num_steps
 
     @property
     def num_steps(self) -> int:
         """Total block executions recorded."""
-        return len(self.blocks)
+        return self._num_steps
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """int32 block id per step (decoded from the log on first read)."""
+        if self._blocks is None:
+            self._decode()
+        return self._blocks
+
+    @property
+    def taken(self) -> np.ndarray:
+        """int8 branch outcome per step (decoded from the log on first
+        read)."""
+        if self._taken is None:
+            self._decode()
+        return self._taken
+
+    def _decode(self) -> None:
+        inc("trace.decodes")
+        self._blocks, self._taken = self._log.decode(self._num_steps)
+
+    @property
+    def successors(self) -> Optional[np.ndarray]:
+        """The walker's ``(num_blocks, 2)`` successor table (see
+        :class:`SegmentTable`), or ``None`` for a trace built from
+        arrays, whose steps need not follow any CFG."""
+        return None if self._log is None else self._log.segments.successors
 
     # -- aggregate counters ----------------------------------------------------
 
@@ -191,16 +418,21 @@ class ExecutionTrace:
 
         Only the replay and pricing consumers of the *ref* trace read it,
         so a trace that is only counted (``use_counts`` /
-        ``taken_counts``) never pays for it.
+        ``taken_counts``) never pays for it.  A logged trace builds it
+        from its decision log without decoding its steps.
         """
         if self._events is None:
-            with span("trace.index", steps=len(self.blocks)):
-                self._events = self._build_events()
+            with span("trace.index", steps=self.num_steps):
+                if self._log is not None:
+                    self._events = self._log.events(self.counts())
+                else:
+                    self._events = self._build_events()
             inc("trace.index_builds")
         return self._events
 
     def _build_events(self) -> Dict[int, BlockEvents]:
-        """Group the steps by block with stable per-chunk argsorts.
+        """Group an array trace's steps by block with stable per-chunk
+        argsorts.
 
         Ids are narrowed to the smallest unsigned width holding
         ``num_blocks`` (checked in ``__init__``); for 8/16-bit keys

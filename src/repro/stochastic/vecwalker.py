@@ -3,7 +3,7 @@
 :class:`VecWalker` produces **bit-identical** traces to
 :class:`~repro.stochastic.walker.CFGWalker` — same seed ⇒ same event
 stream, counter tables, and regions — while replacing the per-step Python
-loop with chunked numpy evaluation.  Four layers make that possible:
+loop with windowed numpy evaluation.  Four layers make that possible:
 
 1. **Exact RNG equivalence.**  CPython's ``random.Random`` and numpy's
    legacy ``RandomState`` share the same MT19937 generator *and* the same
@@ -12,12 +12,12 @@ loop with chunked numpy evaluation.  Four layers make that possible:
    uniform stream the scalar walker consumes — only drawn in bulk.
 
 2. **Run-length-encoded segments.**  At compile time every block is
-   mapped to its straight-line *segment*: the chain of single-successor
-   blocks up to and including the next conditional branch (or an exit /
-   a branch-free cycle).  A run is then a sequence of *decisions* — one
-   uniform draw per branch execution — and each chunk's block stream is
-   reconstructed with one vectorized ragged gather over the decided
-   segment starts.
+   mapped to its straight-line *segment* (a
+   :class:`~repro.stochastic.trace.SegmentTable`): the chain of
+   single-successor blocks up to and including the next conditional
+   branch (or an exit / a branch-free cycle).  A run is then a sequence
+   of *decisions* — one uniform draw per branch execution, each running
+   one segment.
 
 3. **All-states windows.**  Between phase boundaries and warm-up
    expiries every branch has a fixed probability, so the walk is a
@@ -33,16 +33,20 @@ loop with chunked numpy evaluation.  Four layers make that possible:
    consumed, so window size never affects the event stream.  Decisions
    too close to a boundary for a window to pay run one at a time.
 
-4. **Counts from decisions.**  Every decided segment is tallied by
+4. **A decision log, not steps.**  Every decided segment is tallied by
    ``(start << 1) | outcome``: one ``bincount`` per accepted window and
    per sealed run of per-decision tokens.  At the end the tally becomes
    the whole-run counts — each visit of a segment start uses every
    block of its segment, outcome 1 takes its terminal branch — and the
    truncated last segment or branch-free-cycle tail is added in closed
-   form.  :meth:`VecWalker.run` hands these counts to its
-   :class:`~repro.stochastic.trace.ExecutionTrace`, so AVEP and the
-   event index never rescan the steps; :meth:`VecWalker.count` makes
-   the same walk without decoding a chunk and returns only the
+   form.  :meth:`VecWalker.run` keeps the decisions themselves as a
+   :class:`~repro.stochastic.trace.DecisionLog` (one narrow segment
+   start and one ``int8`` outcome per decision, plus the tail) and hands
+   it, with the counts, to its
+   :class:`~repro.stochastic.trace.ExecutionTrace`: AVEP reads the
+   counts, the event index is built from the log, and per-step arrays
+   are decoded only if something reads them.  :meth:`VecWalker.count`
+   makes the same walk without logging and returns only the
    :class:`~repro.stochastic.trace.RunCounts`.
 
 Behaviour semantics mirror the scalar walker exactly: phase changes apply
@@ -61,24 +65,23 @@ from __future__ import annotations
 
 import math
 import random
-from typing import (Callable, Dict, Generator, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
-from ..interp.events import EventBatch
+from ..interp.events import EventBatch, iter_trace_batches
 from ..obs import inc
 from ..obs.spans import span
 from .behavior import BranchBehavior, ProgramBehavior
-from .trace import NO_BRANCH, ExecutionTrace, RunCounts
+from .trace import DecisionLog, ExecutionTrace, RunCounts, SegmentTable
 
 #: ``seg_branch`` sentinel: the segment ends at an exit block.
 SEG_EXIT = -1
 #: ``seg_branch`` sentinel: the segment enters a branch-free cycle.
 SEG_CYCLE = -2
 
-#: Default chunk granularity (steps per emitted :class:`EventBatch`).
+#: Default batch size of :meth:`VecWalker.run_batches`.
 DEFAULT_CHUNK_STEPS = 1 << 16
 
 #: Uniform-draw granularity for the bulk RNG stream.
@@ -224,16 +227,15 @@ class _Fsm:
 
 
 class VecWalker:
-    """Chunked numpy executor, event-for-event equal to the scalar walker.
+    """Windowed numpy executor, event-for-event equal to the scalar walker.
 
     Args:
         cfg: the benchmark CFG (branch nodes have taken successor first).
         behavior: per-branch taken-probability models.
         seed: RNG seed — the same seed as :class:`CFGWalker` produces the
             same trace, by construction.
-        chunk_steps: approximate steps per emitted batch (chunks may
-            overshoot by one speculation window; boundaries never affect
-            event content).
+        chunk_steps: steps per batch :meth:`run_batches` yields (the last
+            may be shorter); batching never affects event content.
     """
 
     def __init__(self, cfg: ControlFlowGraph, behavior: ProgramBehavior,
@@ -315,15 +317,21 @@ class VecWalker:
             seg_branch.append(branch)
             seg_len.append(len(chain))
             seg_cycle_at.append(cycle_at)
-        self._seg_blocks = seg_blocks
-        self._seg_cycle_at = seg_cycle_at
-        self._seg_len_np = np.asarray(seg_len, dtype=np.int32)
-        self._seg_branch_np = np.asarray(seg_branch, dtype=np.int64)
+        length = np.asarray(seg_len, dtype=np.int32)
         offsets = np.zeros(n, dtype=np.int32)
-        np.cumsum(self._seg_len_np[:-1], out=offsets[1:])
-        self._seg_off_np = offsets
-        self._flat_blocks = (np.concatenate(seg_blocks) if seg_blocks
-                             else np.zeros(0, dtype=np.int32))
+        np.cumsum(length[:-1], out=offsets[1:])
+        self._segments = SegmentTable(
+            length=length, offset=offsets,
+            flat=(np.concatenate(seg_blocks) if seg_blocks
+                  else np.zeros(0, dtype=np.int32)),
+            branch=np.asarray(seg_branch, dtype=np.int64),
+            cycle_at=seg_cycle_at,
+            successors=np.array(
+                [(fall_succ[v], taken_succ[v]) if is_branch[v]
+                 else (single_succ[v], single_succ[v]) for v in range(n)],
+                dtype=np.int32).reshape(n, 2))
+        # Decision logs keep segment starts in the narrowest id type.
+        self._start_type = np.min_scalar_type(max(n - 1, 0))
         # Fused per-node tuple for the decision loop: one list index
         # yields (segment length, terminal branch, and the branch's fall /
         # taken successors — i.e. the next segment start per outcome).
@@ -357,67 +365,49 @@ class VecWalker:
             start: Optional[int] = None) -> ExecutionTrace:
         """Walk the CFG for up to ``max_steps`` block executions.
 
-        Batches are written into arrays preallocated for ``max_steps``;
-        a walk that ends early keeps one truncated copy.  The trace
-        carries the walk's own whole-run counts, so its ``use_counts``,
-        ``taken_counts`` and event index never rescan the arrays.  The
-        per-block event index stays lazy, as with the scalar walker:
-        :meth:`ExecutionTrace.events` builds it on first use.
+        The trace keeps the walk's decision log and its whole-run counts,
+        so its ``use_counts``, ``taken_counts`` and event index never
+        touch per-step arrays; ``blocks``/``taken`` are decoded from the
+        log only if read.  The per-block event index stays lazy, as with
+        the scalar walker: :meth:`ExecutionTrace.events` builds it on
+        first use.
         """
-        size = max(int(max_steps), 0)
-        blocks = np.empty(size, dtype=np.int32)
-        taken = np.empty(size, dtype=np.int8)
-        n = 0
-
-        def store(batch: EventBatch) -> None:
-            nonlocal n
-            k = len(batch.blocks)
-            blocks[n:n + k] = batch.blocks
-            taken[n:n + k] = batch.taken
-            n += k
-
-        counts = _drive(self._walk(size, start, record=True), store)
-        if n < size:
-            blocks = blocks[:n].copy()
-            taken = taken[:n].copy()
-        return ExecutionTrace(blocks, taken, self.cfg.num_nodes,
-                              counts=counts)
+        counts, log = self._walk(max(int(max_steps), 0), start, record=True)
+        return ExecutionTrace.from_log(log, counts)
 
     def count(self, max_steps: int,
               start: Optional[int] = None) -> RunCounts:
         """Walk like :meth:`run`, keeping only the whole-run counts.
 
         The decisions are made exactly as in :meth:`run` (same uniforms,
-        same windows), but no chunk is decoded and no per-step array is
-        allocated.
+        same windows), but no decision is logged.
         """
         inc("kernel.vector.count_runs")
-        return _drive(self._walk(max(int(max_steps), 0), start,
-                                 record=False))
+        return self._walk(max(int(max_steps), 0), start, record=False)[0]
 
     def run_batches(self, max_steps: int,
                     start: Optional[int] = None) -> Iterator[EventBatch]:
-        """Generate the event stream as :class:`EventBatch` chunks.
+        """The event stream as :class:`EventBatch` slices of ``chunk_steps``
+        steps (the last may be shorter) of :meth:`run`'s trace.
 
-        Concatenating the chunks yields exactly the scalar walker's
-        arrays; chunk boundaries are a delivery detail.
+        Concatenating the batches yields exactly the scalar walker's
+        arrays.
         """
-        yield from self._walk(int(max_steps), start, record=True)
+        return iter_trace_batches(self.run(max_steps, start),
+                                  self.chunk_steps)
 
-    def _walk(self, max_steps: int, start: Optional[int],
-              record: bool) -> Generator[EventBatch, None, RunCounts]:
-        """The walk behind :meth:`run_batches` and :meth:`count`.
+    def _walk(self, max_steps: int, start: Optional[int], record: bool
+              ) -> Tuple[RunCounts, Optional[DecisionLog]]:
+        """The walk behind :meth:`run` and :meth:`count`.
 
         Every decided segment is tallied by ``(start << 1) | outcome``
-        (one ``bincount`` per window, one per sealed run of slow tokens);
-        the generator returns the tally as :class:`RunCounts`.  With
-        ``record`` it also decodes and yields the event chunks.
+        (one ``bincount`` per window, one per sealed run of slow tokens)
+        and the tally is returned as :class:`RunCounts`.  With ``record``
+        the decisions are also kept, as a :class:`DecisionLog`.
         """
-        seg_len_np = self._seg_len_np
-        seg_off_np = self._seg_off_np
-        flat_blocks = self._flat_blocks
+        segments = self._segments
+        seg_len_np = segments.length
         seg_info = self._seg_info
-        chunk_steps = self.chunk_steps
         branches = self._branches
         state_of = self._state_of
         sink = len(branches)
@@ -451,104 +441,34 @@ class VecWalker:
 
         v = self.cfg.entry if start is None else start
         g = 0
-        # Decided segments accumulate as (starts, outcomes) array pieces,
-        # interleaved with (lo, hi) index markers into ``slow_t`` for the
-        # slow-path token runs (decoded in one pass per chunk).
-        pieces: List[Tuple] = []
+        # The decision log, in order: each accepted window's starts and
+        # outcomes, and each sealed run of slow-path tokens.
+        start_type = self._start_type
+        log_starts: List[np.ndarray] = []
+        log_outcomes: List[np.ndarray] = []
         slow_t: List[int] = []  # packed (start << 1) | outcome tokens
         slow_append = slow_t.append
-        slow_lo = 0  # tokens below this index are already sealed
-        tail_node = -1
-        tail_len = 0
-        tail_raw: Optional[np.ndarray] = None
-        tail_cycle: Optional[Tuple[np.ndarray, np.ndarray, int, int]] = None
-        done = False
+        tail_start = -1
+        tail_steps = 0
         slow_decisions = 0
         window_decisions = 0
         windows = 0
         discarded = 0
-        num_chunks = 0
 
-        def seal_slow() -> Optional[np.ndarray]:
-            # Tally the pending slow-path tokens and hand them back.
+        def seal_slow() -> None:
+            # Tally (and log) the pending slow-path tokens.
             nonlocal slow_decisions
             if not slow_t:
-                return None
+                return
             tokens = np.asarray(slow_t, dtype=np.int64)
             slow_t.clear()
             slow_decisions += len(tokens)
             tally[:] += np.bincount(tokens, minlength=2 * num_blocks)
-            return tokens
+            if record:
+                log_starts.append((tokens >> 1).astype(start_type))
+                log_outcomes.append((tokens & 1).astype(np.int8))
 
-        def build_batch() -> Optional[EventBatch]:
-            # Slow-path tokens accumulate per chunk in one flat list;
-            # sealing a run (window commit) only records an (lo, hi)
-            # marker in ``pieces`` and the whole chunk is decoded here in
-            # a single numpy pass, with the markers resolved as views.
-            nonlocal slow_lo
-            ns = len(slow_t)
-            if ns > slow_lo:
-                pieces.append((slow_lo, ns))
-            tokens = seal_slow()
-            if not pieces and tail_node < 0 and tail_raw is None:
-                return None
-            if tokens is not None:
-                sv = tokens >> 1
-                so = tokens & 1
-                resolved = [(sv[p0:p1], so[p0:p1]) if type(p0) is int
-                            else (p0, p1) for p0, p1 in pieces]
-            else:
-                resolved = pieces
-            slow_lo = 0
-            if resolved:
-                starts = (resolved[0][0] if len(resolved) == 1 else
-                          np.concatenate([p[0] for p in resolved]))
-                outcomes = (resolved[0][1] if len(resolved) == 1 else
-                            np.concatenate([p[1] for p in resolved]))
-            else:
-                starts = np.zeros(0, dtype=np.int64)
-                outcomes = np.zeros(0, dtype=np.int8)
-            n_dec = len(outcomes)
-            if tail_node >= 0:
-                starts = np.append(starts, tail_node)
-            lens = seg_len_np[starts]
-            if tail_node >= 0:
-                lens[-1] = tail_len  # truncated final segment (a prefix)
-            ends = np.cumsum(lens)
-            total = int(ends[-1]) if len(ends) else 0
-            # Ragged gather index: +1 inside a segment, and at each
-            # segment start a jump from the previous segment's last
-            # flat offset to this one's first, all summed in place.
-            idx = np.ones(total, dtype=np.int32)
-            if total:
-                offs = seg_off_np[starts]
-                idx[0] = offs[0]
-                idx[ends[:-1]] = offs[1:] - (offs[:-1] + lens[:-1] - 1)
-                np.cumsum(idx, dtype=np.int32, out=idx)
-            blocks = flat_blocks[idx]
-            taken = np.full(total, NO_BRANCH, dtype=np.int8)
-            if n_dec:
-                taken[ends[:n_dec] - 1] = outcomes
-            if tail_raw is not None:
-                blocks = np.concatenate([blocks, tail_raw])
-                taken = np.concatenate([
-                    taken, np.full(len(tail_raw), NO_BRANCH, dtype=np.int8)])
-            pieces.clear()
-            return EventBatch(blocks=blocks, taken=taken)
-
-        def flush() -> Iterator[EventBatch]:
-            # Seal the chunk: decode it when recording, else just tally.
-            nonlocal num_chunks
-            if not record:
-                seal_slow()
-                return
-            batch = build_batch()
-            if batch is not None:
-                num_chunks += 1
-                yield batch
-
-        chunk_limit = chunk_steps
-        while not done and g < max_steps:
+        while g < max_steps:
             L, b, nf, nt = seg_info[v]
             end = g + L
             if b >= 0 and end <= limit and \
@@ -592,14 +512,12 @@ class VecWalker:
                         warming = [(s, x) for s, x in warming
                                    if warm_left[x]]
                         fsm = None
+                seal_slow()
                 tally += np.bincount((starts[:m] << 1) | outcomes,
                                      minlength=2 * num_blocks)
                 if record:
-                    ns = len(slow_t)
-                    if ns > slow_lo:
-                        pieces.append((slow_lo, ns))
-                        slow_lo = ns
-                    pieces.append((starts[:m], outcomes))
+                    log_starts.append(starts[:m].astype(start_type))
+                    log_outcomes.append(outcomes)
                 g = int(pos[m - 1]) + 1
                 v = int(nxt[m - 1])
                 ci += m
@@ -612,9 +530,6 @@ class VecWalker:
                     window = -(-m // _BLOCK) * _BLOCK
                 elif m == W and window < _WINDOW:
                     window *= 2
-                if g >= chunk_limit:
-                    yield from flush()
-                    chunk_limit = g + chunk_steps
                 continue
 
             # ---- per-decision slow path ----
@@ -655,79 +570,59 @@ class VecWalker:
                     v = nf
                 ci += 1
                 g = end
-                if g >= chunk_limit:
-                    yield from flush()
-                    chunk_limit = g + chunk_steps
+                if len(slow_t) >= _DRAW:
+                    seal_slow()  # keep the pending token list short
                 continue
 
             # ---- terminal: exit, branch-free cycle, or step budget ----
+            # The walk follows segment ``v`` to its end: through a
+            # branch-free cycle to the budget, or the segment's prefix
+            # (a cut terminal branch records no outcome, like the scalar
+            # walker that never reaches its step).
             remaining = max_steps - g
-            if b == SEG_CYCLE and remaining > L:
-                # The path, then ``reps`` whole cycles and a partial one;
-                # counted in closed form, materialised only to record.
-                path = self._seg_blocks[v]
-                cyc = path[self._seg_cycle_at[v]:]
-                reps, rest = divmod(remaining - L, len(cyc))
-                tail_cycle = (path, cyc, reps, rest)
-                if record:
-                    tail_raw = np.concatenate([path, np.tile(cyc, reps),
-                                               cyc[:rest]])
-                g += remaining
-            else:
-                # Ends at an exit, or truncated mid-segment: emit the
-                # prefix; a cut terminal branch records no outcome, like
-                # the scalar walker that never reaches its step.
-                tail_node = v
-                tail_len = min(L, remaining)
-                g += tail_len
-            done = True
+            tail_start = v
+            tail_steps = remaining if b == SEG_CYCLE else min(L, remaining)
+            g += tail_steps
+            break
 
-        yield from flush()
+        seal_slow()
 
         # Every visit of a segment start uses each block of its segment
         # once (a ragged add over the flat segment table) and, with
-        # outcome 1, takes the segment's terminal branch.
+        # outcome 1, takes the segment's terminal branch; the tail's
+        # blocks are counted in closed form.
         use = np.zeros(num_blocks, dtype=np.int64)
-        np.add.at(use, flat_blocks,
+        np.add.at(use, segments.flat,
                   np.repeat(tally[0::2] + tally[1::2], seg_len_np))
         taken_counts = np.zeros(num_blocks, dtype=np.int64)
-        ended = self._seg_branch_np >= 0
-        np.add.at(taken_counts, self._seg_branch_np[ended],
-                  tally[1::2][ended])
-        if tail_node >= 0:
-            use[self._seg_blocks[tail_node][:tail_len]] += 1
-        elif tail_cycle is not None:
-            path, cyc, reps, rest = tail_cycle
-            use[path] += 1
-            use[cyc] += reps
-            use[cyc[:rest]] += 1
+        ended = segments.branch >= 0
+        np.add.at(taken_counts, segments.branch[ended], tally[1::2][ended])
+        for block, at in segments.tail(tail_start, tail_steps):
+            use[block] += len(at)
 
         inc("kernel.vector.runs")
         inc("kernel.vector.steps", g)
-        inc("kernel.vector.chunks", num_chunks)
         inc("kernel.vector.windows", windows)
         inc("kernel.vector.decisions", slow_decisions + window_decisions)
         inc("kernel.vector.decisions.window", window_decisions)
         inc("kernel.vector.decisions.slow", slow_decisions)
         inc("kernel.vector.decisions.discarded", discarded)
-        # These counts needed no pass over steps; the zero increment makes
-        # ``trace.count_passes`` show in the run's manifest.
+        # These counts needed no pass over steps, and the index needs no
+        # decode; the zero increments make ``trace.count_passes`` and
+        # ``trace.decodes`` show in the run's manifest.
         inc("trace.count_passes", 0)
-        return RunCounts(use=use, taken=taken_counts, num_steps=g)
-
-
-def _drive(walk: Generator[EventBatch, None, RunCounts],
-           emit: Optional[Callable[[EventBatch], None]] = None
-           ) -> RunCounts:
-    """Run ``walk`` to its end, handing each batch to ``emit``; return
-    the walk's counts."""
-    while True:
-        try:
-            batch = next(walk)
-        except StopIteration as stop:
-            return stop.value
-        if emit is not None:
-            emit(batch)
+        inc("trace.decodes", 0)
+        counts = RunCounts(use=use, taken=taken_counts, num_steps=g)
+        if not record:
+            return counts, None
+        log = DecisionLog(
+            segments=segments,
+            starts=(np.concatenate(log_starts) if log_starts
+                    else np.zeros(0, dtype=start_type)),
+            outcomes=(np.concatenate(log_outcomes) if log_outcomes
+                      else np.zeros(0, dtype=np.int8)),
+            tail_start=tail_start, tail_steps=tail_steps)
+        return counts, log
 
 
 def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,

@@ -199,6 +199,22 @@ def test_walk_counts_come_from_the_walker():
                for name in names)
 
 
+def test_perf_study_never_decodes_a_trace():
+    """With the perf model on, a serial gzip+art study still reads every
+    ref trace through its decision log: the event index and Figure 17's
+    cost tables are built without decoding a per-step array."""
+    names = ["trace.decodes", "trace.index_builds", "trace.count_passes"]
+    before = {name: counter_value(name) for name in names}
+    results = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
+                             **dict(KWARGS, include_perf=True))
+    delta = {name: counter_value(name) - before[name] for name in names}
+    assert delta == {"trace.decodes": 0, "trace.index_builds": 2,
+                     "trace.count_passes": 0}
+    assert all(name in results.manifest["metrics"]["counters"]
+               for name in names)
+    assert all(result.perf for result in results.benchmarks.values())
+
+
 def test_cached_run_skips_dispatch_section(tmp_path):
     cache = str(tmp_path / "cache")
     run_full_study(names=["gzip"], cache_dir=cache, jobs=1, **KWARGS)

@@ -21,7 +21,11 @@ live here, where only tests can reach them:
   checked;
 * :func:`reference_events` — the per-block event index, one linear scan
   of the trace per block, against which the radix-sorted
-  :meth:`~repro.stochastic.ExecutionTrace.events` is checked.
+  :meth:`~repro.stochastic.ExecutionTrace.events` is checked;
+* :func:`reference_edge_index` — the per-edge step index of
+  :class:`~repro.perfmodel.CostTables`, from one gather of every step's
+  successor (``blocks[step + 1]``), against which the tables a walker
+  trace builds from its event index and successor table are checked.
 
 The ``oracle_engines`` fixture (``tests/conftest.py``) swaps the
 walkers and the heap replay into the study pipeline;
@@ -166,3 +170,32 @@ def reference_events(trace: ExecutionTrace) -> Dict[int, BlockEvents]:
         prefix[1:] = np.cumsum(trace.taken[steps] == 1)
         events[block] = BlockEvents(steps=steps, taken_prefix=prefix)
     return events
+
+
+def reference_edge_index(trace: ExecutionTrace
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray, int]:
+    """``CostTables``' ``keys``, ``edge_src``, ``edge_code``,
+    ``edge_end`` and last block, from each step's successor.
+
+    Every step but the last has the dynamic edge ``(blocks[s],
+    blocks[s + 1])``.  Edges are numbered by source block, then by the
+    step of their first traversal; ``keys`` is ``edge * N + step``
+    sorted.
+    """
+    blocks = trace.blocks.astype(np.int64)
+    n, num_blocks = len(blocks), trace.num_blocks
+    if n < 2:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty, int(blocks[-1]) if n else 0
+    code = blocks[:-1] * num_blocks + blocks[1:]
+    codes, first, edge_of_step = np.unique(code, return_index=True,
+                                           return_inverse=True)
+    rank = np.lexsort((first, codes // num_blocks))
+    edge = np.empty(len(codes), dtype=np.int64)
+    edge[rank] = np.arange(len(codes))
+    edge_of_step = edge[edge_of_step]
+    keys = np.sort(edge_of_step * n + np.arange(n - 1))
+    edge_end = np.cumsum(np.bincount(edge_of_step, minlength=len(codes)))
+    return (keys, codes[rank] // num_blocks, codes[rank], edge_end,
+            int(blocks[-1]))

@@ -15,9 +15,18 @@ single-successor cycles, immediate exits, start overrides, one branch
 and hundreds of branches).
 
 The whole-run counts the walker tallies from its own decisions get the
-same treatment at the end of the file: ``run``'s counts, the count-only
-``count`` and a ``bincount`` of ``run``'s own arrays must all equal the
-scalar walker's counters.
+same treatment: ``run``'s counts, the count-only ``count`` and a
+``bincount`` of ``run``'s own arrays must all equal the scalar walker's
+counters.
+
+So does the decision log a recorded trace keeps instead of its steps,
+at the end of the file: the event index built straight from the log
+(before anything decodes the steps) must equal both the scalar walker's
+index and :func:`reference.reference_events` of the decoded arrays, in
+keys, order, values and dtypes, and the decoded arrays must equal the
+scalar walker's.  That covers CFGs with join blocks (one block in
+several segments), every kind of tail, and every benchmark's ref and
+train walks.
 """
 
 import math
@@ -38,7 +47,7 @@ from repro.stochastic import (BranchBehavior, CFGWalker, Phase,
 from repro.stochastic import vecwalker
 from repro.workloads import all_benchmarks, get_benchmark
 
-from ..reference import reference_counts, walker_counts
+from ..reference import reference_counts, reference_events, walker_counts
 
 # Chunk sizes straddling every interesting boundary: degenerate (1),
 # prime (so chunk edges never align with loop periods), and larger than
@@ -392,8 +401,8 @@ def test_slow_run_crosses_float_slices_and_refills(monkeypatch, draw,
 
 
 def test_one_step_chunks_with_tiny_buffers(nested_cfg, monkeypatch):
-    """``chunk_steps=1``: every window and every slow decision seals its
-    own batch, plus at most one for the final truncated segment."""
+    """``chunk_steps=1``: ``run_batches`` slices the finished trace into
+    one-step batches, however its windows and slow decisions fell."""
     monkeypatch.setattr(vecwalker, "_DRAW", 16)
     monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
     behavior = phased_nested_behavior()
@@ -401,11 +410,9 @@ def test_one_step_chunks_with_tiny_buffers(nested_cfg, monkeypatch):
     (_, slow0), windows0 = decisions(), windows()
     batches = list(walker.run_batches(5_000))
     (_, slow1), windows1 = decisions(), windows()
-    sealed = (windows1 - windows0) + (slow1 - slow0)
     assert windows1 > windows0 and slow1 > slow0
-    assert len(batches) - sealed in (0, 1)
-    assert all(len(b.blocks) for b in batches)
     scalar = scalar_trace(nested_cfg, behavior, 5_000, seed=5)
+    assert [len(b) for b in batches] == [1] * scalar.num_steps
     np.testing.assert_array_equal(
         np.concatenate([b.blocks for b in batches]), scalar.blocks)
     np.testing.assert_array_equal(
@@ -416,15 +423,15 @@ def test_one_step_chunks_with_tiny_buffers(nested_cfg, monkeypatch):
 @pytest.mark.parametrize("window", [32, 64, 1024])
 def test_chunks_overshoot_by_at_most_one_window(nested_cfg, nested_behavior,
                                                 monkeypatch, window):
-    """A batch is sealed at the first window or decision that reaches
-    ``chunk_steps``, so it overshoots by less than one window's steps."""
+    """Batches are slices of the finished trace, so whatever the window
+    size they never overshoot: every batch but the last holds exactly
+    ``chunk_steps`` steps."""
     monkeypatch.setattr(vecwalker, "_WINDOW_START", window)
     monkeypatch.setattr(vecwalker, "_WINDOW", window)
     walker = VecWalker(nested_cfg, nested_behavior, seed=6, chunk_steps=500)
     batches = list(walker.run_batches(40_000))
-    longest = int(walker._seg_len_np.max())
-    for batch in batches[:-1]:
-        assert 500 <= len(batch.blocks) < 500 + window * longest
+    assert all(len(batch) == 500 for batch in batches[:-1])
+    assert 0 < len(batches[-1]) <= 500
     scalar = scalar_trace(nested_cfg, nested_behavior, 40_000, seed=6)
     np.testing.assert_array_equal(
         np.concatenate([b.blocks for b in batches]), scalar.blocks)
@@ -480,7 +487,7 @@ def test_segment_offsets_jump_backwards():
     behavior.set(6, steady(0.6))
     behavior.set(8, steady(0.995))
     vec = VecWalker(cfg, behavior, seed=4)
-    offsets = vec._seg_off_np
+    offsets = vec._segments.offset
     for chunk in CHUNKS:
         vector = vector_trace(cfg, behavior, 20_000, 4, chunk)
         scalar = scalar_trace(cfg, behavior, 20_000, seed=4)
@@ -659,14 +666,14 @@ def assert_counts_agree(cfg, behavior, steps, seed, chunk=13, start=None,
                         label=""):
     """``run``'s counts == ``count`` == bincount of ``run``'s arrays ==
     the scalar walker's counters, and neither walk counted its steps
-    from an array or ``count`` decoded a chunk."""
+    from an array or decoded them."""
     walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=chunk)
     passes = counter_value("trace.count_passes")
+    decodes = counter_value("trace.decodes")
     traced = walker.run(steps, start=start)
-    chunks = counter_value("kernel.vector.chunks")
     counted = walker.count(steps, start=start)
-    assert counter_value("kernel.vector.chunks") == chunks, label
     walked = traced.counts()
+    assert counter_value("trace.decodes") == decodes, label
     assert counter_value("trace.count_passes") == passes, label
     expected = reference_counts(scalar_trace(cfg, behavior, steps, seed,
                                              start=start))
@@ -817,3 +824,216 @@ def test_benchmark_counts_equal_scalar(name, input_name):
         assert got.num_steps == expected.num_steps
         np.testing.assert_array_equal(got.use, expected.use)
         np.testing.assert_array_equal(got.taken, expected.taken)
+
+
+# ---------------------------------------------------------------------------
+# The decision log: the index built from it, and its decoded steps.
+# ---------------------------------------------------------------------------
+
+def assert_log_matches(scalar, vector, label=""):
+    """The logged trace's index, built before any decode, equals the
+    scalar walker's index and the oracle's index of the decoded arrays
+    (keys, key order, values, dtypes); the decoded arrays equal the
+    scalar walker's, and are decoded once."""
+    decodes = counter_value("trace.decodes")
+    got = vector.events()
+    assert counter_value("trace.decodes") == decodes, label
+    for want in (scalar.events(), reference_events(vector)):
+        assert list(got) == list(want), label
+        for block, ref in want.items():
+            ev = got[block]
+            assert ev.steps.dtype == ref.steps.dtype == np.int64, label
+            assert ev.taken_prefix.dtype == ref.taken_prefix.dtype \
+                == np.int64, label
+            np.testing.assert_array_equal(ev.steps, ref.steps,
+                                          f"{label} block {block}")
+            np.testing.assert_array_equal(ev.taken_prefix, ref.taken_prefix,
+                                          f"{label} block {block}")
+    assert counter_value("trace.decodes") == decodes + 1, label
+    assert vector.num_steps == scalar.num_steps, label
+    np.testing.assert_array_equal(vector.blocks, scalar.blocks, label)
+    np.testing.assert_array_equal(vector.taken, scalar.taken, label)
+    assert vector.blocks.dtype == np.int32 and vector.taken.dtype == np.int8
+    assert counter_value("trace.decodes") == decodes + 1, label
+
+
+def logged_run(cfg, behavior, steps, seed, start=None):
+    return VecWalker(cfg, behavior, seed=seed).run(steps, start=start)
+
+
+def assert_logged_run(cfg, behavior, steps, seed, start=None, label=""):
+    vector = logged_run(cfg, behavior, steps, seed, start=start)
+    assert_log_matches(scalar_trace(cfg, behavior, steps, seed, start=start),
+                       vector, label)
+    return vector
+
+
+@st.composite
+def join_cfg_strategy(draw):
+    """Straight-line chains (``v -> v + 1``) that branches jump into the
+    middle of, so one block sits in the segments of several starts."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    node = st.integers(min_value=0, max_value=n - 1)
+    succs = []
+    for v in range(n):
+        kind = draw(st.integers(min_value=0, max_value=5))
+        if kind == 0:
+            succs.append(())
+        elif kind <= 3:
+            succs.append(((v + 1) % n,))
+        else:
+            succs.append((draw(node), draw(node)))
+    return ControlFlowGraph(succs)
+
+
+@st.composite
+def join_walk_case(draw):
+    steps = draw(st.integers(min_value=0, max_value=3000))
+    cfg = draw(join_cfg_strategy())
+    behavior = draw(behavior_strategy(cfg, steps))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return cfg, behavior, steps, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_case())
+def test_fuzz_log_index_equals_oracles(case):
+    cfg, behavior, steps, seed, _ = case
+    assert_logged_run(cfg, behavior, steps, seed,
+                      label=f"steps={steps} seed={seed}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_walk_case(), st.integers(min_value=0, max_value=23))
+def test_fuzz_log_index_with_join_blocks(case, start):
+    cfg, behavior, steps, seed = case
+    assert_logged_run(cfg, behavior, steps, seed,
+                      start=start % cfg.num_nodes,
+                      label=f"steps={steps} seed={seed} start={start}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(join_walk_case(), st.sampled_from([(4, 8), (8, 32)]))
+def test_fuzz_log_index_small_blocks_and_windows(case, sizes):
+    """``_MIN_DECISIONS = 1`` and tiny windows: logged windows end at
+    every position of a lockstep block."""
+    cfg, behavior, steps, seed = case
+    block, window = sizes
+    with mock.patch.object(vecwalker, "_BLOCK", block), \
+            mock.patch.object(vecwalker, "_WINDOW_START", window), \
+            mock.patch.object(vecwalker, "_WINDOW", 4 * window), \
+            mock.patch.object(vecwalker, "_MIN_DECISIONS", 1):
+        vector = logged_run(cfg, behavior, steps, seed)
+    assert_log_matches(scalar_trace(cfg, behavior, steps, seed), vector,
+                       f"steps={steps} seed={seed} sizes={sizes}")
+
+
+def test_log_of_a_join_block_branch():
+    """Blocks 6-8 sit in the segments of 5 and 9, and blocks 1-4 in those
+    of 0 and 1, so their runs are merged by step; branches 4 and 8 merge
+    their outcomes with them."""
+    cfg, behavior = long_segment_cfg()
+    trace = assert_logged_run(cfg, behavior, 20_000, seed=7)
+    starts = set(trace._log.starts.tolist())
+    assert {5, 9} <= starts and 6 not in starts
+
+
+def test_log_when_an_exit_is_reached_mid_window():
+    cfg = ControlFlowGraph([(1,), (2, 4), (3,), (1,), (5,), ()])
+    behavior = ProgramBehavior()
+    behavior.set(1, steady(0.9995))
+    trace = assert_logged_run(cfg, behavior, 10**6, seed=9)
+    assert 0 < trace.num_steps < 10**6
+    assert trace._log.tail_start == 4 and trace._log.tail_steps == 2
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 61, 60_000])
+def test_log_of_branch_free_cycle_tails(steps):
+    """The cycle tail is logged as one record and indexed in closed form:
+    its blocks repeat every cycle length."""
+    after_loop = ControlFlowGraph([
+        (1,), (2,), (3, 4), (2,), (5, 6), (7,), (7,),
+        (8, 1),      # 7 outer latch: taken -> cycle
+        (9,), (10,), (8,),  # 8 -> 9 -> 10 -> 8, no branch
+    ])
+    behavior = ProgramBehavior()
+    behavior.set(2, steady(0.96))
+    behavior.set(4, steady(0.8))
+    behavior.set(7, steady(0.002))
+    assert_logged_run(after_loop, behavior, steps, seed=2)
+    lead_in = ControlFlowGraph([(1,), (2,), (3,), (1,)])
+    trace = assert_logged_run(lead_in, ProgramBehavior(), steps, seed=0)
+    assert len(trace._log.starts) == 0 and trace._log.tail_steps == steps
+
+
+@pytest.mark.parametrize("steps", list(range(1, 40)) + [6_001, 6_004])
+def test_log_when_the_budget_ends_mid_segment(steps):
+    cfg, behavior = long_segment_cfg()
+    assert_logged_run(cfg, behavior, steps, seed=2, label=f"steps={steps}")
+
+
+@pytest.mark.parametrize("start", [2, 4, 7, 8])
+def test_log_from_start_overrides(nested_cfg, nested_behavior, start):
+    assert_logged_run(nested_cfg, nested_behavior, 30_000, seed=start,
+                      start=start)
+
+
+@pytest.mark.parametrize("offset", range(0, 64, 9))
+def test_log_across_phase_boundaries_in_a_lockstep_block(nested_cfg,
+                                                         offset):
+    behavior = ProgramBehavior()
+    behavior.set(2, phases(0.96, 4_000, 3, offset=offset))
+    behavior.set(4, phases(0.8, 2_500, 5, offset=3 * offset))
+    behavior.set(7, steady(0.001))
+    assert_logged_run(nested_cfg, behavior, 16_000, seed=offset)
+
+
+def test_log_across_warmup_expiries_in_one_window(nested_cfg):
+    behavior = ProgramBehavior()
+    behavior.set(2, warmup(uses=40, p_init=0.5, p_steady=0.96))
+    behavior.set(4, warmup(uses=3, p_init=0.05, p_steady=0.8))
+    behavior.set(7, steady(0.001))
+    windows0 = windows()
+    assert_logged_run(nested_cfg, behavior, 20_000, seed=3)
+    assert windows() > windows0
+
+
+@pytest.mark.parametrize("min_decisions", [1, vecwalker._MIN_DECISIONS])
+def test_log_with_windows_up_to_the_budget(monkeypatch, min_decisions):
+    monkeypatch.setattr(vecwalker, "_MIN_DECISIONS", min_decisions)
+    cfg, behavior = long_segment_cfg()
+    for extra in range(0, 9, 2):
+        assert_logged_run(cfg, behavior, 6_000 + extra, seed=extra)
+
+
+def test_log_of_slow_decisions_with_tiny_buffers(nested_cfg, monkeypatch):
+    """Slow-path tokens sealed between windows keep their place in the
+    log."""
+    monkeypatch.setattr(vecwalker, "_DRAW", 16)
+    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
+    _, slow0 = decisions()
+    assert_logged_run(nested_cfg, phased_nested_behavior(), 5_000, seed=5)
+    assert decisions()[1] > slow0
+
+
+@pytest.mark.parametrize("nodes", [255, 256, 257])
+def test_log_start_width_at_the_uint8_edge(nodes):
+    """Segment starts are logged as ``uint8`` up to 256 block ids and as
+    ``uint16`` beyond, and index the same either way."""
+    cfg, behavior = ring_cfg(nodes - 2, seed=nodes)
+    assert cfg.num_nodes == nodes
+    trace = assert_logged_run(cfg, behavior, 30_000, seed=nodes)
+    assert trace._log.starts.dtype == (np.uint8 if nodes <= 256
+                                       else np.uint16)
+    assert nodes - 3 in trace._log.starts.tolist()  # the top ring start
+
+
+@pytest.mark.parametrize("input_name", ["ref", "train"])
+@pytest.mark.parametrize("name", [b.name for b in all_benchmarks()])
+def test_benchmark_logs_equal_scalar(name, input_name):
+    """Every benchmark input at 5% length: the recorded trace's index and
+    decoded steps are the scalar walker's."""
+    bench = get_benchmark(name).scaled(0.05)
+    behavior, steps, seed = bench._input(input_name)
+    assert_log_matches(scalar_trace(bench.cfg, behavior, steps, seed),
+                       bench.trace(input_name), f"{name}:{input_name}")
