@@ -5,27 +5,29 @@ For instruction-level (VIR) workloads we can do better: actually
 retranslate the formed regions (constant propagation, DCE, scheduling)
 and read each block's optimised cost off the schedule.  This module
 bridges the two — producing a per-block optimised-cost array the
-execution estimator consumes instead of the flat constant.
+execution estimator consumes instead of the flat constant.  The
+optimiser is imported on first use, so importing the perf model (and
+every study and CLI start) does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
 from ..ir.program import Program
-from ..opt.regionopt import (RegionOptimizationReport, main_path_instances,
-                             optimize_region)
-from ..opt.scheduler import MachineModel
 from ..profiles.model import ProfileSnapshot
 from .costs import CostModel
+
+if TYPE_CHECKING:
+    from ..opt.scheduler import MachineModel
 
 
 def measured_block_costs(program: Program, cfg: ControlFlowGraph,
                          snapshot: ProfileSnapshot,
-                         machine: MachineModel = MachineModel(),
+                         machine: Optional[MachineModel] = None,
                          base_costs: Optional[CostModel] = None
                          ) -> np.ndarray:
     """Per-block optimised cost (cycles per execution), measured.
@@ -39,8 +41,13 @@ def measured_block_costs(program: Program, cfg: ControlFlowGraph,
     dispatcher prefers the best code).
 
     Returns an array of length ``cfg.num_nodes``: modelled cycles per
-    execution of each block when running optimised.
+    execution of each block when running optimised.  ``machine``
+    defaults to ``MachineModel()``.
     """
+    from ..opt.regionopt import main_path_instances, optimize_region
+    from ..opt.scheduler import MachineModel
+
+    machine = machine or MachineModel()
     base_costs = base_costs or CostModel()
     table = program.block_table()
     sizes = np.array([len(block) for _, block in table], dtype=float)
@@ -63,7 +70,7 @@ def measured_block_costs(program: Program, cfg: ControlFlowGraph,
 def estimate_cost_measured(trace, tmap, program: Program,
                            cfg: ControlFlowGraph,
                            snapshot: ProfileSnapshot,
-                           machine: MachineModel = MachineModel(),
+                           machine: Optional[MachineModel] = None,
                            costs: Optional[CostModel] = None,
                            tables=None):
     """Figure 17's estimator with measured optimised-block costs.

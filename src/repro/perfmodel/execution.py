@@ -45,7 +45,7 @@ class CostBreakdown:
 
 def _breakdown(tables: CostTables, tmap: TranslationMap, costs: CostModel,
                opt_price: np.ndarray) -> CostBreakdown:
-    """Price one translation map from the trace's per-edge step index.
+    """Price one translation map with the trace's :class:`CostTables`.
 
     ``opt_price`` is the per-block cost of an optimised execution: the
     flat ``tables.opt_price``, or measured costs for the derived model.

@@ -1,24 +1,23 @@
-"""Per-edge step index of a trace, for pricing many translation maps.
+"""Figure 17's pricing inputs, read by rank off a trace's event index.
 
 A threshold sweep prices one recorded trace against many translation
-maps.  All the estimator needs are *counts* over a block's or an edge's
-occurrences: how many of block ``b``'s steps ran optimised, and how many
-optimised steps left through a side exit.  A map settles both with one
-number per block: step ``s`` of ``b`` runs optimised iff
-``optimized_at[b] <= s``.  So :class:`CostTables` indexes the trace
-once, in O(N), and each map is priced in O((blocks + edges) · log N):
+maps.  All the estimator needs are *counts*: how many of block ``b``'s
+executions ran optimised, and how many of those left by each successor
+edge.  A map settles both with one number per block: step ``s`` of
+``b`` runs optimised iff ``optimized_at[b] <= s``.  So
+:class:`CostTables` keeps each block's sorted ``steps`` and
+``taken_prefix`` from the event index (``trace.events()``) and prices
+each map by rank in O(blocks · log N), with no per-step array:
 
-* ``keys`` holds ``edge * N + step`` for every step with a successor,
-  grouped by dynamic edge ``(src, dst)`` and sorted.  It is built by
-  splitting each block's sorted steps from the event index
-  (``trace.events()``) by successor, so no full-trace sort is paid.  A
-  walker trace names each step's successor from its successor table
-  (a block's only successor, or a branch's taken/fall-through one by
-  the outcomes in ``taken_prefix``), so its steps are never decoded;
-  an array trace reads ``blocks[step + 1]``;
-* per map, one ``searchsorted`` of ``edge * N + optimized_at[src]``
-  counts each edge's optimised steps, and a ``bincount`` over ``src``
-  (plus the last step, which has no edge) gives them per block.
+* a block's ``m`` executions with a successor (its ``use``, less one
+  for the trace's last step) leave by one edge if the successor table
+  (``trace.successors``) gives one successor, else ``taken_prefix[m]``
+  by the taken edge and the rest by the fall-through edge;
+* per map, with ``start = ceil(clip(optimized_at, 0, N))``, a block
+  counts whole if ``start <= steps[0]`` and zero if ``start >
+  steps[-1]``; else ``i = searchsorted(steps, start) <= m`` leaves
+  ``use - i`` optimised executions, ``m - i`` optimised traversals and
+  ``taken_prefix[m] - taken_prefix[i]`` optimised taken ones.
 
 Exactness: the estimator sums ``count * price``.  With integral sizes
 and costs (every study's sizes and ``DEFAULT_COSTS``) every price,
@@ -37,7 +36,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..dbt.codecache import TranslationMap
-from ..stochastic.trace import ExecutionTrace
+from ..stochastic.trace import ExecutionTrace, TraceError
 from .costs import DEFAULT_COSTS, CostModel
 
 
@@ -52,9 +51,8 @@ class CostTables:
         unopt_price / opt_price: per-block cost of one unoptimised
             (``size * interp_cost + profile_overhead``) or optimised
             (flat model, ``size * opt_cost``) execution.
-        keys: sorted ``edge * num_steps + step``, grouped by edge.
-        edge_src / edge_code / edge_end: per dynamic edge, its source
-            block, pair code ``src * num_blocks + dst`` and segment end.
+        edge_src / edge_code: per dynamic edge, its source block and
+            pair code ``src * num_blocks + dst``.
     """
 
     def __init__(self, trace: ExecutionTrace,
@@ -63,60 +61,60 @@ class CostTables:
         sizes = np.asarray(block_sizes, dtype=float)
         if len(sizes) != trace.num_blocks:
             raise ValueError("block_sizes length does not match block count")
-        self.num_blocks = trace.num_blocks
+        self.num_blocks = nb = trace.num_blocks
         self.num_steps = n = trace.num_steps
         self.sizes = sizes
         self.costs = costs
         self.unopt_price = sizes * costs.interp_cost + costs.profile_overhead
         self.opt_price = sizes * costs.opt_cost
-        self.use = np.zeros(self.num_blocks, dtype=np.int64)
-        self._last_block = 0
 
-        # A walker trace's successors follow from its CFG: a block's only
-        # successor, or a branch's by the outcome its prefix records.
-        table = trace.successors
-        segments, src, dst = [], [], []
-        for block, events in trace.events().items():
-            steps = events.steps
-            self.use[block] = len(steps)
-            if steps[-1] == n - 1:
-                self._last_block = block  # the last step has no successor
-                steps = steps[:-1]
-            if table is None:
-                succ = trace.blocks[steps + 1]
-            elif table[block, 0] == table[block, 1]:
-                if len(steps):
-                    segments.append(steps + len(segments) * n)
-                    src.append(block)
-                    dst.append(int(table[block, 0]))
-                continue
-            else:
-                succ = table[block].take(
-                    np.diff(events.taken_prefix[:len(steps) + 1]))
-            while len(steps):  # one pass per distinct successor
-                here = succ == succ[0]
-                segments.append(steps[here] + len(segments) * n)
-                src.append(block)
-                dst.append(succ[0])
-                steps, succ = steps[~here], succ[~here]
-        self.keys = (np.concatenate(segments) if segments
-                     else np.empty(0, dtype=np.int64))
-        self.edge_src = np.array(src, dtype=np.int64)
-        self.edge_code = (self.edge_src * self.num_blocks +
-                          np.array(dst, dtype=np.int64))
-        self.edge_end = np.cumsum([len(s) for s in segments], dtype=int)
+        # Per block: first and last step, use, leaving executions ``m``
+        # and the taken ones among them.  A block that never runs counts
+        # as optimised from its "first step" ``n + 1``, with zero counts.
+        self._events = trace.events()
+        stats = np.zeros((5, nb), dtype=np.int64)
+        stats[0] = n + 1
+        edges = []
+        for block, events in self._events.items():
+            use = m = len(events.steps)
+            last = int(events.steps[-1])
+            if last == n - 1:
+                m -= 1  # the last step has no successor
+            taken = int(events.taken_prefix[m])
+            stats[:, block] = events.steps[0], last, use, m, taken
+            # Each edge is traversed ``a * m + b * taken`` times.
+            fall, hit = trace.successors[block].tolist()
+            for succ, count, a, b in (
+                    [(fall, m, 1, 0)] if fall == hit else
+                    [(fall, m - taken, 1, -1), (hit, taken, 0, 1)]):
+                if count and succ < 0:
+                    raise TraceError(f"block {block} has a successor but "
+                                     "no successor table entry")
+                if count:
+                    edges.append((block, succ, a, b))
+        self._first, self._last, self.use, self._leaving, self._taken = stats
+        self.edge_src, dst, self._edge_a, self._edge_b = \
+            np.array(edges, dtype=np.int64).reshape(-1, 4).T.copy()
+        self.edge_code = self.edge_src * nb + dst
 
     def optimized_steps(self, tmap: TranslationMap
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Steps that run optimised under ``tmap``: per block, per edge."""
-        n = self.num_steps
-        start = np.ceil(np.clip(tmap.optimized_at, 0, n)).astype(np.int64)
-        edges = np.arange(len(self.edge_src), dtype=np.int64)
-        first = np.searchsorted(self.keys,
-                                edges * n + start[self.edge_src])
-        per_edge = self.edge_end - first
-        per_block = np.bincount(self.edge_src, weights=per_edge,
-                                minlength=self.num_blocks).astype(np.int64)
-        if n and start[self._last_block] < n:
-            per_block[self._last_block] += 1  # the last step has no edge
-        return per_block, per_edge
+        start = np.ceil(np.clip(tmap.optimized_at, 0, self.num_steps)
+                        ).astype(np.int64)
+        # Blocks optimised by their first step count whole; only those
+        # optimised part way through their run need a search.
+        whole = start <= self._first
+        per_block = np.where(whole, self.use, 0)
+        trips = np.where(whole, self._leaving, 0)
+        taken = np.where(whole, self._taken, 0)
+        part = np.flatnonzero(~whole & (start <= self._last))
+        for block, at, m in zip(part.tolist(), start[part].tolist(),
+                                self._leaving[part].tolist()):
+            events = self._events[block]
+            i = int(events.steps.searchsorted(at))
+            per_block[block] = len(events.steps) - i
+            trips[block] = m - i
+            taken[block] = events.taken_prefix[m] - events.taken_prefix[i]
+        return per_block, (self._edge_a * trips[self.edge_src] +
+                           self._edge_b * taken[self.edge_src])

@@ -329,6 +329,7 @@ class ExecutionTrace:
         self._num_steps = len(blocks)
         self._counts = counts
         self._events: Optional[Dict[int, BlockEvents]] = None
+        self._successors: Optional[np.ndarray] = None
 
     @classmethod
     def from_log(cls, log: DecisionLog, counts: RunCounts
@@ -371,11 +372,34 @@ class ExecutionTrace:
         self._blocks, self._taken = self._log.decode(self._num_steps)
 
     @property
-    def successors(self) -> Optional[np.ndarray]:
-        """The walker's ``(num_blocks, 2)`` successor table (see
-        :class:`SegmentTable`), or ``None`` for a trace built from
-        arrays, whose steps need not follow any CFG."""
-        return None if self._log is None else self._log.segments.successors
+    def successors(self) -> np.ndarray:
+        """The ``(num_blocks, 2)`` successor table (see
+        :class:`SegmentTable`): a walker trace's is its walker's, an
+        array trace's is derived once from its arrays, ``-1`` where no
+        step leaves a block under an outcome.
+
+        Raises :class:`TraceError` if an array trace leaves one block
+        to two different successors under the same outcome.
+        """
+        if self._log is not None:
+            return self._log.segments.successors
+        if self._successors is None:
+            self._successors = self._derive_successors()
+        return self._successors
+
+    def _derive_successors(self) -> np.ndarray:
+        table = np.full(2 * self.num_blocks, -1, dtype=np.int32)
+        nxt = self.blocks[1:]
+        key = self.blocks[:-1].astype(np.int64) << 1
+        key |= self.taken[:-1] == 1
+        table[key] = nxt
+        clash = np.flatnonzero(table[key] != nxt)
+        if len(clash):
+            block, taken = divmod(int(key[clash[0]]), 2)
+            raise TraceError(
+                f"block {block} leaves to two different successors with "
+                f"outcome {'taken' if taken else 'not taken'}")
+        return table.reshape(self.num_blocks, 2)
 
     # -- aggregate counters ----------------------------------------------------
 

@@ -16,16 +16,15 @@ live here, where only tests can reach them:
   ``run_batched_replay``'s ``(positions, config, optimize)`` callback
   contract;
 * :func:`reference_breakdown` — the performance model priced step by
-  step, one full-length pass over the trace per map, against which the
-  per-edge step index of :class:`~repro.perfmodel.CostTables` is
-  checked;
+  step, one full-length pass over the trace per map, against which
+  :class:`~repro.perfmodel.CostTables`' rank pricing is checked;
 * :func:`reference_events` — the per-block event index, one linear scan
   of the trace per block, against which the radix-sorted
   :meth:`~repro.stochastic.ExecutionTrace.events` is checked;
-* :func:`reference_edge_index` — the per-edge step index of
-  :class:`~repro.perfmodel.CostTables`, from one gather of every step's
-  successor (``blocks[step + 1]``), against which the tables a walker
-  trace builds from its event index and successor table are checked.
+* :func:`reference_optimized_steps` — the optimised steps per block
+  and traversals per dynamic edge under one map, from one gather of
+  every step, against which :class:`~repro.perfmodel.CostTables`' rank
+  counts off the event index and successor table are checked.
 
 The ``oracle_engines`` fixture (``tests/conftest.py``) swaps the
 walkers and the heap replay into the study pipeline;
@@ -172,30 +171,24 @@ def reference_events(trace: ExecutionTrace) -> Dict[int, BlockEvents]:
     return events
 
 
-def reference_edge_index(trace: ExecutionTrace
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray, int]:
-    """``CostTables``' ``keys``, ``edge_src``, ``edge_code``,
-    ``edge_end`` and last block, from each step's successor.
+def reference_optimized_steps(trace: ExecutionTrace,
+                              optimized_at: Sequence[float]
+                              ) -> Tuple[np.ndarray, Dict[int, int]]:
+    """Optimised steps per block, and optimised traversals per dynamic
+    edge, from one gather of every step.
 
-    Every step but the last has the dynamic edge ``(blocks[s],
-    blocks[s + 1])``.  Edges are numbered by source block, then by the
-    step of their first traversal; ``keys`` is ``edge * N + step``
-    sorted.
+    Step ``s`` runs optimised iff ``optimized_at[blocks[s]] <= s``; it
+    traverses the edge ``(blocks[s], blocks[s + 1])`` unless it is the
+    last.  Edges are keyed by ``src * num_blocks + dst`` and include
+    every edge the trace traverses, optimised or not.
     """
     blocks = trace.blocks.astype(np.int64)
-    n, num_blocks = len(blocks), trace.num_blocks
-    if n < 2:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, empty, int(blocks[-1]) if n else 0
-    code = blocks[:-1] * num_blocks + blocks[1:]
-    codes, first, edge_of_step = np.unique(code, return_index=True,
-                                           return_inverse=True)
-    rank = np.lexsort((first, codes // num_blocks))
-    edge = np.empty(len(codes), dtype=np.int64)
-    edge[rank] = np.arange(len(codes))
-    edge_of_step = edge[edge_of_step]
-    keys = np.sort(edge_of_step * n + np.arange(n - 1))
-    edge_end = np.cumsum(np.bincount(edge_of_step, minlength=len(codes)))
-    return (keys, codes[rank] // num_blocks, codes[rank], edge_end,
-            int(blocks[-1]))
+    optimized = (np.asarray(optimized_at, dtype=float)[blocks] <=
+                 np.arange(len(blocks)))
+    per_block = np.bincount(blocks[optimized], minlength=trace.num_blocks)
+    codes, edge_of_step = np.unique(
+        blocks[:-1] * trace.num_blocks + blocks[1:], return_inverse=True)
+    per_edge = np.bincount(edge_of_step, weights=optimized[:-1],
+                           minlength=len(codes)).astype(np.int64)
+    return per_block.astype(np.int64), dict(zip(codes.tolist(),
+                                                 per_edge.tolist()))
