@@ -52,16 +52,14 @@ def _run_study(jobs, scale, cache_dir=None, **kwargs):
 
 def drill_crash_and_hang(jobs, scale, reference):
     """One crash + one hang: complete, retry, quarantine, stay identical."""
-    from repro.harness.faults import FAULT_SPEC_ENV, HANG_SECONDS_ENV
+    from repro.harness.faults import HANG_SECONDS_ENV
 
-    os.environ[FAULT_SPEC_ENV] = \
-        f"{CRASH_BENCH}:crash:1,{HANG_BENCH}:hang:1"
     os.environ[HANG_SECONDS_ENV] = "60"
     try:
-        seconds, faulted = _run_study(jobs=jobs, scale=scale, retries=2,
-                                      job_timeout=JOB_TIMEOUT)
+        seconds, faulted = _run_study(
+            jobs=jobs, scale=scale, retries=2, job_timeout=JOB_TIMEOUT,
+            fault_spec=f"{CRASH_BENCH}:crash:1,{HANG_BENCH}:hang:1")
     finally:
-        del os.environ[FAULT_SPEC_ENV]
         del os.environ[HANG_SECONDS_ENV]
 
     failed = (faulted.manifest or {}).get("failed_benchmarks") or {}
@@ -90,14 +88,9 @@ def drill_crash_and_hang(jobs, scale, reference):
 
 def drill_torn_write(jobs, scale, tmp_dir):
     """A torn shard write leaves no unrecoverable file behind."""
-    from repro.harness.faults import FAULT_SPEC_ENV
-
     cache_dir = os.path.join(tmp_dir, "fault-drill-cache")
-    os.environ[FAULT_SPEC_ENV] = "shard:torn-write:1"
-    try:
-        _run_study(jobs=jobs, scale=scale, cache_dir=cache_dir)
-    finally:
-        del os.environ[FAULT_SPEC_ENV]
+    _run_study(jobs=jobs, scale=scale, cache_dir=cache_dir,
+               fault_spec="shard:torn-write:1")
     debris = [f for f in os.listdir(cache_dir) if f.endswith(".tmp")]
     shards = [f for f in os.listdir(cache_dir)
               if f.startswith("shard-") and f.endswith(".json")]

@@ -1,13 +1,13 @@
-"""Micro-benchmark: reduced full-study wall time across pool backends.
+"""Micro-benchmark: reduced full-study wall time across dispatch modes.
 
-Times the same reduced study on every pool backend — ``jobs=1`` serial
-(in-process), the warm process pool, and the batched process pool —
-under an interleaved best-of-2 protocol (contenders alternate inside
-each rep so machine drift hits all of them equally; the per-contender
-minimum is reported).  Verifies the figure data is byte-identical
-across every backend, measures the multi-threshold replay against
-per-threshold replays, and writes everything to ``BENCH_study.json`` so
-CI can track the perf trajectory change over change::
+Times the same reduced study three ways — ``jobs=1`` serial
+(in-process), the warm process pool, and the process pool dispatching
+``--batch N`` benchmarks at a time — under an interleaved best-of-2
+protocol (contenders alternate inside each rep so machine drift hits
+all of them equally; the per-contender minimum is reported).  Verifies
+the figure data is byte-identical across every mode and writes
+everything to ``BENCH_study.json`` so CI can track the perf trajectory
+change over change::
 
     PYTHONPATH=src python benchmarks/bench_study.py --out BENCH_study.json
 
@@ -67,7 +67,7 @@ def _dispatch_stats(manifest) -> dict:
 
 
 def bench_backends(jobs: int, batch: int, scale: float):
-    """Interleaved best-of-``BENCH_REPS`` across the three backends.
+    """Interleaved best-of-``BENCH_REPS`` across the three modes.
 
     Returns ``(best_seconds, last_results)`` dicts keyed by contender
     label; the results kept are from each contender's *fastest* rep, so
@@ -75,44 +75,20 @@ def bench_backends(jobs: int, batch: int, scale: float):
     """
     contenders = [
         ("serial", dict(jobs=1)),
-        ("process", dict(jobs=jobs, pool="process")),
-        ("batched", dict(jobs=jobs, pool="batched", batch=batch)),
+        ("process", dict(jobs=jobs)),
+        ("process --batch", dict(jobs=jobs, batch=batch)),
     ]
     best: dict = {}
     kept: dict = {}
     for rep in range(BENCH_REPS):
         for label, kwargs in contenders:
             seconds, results = _run_study(scale, **kwargs)
-            print(f"  rep {rep + 1}/{BENCH_REPS} {label:8s} "
+            print(f"  rep {rep + 1}/{BENCH_REPS} {label:15s} "
                   f"{seconds:8.2f}s")
             if label not in best or seconds < best[label]:
                 best[label] = seconds
                 kept[label] = results
     return best, kept
-
-
-def bench_replay_single_vs_multi(scale: float):
-    """One benchmark: per-threshold ReplayDBT loop vs one multireplay."""
-    from repro.dbt import DBTConfig, MultiThresholdReplay, ReplayDBT
-    from repro.workloads import get_benchmark
-
-    benchmark = get_benchmark("gzip").scaled(scale)
-    trace = benchmark.trace("ref")
-    loops = benchmark.loop_forest()
-    config = DBTConfig()
-    trace.events()  # shared index built up front for both contenders
-
-    started = time.perf_counter()
-    for t in BENCH_THRESHOLDS:
-        ReplayDBT(trace, benchmark.cfg, config.with_threshold(t),
-                  loops=loops).run()
-    single_sum = time.perf_counter() - started
-
-    started = time.perf_counter()
-    MultiThresholdReplay(trace, benchmark.cfg, BENCH_THRESHOLDS,
-                         base_config=config, loops=loops).run()
-    multi = time.perf_counter() - started
-    return single_sum, multi
 
 
 def main(argv=None) -> int:
@@ -122,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None,
                         help="parallel worker count (default: all CPUs)")
     parser.add_argument("--batch", type=int, default=None,
-                        help="batch size for the batched backend "
+                        help="batch size of the batched contender "
                              "(default: half the benchmarks per worker)")
     parser.add_argument("--scale", type=float, default=BENCH_SCALE,
                         help="steps_scale of the reduced study")
@@ -143,7 +119,7 @@ def main(argv=None) -> int:
 
     reference = _strip_manifest_bytes(kept["serial"])
     identical = all(_strip_manifest_bytes(kept[label]) == reference
-                    for label in ("process", "batched"))
+                    for label in ("process", "process --batch"))
     if cpu_count >= 2:
         speedup = (round(serial_seconds / parallel_seconds, 3)
                    if parallel_seconds else 0.0)
@@ -158,15 +134,16 @@ def main(argv=None) -> int:
           f"figure data identical: {identical}")
 
     backends = {}
-    for label in ("serial", "process", "batched"):
+    for label in ("serial", "process", "process --batch"):
         manifest = kept[label].manifest or {}
-        backends[manifest.get("pool") or label] = dict(
+        backends[label] = dict(
+            pool=manifest.get("pool"),
             jobs=manifest.get("jobs"),
             batch_size=manifest.get("batch_size"),
             seconds=round(best[label], 3),
             **_dispatch_stats(manifest))
-    per_job = backends.get("process", {}).get("overhead_ratio") or 0.0
-    batched = backends.get("batched", {}).get("overhead_ratio") or 0.0
+    per_job = backends["process"]["overhead_ratio"] or 0.0
+    batched = backends["process --batch"]["overhead_ratio"] or 0.0
     if batched >= per_job > 0:
         # Batching exists to amortize per-dispatch overhead; if it did
         # not, that is a perf finding worth a flag (but the numbers are
@@ -175,11 +152,6 @@ def main(argv=None) -> int:
     print("backend overhead/execute: " +
           ", ".join(f"{name} {stats['overhead_ratio']}"
                     for name, stats in sorted(backends.items())))
-
-    single_sum, multi = bench_replay_single_vs_multi(args.scale)
-    replay_speedup = single_sum / multi if multi else 0.0
-    print(f"replay sweep: per-threshold {single_sum:.3f}s vs "
-          f"multireplay {multi:.3f}s ({replay_speedup:.2f}x)")
 
     process_manifest = kept["process"].manifest or {}
     payload = {
@@ -200,11 +172,6 @@ def main(argv=None) -> int:
             **_dispatch_stats(process_manifest),
         },
         "backends": backends,
-        "replay_sweep": {
-            "per_threshold_seconds": round(single_sum, 3),
-            "single_pass_seconds": round(multi, 3),
-            "speedup": round(replay_speedup, 3),
-        },
         "flags": flags,
     }
     with open(args.out, "w") as f:

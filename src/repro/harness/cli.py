@@ -18,10 +18,11 @@ from typing import List, Optional
 
 from ..obs import configure as configure_logging
 from ..obs import render_manifest, write_metrics, write_trace
-from ..workloads.spec import SIM_THRESHOLDS, benchmark_names
+from ..workloads.spec import benchmark_names
 from .figures import FIGURES
 from .paper_example import compute_example
 from .runner import DEFAULT_CACHE_DIR, run_full_study
+from .studyspec import StudySpec, resolve_spec
 from .tables import render
 
 #: Exit code when the study completed but quarantined benchmarks —
@@ -102,17 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "fan-out (default: $REPRO_JOBS, else all "
                              "CPUs; 1 = serial; results are identical "
                              "for any N)")
-    parser.add_argument("--pool", default=None,
-                        choices=["inprocess", "process", "batched"],
-                        help="pool backend for the fan-out (default: "
-                             "$REPRO_POOL, else picked from --jobs/"
-                             "--batch; results are identical for every "
-                             "backend)")
     parser.add_argument("--batch", type=int, default=None, metavar="N",
                         help="benchmarks per dispatch unit on the "
-                             "batched backend (default: $REPRO_BATCH, "
-                             "else sized automatically; needs "
-                             "--pool batched)")
+                             "process pool (default: $REPRO_BATCH, else "
+                             "1; needs --jobs >= 2; results are "
+                             "identical for any N)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="per-benchmark retry budget for crashed or "
                              "failing jobs (default: $REPRO_RETRIES, "
@@ -179,15 +174,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     return code
 
 
+def _resolve_spec(args: argparse.Namespace) -> StudySpec:
+    """The study the flags ask for (environment and defaults filled in)."""
+    return resolve_spec(
+        steps_scale=0.1 if args.quick else 1.0,
+        include_perf=not args.no_perf, jobs=args.jobs, batch=args.batch,
+        retries=args.retries, job_timeout=args.job_timeout,
+        verify=args.verify, profile=args.profile,
+        flight_dir=args.flight_dir)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
     if args.summary is not None:
-        return print_summary(args.summary,
-                             steps_scale=0.1 if args.quick else 1.0,
-                             include_perf=not args.no_perf,
-                             use_cache=not args.no_cache,
-                             jobs=args.jobs, retries=args.retries,
-                             job_timeout=args.job_timeout,
-                             verify=args.verify)
+        return print_summary(args.summary, _resolve_spec(args),
+                             cache_dir=cache_dir, verbose=args.verbose)
     if args.figures:
         wanted = args.figures
     else:
@@ -210,22 +211,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if not wanted and not args.stats:
         return 0
 
-    cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
-    results = run_full_study(
-        names=args.benchmarks,
-        thresholds=SIM_THRESHOLDS,
-        steps_scale=0.1 if args.quick else 1.0,
-        include_perf=not args.no_perf,
-        cache_dir=cache_dir,
-        verbose=args.verbose,
-        jobs=args.jobs,
-        retries=args.retries,
-        job_timeout=args.job_timeout,
-        verify=args.verify,
-        profile=args.profile,
-        flight_dir=args.flight_dir,
-        pool=args.pool,
-        batch=args.batch)
+    results = run_full_study(names=args.benchmarks, cache_dir=cache_dir,
+                             verbose=args.verbose,
+                             **vars(_resolve_spec(args)))
 
     for number in wanted:
         builder = FIGURES.get(number)
@@ -248,25 +236,18 @@ def _dispatch(args: argparse.Namespace) -> int:
     return _report_quarantine(results) or _report_verify(results)
 
 
-def print_summary(name: str, steps_scale: float = 1.0,
-                  include_perf: bool = True, use_cache: bool = True,
-                  jobs: Optional[int] = None,
-                  retries: Optional[int] = None,
-                  job_timeout: Optional[float] = None,
-                  verify: Optional[bool] = None) -> int:
-    """Print one benchmark's complete study card."""
+def print_summary(name: str, spec: StudySpec,
+                  cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
+                  verbose: bool = False) -> int:
+    """Print one benchmark's complete study card for ``spec``."""
     from ..workloads.spec import nominal_label
     from .tables import Table
 
     if name not in benchmark_names():
         print(f"unknown benchmark {name!r}", file=sys.stderr)
         return 2
-    results = run_full_study(
-        names=[name], thresholds=SIM_THRESHOLDS, steps_scale=steps_scale,
-        include_perf=include_perf,
-        cache_dir=DEFAULT_CACHE_DIR if use_cache else None,
-        jobs=jobs, retries=retries, job_timeout=job_timeout,
-        verify=verify)
+    results = run_full_study(names=[name], cache_dir=cache_dir,
+                             verbose=verbose, **vars(spec))
     if name not in results.benchmarks:
         return _report_quarantine(results)
     result = results.benchmarks[name]
@@ -280,17 +261,18 @@ def print_summary(name: str, steps_scale: float = 1.0,
                  if result.train_sd_lp is not None else ""))
     columns = ["T", "Sd.BP", "mis", "Sd.CP", "Sd.LP", "lp-mis",
                "regions", "ops/train"]
-    if include_perf:
+    if spec.include_perf:
         columns.append("perf")
     table = Table(title=f"study card: {name}", columns=columns)
-    perf = result.perf_relative() if include_perf and result.perf else {}
+    perf = (result.perf_relative() if spec.include_perf and result.perf
+            else {})
     for t in result.thresholds:
         row = [nominal_label(t), result.sd_bp.get(t),
                result.bp_mismatch.get(t), result.sd_cp.get(t),
                result.sd_lp.get(t), result.lp_mismatch.get(t),
                result.num_regions.get(t),
                result.profiling_ops.get(t, 0) / max(result.train_ops, 1)]
-        if include_perf:
+        if spec.include_perf:
             row.append(perf.get(t))
         table.add_row(*row)
     print(render(table))

@@ -29,11 +29,8 @@ Fault *decisions* are drawn in the parent at submission time and shipped
 to the worker with the job, so the schedule is deterministic regardless
 of pool scheduling, and the ``faults.injected.*`` counters survive the
 worker's death.  One :class:`FaultPlan` is armed per
-:func:`~repro.harness.runner.run_full_study` call.
-
-The same module resolves the failure-policy environment knobs:
-``REPRO_RETRIES`` (per-benchmark retry budget, default 2) and
-``REPRO_JOB_TIMEOUT`` (seconds before a job is declared hung).
+:func:`~repro.harness.runner.run_full_study` call, parsed from the
+resolved spec's ``fault_spec`` (see :mod:`repro.harness.studyspec`).
 """
 
 from __future__ import annotations
@@ -47,20 +44,8 @@ from typing import List, Optional
 from ..obs import log as obslog
 from ..obs.registry import inc
 
-#: Environment variable holding the fault-injection spec.
-FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
-
-#: Environment variable overriding the default retry budget.
-RETRIES_ENV = "REPRO_RETRIES"
-
-#: Environment variable supplying a default per-job timeout (seconds).
-JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-
 #: Environment variable shortening the injected hang (tests).
 HANG_SECONDS_ENV = "REPRO_FAULT_HANG_SECONDS"
-
-#: Retry budget when neither the caller nor the environment chooses.
-DEFAULT_RETRIES = 2
 
 #: How long an injected hang sleeps (must outlive any job timeout).
 HANG_SECONDS = 3600.0
@@ -140,11 +125,6 @@ class FaultPlan:
             rules.append(FaultRule(target=target, kind=kind,
                                    remaining=count))
         return cls(rules)
-
-    @classmethod
-    def from_env(cls) -> "FaultPlan":
-        """The plan described by ``$REPRO_FAULT_SPEC`` (empty if unset)."""
-        return cls.from_spec(os.environ.get(FAULT_SPEC_ENV))
 
     def draw(self, name: str) -> Optional[str]:
         """Consume and return the worker fault due for ``name``, if any.
@@ -248,45 +228,3 @@ def fire(kind: str, name: str) -> None:
         raise InjectedFault(f"injected error in {name}")
     raise ValueError(f"unknown fault kind {kind!r}")
 
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """The effective retry budget.
-
-    Explicit ``retries`` wins; otherwise :data:`RETRIES_ENV`; otherwise
-    :data:`DEFAULT_RETRIES`.  ``0`` disables retries (one attempt).
-    """
-    if retries is None:
-        env = os.environ.get(RETRIES_ENV)
-        if env:
-            try:
-                retries = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{RETRIES_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            retries = DEFAULT_RETRIES
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    return retries
-
-
-def resolve_job_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """The effective per-job timeout in seconds (``None`` = unlimited).
-
-    Explicit ``timeout`` wins; otherwise :data:`JOB_TIMEOUT_ENV`;
-    otherwise no timeout.
-    """
-    if timeout is None:
-        env = os.environ.get(JOB_TIMEOUT_ENV)
-        if not env:
-            return None
-        try:
-            timeout = float(env)
-        except ValueError:
-            raise ValueError(
-                f"{JOB_TIMEOUT_ENV} must be a number, got {env!r}"
-            ) from None
-    if timeout <= 0:
-        raise ValueError(f"job timeout must be > 0, got {timeout}")
-    return timeout

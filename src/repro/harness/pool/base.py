@@ -6,8 +6,8 @@ backoff, timeouts, pool rebuilds, quarantine, fault-token accounting
 and dispatch telemetry — lives in the dispatcher and is inherited by
 every backend for free.  The hierarchy is modeled on the
 ``Pool``/``ProcessPool``/``PrunPool`` split in vusec's
-instrumentation-infra: callers pick an execution strategy by name, the
-study engine never changes.
+instrumentation-infra: the dispatcher picks an execution strategy from
+the worker count, the study engine never changes.
 
 A batch future resolves to one :class:`~.worker.BatchItem` per member
 in submission order — a :class:`~.worker.WorkerOutput` on success or a
@@ -36,8 +36,8 @@ class PoolBackend(ABC):
     dispatcher calls ``start()`` again to continue on fresh workers.
 
     Class attributes:
-        name: the backend's registry key (``--pool`` value) and the
-            label stamped on every :class:`~repro.obs.dispatch.JobTimeline`.
+        name: the label stamped on every
+            :class:`~repro.obs.dispatch.JobTimeline` and on the manifest.
         is_inline: jobs run in the parent process — submission blocks,
             futures arrive already resolved, and the retry engine
             quarantines without an inline fallback (it *is* inline).

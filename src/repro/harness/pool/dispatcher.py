@@ -29,20 +29,18 @@ study completes without them instead of aborting.  Shard writes happen
 in the parent as each job finishes, so nothing a worker does — or how it
 dies — can corrupt the cache.
 
-The unit of dispatch is a *batch* of jobs (one, for the ``inprocess``
-and ``process`` backends).  Batching coarsens transport, not failure
+The unit of dispatch is a *batch* of jobs (``spec.batch`` on the
+process pool, one inline).  Batching coarsens transport, not failure
 semantics: each member succeeds or fails individually
 (:class:`~.worker.BatchItemFailure`), retries are per benchmark, and
 every member gets its own :class:`~repro.obs.dispatch.JobTimeline`
 stamped with the backend name and batch size.  Figure data is
-byte-identical across every backend × jobs × batch combination — the
+byte-identical across every jobs × batch combination — the
 non-negotiable invariant the equivalence suite enforces.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import pickle
 import time
 from collections import deque
@@ -50,94 +48,21 @@ from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...dbt.config import DBTConfig
 from ...obs import log as obslog
 from ...obs.dispatch import JobTimeline
 from ...obs.registry import inc
 from ...obs.spans import span
-from ...perfmodel.costs import CostModel
 from .. import faults
+from ..studyspec import DEFAULT_RETRIES, StudySpec
 from .base import PoolBackend
 from .inprocess import InProcessPool
-from .process import BatchedProcessPool, ProcessPool
+from .process import ProcessPool
 from .worker import (BatchItemFailure, WorkerOutput, _error_text, _flight_of,
                      run_job_inprocess)
 
-#: Environment variable overriding the default worker count.
-JOBS_ENV = "REPRO_JOBS"
-#: Environment variable selecting the pool backend by name.
-POOL_ENV = "REPRO_POOL"
-#: Environment variable overriding the batched backend's batch size.
-BATCH_ENV = "REPRO_BATCH"
-
-#: The backend registry: ``--pool`` names to implementations.
-BACKENDS: Dict[str, Type[PoolBackend]] = {
-    InProcessPool.name: InProcessPool,
-    ProcessPool.name: ProcessPool,
-    BatchedProcessPool.name: BatchedProcessPool,
-}
-
 _log = obslog.get_logger("repro.harness.pool.dispatcher")
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """The effective worker count.
-
-    Explicit ``jobs`` wins; otherwise the :data:`JOBS_ENV` environment
-    variable; otherwise every CPU.  ``1`` selects the serial path.
-    An empty-but-set variable is malformed, not "unset": it is almost
-    always a broken shell expansion, and silently running on every CPU
-    is the worst possible reading of it.
-    """
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV)
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer, got {env!r}") from None
-        else:
-            jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def resolve_pool(pool: Optional[str] = None) -> Optional[str]:
-    """The requested pool backend name, validated; ``None`` = pick one.
-
-    Explicit ``pool`` wins; otherwise the :data:`POOL_ENV` environment
-    variable; otherwise ``None`` lets the dispatcher choose from the
-    worker count and batch size.
-    """
-    if pool is None:
-        pool = os.environ.get(POOL_ENV)
-        if pool is None:
-            return None
-    if pool not in BACKENDS:
-        raise ValueError(f"pool backend must be one of "
-                         f"{'/'.join(sorted(BACKENDS))}, got {pool!r}")
-    return pool
-
-
-def resolve_batch(batch: Optional[int] = None) -> Optional[int]:
-    """The requested batch size, validated; ``None`` = backend default."""
-    if batch is None:
-        env = os.environ.get(BATCH_ENV)
-        if env is None:
-            return None
-        try:
-            batch = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{BATCH_ENV} must be an integer, got {env!r}") from None
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    return batch
 
 
 @dataclass(frozen=True)
@@ -155,7 +80,7 @@ class RetryPolicy:
             ``backoff * 2**(k-1)`` up to ``backoff_cap``.
     """
 
-    retries: int = faults.DEFAULT_RETRIES
+    retries: int = DEFAULT_RETRIES
     job_timeout: Optional[float] = None
     backoff: float = 0.05
     backoff_cap: float = 2.0
@@ -230,11 +155,11 @@ class _JobState:
 class Dispatcher:
     """The retry/rebuild/quarantine engine above every pool backend."""
 
-    def __init__(self, names: Sequence[str], job_tail: Tuple,
+    def __init__(self, names: Sequence[str], spec: StudySpec,
                  backend: PoolBackend, batch: int, policy: RetryPolicy,
                  plan: faults.FaultPlan,
                  on_output: Callable[[WorkerOutput], None]):
-        self.job_tail = job_tail
+        self.spec = spec
         self.backend = backend
         self.batch = batch
         self.policy = policy
@@ -258,7 +183,7 @@ class Dispatcher:
         for state in states:
             state.inject = self.plan.draw(state.name)
             state.batch_size = len(states)
-        jobs = [(s.name,) + self.job_tail + (s.inject,) for s in states]
+        jobs = [(s.name, self.spec, s.inject) for s in states]
         if self.backend.is_inline:
             for state in states:
                 state.serialize_seconds = 0.0  # inline: nothing is pickled
@@ -605,7 +530,7 @@ class Dispatcher:
             faults.clear_fired()
             try:
                 with span("fallback_inline", bench=state.name):
-                    job = (state.name,) + self.job_tail + (state.inject,)
+                    job = (state.name, self.spec, state.inject)
                     output = run_job_inprocess(job)
             except Exception as exc:
                 if state.inject is not None and \
@@ -636,77 +561,47 @@ class Dispatcher:
 
 def dispatch_study_jobs(
         names: Sequence[str],
-        thresholds: Sequence[int],
-        config: DBTConfig,
-        costs: CostModel,
-        steps_scale: float,
-        include_perf: bool,
-        jobs: int,
+        spec: StudySpec,
         policy: Optional[RetryPolicy] = None,
         plan: Optional[faults.FaultPlan] = None,
         on_output: Optional[Callable[[WorkerOutput], None]] = None,
-        verify: bool = False,
-        profile: bool = False,
-        pool: Optional[str] = None,
-        batch: Optional[int] = None,
 ) -> DispatchResult:
     """Fan ``study_benchmark`` jobs out with retries and quarantine.
 
+    One worker (``spec.jobs`` capped at ``len(names)``) runs every job
+    inline; more run them on a :class:`ProcessPool` in dispatch units
+    of ``spec.batch`` benchmarks.
+
     Args:
         names: benchmarks to study (duplicates dropped with a warning).
-        jobs: worker processes (capped at ``len(names)``; ``1`` selects
-            the in-process backend unless ``pool`` overrides it).
-        policy: retry budget, job timeout and backoff (default
-            :class:`RetryPolicy`).
-        plan: the armed fault-injection plan (default: parsed from
-            ``$REPRO_FAULT_SPEC``).
+        spec: the resolved study; it travels to the worker with each
+            job, so the worker never re-reads the environment.
+        policy: retry budget, job timeout and backoff (default: the
+            spec's ``retries`` and ``job_timeout``).
+        plan: the armed fault-injection plan (default: parsed from the
+            spec's ``fault_spec``).
         on_output: called in completion order with every successful
             :class:`WorkerOutput` (progress logging, incremental shard
             writes).  Runs in the parent process.
-        verify: run the semantic verifier inside every study job.
-        profile: arm the fine-grained profiling span sites inside every
-            job (shipped explicitly — the worker must not re-read the
-            environment, or a parent-side explicit choice would not
-            survive the process hop).
-        pool: backend name from :data:`BACKENDS` (default: ``$REPRO_POOL``,
-            else picked from ``jobs``/``batch`` — ``inprocess`` for one
-            worker, ``batched`` when ``batch > 1``, else ``process``).
-        batch: jobs per dispatch unit on the batched backend (default:
-            ``$REPRO_BATCH``, else sized for two batches per worker).
 
     Returns a :class:`DispatchResult`; the caller merges observability
     deterministically and decides what quarantined benchmarks mean.
     """
     names = dedupe_names(names)
-    policy = policy or RetryPolicy()
-    plan = plan if plan is not None else faults.FaultPlan.from_env()
+    policy = policy or RetryPolicy(retries=spec.retries,
+                                   job_timeout=spec.job_timeout)
+    plan = plan if plan is not None else \
+        faults.FaultPlan.from_spec(spec.fault_spec)
     on_output = on_output or (lambda output: None)
-    pool = resolve_pool(pool)
-    batch = resolve_batch(batch)
-    job_tail = (tuple(thresholds), config, costs, steps_scale, include_perf,
-                verify, profile)
-    workers = max(1, min(jobs, len(names)))
-    if pool is None:
-        if batch is not None and batch > 1:
-            pool = BatchedProcessPool.name
-        elif workers <= 1:
-            pool = InProcessPool.name
-        else:
-            pool = ProcessPool.name
-    if pool != BatchedProcessPool.name and batch is not None and batch > 1:
-        raise ValueError(
-            f"batch > 1 requires the batched pool backend, got pool={pool!r}")
-    if pool == InProcessPool.name:
-        workers, batch = 1, 1
-    elif pool == ProcessPool.name:
+    workers = max(1, min(spec.jobs, len(names)))
+    if workers == 1:
+        backend: PoolBackend = InProcessPool(1)
         batch = 1
-    elif batch is None:
-        # Two batches per worker: enough coarsening to amortize the
-        # per-dispatch overhead, enough units left for load balance.
-        batch = max(1, math.ceil(len(names) / (workers * 2)))
-    backend = BACKENDS[pool](workers, profile=profile)
+    else:
+        backend = ProcessPool(workers, profile=spec.profile)
+        batch = spec.batch
     if policy.job_timeout is not None and not backend.supports_timeout:
         _log.warning("job timeout is not enforced on the inline path",
                      job_timeout=policy.job_timeout)
-    return Dispatcher(names, job_tail, backend, batch, policy, plan,
+    return Dispatcher(names, spec, backend, batch, policy, plan,
                       on_output).run()

@@ -1,4 +1,4 @@
-"""Process-pool backends: warm persistent workers, optional batching.
+"""The process-pool backend: warm persistent workers, optional batching.
 
 :class:`ProcessPool` wraps ``concurrent.futures.ProcessPoolExecutor``
 with a *warm registry*: on graceful shutdown the executor is parked
@@ -14,12 +14,9 @@ because the worker entry point re-arms profiling per job; fault
 injection is parent-side (tokens are drawn before submission), so a
 warm worker carries no fault state either.
 
-:class:`BatchedProcessPool` is the same transport with a coarser unit
-of dispatch: the dispatcher hands it several jobs per submission,
-amortizing the per-future pickle/queue/wakeup overhead that dominates
-short study cells.  The mechanics are identical — the batch size lives
-in the dispatcher, the backend just carries the name that lands in the
-telemetry.
+The dispatcher hands the pool ``spec.batch`` jobs per submission;
+batching amortizes the per-future pickle/queue/wakeup overhead that
+dominates short study cells, and needs nothing from the pool itself.
 """
 
 from __future__ import annotations
@@ -96,8 +93,3 @@ class ProcessPool(PoolBackend):
             stale.shutdown(wait=False, cancel_futures=True)
         _WARM[self.workers] = self._executor
 
-
-class BatchedProcessPool(ProcessPool):
-    """The process transport dispatched in multi-job batches."""
-
-    name = "batched"

@@ -1,8 +1,8 @@
 """The worker-side protocol shared by every pool backend.
 
-A *job* is one benchmark's study as shipped to a worker: a plain tuple
-of picklable arguments ending with the profiling flag and the fault
-kind the parent drew for the attempt.  Workers run jobs under strict
+A *job* is one benchmark's study as shipped to a worker: its name, the
+resolved :class:`~repro.harness.studyspec.StudySpec` and the fault kind
+the parent drew for the attempt.  Workers run jobs under strict
 state isolation — the (fork-inherited, or warm-pool-retained) metrics
 registry, span buffer and flight ring are reset before each job and the
 job's signals travel back only inside the returned
@@ -24,25 +24,22 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ...dbt.config import DBTConfig
 from ...obs import flightrec
 from ...obs import log as obslog
 from ...obs import profile as obsprofile
 from ...obs import registry as obsregistry
 from ...obs import spans as obsspans
-from ...perfmodel.costs import CostModel
 from ...workloads.spec import get_benchmark
 from .. import faults
 from ..results import BenchmarkResult
+from ..studyspec import StudySpec
 
 _log = obslog.get_logger("repro.harness.pool.worker")
 
 #: A study job as shipped to a worker (everything here pickles):
-#: (name, thresholds, config, costs, steps_scale, include_perf, verify,
-#: profile, inject) — the last two elements are the profiling flag and
-#: the fault kind the parent drew for this attempt.
-Job = Tuple[str, Tuple[int, ...], DBTConfig, CostModel, float, bool,
-            bool, bool, Optional[str]]
+#: (name, spec, inject) — ``inject`` is the fault kind the parent drew
+#: for this attempt.
+Job = Tuple[str, StudySpec, Optional[str]]
 
 #: perf_counter() at pool-worker initialisation (None in the parent).
 _WORKER_SPAWNED_AT: Optional[float] = None
@@ -152,15 +149,14 @@ def pool_worker_init(profile: bool = False) -> None:
 
 def run_study_job(job: Job) -> WorkerOutput:
     """Run one benchmark's study in a worker process."""
-    (name, thresholds, config, costs, steps_scale, include_perf, verify,
-     profile, inject) = job
+    name, spec, inject = job
     # A forked worker inherits the parent's registry/trace contents (and
     # a warm pool worker keeps state across jobs) — start each job clean
     # so the returned state is exactly this benchmark's signals.
     obsregistry.reset_metrics()
     obsspans.clear_trace()
     flightrec.clear()
-    obsprofile.set_profiling(profile)
+    obsprofile.set_profiling(spec.profile)
     obsprofile.reset_sampling()
     # First breadcrumb after the reset: even a job that dies instantly
     # ships a ring that says which benchmark it was running.
@@ -173,9 +169,7 @@ def run_study_job(job: Job) -> WorkerOutput:
 
         with obsspans.span("workload.build", bench=name):
             benchmark = get_benchmark(name)
-        result = study_benchmark(benchmark, thresholds, config=config,
-                                 costs=costs, steps_scale=steps_scale,
-                                 include_perf=include_perf, verify=verify)
+        result = study_benchmark(benchmark, **spec.result_fields())
     except Exception as exc:
         # Ship the failure in a picklable envelope with the flight ring;
         # injected crashes (os._exit) and hangs never reach this point.

@@ -9,7 +9,7 @@ jobs, so with ``jobs > 1`` they fan out across a process pool (see
 to the parent, so observability output matches a serial run.
 
 Results are cached per benchmark: each ``(benchmark, configuration)``
-pair gets its own shard file keyed by a config fingerprint, plus a thin
+pair gets its own shard file keyed by the spec's config key, plus a thin
 run-level aggregate holding the manifest and the shard index.  Adding a
 benchmark, changing the name subset, or resuming an interrupted run only
 recomputes the missing shards.
@@ -22,7 +22,6 @@ attached to the results and persisted with the cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -36,7 +35,7 @@ from ..obs import dispatch as obsdispatch
 from ..obs import flightrec
 from ..obs import log as obslog
 from ..obs.manifest import build_manifest
-from ..obs.profile import PhaseProfile, resolve_profile, set_profiling
+from ..obs.profile import PhaseProfile, set_profiling
 from ..obs.registry import inc, merge_state, observe, set_gauge
 from ..obs.spans import extend_trace, now_ts, span, trace_events
 from ..perfmodel.costs import DEFAULT_COSTS, CostModel
@@ -44,90 +43,19 @@ from ..perfmodel.execution import estimate_cost
 from ..perfmodel.tables import CostTables
 from ..workloads.spec import (BASE_THRESHOLD, SIM_THRESHOLDS,
                               SyntheticBenchmark, all_benchmarks)
-from .faults import (FaultPlan, resolve_job_timeout, resolve_retries,
-                     set_active_plan)
-from .pool import (RetryPolicy, WorkerOutput, dedupe_names,
-                   dispatch_study_jobs, resolve_batch, resolve_jobs,
-                   resolve_pool)
+from .faults import FaultPlan, set_active_plan
+from .pool import WorkerOutput, dedupe_names, dispatch_study_jobs
 from .results import (BenchmarkResult, PerfPoint, StudyResults,
                       load_aggregate, load_shard, save_aggregate,
                       save_shard, shard_filename)
+from .studyspec import StudySpec, resolve_spec
 
 #: Default on-disk cache location (project-relative).
 DEFAULT_CACHE_DIR = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)),
                  "..", "..", "..", ".cache"))
 
-#: Environment variable turning the semantic verifier on by default.
-VERIFY_ENV = "REPRO_VERIFY"
-
 _log = obslog.get_logger("repro.harness.runner")
-
-
-def resolve_verify(verify: Optional[bool] = None) -> bool:
-    """Whether studies should run under the semantic verifier.
-
-    Explicit ``verify`` wins; otherwise :data:`VERIFY_ENV` (``1``,
-    ``true``, ``yes``, ``on`` enable, ``0``/``false``/``no``/``off``/
-    empty disable); otherwise off.
-    """
-    if verify is not None:
-        return verify
-    env = os.environ.get(VERIFY_ENV, "").strip().lower()
-    if env in ("", "0", "false", "no", "off"):
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    raise ValueError(f"{VERIFY_ENV} must be a boolean flag, "
-                     f"got {os.environ.get(VERIFY_ENV)!r}")
-
-
-def _key_payload(thresholds: Sequence[int], config: DBTConfig,
-                 costs: CostModel, steps_scale: float,
-                 include_perf: bool, verify: bool = False) -> Dict:
-    """The normalised configuration dict behind every cache key.
-
-    Thresholds are sorted and config/cost dataclasses expanded into
-    explicit field dicts, so equivalent configurations always share a
-    fingerprint regardless of argument order or object identity.  The
-    ``verify`` key only appears when verification is on: verified
-    results carry extra payload (the findings), while unverified runs
-    keep their pre-verifier fingerprints — and their caches — intact.
-    """
-    payload = {
-        "thresholds": sorted(int(t) for t in thresholds),
-        "config": asdict(config),
-        "costs": asdict(costs),
-        "steps_scale": steps_scale,
-        "include_perf": include_perf,
-    }
-    if verify:
-        payload["verify"] = True
-    return payload
-
-
-def _hash_payload(payload: Dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _fingerprint(names: Sequence[str], thresholds: Sequence[int],
-                 config: DBTConfig, costs: CostModel,
-                 steps_scale: float, include_perf: bool,
-                 verify: bool = False) -> str:
-    """Run-level cache key: the config payload plus the sorted name set."""
-    payload = _key_payload(thresholds, config, costs, steps_scale,
-                           include_perf, verify)
-    payload["names"] = sorted(names)
-    return _hash_payload(payload)
-
-
-def _config_fingerprint(thresholds: Sequence[int], config: DBTConfig,
-                        costs: CostModel, steps_scale: float,
-                        include_perf: bool, verify: bool = False) -> str:
-    """Shard-level cache key: configuration only, shared by all names."""
-    return _hash_payload(_key_payload(thresholds, config, costs,
-                                      steps_scale, include_perf, verify))
 
 
 def study_benchmark(benchmark: SyntheticBenchmark,
@@ -152,7 +80,8 @@ def study_benchmark(benchmark: SyntheticBenchmark,
             warning+ severity land in the result's ``verify_findings``.
     """
     config = config or DBTConfig()
-    verify = resolve_verify(verify)
+    if verify is None:
+        verify = resolve_spec().verify
     if steps_scale != 1.0:
         benchmark = benchmark.scaled(steps_scale)
 
@@ -315,8 +244,8 @@ def run_full_study(names: Optional[Iterable[str]] = None,
                    verify: Optional[bool] = None,
                    profile: Optional[bool] = None,
                    flight_dir: Optional[str] = None,
-                   pool: Optional[str] = None,
-                   batch: Optional[int] = None) -> StudyResults:
+                   batch: Optional[int] = None,
+                   fault_spec: Optional[str] = None) -> StudyResults:
     """Run (or load from cache) the full evaluation study.
 
     With the default arguments this reproduces every figure's raw data
@@ -330,75 +259,49 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     study completes without them and lists them under
     ``manifest["failed_benchmarks"]`` instead of aborting.
 
+    Every keyword but ``names``, ``cache_dir`` and ``verbose`` is a
+    :class:`~repro.harness.studyspec.StudySpec` field, resolved once by
+    :func:`~repro.harness.studyspec.resolve_spec` (``None`` = the
+    ``REPRO_*`` variable, else the default; see the spec for what each
+    one means).  Any ``jobs`` and ``batch`` produce bit-identical
+    results; ``jobs=1`` keeps everything in-process.
+
     Args:
-        jobs: worker processes for the per-benchmark fan-out (default:
-            the ``REPRO_JOBS`` environment variable, else every CPU).
-            ``jobs=1`` keeps everything in-process; any value produces
-            bit-identical results.
-        retries: per-benchmark retry budget for crashed or failing jobs
-            (default: ``$REPRO_RETRIES``, else 2).
-        job_timeout: seconds before an in-flight job is declared hung
-            and quarantined (default: ``$REPRO_JOB_TIMEOUT``, else
-            unlimited; enforced only with ``jobs > 1``).
-        verify: run the semantic verifier inside every study (default:
-            ``$REPRO_VERIFY``, else off); findings are attached to each
-            benchmark's result and summarised in the manifest.  Verified
-            runs use their own cache fingerprints.
         verbose: emit per-benchmark progress through the structured
             logger (auto-configured at info level if
             :func:`repro.obs.configure` has not been called yet).
-        profile: arm the fine-grained profiling span sites in the
-            parent and every worker (default: ``$REPRO_PROFILE``, else
-            off).  Profiling only adds timing spans — study figures are
-            byte-identical either way — and the run manifest gains a
-            phase-attribution section regardless of this flag.
-        flight_dir: where to write flight-recorder dumps for failed
-            benchmarks (default: ``$REPRO_FLIGHT_DIR``, else
-            ``<cache_dir>/flight``, else nowhere).
-        pool: pool backend for the fan-out — ``"inprocess"``,
-            ``"process"`` or ``"batched"`` (default: ``$REPRO_POOL``,
-            else chosen from ``jobs``/``batch``).  Every backend
-            produces bit-identical results.
-        batch: benchmarks per dispatch unit on the batched backend
-            (default: ``$REPRO_BATCH``, else sized automatically).
     """
-    config = config or DBTConfig()
     if names is None:
         names = [b.name for b in all_benchmarks()]
     names = dedupe_names(list(names))
-    jobs = resolve_jobs(jobs)
-    pool = resolve_pool(pool)
-    batch = resolve_batch(batch)
-    verify = resolve_verify(verify)
-    profile = resolve_profile(profile)
-    set_profiling(profile)
-    policy = RetryPolicy(retries=resolve_retries(retries),
-                         job_timeout=resolve_job_timeout(job_timeout))
+    spec = resolve_spec(
+        thresholds=thresholds, config=config, costs=costs,
+        steps_scale=steps_scale, include_perf=include_perf, verify=verify,
+        jobs=jobs, batch=batch, retries=retries, job_timeout=job_timeout,
+        profile=profile, flight_dir=flight_dir, fault_spec=fault_spec)
+    set_profiling(spec.profile)
 
     if verbose and not obslog.is_configured():
         obslog.configure(level="info")
 
-    key = _fingerprint(names, thresholds, config, costs, steps_scale,
-                       include_perf, verify)
-    confkey = _config_fingerprint(thresholds, config, costs, steps_scale,
-                                  include_perf, verify)
-    cache_path = None
     if cache_dir is not None:
         cache_dir = os.path.normpath(cache_dir)
-        cache_path = os.path.join(cache_dir, f"study-{key}.json")
-        cached = _load_cached(cache_dir, cache_path, key, confkey)
+        key = spec.run_key(names)
+        cached = _load_cached(cache_dir, _aggregate_path(cache_dir, key),
+                              key, spec.config_key())
         if cached is not None:
             return cached
 
-    plan = FaultPlan.from_env()
+    plan = FaultPlan.from_spec(spec.fault_spec)
     set_active_plan(plan)
     try:
-        return _compute_study(
-            names, thresholds, config, costs, steps_scale, include_perf,
-            verify, cache_dir, cache_path, key, confkey, jobs, policy, plan,
-            profile, flight_dir, pool, batch)
+        return _compute_study(names, spec, cache_dir, plan)
     finally:
         set_active_plan(None)
+
+
+def _aggregate_path(cache_dir: str, key: str) -> str:
+    return os.path.join(cache_dir, f"study-{key}.json")
 
 
 def _attach_merge_seconds(records, name: str, seconds: float) -> None:
@@ -468,11 +371,12 @@ def _write_flight_dumps(failures, flights, flight_dir, cache_dir) -> None:
             _log.info("flight dump written", bench=name, path=path)
 
 
-def _compute_study(names, thresholds, config, costs, steps_scale,
-                   include_perf, verify, cache_dir, cache_path, key,
-                   confkey, jobs, policy, plan, profile=False,
-                   flight_dir=None, pool=None, batch=None) -> StudyResults:
+def _compute_study(names: List[str], spec: StudySpec,
+                   cache_dir: Optional[str],
+                   plan: FaultPlan) -> StudyResults:
     """The cache-miss path of :func:`run_full_study`."""
+    key = spec.run_key(names)
+    confkey = spec.config_key()
     collected: Dict[str, BenchmarkResult] = {}
     timings: Dict[str, float] = {}
     cached_names: List[str] = []
@@ -481,7 +385,7 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
     study_started = time.perf_counter()
     trace_mark = now_ts()
     with span("full_study", benchmarks=len(names), fingerprint=key,
-              jobs=jobs):
+              jobs=spec.jobs):
         pending: List[str] = []
         for name in names:
             loaded = None
@@ -512,11 +416,8 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
         dispatch_wall = 0.0
         if pending:
             dispatch_started = time.perf_counter()
-            dispatch = dispatch_study_jobs(
-                pending, thresholds, config, costs, steps_scale,
-                include_perf, jobs=jobs, policy=policy, plan=plan,
-                on_output=_absorb, verify=verify, profile=profile,
-                pool=pool, batch=batch)
+            dispatch = dispatch_study_jobs(pending, spec, plan=plan,
+                                           on_output=_absorb)
             dispatch_wall = time.perf_counter() - dispatch_started
             failures = dispatch.failures
             own_pid = os.getpid()
@@ -540,14 +441,14 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
                     time.perf_counter() - merge_started)
     total = time.perf_counter() - study_started
 
-    set_gauge("study.jobs", jobs)
+    set_gauge("study.jobs", spec.jobs)
     dispatch_summary = None
     if dispatch is not None and dispatch.records:
         _observe_dispatch(dispatch.records)
         dispatch_summary = obsdispatch.summarize(
-            dispatch.records, jobs=jobs, wall_seconds=dispatch_wall)
+            dispatch.records, jobs=spec.jobs, wall_seconds=dispatch_wall)
     if dispatch is not None and failures:
-        _write_flight_dumps(failures, dispatch.flights, flight_dir,
+        _write_flight_dumps(failures, dispatch.flights, spec.flight_dir,
                             cache_dir)
 
     # Attribute this run's wall time: only span events recorded since
@@ -562,18 +463,13 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
         if name in collected:
             results.benchmarks[name] = collected[name]
     results.manifest = build_manifest(
-        fingerprint=key, names=names, thresholds=thresholds, config=config,
-        steps_scale=steps_scale, include_perf=include_perf,
+        fingerprint=key, names=names, thresholds=spec.thresholds,
         timings=timings, total_seconds=round(total, 3),
-        extra={"jobs": jobs, "cached_benchmarks": cached_names,
+        extra={**spec.manifest(), "cached_benchmarks": cached_names,
                "pool": dispatch.backend if dispatch is not None else None,
                "batch_size":
                    dispatch.batch_size if dispatch is not None else None,
                "config_fingerprint": confkey,
-               "retries": policy.retries,
-               "job_timeout": policy.job_timeout,
-               "verify": verify,
-               "profile_enabled": profile,
                "profile": profile_data,
                "dispatch": dispatch_summary,
                "navep": (_navep_health(dispatch.outputs)
@@ -585,7 +481,8 @@ def _compute_study(names, thresholds, config, costs, steps_scale,
                "failed_benchmarks": {
                    name: asdict(failure)
                    for name, failure in sorted(failures.items())}})
-    if cache_path is not None:
+    if cache_dir is not None:
+        cache_path = _aggregate_path(cache_dir, key)
         if failures:
             # An aggregate indexing only the surviving shards would make
             # the next identical run a silent "hit" that never retries

@@ -42,7 +42,7 @@ from .flightrec import FlightRecorder, resolve_flight_dir, write_dump
 from .log import StructuredLogger, configure, get_logger
 from .manifest import build_manifest, render_manifest
 from .profile import (PhaseProfile, profile_span, profiling_enabled,
-                      resolve_profile, sampled_span, set_profiling)
+                      sampled_span, set_profiling)
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        counter_value, disable, enable, enabled,
                        export_state, get_registry, inc, merge_state,
@@ -59,7 +59,7 @@ __all__ = [
     "extend_trace", "get_logger", "get_registry", "inc", "label_lane",
     "merge_state", "metrics_snapshot", "now_ts", "observe",
     "profile_span", "profiling_enabled", "render_manifest",
-    "reset_metrics", "resolve_flight_dir", "resolve_profile",
+    "reset_metrics", "resolve_flight_dir",
     "sampled_span", "set_gauge", "set_profiling", "span", "summarize",
     "trace_events", "write_dump", "write_metrics", "write_trace",
 ]

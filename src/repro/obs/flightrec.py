@@ -33,9 +33,6 @@ DEFAULT_CAPACITY = 256
 #: Environment variable overriding the ring capacity.
 CAPACITY_ENV = "REPRO_FLIGHT_CAPACITY"
 
-#: Environment variable supplying a default dump directory.
-FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
-
 #: Format version stamped into every dump file.
 DUMP_VERSION = 1
 
@@ -132,16 +129,14 @@ def resolve_flight_dir(flight_dir: Optional[str] = None,
                        cache_dir: Optional[str] = None) -> Optional[str]:
     """Where failure dumps should go, if anywhere.
 
-    Explicit ``flight_dir`` wins; otherwise :data:`FLIGHT_DIR_ENV`;
-    otherwise ``<cache_dir>/flight`` when the run has a cache directory;
-    otherwise ``None`` — no dumps (a pure-library caller without a cache
-    never gets surprise files in its working directory).
+    Explicit ``flight_dir`` (the resolved spec's, which ``REPRO_FLIGHT_DIR``
+    may have set) wins; otherwise ``<cache_dir>/flight`` when the run has
+    a cache directory; otherwise ``None`` — no dumps (a pure-library
+    caller without a cache never gets surprise files in its working
+    directory).
     """
     if flight_dir is not None:
         return flight_dir
-    env = os.environ.get(FLIGHT_DIR_ENV)
-    if env:
-        return env
     if cache_dir is not None:
         return os.path.join(cache_dir, "flight")
     return None

@@ -28,13 +28,10 @@ timing spans: study figures are byte-identical with it on or off.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from . import registry as _registry
 from .spans import NULL_SPAN, span
-
-#: Environment variable turning profiling mode on by default.
-PROFILE_ENV = "REPRO_PROFILE"
 
 #: Environment variable overriding the sampling stride of sampled_span.
 SAMPLE_ENV = "REPRO_PROFILE_SAMPLE"
@@ -58,23 +55,6 @@ def set_profiling(on: bool) -> None:
 def profiling_enabled() -> bool:
     """Whether profiling mode is armed (and observability enabled)."""
     return _PROFILING and _registry.enabled()
-
-
-def resolve_profile(profile: Optional[bool] = None) -> bool:
-    """The effective profiling flag.
-
-    Explicit ``profile`` wins; otherwise :data:`PROFILE_ENV` (``1``,
-    ``true``, ``yes``, ``on`` enable); otherwise off.
-    """
-    if profile is not None:
-        return profile
-    env = os.environ.get(PROFILE_ENV, "").strip().lower()
-    if env in ("", "0", "false", "no", "off"):
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    raise ValueError(f"{PROFILE_ENV} must be a boolean flag, "
-                     f"got {os.environ.get(PROFILE_ENV)!r}")
 
 
 def sample_every() -> int:

@@ -56,6 +56,33 @@ def test_summary_command(capsys):
     assert "training reference" in out
 
 
+@pytest.mark.parametrize("command", [["--summary", "gzip"],
+                                     ["--stats", "--benchmarks", "gzip"]])
+def test_every_study_flag_reaches_the_study(monkeypatch, command):
+    from repro.harness import cli
+    from repro.harness.results import StudyResults
+
+    seen = {}
+
+    def fake_study(**kwargs):
+        seen.update(kwargs)
+        return StudyResults(manifest={"failed_benchmarks": {}})
+
+    monkeypatch.setattr(cli, "run_full_study", fake_study)
+    assert main(command + [
+        "--quick", "--no-perf", "--no-cache", "--jobs", "2", "--batch", "3",
+        "--retries", "1", "--job-timeout", "5", "--verify", "--profile",
+        "--flight-dir", "dumps", "--verbose"]) == 0
+    assert seen["names"] == ["gzip"]
+    assert seen["cache_dir"] is None
+    assert seen["verbose"] is True
+    assert {key: seen[key] for key in (
+        "steps_scale", "include_perf", "jobs", "batch", "retries",
+        "job_timeout", "verify", "profile", "flight_dir")} == dict(
+        steps_scale=0.1, include_perf=False, jobs=2, batch=3, retries=1,
+        job_timeout=5.0, verify=True, profile=True, flight_dir="dumps")
+
+
 def test_summary_unknown_benchmark(capsys):
     assert main(["--summary", "doom", "--no-cache"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err

@@ -8,21 +8,16 @@ import sys
 import pytest
 
 import repro
-from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
-from repro.harness.parallel import RetryPolicy, dispatch_study_jobs
+from repro.harness.pool import RetryPolicy, dispatch_study_jobs
+from repro.harness.studyspec import StudySpec
 from repro.obs.dispatch import SEGMENTS, JobTimeline, summarize
 from repro.obs.profile import PHASE_OF_SPAN
 from repro.obs.registry import counter_value
 from repro.obs.spans import clear_trace, trace_events, write_trace
-from repro.perfmodel import DEFAULT_COSTS
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
-
-DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
-                     costs=DEFAULT_COSTS, steps_scale=0.02,
-                     include_perf=False)
 
 
 def _identical_bytes(results_a, results_b, tmp_path):
@@ -40,8 +35,8 @@ def _identical_bytes(results_a, results_b, tmp_path):
 
 def _dispatch(names, jobs):
     policy = RetryPolicy(retries=0, backoff=0.0)
-    return dispatch_study_jobs(names, jobs=jobs, policy=policy,
-                               plan=FaultPlan(), **DISPATCH_ARGS)
+    return dispatch_study_jobs(names, StudySpec(jobs=jobs, **KWARGS),
+                               policy=policy, plan=FaultPlan())
 
 
 # -- JobTimeline arithmetic ---------------------------------------------------

@@ -4,25 +4,20 @@ survive retries, timeouts and quarantine without double-counting."""
 import json
 import os
 
-from repro.dbt import DBTConfig
 from repro.harness import run_full_study
-from repro.harness.faults import FAULT_SPEC_ENV, FaultPlan
-from repro.harness.parallel import RetryPolicy, dispatch_study_jobs
+from repro.harness.faults import FaultPlan
+from repro.harness.pool import RetryPolicy, dispatch_study_jobs
+from repro.harness.studyspec import StudySpec
 from repro.obs import counter_value
-from repro.perfmodel import DEFAULT_COSTS
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
-
-DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
-                     costs=DEFAULT_COSTS, steps_scale=0.02,
-                     include_perf=False)
 
 
 def _dispatch(names, plan, retries=2, job_timeout=None, jobs=2):
     policy = RetryPolicy(retries=retries, job_timeout=job_timeout,
                          backoff=0.0)
-    return dispatch_study_jobs(names, jobs=jobs, policy=policy, plan=plan,
-                               **DISPATCH_ARGS)
+    return dispatch_study_jobs(names, StudySpec(jobs=jobs, **KWARGS),
+                               policy=policy, plan=plan)
 
 
 # -- flight rings travel with failures ----------------------------------------
@@ -72,7 +67,7 @@ def test_timeout_records_timeline_and_counters():
 
 
 def test_quarantine_writes_flight_dump(tmp_path, monkeypatch):
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:error:9")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:error:9")
     flight_dir = str(tmp_path / "flight")
     results = run_full_study(names=["art", "gzip"], cache_dir=None,
                              jobs=2, retries=0, flight_dir=flight_dir,
@@ -95,7 +90,7 @@ def test_quarantine_writes_flight_dump(tmp_path, monkeypatch):
 
 
 def test_timeout_dump_has_no_worker_ring(tmp_path, monkeypatch):
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:hang:9")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:hang:9")
     flight_dir = str(tmp_path / "flight")
     results = run_full_study(names=["art", "gzip"], cache_dir=None,
                              jobs=2, retries=0, job_timeout=1.5,
@@ -109,7 +104,7 @@ def test_timeout_dump_has_no_worker_ring(tmp_path, monkeypatch):
 
 
 def test_no_flight_dir_resolves_to_no_dump(monkeypatch):
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:error:9")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:error:9")
     results = run_full_study(names=["gzip"], cache_dir=None, jobs=2,
                              retries=0, **KWARGS)
     # cache_dir=None and no --flight-dir/env: library callers get no
@@ -119,7 +114,7 @@ def test_no_flight_dir_resolves_to_no_dump(monkeypatch):
 
 
 def test_flight_dir_env_is_honoured(tmp_path, monkeypatch):
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:error:9")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:error:9")
     flight_dir = str(tmp_path / "from-env")
     monkeypatch.setenv("REPRO_FLIGHT_DIR", flight_dir)
     results = run_full_study(names=["gzip"], cache_dir=None, jobs=2,
@@ -146,7 +141,7 @@ def test_successful_retry_does_not_leak_failed_attempt_metrics(
 
     _, clean_delta = deltas(lambda: run_full_study(
         names=["gzip"], cache_dir=None, jobs=2, **KWARGS))
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:error:1")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:error:1")
     faulted, fault_delta = deltas(lambda: run_full_study(
         names=["gzip"], cache_dir=None, jobs=2, retries=2, **KWARGS))
     assert "gzip" in faulted.benchmarks

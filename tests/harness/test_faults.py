@@ -15,28 +15,17 @@ import shutil
 
 import pytest
 
-from repro.dbt import DBTConfig
 from repro.harness import run_full_study
-from repro.harness.faults import (DEFAULT_RETRIES, FAULT_SPEC_ENV,
-                                  HANG_SECONDS_ENV, JOB_TIMEOUT_ENV,
-                                  RETRIES_ENV, FaultPlan, FaultSpecError,
-                                  InjectedFault, fire, resolve_job_timeout,
-                                  resolve_retries)
-from repro.harness.parallel import (RetryPolicy, dedupe_names,
-                                    dispatch_study_jobs)
+from repro.harness.faults import (HANG_SECONDS_ENV, FaultPlan,
+                                  FaultSpecError, InjectedFault, fire)
+from repro.harness.pool import RetryPolicy, dedupe_names, dispatch_study_jobs
 from repro.harness.results import (BenchmarkResult, PerfPoint, load_shard,
                                    save_shard, shard_filename)
-from repro.harness.runner import _config_fingerprint
+from repro.harness.studyspec import DEFAULT_RETRIES, StudySpec, resolve_spec
 from repro.ioutil import atomic_write_text
 from repro.obs import counter_value
-from repro.perfmodel import DEFAULT_COSTS
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
-
-#: dispatch_study_jobs positional tail matching KWARGS.
-DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
-                     costs=DEFAULT_COSTS, steps_scale=0.02,
-                     include_perf=False)
 
 #: A long injected "hang" that any test timeout comfortably beats.
 HANG = "30"
@@ -46,8 +35,8 @@ def _dispatch(names, plan, retries=2, job_timeout=None, jobs=2):
     """Run the dispatcher with zero backoff (tests shouldn't sleep)."""
     policy = RetryPolicy(retries=retries, job_timeout=job_timeout,
                          backoff=0.0)
-    return dispatch_study_jobs(names, jobs=jobs, policy=policy, plan=plan,
-                               **DISPATCH_ARGS)
+    return dispatch_study_jobs(names, StudySpec(jobs=jobs, **KWARGS),
+                               policy=policy, plan=plan)
 
 
 def _identical_bytes(results_a, results_b, tmp_path):
@@ -76,12 +65,12 @@ def test_spec_parses_entries_and_counts():
 def test_spec_empty_and_unset():
     assert FaultPlan.from_spec(None).rules == []
     assert FaultPlan.from_spec("  ").rules == []
-    assert FaultPlan.from_env().rules == []
+    assert FaultPlan.from_spec(resolve_spec().fault_spec).rules == []
 
 
 def test_spec_from_env(monkeypatch):
-    monkeypatch.setenv(FAULT_SPEC_ENV, "art:error:4")
-    plan = FaultPlan.from_env()
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "art:error:4")
+    plan = FaultPlan.from_spec(resolve_spec().fault_spec)
     assert plan.rules[0].kind == "error"
     assert plan.rules[0].remaining == 4
 
@@ -143,28 +132,28 @@ def test_fire_inline_raises_instead_of_killing_the_parent():
 
 
 def test_resolve_retries(monkeypatch):
-    assert resolve_retries(None) == DEFAULT_RETRIES
-    assert resolve_retries(0) == 0
-    monkeypatch.setenv(RETRIES_ENV, "5")
-    assert resolve_retries(None) == 5
-    assert resolve_retries(1) == 1  # explicit beats the environment
-    monkeypatch.setenv(RETRIES_ENV, "nope")
+    assert resolve_spec().retries == DEFAULT_RETRIES
+    assert resolve_spec(retries=0).retries == 0
+    monkeypatch.setenv("REPRO_RETRIES", "5")
+    assert resolve_spec().retries == 5
+    assert resolve_spec(retries=1).retries == 1  # explicit beats the env
+    monkeypatch.setenv("REPRO_RETRIES", "nope")
     with pytest.raises(ValueError, match="must be an integer"):
-        resolve_retries(None)
+        resolve_spec()
     with pytest.raises(ValueError, match=">= 0"):
-        resolve_retries(-1)
+        resolve_spec(retries=-1)
 
 
 def test_resolve_job_timeout(monkeypatch):
-    assert resolve_job_timeout(None) is None
-    assert resolve_job_timeout(2.5) == 2.5
-    monkeypatch.setenv(JOB_TIMEOUT_ENV, "7.5")
-    assert resolve_job_timeout(None) == 7.5
-    monkeypatch.setenv(JOB_TIMEOUT_ENV, "soon")
+    assert resolve_spec().job_timeout is None
+    assert resolve_spec(job_timeout=2.5).job_timeout == 2.5
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "7.5")
+    assert resolve_spec().job_timeout == 7.5
+    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
     with pytest.raises(ValueError, match="must be a number"):
-        resolve_job_timeout(None)
+        resolve_spec()
     with pytest.raises(ValueError, match="> 0"):
-        resolve_job_timeout(0)
+        resolve_spec(job_timeout=0)
 
 
 def test_retry_policy_backoff_grows_and_caps():
@@ -197,19 +186,17 @@ def test_atomic_write_replaces_only_complete_files(tmp_path):
 
 def test_torn_shard_write_recovers_on_next_run(tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(FAULT_SPEC_ENV, "shard:torn-write:1")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "shard:torn-write:1")
     first = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                            jobs=1, **KWARGS)
     # art's shard write (the first) was torn: no shard file, no tear.
-    confkey = _config_fingerprint(KWARGS["thresholds"], DBTConfig(),
-                                  DEFAULT_COSTS, KWARGS["steps_scale"],
-                                  False)
+    confkey = StudySpec(**KWARGS).config_key()
     assert not os.path.exists(
         os.path.join(cache_dir, shard_filename("art", confkey)))
     assert os.path.exists(
         os.path.join(cache_dir, shard_filename("gzip", confkey)))
     # A fault-free rerun recomputes exactly the missing shard and agrees.
-    monkeypatch.delenv(FAULT_SPEC_ENV)
+    monkeypatch.delenv("REPRO_FAULT_SPEC")
     second = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                             jobs=1, **KWARGS)
     assert second.manifest["cached_benchmarks"] == ["gzip"]
@@ -261,9 +248,7 @@ def test_misfiled_shard_is_stale_and_recomputed(tmp_path):
     cache_dir = str(tmp_path / "cache")
     first = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                            jobs=1, **KWARGS)
-    confkey = _config_fingerprint(KWARGS["thresholds"], DBTConfig(),
-                                  DEFAULT_COSTS, KWARGS["steps_scale"],
-                                  False)
+    confkey = StudySpec(**KWARGS).config_key()
     # Copy art's shard over gzip's: the filename now lies.
     shutil.copyfile(
         os.path.join(cache_dir, shard_filename("art", confkey)),
@@ -324,9 +309,9 @@ def test_crash_breaks_pool_then_retry_succeeds():
     absorbed = []
     policy = RetryPolicy(retries=2, backoff=0.0)
     dispatch = dispatch_study_jobs(
-        names, jobs=2, policy=policy, plan=FaultPlan.from_spec("gzip:crash:1"),
-        on_output=lambda output: absorbed.append(output.name),
-        **DISPATCH_ARGS)
+        names, StudySpec(jobs=2, **KWARGS), policy=policy,
+        plan=FaultPlan.from_spec("gzip:crash:1"),
+        on_output=lambda output: absorbed.append(output.name))
     assert set(dispatch.outputs) == set(names)
     assert dispatch.failures == {}
     # The pool was rebuilt and only the lost jobs were charged/resubmitted
@@ -397,7 +382,7 @@ def test_inline_path_retries_and_quarantines():
 def test_quarantined_run_completes_with_manifest_and_no_aggregate(
         tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:error:9")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:error:9")
     results = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                              jobs=1, retries=1, **KWARGS)
     assert set(results.benchmarks) == {"art"}
@@ -407,7 +392,7 @@ def test_quarantined_run_completes_with_manifest_and_no_aggregate(
     # The aggregate is withheld (a "hit" would never retry gzip), but
     # art's shard persists, so the healthy rerun only recomputes gzip.
     assert not any(f.startswith("study-") for f in os.listdir(cache_dir))
-    monkeypatch.delenv(FAULT_SPEC_ENV)
+    monkeypatch.delenv("REPRO_FAULT_SPEC")
     retry = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                            jobs=1, **KWARGS)
     assert set(retry.benchmarks) == {"art", "gzip"}
@@ -426,7 +411,7 @@ def test_acceptance_crash_retried_hang_quarantined_bytes_identical(
     serial = run_full_study(names=names, cache_dir=None, jobs=1, **KWARGS)
 
     monkeypatch.setenv(HANG_SECONDS_ENV, HANG)
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:crash:1,mcf:hang:1")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:crash:1,mcf:hang:1")
     faulted = run_full_study(names=names, cache_dir=None, jobs=4,
                              retries=2, job_timeout=2.0, **KWARGS)
 
@@ -471,7 +456,7 @@ def test_cli_parses_retry_flags():
 
 def test_cli_exit_code_on_quarantine(capsys, monkeypatch):
     from repro.harness.cli import EXIT_QUARANTINE, main
-    monkeypatch.setenv(FAULT_SPEC_ENV, "gzip:error:9")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "gzip:error:9")
     code = main(["--benchmarks", "gzip", "--quick", "--no-perf",
                  "--no-cache", "--stats", "--jobs", "1", "--retries", "0"])
     assert code == EXIT_QUARANTINE == 3

@@ -12,12 +12,10 @@ import os
 import pytest
 
 from repro.harness import run_full_study
-from repro.harness.parallel import JOBS_ENV, resolve_jobs
-from repro.harness.runner import (_config_fingerprint, _fingerprint,
-                                  DEFAULT_CACHE_DIR)
+from repro.harness.runner import DEFAULT_CACHE_DIR
+from repro.harness.studyspec import StudySpec, resolve_spec
 from repro.dbt import DBTConfig
 from repro.obs import counter_value
-from repro.perfmodel import DEFAULT_COSTS
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
@@ -39,23 +37,23 @@ def _identical_bytes(results_a, results_b, tmp_path):
 
 
 def test_resolve_jobs_explicit_and_default(monkeypatch):
-    monkeypatch.delenv(JOBS_ENV, raising=False)
-    assert resolve_jobs(3) == 3
-    assert resolve_jobs(None) == (os.cpu_count() or 1)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert resolve_spec(jobs=3).jobs == 3
+    assert resolve_spec().jobs == (os.cpu_count() or 1)
 
 
 def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.setenv(JOBS_ENV, "7")
-    assert resolve_jobs(None) == 7
-    assert resolve_jobs(2) == 2  # explicit beats the environment
-    monkeypatch.setenv(JOBS_ENV, "nope")
+    monkeypatch.setenv("REPRO_JOBS", "7")
+    assert resolve_spec().jobs == 7
+    assert resolve_spec(jobs=2).jobs == 2  # explicit beats the environment
+    monkeypatch.setenv("REPRO_JOBS", "nope")
     with pytest.raises(ValueError, match="must be an integer"):
-        resolve_jobs(None)
+        resolve_spec()
 
 
 def test_resolve_jobs_rejects_nonpositive():
     with pytest.raises(ValueError, match=">= 1"):
-        resolve_jobs(0)
+        resolve_spec(jobs=0)
 
 
 def test_cli_parses_jobs():
@@ -144,8 +142,7 @@ def test_aggregate_hit_skips_shard_loading_counters(tmp_path):
 def test_v5_monolithic_cache_is_stale_and_recomputed(tmp_path):
     cache_dir = str(tmp_path / "cache")
     os.makedirs(cache_dir)
-    key = _fingerprint(["art"], KWARGS["thresholds"], DBTConfig(),
-                       DEFAULT_COSTS, KWARGS["steps_scale"], False)
+    key = StudySpec(**KWARGS).run_key(["art"])
     path = os.path.join(cache_dir, f"study-{key}.json")
     with open(path, "w") as f:
         json.dump({"version": 5, "manifest": None,
@@ -181,9 +178,7 @@ def test_missing_shard_behind_aggregate_recovers(tmp_path):
     cache_dir = str(tmp_path / "cache")
     run_full_study(names=["art", "gzip"], cache_dir=cache_dir, jobs=1,
                    **KWARGS)
-    confkey = _config_fingerprint(KWARGS["thresholds"], DBTConfig(),
-                                  DEFAULT_COSTS, KWARGS["steps_scale"],
-                                  False)
+    confkey = StudySpec(**KWARGS).config_key()
     os.remove(os.path.join(cache_dir, f"shard-gzip-{confkey}.json"))
     results = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                              jobs=1, **KWARGS)
@@ -195,19 +190,18 @@ def test_missing_shard_behind_aggregate_recovers(tmp_path):
 
 
 def test_fingerprint_normalises_order():
-    args = (DBTConfig(), DEFAULT_COSTS, 0.5, True)
-    assert _fingerprint(["b", "a"], [50, 5], *args) == \
-        _fingerprint(["a", "b"], [5, 50], *args)
-    assert _config_fingerprint([500, 5], *args) == \
-        _config_fingerprint([5, 500], *args)
+    def spec(thresholds):
+        return StudySpec(thresholds=thresholds, steps_scale=0.5)
+    assert spec([50, 5]).run_key(["b", "a"]) == \
+        spec([5, 50]).run_key(["a", "b"])
+    assert spec([500, 5]).config_key() == spec([5, 500]).config_key()
 
 
 def test_fingerprint_distinguishes_configs():
-    args = (DEFAULT_COSTS, 1.0, True)
-    base = _fingerprint(["a"], [5], DBTConfig(), *args)
-    assert _fingerprint(["a"], [5], DBTConfig(pool_trigger_size=3),
-                        *args) != base
-    assert _fingerprint(["a", "b"], [5], DBTConfig(), *args) != base
+    base = StudySpec(thresholds=[5]).run_key(["a"])
+    assert StudySpec(thresholds=[5], config=DBTConfig(pool_trigger_size=3)
+                     ).run_key(["a"]) != base
+    assert StudySpec(thresholds=[5]).run_key(["a", "b"]) != base
 
 
 def test_default_cache_dir_is_normalised():

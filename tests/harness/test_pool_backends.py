@@ -1,8 +1,8 @@
 """Pool backends: selection, equivalence, batching and warm reuse.
 
 The load-bearing guarantee of :mod:`repro.harness.pool`: figure data is
-byte-identical across every backend × jobs × batch combination — the
-backends differ only in transport cost.  On top of that, the dispatch
+byte-identical across every jobs × batch combination — the backends
+differ only in transport cost.  On top of that, the dispatch
 engine's failure semantics must be batch-aware (a failing member never
 charges its batch-mates), warm pools must actually be reused, an
 unpicklable job must fail fast with the original pickling error instead
@@ -15,27 +15,19 @@ import pytest
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
-from repro.harness.pool import (BACKENDS, BATCH_ENV, JOBS_ENV, POOL_ENV,
-                                RetryPolicy, dispatch_study_jobs,
-                                resolve_batch, resolve_jobs, resolve_pool)
+from repro.harness.pool import RetryPolicy, dispatch_study_jobs
+from repro.harness.studyspec import StudySpec, resolve_spec
 from repro.obs import counter_value
-from repro.perfmodel import DEFAULT_COSTS
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
-DISPATCH_ARGS = dict(thresholds=[5, 50], config=DBTConfig(),
-                     costs=DEFAULT_COSTS, steps_scale=0.02,
-                     include_perf=False)
 
-
-def _dispatch(names, plan=None, retries=2, jobs=2, pool=None, batch=None,
-              **overrides):
+def _dispatch(names, plan=None, retries=2, jobs=2, batch=1, **overrides):
     policy = RetryPolicy(retries=retries, backoff=0.0)
-    args = dict(DISPATCH_ARGS, **overrides)
+    spec = StudySpec(jobs=jobs, batch=batch, **dict(KWARGS, **overrides))
     return dispatch_study_jobs(
-        names, jobs=jobs, policy=policy,
-        plan=plan if plan is not None else FaultPlan.from_spec(None),
-        pool=pool, batch=batch, **args)
+        names, spec, policy=policy,
+        plan=plan if plan is not None else FaultPlan.from_spec(None))
 
 
 def _identical_bytes(results_a, results_b, tmp_path):
@@ -57,56 +49,35 @@ def _identical_bytes(results_a, results_b, tmp_path):
 def test_resolve_jobs_rejects_empty_env(monkeypatch):
     # An empty-but-set REPRO_JOBS is a broken shell expansion, and
     # silently running on every CPU is the worst possible reading.
-    monkeypatch.setenv(JOBS_ENV, "")
+    monkeypatch.setenv("REPRO_JOBS", "")
     with pytest.raises(ValueError, match="must be an integer"):
-        resolve_jobs(None)
-    assert resolve_jobs(2) == 2  # explicit never consults the env
-
-
-def test_resolve_pool_explicit_env_and_validation(monkeypatch):
-    assert resolve_pool(None) is None
-    assert resolve_pool("batched") == "batched"
-    monkeypatch.setenv(POOL_ENV, "process")
-    assert resolve_pool(None) == "process"
-    assert resolve_pool("inprocess") == "inprocess"  # explicit beats env
-    monkeypatch.setenv(POOL_ENV, "")
-    with pytest.raises(ValueError, match="pool backend must be one of"):
-        resolve_pool(None)
-    with pytest.raises(ValueError, match="pool backend must be one of"):
-        resolve_pool("threads")
+        resolve_spec()
+    assert resolve_spec(jobs=2).jobs == 2  # explicit never consults the env
 
 
 def test_resolve_batch_env_and_validation(monkeypatch):
-    assert resolve_batch(None) is None
-    assert resolve_batch(3) == 3
-    monkeypatch.setenv(BATCH_ENV, "4")
-    assert resolve_batch(None) == 4
-    monkeypatch.setenv(BATCH_ENV, "")
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    assert resolve_spec().batch == 1
+    assert resolve_spec(batch=3).batch == 3
+    monkeypatch.setenv("REPRO_BATCH", "4")
+    assert resolve_spec().batch == 4
+    monkeypatch.setenv("REPRO_BATCH", "")
     with pytest.raises(ValueError, match="must be an integer"):
-        resolve_batch(None)
+        resolve_spec()
     with pytest.raises(ValueError, match=">= 1"):
-        resolve_batch(0)
+        resolve_spec(batch=0)
 
 
-def test_batch_requires_batched_backend():
-    for pool in ("process", "inprocess"):
-        with pytest.raises(ValueError, match="batch > 1 requires"):
-            _dispatch(["gzip", "art"], pool=pool, batch=2)
-
-
-def test_cli_parses_pool_and_batch():
-    from repro.harness.cli import build_parser
-    args = build_parser().parse_args([])
-    assert args.pool is None and args.batch is None
-    args = build_parser().parse_args(["--pool", "batched", "--batch", "3"])
-    assert args.pool == "batched"
-    assert args.batch == 3
-
-
-def test_backend_registry_names():
-    assert set(BACKENDS) == {"inprocess", "process", "batched"}
-    for name, backend_cls in BACKENDS.items():
-        assert backend_cls.name == name
+def test_one_worker_runs_inline_whatever_the_batch():
+    # The worker count picks the backend; a batch only coarsens the
+    # process pool's dispatch unit, so one worker never starts a pool.
+    results = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
+                             batch=2, **KWARGS)
+    assert results.manifest["pool"] == "inprocess"
+    assert results.manifest["batch_size"] == 1
+    dispatch = _dispatch(["gzip"], jobs=2, batch=2)  # one name: one worker
+    assert dispatch.backend == "inprocess"
+    assert {r.mode for r in dispatch.records} == {"inline"}
 
 
 # -- backend equivalence (the non-negotiable invariant) -----------------------
@@ -115,10 +86,10 @@ def test_backend_registry_names():
 def test_every_backend_produces_identical_bytes(tmp_path):
     names = ["gzip", "mcf", "art"]
     cells = [
-        dict(jobs=1),                              # inferred: inprocess
-        dict(jobs=2, pool="process"),
-        dict(jobs=2, pool="batched", batch=2),
-        dict(jobs=3, pool="batched", batch=1),
+        dict(jobs=1),                              # inprocess
+        dict(jobs=2),                              # process
+        dict(jobs=2, batch=2),
+        dict(jobs=3, batch=1),
     ]
     runs = []
     deltas = []
@@ -133,7 +104,8 @@ def test_every_backend_produces_identical_bytes(tmp_path):
     assert baseline.manifest["pool"] == "inprocess"
     for cell, results in zip(cells[1:], runs[1:]):
         assert _identical_bytes(baseline, results, tmp_path), cell
-        assert results.manifest["pool"] == cell["pool"]
+        assert results.manifest["pool"] == "process"
+        assert results.manifest["batch_size"] == cell.get("batch", 1)
     # The observability merge is lossless: every cell lands exactly the
     # same replay counters in the parent registry.
     assert len(set(deltas)) == 1 and deltas[0] > 0
@@ -141,16 +113,16 @@ def test_every_backend_produces_identical_bytes(tmp_path):
 
 def test_batched_timelines_carry_backend_and_batch_size():
     results = run_full_study(names=["gzip", "mcf", "art"], cache_dir=None,
-                             jobs=2, pool="batched", batch=2, **KWARGS)
+                             jobs=2, batch=2, **KWARGS)
     manifest = results.manifest
-    assert manifest["pool"] == "batched"
+    assert manifest["pool"] == "process"
     assert manifest["batch_size"] == 2
     summary = manifest["dispatch"]
-    assert summary["backends"] == {"batched": 3}
+    assert summary["backends"] == {"process": 3}
     assert summary["max_batch_size"] == 2
     sizes = sorted(r["batch_size"] for r in summary["records_detail"])
     assert sizes == [1, 2, 2]  # two full members + the leftover
-    assert all(r["backend"] == "batched"
+    assert all(r["backend"] == "process"
                for r in summary["records_detail"])
 
 
@@ -162,7 +134,7 @@ def test_error_inside_batch_spares_batch_mates():
     errors = counter_value("retry.error")
     dispatch = _dispatch(["art", "gzip", "mcf", "swim"],
                          plan=FaultPlan.from_spec("gzip:error:1"),
-                         retries=2, jobs=2, pool="batched", batch=2)
+                         retries=2, jobs=2, batch=2)
     assert set(dispatch.outputs) == {"art", "gzip", "mcf", "swim"}
     assert dispatch.failures == {}
     # An in-batch exception is contained per member: the pool survives
@@ -183,8 +155,8 @@ def test_error_inside_batch_spares_batch_mates():
 def test_warm_pool_reused_across_dispatches():
     misses = counter_value("pool.warm_miss")
     hits = counter_value("pool.warm_hit")
-    first = _dispatch(["art", "gzip"], jobs=2, pool="process")
-    second = _dispatch(["art", "gzip"], jobs=2, pool="process")
+    first = _dispatch(["art", "gzip"], jobs=2)
+    second = _dispatch(["art", "gzip"], jobs=2)
     assert counter_value("pool.warm_miss") == misses + 1
     assert counter_value("pool.warm_hit") == hits + 1
     first_pids = {o.pid for o in first.outputs.values()}
@@ -203,18 +175,20 @@ def test_unpicklable_job_fails_fast_with_original_error():
     rebuilds = counter_value("faults.pool_rebuild")
     errors = counter_value("retry.error")
     fallback = counter_value("faults.fallback.success")
-    dispatch = _dispatch(["gzip"], retries=0, jobs=2, pool="process",
+    # Two names, so the two workers engage the process pool.
+    dispatch = _dispatch(["gzip", "art"], retries=0, jobs=2,
                          config=LocalConfig())
-    # The pickling failure is charged to the job immediately — no opaque
+    # The pickling failure is charged to each job immediately — no opaque
     # pool break — and the inline fallback (which never pickles) saves it.
-    assert set(dispatch.outputs) == {"gzip"}
+    assert set(dispatch.outputs) == {"gzip", "art"}
     assert dispatch.failures == {}
     assert counter_value("faults.pool_rebuild") == rebuilds
-    assert counter_value("retry.error") == errors + 1
-    assert counter_value("faults.fallback.success") == fallback + 1
+    assert counter_value("retry.error") == errors + 2
+    assert counter_value("faults.fallback.success") == fallback + 2
     failed = [r for r in dispatch.records if r.outcome == "error"]
-    assert len(failed) == 1
-    assert failed[0].payload_bytes == 0  # never serialised, never shipped
+    assert len(failed) == 2
+    # never serialised, never shipped
+    assert [r.payload_bytes for r in failed] == [0, 0]
 
 
 def test_unpicklable_job_quarantine_names_pickling(monkeypatch):
@@ -227,12 +201,13 @@ def test_unpicklable_job_quarantine_names_pickling(monkeypatch):
         raise RuntimeError("sampler exploded")
 
     monkeypatch.setattr("repro.obs.profile.reset_sampling", _boom)
-    dispatch = _dispatch(["gzip"], retries=0, jobs=2, pool="process",
+    dispatch = _dispatch(["gzip", "art"], retries=0, jobs=2,
                          config=LocalConfig())
     assert dispatch.outputs == {}
-    failure = dispatch.failures["gzip"]
-    assert "failed to pickle" in failure.error
-    assert "inline fallback also failed" in failure.error
+    assert set(dispatch.failures) == {"gzip", "art"}
+    for failure in dispatch.failures.values():
+        assert "failed to pickle" in failure.error
+        assert "inline fallback also failed" in failure.error
 
 
 # -- fault-token refunds (satellite: tokens lost to unrelated deaths) ---------

@@ -112,16 +112,14 @@ def test_stale_cache_is_warned_and_counted(tmp_path):
     import io
     import os
 
-    from repro.dbt import DBTConfig
-    from repro.harness.runner import _fingerprint
+    from repro.harness.studyspec import StudySpec
     from repro.obs import configure, counter_value
     from repro.obs import log as obslog
-    from repro.perfmodel import DEFAULT_COSTS
 
     cache_dir = str(tmp_path / "cache")
     os.makedirs(cache_dir)
-    key = _fingerprint(["art"], [50], DBTConfig(), DEFAULT_COSTS, 0.02,
-                       False)
+    key = StudySpec(thresholds=[50], steps_scale=0.02,
+                    include_perf=False).run_key(["art"])
     cache_path = os.path.join(cache_dir, f"study-{key}.json")
     with open(cache_path, "w") as f:
         f.write("{ not json")

@@ -3,57 +3,52 @@ cache-fingerprint isolation, per-study wiring, shard round-trips."""
 
 import pytest
 
-from repro.dbt import DBTConfig
 from repro.harness.results import BenchmarkResult, _result_from_dict, \
     _result_to_dict
-from repro.harness.runner import (DEFAULT_COSTS, VERIFY_ENV,
-                                  _config_fingerprint, _key_payload,
-                                  resolve_verify, study_benchmark)
+from repro.harness.runner import study_benchmark
+from repro.harness.studyspec import StudySpec, resolve_spec
 from repro.workloads import get_benchmark
 
 
 class TestResolveVerify:
     def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(VERIFY_ENV, raising=False)
-        assert resolve_verify() is False
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        assert resolve_spec().verify is False
 
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_ENV, "1")
-        assert resolve_verify(False) is False
-        monkeypatch.setenv(VERIFY_ENV, "0")
-        assert resolve_verify(True) is True
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        assert resolve_spec(verify=False).verify is False
+        monkeypatch.setenv("REPRO_VERIFY", "0")
+        assert resolve_spec(verify=True).verify is True
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "TRUE"])
     def test_truthy_env(self, monkeypatch, value):
-        monkeypatch.setenv(VERIFY_ENV, value)
-        assert resolve_verify() is True
+        monkeypatch.setenv("REPRO_VERIFY", value)
+        assert resolve_spec().verify is True
 
     @pytest.mark.parametrize("value", ["", "0", "false", "no", "off"])
     def test_falsy_env(self, monkeypatch, value):
-        monkeypatch.setenv(VERIFY_ENV, value)
-        assert resolve_verify() is False
+        monkeypatch.setenv("REPRO_VERIFY", value)
+        assert resolve_spec().verify is False
 
     def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_ENV, "maybe")
+        monkeypatch.setenv("REPRO_VERIFY", "maybe")
         with pytest.raises(ValueError):
-            resolve_verify()
+            resolve_spec()
 
 
 class TestCacheIsolation:
     def test_verified_runs_get_their_own_fingerprint(self):
-        config = DBTConfig()
-        plain = _config_fingerprint([10], config, DEFAULT_COSTS, 1.0, True)
-        verified = _config_fingerprint([10], config, DEFAULT_COSTS, 1.0,
-                                       True, verify=True)
+        plain = StudySpec(thresholds=[10]).config_key()
+        verified = StudySpec(thresholds=[10], verify=True).config_key()
         assert plain != verified
 
     def test_unverified_payload_is_unchanged(self):
         # pre-verifier caches must stay valid: verify=False adds no key
-        config = DBTConfig()
-        payload = _key_payload([10], config, DEFAULT_COSTS, 1.0, True)
+        payload = StudySpec(thresholds=[10])._key_payload()
         assert "verify" not in payload
-        assert _key_payload([10], config, DEFAULT_COSTS, 1.0, True,
-                            verify=True)["verify"] is True
+        assert StudySpec(thresholds=[10],
+                         verify=True)._key_payload()["verify"] is True
 
 
 class TestStudyBenchmarkVerify:

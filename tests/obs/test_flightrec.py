@@ -76,14 +76,19 @@ def test_ring_is_gated_on_registry_enabled():
 
 
 def test_resolve_flight_dir_precedence(monkeypatch):
-    monkeypatch.delenv(flightrec.FLIGHT_DIR_ENV, raising=False)
-    assert flightrec.resolve_flight_dir("explicit", "cache") == "explicit"
-    monkeypatch.setenv(flightrec.FLIGHT_DIR_ENV, "from-env")
-    assert flightrec.resolve_flight_dir(None, "cache") == "from-env"
-    monkeypatch.delenv(flightrec.FLIGHT_DIR_ENV)
-    assert flightrec.resolve_flight_dir(None, "cache") == \
-        os.path.join("cache", "flight")
-    assert flightrec.resolve_flight_dir(None, None) is None
+    from repro.harness.studyspec import resolve_spec
+
+    def resolve(explicit, cache):
+        return flightrec.resolve_flight_dir(
+            resolve_spec(flight_dir=explicit).flight_dir, cache)
+
+    monkeypatch.delenv("REPRO_FLIGHT_DIR", raising=False)
+    assert resolve("explicit", "cache") == "explicit"
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", "from-env")
+    assert resolve(None, "cache") == "from-env"
+    monkeypatch.delenv("REPRO_FLIGHT_DIR")
+    assert resolve(None, "cache") == os.path.join("cache", "flight")
+    assert resolve(None, None) is None
 
 
 def test_write_dump_is_self_contained(tmp_path):

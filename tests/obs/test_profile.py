@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.harness.studyspec import resolve_spec
 from repro.obs.profile import (PHASE_OF_SPAN, PhaseProfile, phase_of,
                                profile_span, profiling_enabled,
-                               reset_sampling, resolve_profile,
-                               sampled_span, set_profiling)
+                               reset_sampling, sampled_span, set_profiling)
 from repro.obs.registry import disable, enable
 from repro.obs.spans import NULL_SPAN, clear_trace, span, trace_events
 
@@ -169,11 +169,11 @@ def test_sampled_span_counts_per_site(monkeypatch):
 
 def test_resolve_profile_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    assert resolve_profile(None) is False
-    assert resolve_profile(True) is True
+    assert resolve_spec().profile is False
+    assert resolve_spec(profile=True).profile is True
     monkeypatch.setenv("REPRO_PROFILE", "1")
-    assert resolve_profile(None) is True
-    assert resolve_profile(False) is False  # explicit beats env
+    assert resolve_spec().profile is True
+    assert resolve_spec(profile=False).profile is False  # explicit beats env
     monkeypatch.setenv("REPRO_PROFILE", "junk")
     with pytest.raises(ValueError):
-        resolve_profile(None)
+        resolve_spec()

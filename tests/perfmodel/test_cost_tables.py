@@ -1,4 +1,4 @@
-"""CostTables: the per-edge step index must not move a single bit.
+"""CostTables: pricing by rank from the event index must not move a bit.
 
 The shared-tables path only exists because its results are
 *bit-identical* to the per-call estimator and the per-step oracle (the

@@ -1,8 +1,9 @@
-"""Differential wall: per-edge pricing must equal the per-step oracle.
+"""Differential wall: by-rank pricing must equal the per-step oracle.
 
-``estimate_cost`` prices a translation map from the per-edge step index
-of :class:`~repro.perfmodel.CostTables`; ``reference_breakdown``
-(``tests/reference.py``) prices the same map one trace step at a time.
+``estimate_cost`` prices a translation map by rank from the ref trace's
+event index (through :class:`~repro.perfmodel.CostTables`);
+``reference_breakdown`` (``tests/reference.py``) prices the same map one
+trace step at a time.
 With integral sizes and costs (``DEFAULT_COSTS`` and every study) every
 partial sum is an exact integer, so the two must agree with raw ``==``.
 Fractional costs and measured per-block costs may differ only by
