@@ -52,11 +52,6 @@ class NaturalLoop:
                     out.append((v, s))
         return out
 
-    @property
-    def depth_hint(self) -> int:
-        """Body size — a rough 'bigger loop encloses smaller' ordering key."""
-        return len(self.body)
-
 
 def _natural_loop_body(cfg: ControlFlowGraph, header: int,
                        tails: List[int]) -> Set[int]:

@@ -162,11 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the study, print the requested output, export observability."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.log_level or args.log_json:
         configure_logging(level=args.log_level or "info",
                           json_mode=args.log_json)
-    code = _dispatch(args)
+    try:
+        spec = _resolve_spec(args)
+    except ValueError as exc:  # a malformed flag or REPRO_* knob
+        parser.error(str(exc))
+    code = _dispatch(args, spec)
     if args.metrics_out:
         write_metrics(args.metrics_out)
     if args.trace_out:
@@ -184,11 +189,11 @@ def _resolve_spec(args: argparse.Namespace) -> StudySpec:
         flight_dir=args.flight_dir)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace, spec: StudySpec) -> int:
     cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
     if args.summary is not None:
-        return print_summary(args.summary, _resolve_spec(args),
-                             cache_dir=cache_dir, verbose=args.verbose)
+        return print_summary(args.summary, spec, cache_dir=cache_dir,
+                             verbose=args.verbose)
     if args.figures:
         wanted = args.figures
     else:
@@ -212,8 +217,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     results = run_full_study(names=args.benchmarks, cache_dir=cache_dir,
-                             verbose=args.verbose,
-                             **vars(_resolve_spec(args)))
+                             verbose=args.verbose, **vars(spec))
 
     for number in wanted:
         builder = FIGURES.get(number)

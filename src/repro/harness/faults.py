@@ -190,11 +190,6 @@ def mark_worker_process() -> None:
     _IN_WORKER = True
 
 
-def in_worker_process() -> bool:
-    """Whether this process was initialised as a pool worker."""
-    return _IN_WORKER
-
-
 def clear_fired() -> None:
     """Reset the fired-fault marker before running an attempt."""
     global _FIRED

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, float, int, None]
 
@@ -28,16 +28,6 @@ class Table:
         """All values of one column, by header name."""
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
-
-
-def _format_cell(cell: Cell, width: int) -> str:
-    if cell is None:
-        text = "-"
-    elif isinstance(cell, float):
-        text = f"{cell:.3f}"
-    else:
-        text = str(cell)
-    return text.rjust(width)
 
 
 def render(table: Table) -> str:

@@ -48,8 +48,6 @@ CATALOG: List[Instrument] = [
                "Branch decisions drawn by the vector kernel."),
     Instrument("kernel.vector.decisions.window", "counter",
                "Vector decisions satisfied from the batched window."),
-    Instrument("kernel.vector.decisions.slow", "counter",
-               "Vector decisions that fell back to the scalar path."),
     Instrument("kernel.vector.windows", "counter",
                "All-states speculation windows the vector kernel ran."),
     Instrument("kernel.vector.decisions.discarded", "counter",

@@ -99,11 +99,6 @@ class FlightRecorder:
 _DEFAULT = FlightRecorder()
 
 
-def get_recorder() -> FlightRecorder:
-    """The process-global flight recorder."""
-    return _DEFAULT
-
-
 def record(kind: str, name: str, /, **fields: Any) -> None:
     """Record into the global ring (no-op when observability is off)."""
     if _registry.enabled():

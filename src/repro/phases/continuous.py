@@ -110,10 +110,6 @@ class SelectiveReprofiler:
         self.min_uses = min_uses
         self.max_reprofiles = max_reprofiles
 
-    def _initial_estimate(self, trace: ExecutionTrace, block_id: int,
-                          inip: ProfileSnapshot) -> Optional[float]:
-        return inip.branch_probability(block_id)
-
     def run(self, trace: ExecutionTrace,
             inip: ProfileSnapshot) -> AdaptiveOutcome:
         """Simulate adaptation for every optimised branch of ``inip``."""

@@ -20,7 +20,7 @@ from .behavior import (BranchBehavior, Phase, ProgramBehavior, drifting,
 from .trace import (NO_BRANCH, BlockEvents, ExecutionTrace, RunCounts,
                     TraceError)
 from .vecwalker import (VecWalker, numpy_uniform_stream, record_counts,
-                        record_trace, vec_walk)
+                        record_trace)
 from .walker import CFGWalker, TraceRecorder, replay_trace, walk
 
 __all__ = [
@@ -28,5 +28,5 @@ __all__ = [
     "ExecutionTrace", "Phase", "ProgramBehavior", "RunCounts", "TraceError",
     "TraceRecorder", "VecWalker", "drifting", "loopback_for_trip_count", "numpy_uniform_stream",
     "phased", "record_counts", "record_trace", "replay_trace", "steady",
-    "trip_count_for_loopback", "vec_walk", "walk", "warmup",
+    "trip_count_for_loopback", "walk", "warmup",
 ]

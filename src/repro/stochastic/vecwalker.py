@@ -30,16 +30,18 @@ loop with windowed numpy evaluation.  Four layers make that possible:
    Schulte (ASPLOS 2014).  The first sink, the next phase boundary or
    step budget, and the last warm-up use of a warming branch clip how
    much is accepted; uniforms beyond the accepted prefix are not
-   consumed, so window size never affects the event stream.  Decisions
-   too close to a boundary for a window to pay run one at a time.
+   consumed, so window size never affects the event stream.  Every
+   decision runs in a window: a decision at or past the next phase
+   boundary first applies the due phase changes and drops the FSM, so a
+   window's first decision is always accepted.
 
 4. **A decision log, not steps.**  Every decided segment is tallied by
-   ``(start << 1) | outcome``: one ``bincount`` per accepted window and
-   per sealed run of per-decision tokens.  At the end the tally becomes
-   the whole-run counts — each visit of a segment start uses every
-   block of its segment, outcome 1 takes its terminal branch — and the
-   truncated last segment or branch-free-cycle tail is added in closed
-   form.  :meth:`VecWalker.run` keeps the decisions themselves as a
+   ``(start << 1) | outcome``: one ``bincount`` per accepted window.  At
+   the end the tally becomes the whole-run counts — each visit of a
+   segment start uses every block of its segment, outcome 1 takes its
+   terminal branch — and the truncated last segment or
+   branch-free-cycle tail is added in closed form.  :meth:`VecWalker.run`
+   keeps the decisions themselves as a
    :class:`~repro.stochastic.trace.DecisionLog` (one narrow segment
    start and one ``int8`` outcome per decision, plus the tail) and hands
    it, with the counts, to its
@@ -65,12 +67,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
-from ..interp.events import EventBatch, iter_trace_batches
 from ..obs import inc
 from ..obs.spans import span
 from .behavior import BranchBehavior, ProgramBehavior
@@ -81,14 +82,8 @@ SEG_EXIT = -1
 #: ``seg_branch`` sentinel: the segment enters a branch-free cycle.
 SEG_CYCLE = -2
 
-#: Default batch size of :meth:`VecWalker.run_batches`.
-DEFAULT_CHUNK_STEPS = 1 << 16
-
 #: Uniform-draw granularity for the bulk RNG stream.
 _DRAW = 1 << 14
-
-#: Uniforms converted to Python floats per slice of the per-decision path.
-_FLOAT_SLICE = 512
 
 #: Decisions per lockstep block of an all-states window.
 _BLOCK = 32
@@ -103,10 +98,6 @@ _MAX_COMPOSED = 1 << 15
 #: doubles, up to ``_WINDOW``, while it is accepted whole.
 _WINDOW_START = 1 << 10
 _WINDOW = 1 << 14
-
-#: With fewer decisions than this left before the next phase boundary or
-#: the step budget, decisions run one at a time instead of in a window.
-_MIN_DECISIONS = 32
 
 
 def numpy_uniform_stream(seed: int) -> np.random.RandomState:
@@ -234,18 +225,13 @@ class VecWalker:
         behavior: per-branch taken-probability models.
         seed: RNG seed — the same seed as :class:`CFGWalker` produces the
             same trace, by construction.
-        chunk_steps: steps per batch :meth:`run_batches` yields (the last
-            may be shorter); batching never affects event content.
     """
 
     def __init__(self, cfg: ControlFlowGraph, behavior: ProgramBehavior,
-                 seed: int = 0, chunk_steps: int = DEFAULT_CHUNK_STEPS):
-        if chunk_steps < 1:
-            raise ValueError(f"chunk_steps must be >= 1, got {chunk_steps}")
+                 seed: int = 0):
         self.cfg = cfg
         self.behavior = behavior
         self.seed = seed
-        self.chunk_steps = int(chunk_steps)
         self._compile()
 
     # -- compilation -----------------------------------------------------------
@@ -332,14 +318,8 @@ class VecWalker:
                 dtype=np.int32).reshape(n, 2))
         # Decision logs keep segment starts in the narrowest id type.
         self._start_type = np.min_scalar_type(max(n - 1, 0))
-        # Fused per-node tuple for the decision loop: one list index
-        # yields (segment length, terminal branch, and the branch's fall /
-        # taken successors — i.e. the next segment start per outcome).
-        self._seg_info = [
-            (seg_len[v], seg_branch[v],
-             fall_succ[seg_branch[v]] if seg_branch[v] >= 0 else -1,
-             taken_succ[seg_branch[v]] if seg_branch[v] >= 0 else -1)
-            for v in range(n)]
+        # Per-node (segment length, terminal branch) for the decision loop.
+        self._seg_info = list(zip(seg_len, seg_branch))
 
         # FSM numbering: one state per branch in node order, then the
         # sink; ``_state_of[v]`` is the state of a segment starting at v.
@@ -385,25 +365,14 @@ class VecWalker:
         inc("kernel.vector.count_runs")
         return self._walk(max(int(max_steps), 0), start, record=False)[0]
 
-    def run_batches(self, max_steps: int,
-                    start: Optional[int] = None) -> Iterator[EventBatch]:
-        """The event stream as :class:`EventBatch` slices of ``chunk_steps``
-        steps (the last may be shorter) of :meth:`run`'s trace.
-
-        Concatenating the batches yields exactly the scalar walker's
-        arrays.
-        """
-        return iter_trace_batches(self.run(max_steps, start),
-                                  self.chunk_steps)
-
     def _walk(self, max_steps: int, start: Optional[int], record: bool
               ) -> Tuple[RunCounts, Optional[DecisionLog]]:
         """The walk behind :meth:`run` and :meth:`count`.
 
         Every decided segment is tallied by ``(start << 1) | outcome``
-        (one ``bincount`` per window, one per sealed run of slow tokens)
-        and the tally is returned as :class:`RunCounts`.  With ``record``
-        the decisions are also kept, as a :class:`DecisionLog`.
+        (one ``bincount`` per window) and the tally is returned as
+        :class:`RunCounts`.  With ``record`` the decisions are also kept,
+        as a :class:`DecisionLog`.
         """
         segments = self._segments
         seg_len_np = segments.length
@@ -434,158 +403,101 @@ class VecWalker:
         U = rs.random_sample(_DRAW)
         ulen = _DRAW
         ci = 0
-        # Plain-float view of ``U[fl_lo:fl_hi]`` for the per-decision
-        # path, converted one slice at a time and only where it reads.
-        u_list: List[float] = []
-        fl_lo = fl_hi = 0
 
         v = self.cfg.entry if start is None else start
         g = 0
-        # The decision log, in order: each accepted window's starts and
-        # outcomes, and each sealed run of slow-path tokens.
+        # The decision log: each accepted window's starts and outcomes.
         start_type = self._start_type
         log_starts: List[np.ndarray] = []
         log_outcomes: List[np.ndarray] = []
-        slow_t: List[int] = []  # packed (start << 1) | outcome tokens
-        slow_append = slow_t.append
         tail_start = -1
         tail_steps = 0
-        slow_decisions = 0
-        window_decisions = 0
+        decisions = 0
         windows = 0
         discarded = 0
 
-        def seal_slow() -> None:
-            # Tally (and log) the pending slow-path tokens.
-            nonlocal slow_decisions
-            if not slow_t:
-                return
-            tokens = np.asarray(slow_t, dtype=np.int64)
-            slow_t.clear()
-            slow_decisions += len(tokens)
-            tally[:] += np.bincount(tokens, minlength=2 * num_blocks)
-            if record:
-                log_starts.append((tokens >> 1).astype(start_type))
-                log_outcomes.append((tokens & 1).astype(np.int8))
-
         while g < max_steps:
-            L, b, nf, nt = seg_info[v]
+            L, b = seg_info[v]
             end = g + L
-            if b >= 0 and end <= limit and \
-                    (limit - g) // min_seg >= _MIN_DECISIONS:
-                # ---- all-states window ----
-                if fsm is None:
-                    fsm = _Fsm([warm_p[x] if warm_left[x] > 0 else cur_p[x]
-                                for x in branches],
-                               self._taken_np, self._fall_np, state_of)
-                W = min(window, (limit - g) // min_seg)
-                W = -(-W // _BLOCK) * _BLOCK
-                if ulen - ci < W:
-                    fresh = rs.random_sample(
-                        -(-(W - (ulen - ci)) // _DRAW) * _DRAW)
-                    U = np.concatenate([U[ci:], fresh])
-                    ulen = len(U)
-                    ci = fl_hi = 0
-                st, fi = fsm.path(U[ci:ci + W], int(state_of[v]))
-                # Accept up to the first sink, the first decision at or
-                # past ``limit`` and the last warm-up use of any branch.
-                m = W - int(np.count_nonzero(st == sink))
-                nxt = fsm.next_start.take(fi[:m])
-                starts = np.empty(m, dtype=np.int32)
-                starts[0] = v
-                starts[1:] = nxt[:m - 1]
-                pos = np.cumsum(seg_len_np.take(starts), dtype=np.int64)
-                pos += g - 1
-                if pos[m - 1] >= limit:
-                    m = int(np.searchsorted(pos, limit, side="left"))
+            if b < 0 or end > max_steps:
+                # ---- terminal: exit, branch-free cycle, or step budget ----
+                # The walk follows segment ``v`` to its end: through a
+                # branch-free cycle to the budget, or the segment's
+                # prefix (a cut terminal branch records no outcome, like
+                # the scalar walker that never reaches its step).
+                remaining = max_steps - g
+                tail_start = v
+                tail_steps = remaining if b == SEG_CYCLE else min(L, remaining)
+                g += tail_steps
+                break
+            if end - 1 >= next_change:
+                # The next decision's branch step is at or past a phase
+                # boundary: apply every change due by then.
+                while change_idx < num_changes and \
+                        changes[change_idx][0] <= end - 1:
+                    _, node, new_p = changes[change_idx]
+                    cur_p[node] = new_p
+                    change_idx += 1
+                next_change = changes[change_idx][0] \
+                    if change_idx < num_changes else math.inf
+                limit = math.ceil(min(next_change, max_steps))
+                fsm = None
+
+            # ---- all-states window; its first decision is below limit ----
+            if fsm is None:
+                fsm = _Fsm([warm_p[x] if warm_left[x] > 0 else cur_p[x]
+                            for x in branches],
+                           self._taken_np, self._fall_np, state_of)
+            W = min(window, (limit - g) // min_seg)
+            W = -(-W // _BLOCK) * _BLOCK
+            if ulen - ci < W:
+                fresh = rs.random_sample(
+                    -(-(W - (ulen - ci)) // _DRAW) * _DRAW)
+                U = np.concatenate([U[ci:], fresh])
+                ulen = len(U)
+                ci = 0
+            st, fi = fsm.path(U[ci:ci + W], int(state_of[v]))
+            # Accept up to the first sink, the first decision at or past
+            # ``limit`` and the last warm-up use of any branch.
+            m = W - int(np.count_nonzero(st == sink))
+            nxt = fsm.next_start.take(fi[:m])
+            starts = np.empty(m, dtype=np.int32)
+            starts[0] = v
+            starts[1:] = nxt[:m - 1]
+            pos = np.cumsum(seg_len_np.take(starts), dtype=np.int64)
+            pos += g - 1
+            if pos[m - 1] >= limit:
+                m = int(np.searchsorted(pos, limit, side="left"))
+            for s, x in warming:
+                uses = np.flatnonzero(st[:m] == s)
+                if len(uses) >= warm_left[x]:
+                    m = int(uses[warm_left[x] - 1]) + 1
+            outcomes = fsm.outcome.take(fi[:m])
+            expired = False
+            if warming:
                 for s, x in warming:
-                    uses = np.flatnonzero(st[:m] == s)
-                    if len(uses) >= warm_left[x]:
-                        m = int(uses[warm_left[x] - 1]) + 1
-                outcomes = fsm.outcome.take(fi[:m])
-                expired = False
-                if warming:
-                    for s, x in warming:
-                        warm_left[x] -= int(np.count_nonzero(st[:m] == s))
-                        expired = expired or not warm_left[x]
-                    if expired:
-                        warming = [(s, x) for s, x in warming
-                                   if warm_left[x]]
-                        fsm = None
-                seal_slow()
-                tally += np.bincount((starts[:m] << 1) | outcomes,
-                                     minlength=2 * num_blocks)
-                if record:
-                    log_starts.append(starts[:m].astype(start_type))
-                    log_outcomes.append(outcomes)
-                g = int(pos[m - 1]) + 1
-                v = int(nxt[m - 1])
-                ci += m
-                windows += 1
-                window_decisions += m
-                discarded += W - m
-                # Regrow from the accepted length after a warm-up clip;
-                # double while whole windows are accepted.
+                    warm_left[x] -= int(np.count_nonzero(st[:m] == s))
+                    expired = expired or not warm_left[x]
                 if expired:
-                    window = -(-m // _BLOCK) * _BLOCK
-                elif m == W and window < _WINDOW:
-                    window *= 2
-                continue
-
-            # ---- per-decision slow path ----
-            if b >= 0 and end <= max_steps:
-                if end > next_change:
-                    pos_d = end - 1
-                    while change_idx < num_changes and \
-                            changes[change_idx][0] <= pos_d:
-                        _, node, new_p = changes[change_idx]
-                        cur_p[node] = new_p
-                        change_idx += 1
-                    next_change = changes[change_idx][0] \
-                        if change_idx < num_changes else math.inf
-                    limit = math.ceil(min(next_change, max_steps))
+                    warming = [(s, x) for s, x in warming if warm_left[x]]
                     fsm = None
-                w = warm_left[b]
-                if w > 0:
-                    warm_left[b] = w - 1
-                    p = warm_p[b]
-                    if w == 1:
-                        warming = [(s, x) for s, x in warming if x != b]
-                        fsm = None
-                else:
-                    p = cur_p[b]
-                if ci >= fl_hi:
-                    if ci == ulen:
-                        U = rs.random_sample(_DRAW)
-                        ulen = _DRAW
-                        ci = 0
-                    fl_lo = ci
-                    fl_hi = min(ci + _FLOAT_SLICE, ulen)
-                    u_list = U[ci:fl_hi].tolist()
-                if u_list[ci - fl_lo] < p:
-                    slow_append((v << 1) | 1)
-                    v = nt
-                else:
-                    slow_append(v << 1)
-                    v = nf
-                ci += 1
-                g = end
-                if len(slow_t) >= _DRAW:
-                    seal_slow()  # keep the pending token list short
-                continue
-
-            # ---- terminal: exit, branch-free cycle, or step budget ----
-            # The walk follows segment ``v`` to its end: through a
-            # branch-free cycle to the budget, or the segment's prefix
-            # (a cut terminal branch records no outcome, like the scalar
-            # walker that never reaches its step).
-            remaining = max_steps - g
-            tail_start = v
-            tail_steps = remaining if b == SEG_CYCLE else min(L, remaining)
-            g += tail_steps
-            break
-
-        seal_slow()
+            tally += np.bincount((starts[:m] << 1) | outcomes,
+                                 minlength=2 * num_blocks)
+            if record:
+                log_starts.append(starts[:m].astype(start_type))
+                log_outcomes.append(outcomes)
+            g = int(pos[m - 1]) + 1
+            v = int(nxt[m - 1])
+            ci += m
+            windows += 1
+            decisions += m
+            discarded += W - m
+            # Regrow from the accepted length after a warm-up clip;
+            # double while whole windows are accepted.
+            if expired:
+                window = -(-m // _BLOCK) * _BLOCK
+            elif m == W and window < _WINDOW:
+                window *= 2
 
         # Every visit of a segment start uses each block of its segment
         # once (a ragged add over the flat segment table) and, with
@@ -603,9 +515,8 @@ class VecWalker:
         inc("kernel.vector.runs")
         inc("kernel.vector.steps", g)
         inc("kernel.vector.windows", windows)
-        inc("kernel.vector.decisions", slow_decisions + window_decisions)
-        inc("kernel.vector.decisions.window", window_decisions)
-        inc("kernel.vector.decisions.slow", slow_decisions)
+        inc("kernel.vector.decisions", decisions)
+        inc("kernel.vector.decisions.window", decisions)
         inc("kernel.vector.decisions.discarded", discarded)
         # These counts needed no pass over steps, and the index needs no
         # decode; the zero increments make ``trace.count_passes`` and
@@ -623,12 +534,6 @@ class VecWalker:
                       else np.zeros(0, dtype=np.int8)),
             tail_start=tail_start, tail_steps=tail_steps)
         return counts, log
-
-
-def vec_walk(cfg: ControlFlowGraph, behavior: ProgramBehavior,
-             max_steps: int, seed: int = 0) -> ExecutionTrace:
-    """One-shot convenience wrapper around :class:`VecWalker`."""
-    return VecWalker(cfg, behavior, seed=seed).run(max_steps)
 
 
 def record_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
-from ..interp.events import ExecutionListener
 from .behavior import BranchBehavior, ProgramBehavior
 from .trace import NO_BRANCH, ExecutionTrace
+
+if TYPE_CHECKING:
+    from ..interp.events import ExecutionListener
 
 
 class TraceRecorder:

@@ -83,6 +83,34 @@ def test_every_study_flag_reaches_the_study(monkeypatch, command):
         job_timeout=5.0, verify=True, profile=True, flight_dir="dumps")
 
 
+@pytest.mark.parametrize("variable,value,flags,message", [
+    ("REPRO_JOBS", "", [], "REPRO_JOBS must be an integer"),
+    ("REPRO_RETRIES", "-1", [], "retries must be >= 0"),
+    ("REPRO_FAULT_SPEC", "gzip:bogus", [], "gzip:bogus"),
+    (None, None, ["--jobs", "0"], "jobs must be >= 1"),
+], ids=["empty-jobs", "negative-retries", "bad-fault-spec", "jobs-0"])
+def test_malformed_knob_is_a_usage_error(monkeypatch, capsys, variable,
+                                         value, flags, message):
+    """A bad study knob exits 2 with the parser's usage line, before any
+    study runs, on both the study and the ``--summary`` paths."""
+    from repro.harness import cli
+
+    def no_study(**kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_full_study", no_study)
+    if variable is not None:
+        monkeypatch.setenv(variable, value)
+    for command in (["--stats", "--benchmarks", "gzip"],
+                    ["--summary", "gzip"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--quick", "--no-cache"] + flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-study")
+        assert message in err and "Traceback" not in err
+
+
 def test_summary_unknown_benchmark(capsys):
     assert main(["--summary", "doom", "--no-cache"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err

@@ -4,15 +4,16 @@ Every test here asserts the same contract from a different angle: for
 the same (CFG, behaviour, seed), :class:`VecWalker` produces an event
 stream byte-identical to :class:`CFGWalker` — same blocks, same branch
 outcomes, same counter tables, same per-block event index, same replay
-regions — regardless of chunk size, window and block sizes, or whether
-a decision ran in an all-states window or one at a time.
+regions — regardless of the chunks the uniform stream is drawn in, and
+of window and block sizes.
 
 The hypothesis tests fuzz arbitrary CFG shapes and behaviour mixes; the
-named tests pin the structural edge cases (chunk boundaries at 1 /
-prime / beyond the run length, phase boundaries inside a lockstep
-block, warm-up expiry mid-window, budgets and sinks mid-window,
-single-successor cycles, immediate exits, start overrides, one branch
-and hundreds of branches).
+named tests pin the structural edge cases (uniforms drawn one at a
+time, in prime chunks or in one chunk beyond the run length, phase
+boundaries inside a lockstep block and every few steps, warm-up expiry
+mid-window, budgets and sinks mid-window, single-successor cycles,
+immediate exits, start overrides, one branch and hundreds of
+branches).
 
 The whole-run counts the walker tallies from its own decisions get the
 same treatment: ``run``'s counts, the count-only ``count`` and a
@@ -43,15 +44,16 @@ from repro.obs.registry import counter_value
 from repro.stochastic import (BranchBehavior, CFGWalker, Phase,
                               ProgramBehavior, VecWalker, drifting,
                               numpy_uniform_stream, phased, record_trace,
-                              steady, vec_walk, warmup)
+                              steady, warmup)
 from repro.stochastic import vecwalker
 from repro.workloads import all_benchmarks, get_benchmark
 
 from ..reference import reference_counts, reference_events, walker_counts
 
-# Chunk sizes straddling every interesting boundary: degenerate (1),
-# prime (so chunk edges never align with loop periods), and larger than
-# any run these tests record.
+# Sizes of the chunks the walker draws its uniforms in (``_DRAW``),
+# straddling every interesting boundary: degenerate (1, so every window
+# refills its buffer), prime (so refills never align with loop periods
+# or lockstep blocks), and larger than any run these tests record.
 CHUNKS = (1, 13, 4096, 10**6)
 
 
@@ -60,8 +62,8 @@ def scalar_trace(cfg, behavior, steps, seed, start=None):
 
 
 def vector_trace(cfg, behavior, steps, seed, chunk, start=None):
-    walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=chunk)
-    return walker.run(steps, start=start)
+    with mock.patch.object(vecwalker, "_DRAW", chunk):
+        return VecWalker(cfg, behavior, seed=seed).run(steps, start=start)
 
 
 def assert_traces_equal(scalar, vector, label=""):
@@ -266,35 +268,9 @@ def test_degenerate_shapes():
                                     f"steps={steps} chunk={chunk}")
 
 
-def test_vec_walk_convenience_matches_walk():
-    cfg = ControlFlowGraph([(0, 1), ()])
-    behavior = ProgramBehavior()
-    behavior.set(0, steady(0.7))
-    scalar = scalar_trace(cfg, behavior, 500, seed=9)
-    vector = vec_walk(cfg, behavior, max_steps=500, seed=9)
-    assert_traces_equal(scalar, vector)
-
-
 # ---------------------------------------------------------------------------
-# Streaming consumers: batches and trace recording.
+# Trace recording.
 # ---------------------------------------------------------------------------
-
-def test_streamed_batches_reassemble_exactly(nested_cfg, nested_behavior):
-    """Concatenated run_batches output == run() == scalar oracle, and
-    batch boundaries cover the trace with no gaps or overlaps."""
-    walker = VecWalker(nested_cfg, nested_behavior, seed=4, chunk_steps=777)
-    batches = list(walker.run_batches(40_000))
-    scalar = scalar_trace(nested_cfg, nested_behavior, 40_000, seed=4)
-
-    pos = 0
-    for batch in batches:
-        np.testing.assert_array_equal(
-            scalar.blocks[pos:pos + len(batch.blocks)], batch.blocks)
-        np.testing.assert_array_equal(
-            scalar.taken[pos:pos + len(batch.taken)], batch.taken)
-        pos += len(batch.blocks)
-    assert pos == scalar.num_steps
-
 
 def test_record_trace_equals_scalar_walker(nested_cfg, nested_behavior):
     """The study's recording entry point: the scalar walker's trace, with
@@ -307,14 +283,8 @@ def test_record_trace_equals_scalar_walker(nested_cfg, nested_behavior):
 
 
 # ---------------------------------------------------------------------------
-# Chunk decode and the per-decision fallback: the lazy float view of the
-# uniform stream, refills, and the ragged segment gather.
+# Refills of the uniform buffer, and phase boundaries every few steps.
 # ---------------------------------------------------------------------------
-
-def decisions():
-    return (counter_value("kernel.vector.decisions.window"),
-            counter_value("kernel.vector.decisions.slow"))
-
 
 def windows():
     return counter_value("kernel.vector.windows")
@@ -338,29 +308,24 @@ def phased_nested_behavior():
     return behavior
 
 
-@pytest.mark.parametrize("draw,float_slice", [(8, 3), (16, 5), (64, 7)])
-def test_slow_decisions_after_window_refill(nested_cfg, monkeypatch, draw,
-                                            float_slice):
-    """Just before each phase boundary the kernel falls back to one
-    decision at a time.  A tiny uniform buffer makes every window refill
-    (concatenate) ``U`` first, so those slow decisions read the refilled
-    buffer's float view."""
-    monkeypatch.setattr(vecwalker, "_DRAW", draw)
-    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", float_slice)
-    behavior = phased_nested_behavior()
-    window0, slow0 = decisions()
-    vector = vector_trace(nested_cfg, behavior, 20_000, 12, 4096)
-    window1, slow1 = decisions()
-    assert window1 > window0 and slow1 > slow0  # both paths ran
-    scalar = scalar_trace(nested_cfg, behavior, 20_000, seed=12)
+@pytest.mark.parametrize("draw", [8, 16, 64])
+def test_phase_boundaries_after_window_refill(nested_cfg, draw):
+    """A tiny uniform buffer makes every window refill (concatenate)
+    ``U`` first, and the diamond's phase boundaries clip the windows that
+    read the refilled buffer."""
+    before = windows()
+    vector = vector_trace(nested_cfg, phased_nested_behavior(), 20_000, 12,
+                          draw)
+    assert windows() > before
+    scalar = scalar_trace(nested_cfg, phased_nested_behavior(), 20_000,
+                          seed=12)
     assert_traces_equal(scalar, vector)
 
 
-def slow_only_cfg():
+def dense_phase_cfg():
     """A loop of two splits that never exits.  Every branch changes
-    phase every 20 steps, so no window ever fits ``_MIN_DECISIONS``
-    decisions before the next boundary and every decision takes the
-    per-decision path."""
+    phase every 20 steps, so each window is clipped by a boundary a few
+    decisions in and the next one starts at that boundary."""
     cfg = ControlFlowGraph([
         (1,),        # 0 entry
         (2, 3),      # 1 split A
@@ -380,61 +345,38 @@ def slow_only_cfg():
     return cfg, behavior, steps
 
 
-@pytest.mark.parametrize("draw,float_slice", [
-    (vecwalker._DRAW, vecwalker._FLOAT_SLICE),  # the shipped sizes
-    (50, 7),     # slices straddle each refill unevenly
-    (20, 20),    # a slice ends exactly on each refill
-    (13, 64),    # a slice is clipped by the end of the buffer
-])
-def test_slow_run_crosses_float_slices_and_refills(monkeypatch, draw,
-                                                   float_slice):
-    cfg, behavior, steps = slow_only_cfg()
-    monkeypatch.setattr(vecwalker, "_DRAW", draw)
-    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", float_slice)
-    window0, slow0 = decisions()
-    vector = vector_trace(cfg, behavior, steps, 31, 4096)
-    window1, slow1 = decisions()
-    assert window1 == window0  # no window ever ran
-    assert slow1 - slow0 > 2 * draw + 2 * float_slice
+@pytest.mark.parametrize("draw", [vecwalker._DRAW, 13])
+def test_dense_phase_boundaries(draw):
+    """The shipped draw size, and one so small that every window
+    refills: at least one window per boundary of either branch."""
+    cfg, behavior, steps = dense_phase_cfg()
+    before = windows()
+    vector = vector_trace(cfg, behavior, steps, 31, draw)
+    assert windows() - before >= steps // 20
     assert_traces_equal(scalar_trace(cfg, behavior, steps, seed=31),
                         vector)
 
 
-def test_one_step_chunks_with_tiny_buffers(nested_cfg, monkeypatch):
-    """``chunk_steps=1``: ``run_batches`` slices the finished trace into
-    one-step batches, however its windows and slow decisions fell."""
-    monkeypatch.setattr(vecwalker, "_DRAW", 16)
-    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
+def test_one_step_chunks_with_tiny_buffers(nested_cfg):
+    """Uniforms drawn one at a time: every window refills the buffer it
+    reads, wherever its phase boundaries fell."""
     behavior = phased_nested_behavior()
-    walker = VecWalker(nested_cfg, behavior, seed=5, chunk_steps=1)
-    (_, slow0), windows0 = decisions(), windows()
-    batches = list(walker.run_batches(5_000))
-    (_, slow1), windows1 = decisions(), windows()
-    assert windows1 > windows0 and slow1 > slow0
-    scalar = scalar_trace(nested_cfg, behavior, 5_000, seed=5)
-    assert [len(b) for b in batches] == [1] * scalar.num_steps
-    np.testing.assert_array_equal(
-        np.concatenate([b.blocks for b in batches]), scalar.blocks)
-    np.testing.assert_array_equal(
-        np.concatenate([b.taken for b in batches]), scalar.taken)
-    assert_traces_equal(scalar, walker.run(5_000))
+    before = windows()
+    vector = vector_trace(nested_cfg, behavior, 5_000, 5, 1)
+    assert windows() > before
+    assert_traces_equal(scalar_trace(nested_cfg, behavior, 5_000, seed=5),
+                        vector)
 
 
 @pytest.mark.parametrize("window", [32, 64, 1024])
-def test_chunks_overshoot_by_at_most_one_window(nested_cfg, nested_behavior,
-                                                monkeypatch, window):
-    """Batches are slices of the finished trace, so whatever the window
-    size they never overshoot: every batch but the last holds exactly
-    ``chunk_steps`` steps."""
+def test_fixed_window_sizes(nested_cfg, nested_behavior, monkeypatch,
+                            window):
+    """Windows that never grow, of any size, decide the same stream."""
     monkeypatch.setattr(vecwalker, "_WINDOW_START", window)
     monkeypatch.setattr(vecwalker, "_WINDOW", window)
-    walker = VecWalker(nested_cfg, nested_behavior, seed=6, chunk_steps=500)
-    batches = list(walker.run_batches(40_000))
-    assert all(len(batch) == 500 for batch in batches[:-1])
-    assert 0 < len(batches[-1]) <= 500
-    scalar = scalar_trace(nested_cfg, nested_behavior, 40_000, seed=6)
-    np.testing.assert_array_equal(
-        np.concatenate([b.blocks for b in batches]), scalar.blocks)
+    vector = VecWalker(nested_cfg, nested_behavior, seed=6).run(40_000)
+    assert_traces_equal(
+        scalar_trace(nested_cfg, nested_behavior, 40_000, seed=6), vector)
 
 
 def long_segment_cfg():
@@ -537,16 +479,15 @@ def test_two_warmups_expire_inside_one_window(nested_cfg, monkeypatch):
     assert counter_value("kernel.vector.decisions.discarded") > discarded
 
 
-@pytest.mark.parametrize("min_decisions", [1, vecwalker._MIN_DECISIONS])
+@pytest.mark.parametrize("draw", [1, 32])
 @pytest.mark.parametrize("extra", range(0, 9, 2))
-def test_budget_ends_mid_segment_inside_window(monkeypatch, min_decisions,
-                                               extra):
+def test_budget_ends_mid_segment_inside_window(draw, extra):
     """The step budget clips a window, and the walk ends inside a
-    segment.  With ``_MIN_DECISIONS = 1`` windows run right up to the
-    budget instead of handing the last decisions to the slow path."""
-    monkeypatch.setattr(vecwalker, "_MIN_DECISIONS", min_decisions)
+    segment.  Uniforms drawn 1 or 32 at a time make every window,
+    the clipped last one too, refill its buffer first."""
     cfg, behavior = long_segment_cfg()
-    assert_window_run(cfg, behavior, 6_000 + extra, seed=extra)
+    assert_window_run(cfg, behavior, 6_000 + extra, seed=extra,
+                      chunks=(draw,))
 
 
 def test_exit_reached_mid_window():
@@ -651,8 +592,7 @@ def test_fuzz_small_blocks_and_windows(case, sizes):
     block, window = sizes
     with mock.patch.object(vecwalker, "_BLOCK", block), \
             mock.patch.object(vecwalker, "_WINDOW_START", window), \
-            mock.patch.object(vecwalker, "_WINDOW", 4 * window), \
-            mock.patch.object(vecwalker, "_MIN_DECISIONS", 1):
+            mock.patch.object(vecwalker, "_WINDOW", 4 * window):
         vector = vector_trace(cfg, behavior, steps, seed, chunk)
     assert_traces_equal(scalar_trace(cfg, behavior, steps, seed), vector,
                         f"steps={steps} seed={seed} sizes={sizes}")
@@ -667,11 +607,12 @@ def assert_counts_agree(cfg, behavior, steps, seed, chunk=13, start=None,
     """``run``'s counts == ``count`` == bincount of ``run``'s arrays ==
     the scalar walker's counters, and neither walk counted its steps
     from an array or decoded them."""
-    walker = VecWalker(cfg, behavior, seed=seed, chunk_steps=chunk)
+    walker = VecWalker(cfg, behavior, seed=seed)
     passes = counter_value("trace.count_passes")
     decodes = counter_value("trace.decodes")
-    traced = walker.run(steps, start=start)
-    counted = walker.count(steps, start=start)
+    with mock.patch.object(vecwalker, "_DRAW", chunk):
+        traced = walker.run(steps, start=start)
+        counted = walker.count(steps, start=start)
     walked = traced.counts()
     assert counter_value("trace.decodes") == decodes, label
     assert counter_value("trace.count_passes") == passes, label
@@ -705,15 +646,14 @@ def test_fuzz_counts_start_override(case, start):
 @settings(max_examples=80, deadline=None)
 @given(walk_case(), st.sampled_from([(4, 8), (8, 32), (32, 64)]))
 def test_fuzz_counts_small_blocks_and_windows(case, sizes):
-    """Windows down to one decision before a boundary
-    (``_MIN_DECISIONS = 1``) and tiny lockstep blocks: every clip of a
-    window's tally lands at every position of a block."""
+    """Windows down to one decision before a boundary and tiny lockstep
+    blocks: every clip of a window's tally lands at every position of a
+    block."""
     cfg, behavior, steps, seed, chunk = case
     block, window = sizes
     with mock.patch.object(vecwalker, "_BLOCK", block), \
             mock.patch.object(vecwalker, "_WINDOW_START", window), \
-            mock.patch.object(vecwalker, "_WINDOW", 4 * window), \
-            mock.patch.object(vecwalker, "_MIN_DECISIONS", 1):
+            mock.patch.object(vecwalker, "_WINDOW", 4 * window):
         assert_counts_agree(cfg, behavior, steps, seed, chunk,
                             label=f"steps={steps} sizes={sizes}")
 
@@ -782,24 +722,21 @@ def test_counts_across_warmup_expiries_in_one_window(nested_cfg):
     assert windows() > windows0
 
 
-@pytest.mark.parametrize("min_decisions", [1, vecwalker._MIN_DECISIONS])
-def test_counts_with_windows_up_to_the_budget(monkeypatch, min_decisions):
-    monkeypatch.setattr(vecwalker, "_MIN_DECISIONS", min_decisions)
+@pytest.mark.parametrize("draw", [1, 32])
+def test_counts_with_windows_up_to_the_budget(draw):
     cfg, behavior = long_segment_cfg()
     for extra in range(0, 9, 2):
-        assert_counts_agree(cfg, behavior, 6_000 + extra, seed=extra)
+        assert_counts_agree(cfg, behavior, 6_000 + extra, seed=extra,
+                            chunk=draw)
 
 
-def test_counts_of_slow_decisions_with_one_step_chunks(nested_cfg,
-                                                       monkeypatch):
-    """``chunk_steps=1`` with tiny buffers: slow tokens are tallied at
-    every seal, in ``count`` as in ``run``."""
-    monkeypatch.setattr(vecwalker, "_DRAW", 16)
-    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
-    _, slow0 = decisions()
+def test_counts_with_one_step_chunks(nested_cfg):
+    """Uniforms drawn one at a time: every window refills its buffer
+    before it is tallied, in ``count`` as in ``run``."""
+    before = windows()
     assert_counts_agree(nested_cfg, phased_nested_behavior(), 5_000, seed=5,
                         chunk=1)
-    assert decisions()[1] > slow0
+    assert windows() > before
 
 
 def test_count_only_walk_is_counted_as_a_run(nested_cfg, nested_behavior):
@@ -857,12 +794,14 @@ def assert_log_matches(scalar, vector, label=""):
     assert counter_value("trace.decodes") == decodes + 1, label
 
 
-def logged_run(cfg, behavior, steps, seed, start=None):
-    return VecWalker(cfg, behavior, seed=seed).run(steps, start=start)
+def logged_run(cfg, behavior, steps, seed, start=None, chunk=vecwalker._DRAW):
+    return vector_trace(cfg, behavior, steps, seed, chunk, start=start)
 
 
-def assert_logged_run(cfg, behavior, steps, seed, start=None, label=""):
-    vector = logged_run(cfg, behavior, steps, seed, start=start)
+def assert_logged_run(cfg, behavior, steps, seed, start=None, label="",
+                      chunk=vecwalker._DRAW):
+    vector = logged_run(cfg, behavior, steps, seed, start=start,
+                        chunk=chunk)
     assert_log_matches(scalar_trace(cfg, behavior, steps, seed, start=start),
                        vector, label)
     return vector
@@ -915,14 +854,13 @@ def test_fuzz_log_index_with_join_blocks(case, start):
 @settings(max_examples=60, deadline=None)
 @given(join_walk_case(), st.sampled_from([(4, 8), (8, 32)]))
 def test_fuzz_log_index_small_blocks_and_windows(case, sizes):
-    """``_MIN_DECISIONS = 1`` and tiny windows: logged windows end at
-    every position of a lockstep block."""
+    """Tiny windows and blocks: logged windows end at every position of
+    a lockstep block."""
     cfg, behavior, steps, seed = case
     block, window = sizes
     with mock.patch.object(vecwalker, "_BLOCK", block), \
             mock.patch.object(vecwalker, "_WINDOW_START", window), \
-            mock.patch.object(vecwalker, "_WINDOW", 4 * window), \
-            mock.patch.object(vecwalker, "_MIN_DECISIONS", 1):
+            mock.patch.object(vecwalker, "_WINDOW", 4 * window):
         vector = logged_run(cfg, behavior, steps, seed)
     assert_log_matches(scalar_trace(cfg, behavior, steps, seed), vector,
                        f"steps={steps} seed={seed} sizes={sizes}")
@@ -998,22 +936,21 @@ def test_log_across_warmup_expiries_in_one_window(nested_cfg):
     assert windows() > windows0
 
 
-@pytest.mark.parametrize("min_decisions", [1, vecwalker._MIN_DECISIONS])
-def test_log_with_windows_up_to_the_budget(monkeypatch, min_decisions):
-    monkeypatch.setattr(vecwalker, "_MIN_DECISIONS", min_decisions)
+@pytest.mark.parametrize("draw", [1, 32])
+def test_log_with_windows_up_to_the_budget(draw):
     cfg, behavior = long_segment_cfg()
     for extra in range(0, 9, 2):
-        assert_logged_run(cfg, behavior, 6_000 + extra, seed=extra)
+        assert_logged_run(cfg, behavior, 6_000 + extra, seed=extra,
+                          chunk=draw)
 
 
-def test_log_of_slow_decisions_with_tiny_buffers(nested_cfg, monkeypatch):
-    """Slow-path tokens sealed between windows keep their place in the
+def test_log_with_tiny_buffers(nested_cfg):
+    """Windows that refill their buffer first keep their place in the
     log."""
-    monkeypatch.setattr(vecwalker, "_DRAW", 16)
-    monkeypatch.setattr(vecwalker, "_FLOAT_SLICE", 3)
-    _, slow0 = decisions()
-    assert_logged_run(nested_cfg, phased_nested_behavior(), 5_000, seed=5)
-    assert decisions()[1] > slow0
+    before = windows()
+    assert_logged_run(nested_cfg, phased_nested_behavior(), 5_000, seed=5,
+                      chunk=16)
+    assert windows() > before
 
 
 @pytest.mark.parametrize("nodes", [255, 256, 257])
