@@ -46,8 +46,6 @@ CATALOG: List[Instrument] = [
                "Simulated steps walked by the vector kernel."),
     Instrument("kernel.vector.decisions", "counter",
                "Branch decisions drawn by the vector kernel."),
-    Instrument("kernel.vector.decisions.window", "counter",
-               "Vector decisions satisfied from the batched window."),
     Instrument("kernel.vector.windows", "counter",
                "All-states speculation windows the vector kernel ran."),
     Instrument("kernel.vector.decisions.discarded", "counter",
@@ -58,6 +56,9 @@ CATALOG: List[Instrument] = [
                "arrays); also counted in kernel.vector.runs."),
     Instrument("trace.index_builds", "counter",
                "Per-block event indexes built (lazily, on first use)."),
+    Instrument("trace.index_bytes", "histogram",
+               "Bytes held by each event index built, every buffer "
+               "counted once (the shared zero prefix too)."),
     Instrument("trace.count_passes", "counter",
                "Whole-run counts bincounted from a trace's per-step "
                "arrays (traces not recorded by the vector walker)."),

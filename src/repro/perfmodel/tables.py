@@ -15,7 +15,7 @@ each map by rank in O(blocks · log N), with no per-step array:
   by the taken edge and the rest by the fall-through edge;
 * per map, with ``start = ceil(clip(optimized_at, 0, N))``, a block
   counts whole if ``start <= steps[0]`` and zero if ``start >
-  steps[-1]``; else ``i = searchsorted(steps, start) <= m`` leaves
+  steps[-1]``; else ``i = use_before(start) <= m`` leaves
   ``use - i`` optimised executions, ``m - i`` optimised traversals and
   ``taken_prefix[m] - taken_prefix[i]`` optimised taken ones.
 
@@ -112,7 +112,7 @@ class CostTables:
         for block, at, m in zip(part.tolist(), start[part].tolist(),
                                 self._leaving[part].tolist()):
             events = self._events[block]
-            i = int(events.steps.searchsorted(at))
+            i = events.use_before(at)
             per_block[block] = len(events.steps) - i
             trips[block] = m - i
             taken[block] = events.taken_prefix[m] - events.taken_prefix[i]

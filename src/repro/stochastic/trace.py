@@ -23,13 +23,14 @@ indexed by a radix argsort of their block ids.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import inc
+from ..obs import inc, observe
 from ..obs.spans import span
 
 #: sentinel in the taken array for non-branch block executions.
@@ -39,6 +40,16 @@ NO_BRANCH = -1
 #: block: the sort's int64 output and scratch stay this size, not two
 #: whole-trace arrays next to the index.
 _SORT_CHUNK = 1 << 19
+
+
+def step_dtype(num_steps: int) -> type:
+    """The event index's integer type for a run of ``num_steps`` steps.
+
+    int32 holds every step, use count and taken count of a run shorter
+    than ``2**31 - 1`` steps (the step ``num_steps`` itself included);
+    a longer run is indexed in int64.
+    """
+    return np.int32 if num_steps < 2**31 - 1 else np.int64
 
 
 class TraceError(ValueError):
@@ -53,7 +64,9 @@ class BlockEvents:
         steps: sorted global steps at which the block executed.
         taken_prefix: ``taken_prefix[k]`` = taken outcomes among the first
             ``k`` executions (so ``taken_prefix[len(steps)]`` is the total);
-            all zeros for non-branch blocks.
+            all zeros for a block that is never taken.
+
+    Both arrays are read-only and of the run's :func:`step_dtype`.
     """
 
     steps: np.ndarray
@@ -70,8 +83,17 @@ class BlockEvents:
         return int(self.taken_prefix[-1])
 
     def use_before(self, step: int) -> int:
-        """Executions strictly before global ``step``."""
-        return int(np.searchsorted(self.steps, step, side="left"))
+        """Executions strictly before global ``step`` (any step of the
+        run, or its length).
+
+        The needle is cast to the index's type first: searching an int32
+        array for a Python int or an int64 casts the whole array.  It
+        goes through ``operator.index`` so that a float raises instead
+        of truncating, and an integer out of the type's range raises
+        instead of wrapping.
+        """
+        needle = self.steps.dtype.type(operator.index(step))
+        return int(self.steps.searchsorted(needle))
 
     def taken_before(self, step: int) -> int:
         """Taken outcomes strictly before global ``step``."""
@@ -232,16 +254,17 @@ class DecisionLog:
         blocks' slices of one shared ``order`` array laid out from the
         whole-run counts.  A block in several segments (a join) merges
         its sorted runs with one stable sort, of ``step << 1 | outcome``
-        when the block is a branch, whose outcomes give ``taken_prefix``.
-        The tail's steps, the last of the run, close each slice.
+        (formed in int64) when the block is a branch, whose outcomes give
+        ``taken_prefix``.  The tail's steps, the last of the run, close
+        each slice.
         """
         seg = self.segments
         starts = self.starts
         num_steps = counts.num_steps
         use = counts.use
+        dtype = step_dtype(num_steps)
         per_start = np.bincount(starts, minlength=counts.num_blocks)
-        pos = np.zeros(len(starts), dtype=np.int32 if num_steps < 1 << 31
-                       else np.int64)
+        pos = np.zeros(len(starts), dtype=dtype)
         np.cumsum(seg.length[starts[:-1]], out=pos[1:])
         perm = np.argsort(starts, kind="stable")
         pos = pos[perm]
@@ -249,7 +272,7 @@ class DecisionLog:
         del perm
         ends = np.cumsum(use)
         fill = ends - use  # next free slot of each block's slice
-        order = np.empty(num_steps, dtype=np.int64)
+        order = np.empty(num_steps, dtype=dtype)
         runs: Dict[int, List[Tuple[int, int]]] = {}
         group_end = np.cumsum(per_start)
         for v in np.flatnonzero(per_start).tolist():
@@ -270,7 +293,7 @@ class DecisionLog:
                 continue
             steps = order[ends[block] - use[block]:fill[block]]
             if is_branch:
-                keys = steps << 1
+                keys = steps.astype(np.int64) << 1
                 keys |= np.concatenate([outcomes[lo:hi] for lo, hi in parts])
                 keys.sort(kind="stable")
                 np.right_shift(keys, 1, out=steps)
@@ -283,16 +306,44 @@ class DecisionLog:
             order[f:f + len(at)] = np.arange(decided + at.start,
                                              decided + at.stop, at.step)
             fill[block] = f + len(at)
-        order.flags.writeable = False
-        events: Dict[int, BlockEvents] = {}
-        for block in np.flatnonzero(use).tolist():
-            prefix = np.zeros(int(use[block]) + 1, dtype=np.int64)
-            if counts.taken[block]:
-                np.cumsum(taken_of[block], out=prefix[1:])
-            events[block] = BlockEvents(
-                steps=order[ends[block] - use[block]:ends[block]],
-                taken_prefix=prefix)
-        return events
+        return _block_events(order, counts,
+                             lambda block, steps: taken_of[block])
+
+
+def _block_events(order: np.ndarray, counts: RunCounts,
+                  outcomes: Callable[[int, np.ndarray], np.ndarray]
+                  ) -> Dict[int, BlockEvents]:
+    """Cut the by-block ``order`` of a run's steps into its event index.
+
+    ``order`` holds each executed block's steps, sorted, in block order,
+    as laid out by ``counts``.  A block that is taken at least once gets
+    its own ``taken_prefix``, the running sum of ``outcomes(block,
+    steps)`` (its 0/1 outcomes in step order); every other block gets a
+    view of one zero array.  All of it is read-only and of ``order``'s
+    type; its bytes, each buffer counted once, go to
+    ``trace.index_bytes``.
+    """
+    use = counts.use
+    ends = np.cumsum(use)
+    taken = counts.taken > 0
+    zeros = np.zeros(int(use[~taken].max(initial=0)) + 1, dtype=order.dtype)
+    zeros.flags.writeable = False
+    order.flags.writeable = False
+    nbytes = order.nbytes + zeros.nbytes
+    events: Dict[int, BlockEvents] = {}
+    for block in np.flatnonzero(use).tolist():
+        steps = order[ends[block] - use[block]:ends[block]]
+        if taken[block]:
+            prefix = np.zeros(len(steps) + 1, dtype=order.dtype)
+            np.cumsum(outcomes(block, steps), dtype=order.dtype,
+                      out=prefix[1:])
+            prefix.flags.writeable = False
+            nbytes += prefix.nbytes
+        else:
+            prefix = zeros[:len(steps) + 1]
+        events[block] = BlockEvents(steps=steps, taken_prefix=prefix)
+    observe("trace.index_bytes", nbytes)
+    return events
 
 
 class ExecutionTrace:
@@ -473,9 +524,8 @@ class ExecutionTrace:
         elif self.num_blocks <= 1 << 16:
             keys = keys.astype(np.uint16)
         counts = self.use_counts()
-        ends = np.cumsum(counts)
-        fill = ends - counts  # next free slot of each block's slice
-        order = np.empty(len(keys), dtype=np.int64)
+        fill = np.cumsum(counts) - counts  # next free slot of each slice
+        order = np.empty(len(keys), dtype=step_dtype(len(keys)))
         inner = np.arange(1, self.num_blocks, dtype=keys.dtype)
         for lo in range(0, len(keys), _SORT_CHUNK):
             part = keys[lo:lo + _SORT_CHUNK]
@@ -490,16 +540,9 @@ class ExecutionTrace:
                 a, b = bounds[bid], bounds[bid + 1]
                 order[fill[bid]:fill[bid] + b - a] = perm[a:b]
                 fill[bid] += b - a
-        order.flags.writeable = False
-        has_taken = self.taken_counts() > 0
-        events: Dict[int, BlockEvents] = {}
-        for bid in np.flatnonzero(counts).tolist():
-            steps = order[ends[bid] - counts[bid]:ends[bid]]
-            prefix = np.zeros(len(steps) + 1, dtype=np.int64)
-            if has_taken[bid]:
-                np.cumsum(self.taken[steps] == 1, out=prefix[1:])
-            events[bid] = BlockEvents(steps=steps, taken_prefix=prefix)
-        return events
+        taken = self.taken
+        return _block_events(order, self.counts(),
+                             lambda block, steps: taken[steps] == 1)
 
     def edge_counts(self) -> Dict[Tuple[int, int], int]:
         """Dynamic traversal count of every executed control-flow edge."""

@@ -516,7 +516,6 @@ class VecWalker:
         inc("kernel.vector.steps", g)
         inc("kernel.vector.windows", windows)
         inc("kernel.vector.decisions", decisions)
-        inc("kernel.vector.decisions.window", decisions)
         inc("kernel.vector.decisions.discarded", discarded)
         # These counts needed no pass over steps, and the index needs no
         # decode; the zero increments make ``trace.count_passes`` and

@@ -9,11 +9,9 @@ is still valid — hit, miss, partial reuse, and stale-format handling.
 import json
 import os
 
-import pytest
-
 from repro.harness import run_full_study
 from repro.harness.runner import DEFAULT_CACHE_DIR
-from repro.harness.studyspec import StudySpec, resolve_spec
+from repro.harness.studyspec import StudySpec
 from repro.dbt import DBTConfig
 from repro.obs import counter_value
 
@@ -33,27 +31,7 @@ def _identical_bytes(results_a, results_b, tmp_path):
         return a.read() == b.read()
 
 
-# -- jobs resolution ----------------------------------------------------------
-
-
-def test_resolve_jobs_explicit_and_default(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_spec(jobs=3).jobs == 3
-    assert resolve_spec().jobs == (os.cpu_count() or 1)
-
-
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "7")
-    assert resolve_spec().jobs == 7
-    assert resolve_spec(jobs=2).jobs == 2  # explicit beats the environment
-    monkeypatch.setenv("REPRO_JOBS", "nope")
-    with pytest.raises(ValueError, match="must be an integer"):
-        resolve_spec()
-
-
-def test_resolve_jobs_rejects_nonpositive():
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_spec(jobs=0)
+# -- jobs flag ----------------------------------------------------------------
 
 
 def test_cli_parses_jobs():

@@ -60,6 +60,15 @@ MATRIX = {
         "valid": ("yes", True),
         "empty": ("", False),
         "garbage": ("maybe", Rejects("REPRO_VERIFY must be a boolean")),
+        # Every other spelling of the boolean rule.
+        "true 1": ("1", True),
+        "true true": ("true", True),
+        "true on": ("on", True),
+        "true TRUE": ("TRUE", True),
+        "false 0": ("0", False),
+        "false false": ("false", False),
+        "false no": ("no", False),
+        "false off": ("off", False),
     }),
     "profile": ("REPRO_PROFILE", {
         "unset": (None, False),
@@ -100,15 +109,20 @@ def test_resolve_spec(clean_env, knob, case):
         with pytest.raises(ValueError, match=outcome.match):
             resolve_spec()
     else:
-        assert getattr(resolve_spec(), knob) == outcome
+        value = getattr(resolve_spec(), knob)
+        assert value == outcome and type(value) is type(outcome)
 
 
 @pytest.mark.parametrize("knob", sorted(MATRIX))
 def test_explicit_value_never_reads_the_environment(clean_env, knob):
     variable, cases = MATRIX[knob]
     clean_env.setenv(variable, cases.get("garbage", ("x",))[0])
+    # Every value the environment can give, False included, wins over it
+    # when passed explicitly (``None`` means "read the environment").
+    for _, outcome in cases.values():
+        if outcome is not None and not isinstance(outcome, Rejects):
+            assert getattr(resolve_spec(**{knob: outcome}), knob) == outcome
     text, value = cases["valid"]
-    assert getattr(resolve_spec(**{knob: value}), knob) == value
     if "out of range" in cases:
         # Explicit values pass the same range check as the environment's.
         text, outcome = cases["out of range"]

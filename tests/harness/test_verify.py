@@ -1,40 +1,14 @@
-"""Harness integration of the semantic verifier: env/flag resolution,
-cache-fingerprint isolation, per-study wiring, shard round-trips."""
+"""Harness integration of the semantic verifier: cache-fingerprint
+isolation, per-study wiring, shard round-trips.  ``REPRO_VERIFY`` is
+resolved by ``resolve_spec`` (tests/harness/test_studyspec.py)."""
 
 import pytest
 
 from repro.harness.results import BenchmarkResult, _result_from_dict, \
     _result_to_dict
 from repro.harness.runner import study_benchmark
-from repro.harness.studyspec import StudySpec, resolve_spec
+from repro.harness.studyspec import StudySpec
 from repro.workloads import get_benchmark
-
-
-class TestResolveVerify:
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY", raising=False)
-        assert resolve_spec().verify is False
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert resolve_spec(verify=False).verify is False
-        monkeypatch.setenv("REPRO_VERIFY", "0")
-        assert resolve_spec(verify=True).verify is True
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "TRUE"])
-    def test_truthy_env(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_VERIFY", value)
-        assert resolve_spec().verify is True
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "no", "off"])
-    def test_falsy_env(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_VERIFY", value)
-        assert resolve_spec().verify is False
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "maybe")
-        with pytest.raises(ValueError):
-            resolve_spec()
 
 
 class TestCacheIsolation:

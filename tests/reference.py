@@ -48,6 +48,7 @@ from repro.dbt.replay import registration_positions
 from repro.perfmodel import DEFAULT_COSTS, CostBreakdown, CostModel
 from repro.stochastic import (BlockEvents, CFGWalker, ExecutionTrace,
                               ProgramBehavior, RunCounts)
+from repro.stochastic.trace import step_dtype
 
 
 def walker_trace(cfg: ControlFlowGraph, behavior: ProgramBehavior,
@@ -159,13 +160,14 @@ def reference_events(trace: ExecutionTrace) -> Dict[int, BlockEvents]:
     """The per-block event index, one scan of the trace per block.
 
     Each executed block gets its steps in order (``flatnonzero``) and
-    the running count of its taken outcomes, with the dtypes the
-    production index promises: int64 steps and int64 prefixes.
+    the running count of its taken outcomes, in the type the production
+    index promises for the run's length (``step_dtype``).
     """
+    dtype = step_dtype(trace.num_steps)
     events: Dict[int, BlockEvents] = {}
     for block in sorted(set(trace.blocks.tolist())):
-        steps = np.flatnonzero(trace.blocks == block).astype(np.int64)
-        prefix = np.zeros(len(steps) + 1, dtype=np.int64)
+        steps = np.flatnonzero(trace.blocks == block).astype(dtype)
+        prefix = np.zeros(len(steps) + 1, dtype=dtype)
         prefix[1:] = np.cumsum(trace.taken[steps] == 1)
         events[block] = BlockEvents(steps=steps, taken_prefix=prefix)
     return events

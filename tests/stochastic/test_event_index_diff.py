@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.obs.registry import counter_value
 from repro.stochastic import NO_BRANCH, ExecutionTrace
+from repro.stochastic.trace import step_dtype
 
 from ..reference import reference_events
 
@@ -28,8 +29,9 @@ def assert_index_equals_oracle(trace):
     assert list(got) == list(want)
     for block, ref in want.items():
         ev = got[block]
-        assert ev.steps.dtype == ref.steps.dtype == np.int64
-        assert ev.taken_prefix.dtype == ref.taken_prefix.dtype == np.int64
+        dtype = step_dtype(trace.num_steps)
+        assert ev.steps.dtype == ref.steps.dtype == dtype
+        assert ev.taken_prefix.dtype == ref.taken_prefix.dtype == dtype
         np.testing.assert_array_equal(ev.steps, ref.steps, f"block {block}")
         np.testing.assert_array_equal(ev.taken_prefix, ref.taken_prefix,
                                       f"block {block}")

@@ -1,12 +1,18 @@
 """Execution-trace structure tests."""
 
+import inspect
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro
 from repro.interp import Interpreter
-from repro.obs.registry import counter_value
-from repro.stochastic import (NO_BRANCH, ExecutionTrace, RunCounts,
-                              TraceError, TraceRecorder)
+from repro.obs.registry import counter_value, get_registry
+from repro.stochastic import (NO_BRANCH, BlockEvents, ExecutionTrace,
+                              RunCounts, TraceError, TraceRecorder)
+from repro.workloads import get_benchmark
 
 
 def _tiny_trace():
@@ -74,6 +80,76 @@ def test_events_prefix_queries():
     assert ev.step_of_use(2) == 3
     assert ev.step_of_use(3) is None
     assert ev.step_of_use(0) is None
+
+
+@pytest.mark.parametrize("needle", [700_001, np.int64(700_001),
+                                    np.int32(700_001)],
+                         ids=["int", "int64", "int32"])
+def test_rank_lookup_does_not_copy_the_index(needle):
+    """``use_before`` casts its needle to the index's type: searching an
+    int32 array for a Python int or an int64 would cast all of it (4 MB
+    here) on every call."""
+    n = (1 << 20) + 1
+    ev = ExecutionTrace(np.zeros(n, np.int32), np.zeros(n, np.int8),
+                        1).events()[0]
+    assert ev.steps.dtype == np.int32 and len(ev.steps) == n
+    tracemalloc.start()
+    try:
+        assert ev.use_before(needle) == 700_001
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_rank_lookup_rejects_needles_the_index_type_cannot_hold():
+    """A float needle is not truncated and an int64 one beyond int32 is
+    not wrapped: both raise."""
+    ev = _tiny_trace().events()[1]
+    assert ev.steps.dtype == np.int32
+    with pytest.raises(TypeError):
+        ev.use_before(2.5)
+    with pytest.raises(OverflowError):
+        ev.use_before(np.int64(2**33))
+
+
+def test_only_use_before_searches_the_index():
+    """Every rank lookup on a ``BlockEvents.steps`` goes through
+    ``use_before`` (see the test above): no other line of the package
+    searches an array of steps."""
+    own = inspect.getsource(BlockEvents.use_before)
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if "searchsorted" in line and "steps" in line:
+                assert line.strip() in own, f"{path}:{number}: {line}"
+
+
+def test_ref_index_layout_and_size():
+    """gzip's ref index: int32 steps and prefixes, all read-only; never
+    taken blocks view one shared zero prefix; ``trace.index_bytes``
+    counts every buffer once, at most 6 bytes per step (16 with int64
+    steps and a prefix per block)."""
+    trace = get_benchmark("gzip").scaled(0.05).trace("ref")
+    sizes = get_registry().histogram("trace.index_bytes")
+    before = sizes.count
+    events = trace.events()
+    assert sizes.count == before + 1
+    index_bytes = sizes.values()[-1]
+    counts = trace.counts()
+    taken = [b for b in events if counts.taken[b]]
+    never = [b for b in events if not counts.taken[b]]
+    zeros = events[never[0]].taken_prefix.base
+    assert taken and zeros is not None and not zeros.any()
+    assert all(events[b].taken_prefix.base is zeros for b in never)
+    longest = max(int(counts.use[b]) for b in never)
+    assert index_bytes == 4 * (trace.num_steps + longest + 1 +
+                               sum(int(counts.use[b]) + 1 for b in taken))
+    assert index_bytes <= 6 * trace.num_steps
+    for ev in events.values():
+        for array in (ev.steps, ev.taken_prefix):
+            assert array.dtype == np.int32
+            assert not array.flags.writeable
 
 
 def test_edge_counts():

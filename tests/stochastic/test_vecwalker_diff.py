@@ -46,6 +46,7 @@ from repro.stochastic import (BranchBehavior, CFGWalker, Phase,
                               numpy_uniform_stream, phased, record_trace,
                               steady, warmup)
 from repro.stochastic import vecwalker
+from repro.stochastic.trace import step_dtype
 from repro.workloads import all_benchmarks, get_benchmark
 
 from ..reference import reference_counts, reference_events, walker_counts
@@ -779,9 +780,10 @@ def assert_log_matches(scalar, vector, label=""):
         assert list(got) == list(want), label
         for block, ref in want.items():
             ev = got[block]
-            assert ev.steps.dtype == ref.steps.dtype == np.int64, label
+            dtype = step_dtype(vector.num_steps)
+            assert ev.steps.dtype == ref.steps.dtype == dtype, label
             assert ev.taken_prefix.dtype == ref.taken_prefix.dtype \
-                == np.int64, label
+                == dtype, label
             np.testing.assert_array_equal(ev.steps, ref.steps,
                                           f"{label} block {block}")
             np.testing.assert_array_equal(ev.taken_prefix, ref.taken_prefix,
