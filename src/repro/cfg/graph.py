@@ -13,9 +13,11 @@ VIR :class:`~repro.ir.program.Program` / :class:`~repro.ir.program.Function`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
-from ..ir.program import BlockRef, Function, Program
+if TYPE_CHECKING:
+    from ..ir.program import BlockRef, Function, Program
 
 
 class CFGError(ValueError):
@@ -133,6 +135,8 @@ def cfg_from_program(program: Program) -> Tuple[ControlFlowGraph,
     rooted at the entry function's entry block.  Node ids coincide with
     :meth:`Program.block_ids`.
     """
+    from ..ir.program import BlockRef
+
     ids = program.block_ids()
     succs: List[Tuple[int, ...]] = []
     labels: List[str] = []

@@ -48,6 +48,10 @@ CATALOG: List[Instrument] = [
                "Branch decisions drawn by the vector kernel."),
     Instrument("kernel.vector.windows", "counter",
                "All-states speculation windows the vector kernel ran."),
+    Instrument("kernel.vector.windows.exact", "counter",
+               "Windows that may cross a phase boundary, the step budget "
+               "or a warm-up's end, so were clipped from their decisions' "
+               "positions instead of their histogram alone."),
     Instrument("kernel.vector.decisions.discarded", "counter",
                "Window decisions evaluated beyond the accepted prefix "
                "(speculation waste)."),

@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
-from ..ir.program import Program
 from ..profiles.model import ProfileSnapshot
 from .costs import CostModel
 
 if TYPE_CHECKING:
+    from ..ir.program import Program
     from ..opt.scheduler import MachineModel
 
 

@@ -211,6 +211,9 @@ class DecisionLog:
             type holding every block id.
         outcomes: int8 branch outcome per decision.
         tail_start, tail_steps: the undecided tail.
+        per_start: int64 decisions per segment start, over every block
+            id (``np.bincount(starts, minlength=num_blocks)``), as the
+            walker tallied them.
     """
 
     segments: SegmentTable
@@ -218,6 +221,7 @@ class DecisionLog:
     outcomes: np.ndarray
     tail_start: int
     tail_steps: int
+    per_start: np.ndarray
 
     def decode(self, num_steps: int) -> Tuple[np.ndarray, np.ndarray]:
         """The per-step ``blocks``/``taken`` arrays of the logged walk."""
@@ -252,18 +256,19 @@ class DecisionLog:
         (radix, for 8/16-bit starts) argsort groups the decisions by
         segment; each segment's start steps, plus each offset, fill its
         blocks' slices of one shared ``order`` array laid out from the
-        whole-run counts.  A block in several segments (a join) merges
-        its sorted runs with one stable sort, of ``step << 1 | outcome``
-        (formed in int64) when the block is a branch, whose outcomes give
-        ``taken_prefix``.  The tail's steps, the last of the run, close
-        each slice.
+        whole-run counts; the decisions per segment are the walker's
+        ``per_start`` tally, so no pass over the log counts them.  A
+        block in several segments (a join) merges its sorted runs with
+        one stable sort, of ``step << 1 | outcome`` (int32 up to 2**30
+        steps, else int64) when the block is a branch, whose int8
+        outcomes give ``taken_prefix``.  The tail's steps, the last of
+        the run, close each slice.
         """
         seg = self.segments
         starts = self.starts
         num_steps = counts.num_steps
         use = counts.use
         dtype = step_dtype(num_steps)
-        per_start = np.bincount(starts, minlength=counts.num_blocks)
         pos = np.zeros(len(starts), dtype=dtype)
         np.cumsum(seg.length[starts[:-1]], out=pos[1:])
         perm = np.argsort(starts, kind="stable")
@@ -274,6 +279,7 @@ class DecisionLog:
         fill = ends - use  # next free slot of each block's slice
         order = np.empty(num_steps, dtype=dtype)
         runs: Dict[int, List[Tuple[int, int]]] = {}
+        per_start = self.per_start
         group_end = np.cumsum(per_start)
         for v in np.flatnonzero(per_start).tolist():
             hi = int(group_end[v])
@@ -285,6 +291,9 @@ class DecisionLog:
                 runs.setdefault(block, []).append((lo, hi))
         del pos
         taken_of: Dict[int, np.ndarray] = {}
+        # ``step << 1 | 1`` of the run's last step fits int32 up to
+        # 2**30 steps.
+        key_type = np.int32 if num_steps <= 2**30 else np.int64
         for block, parts in runs.items():
             is_branch = seg.branch[block] == block
             if len(parts) == 1:
@@ -293,11 +302,11 @@ class DecisionLog:
                 continue
             steps = order[ends[block] - use[block]:fill[block]]
             if is_branch:
-                keys = steps.astype(np.int64) << 1
+                keys = np.left_shift(steps, 1, dtype=key_type)
                 keys |= np.concatenate([outcomes[lo:hi] for lo, hi in parts])
                 keys.sort(kind="stable")
                 np.right_shift(keys, 1, out=steps)
-                taken_of[block] = keys & 1
+                taken_of[block] = (keys & 1).astype(np.int8)
             else:
                 steps.sort(kind="stable")
         decided = num_steps - self.tail_steps

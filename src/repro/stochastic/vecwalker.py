@@ -35,16 +35,21 @@ loop with windowed numpy evaluation.  Four layers make that possible:
    boundary first applies the due phase changes and drops the FSM, so a
    window's first decision is always accepted.
 
-4. **A decision log, not steps.**  Every decided segment is tallied by
-   ``(start << 1) | outcome``: one ``bincount`` per accepted window.  At
-   the end the tally becomes the whole-run counts — each visit of a
-   segment start uses every block of its segment, outcome 1 takes its
-   terminal branch — and the truncated last segment or
-   branch-free-cycle tail is added in closed form.  :meth:`VecWalker.run`
-   keeps the decisions themselves as a
+4. **A histogram per window, not per-decision arrays.**  A window's
+   flat ``(bucket, state)`` table indices determine everything its
+   acceptance needs: one ``bincount`` of them gives its decisions per
+   state (the warm-up uses), its step total (a dot product with the
+   next segment's length) and, folded through the FSM's tables at the
+   end, every segment start's visits and every branch's taken count.
+   Only a window that may cross the next boundary or expire a warm-up
+   takes the exact-clip path, which finds its clip point from the
+   decisions' positions.  The visits become the whole-run counts — each
+   visit of a segment start uses every block of its segment — and the
+   truncated last segment or branch-free-cycle tail is added in closed
+   form.  :meth:`VecWalker.run` keeps the decisions themselves as a
    :class:`~repro.stochastic.trace.DecisionLog` (one narrow segment
-   start and one ``int8`` outcome per decision, plus the tail) and hands
-   it, with the counts, to its
+   start and one ``int8`` outcome per decision, the tail and the
+   per-start visits) and hands it, with the counts, to its
    :class:`~repro.stochastic.trace.ExecutionTrace`: AVEP reads the
    counts, the event index is built from the log, and per-step arrays
    are decoded only if something reads them.  :meth:`VecWalker.count`
@@ -99,6 +104,9 @@ _MAX_COMPOSED = 1 << 15
 _WINDOW_START = 1 << 10
 _WINDOW = 1 << 14
 
+#: Machines a walk keeps for reuse, the most recently used ones.
+_MACHINES = 8
+
 
 def numpy_uniform_stream(seed: int) -> np.random.RandomState:
     """A ``RandomState`` producing exactly ``random.Random(seed)``'s stream.
@@ -125,27 +133,33 @@ class _Fsm:
     the sorted distinct probabilities, ``u < p_s`` holds exactly when
     ``bucket(u) = searchsorted(q, u, "right") <= rank(p_s)``, so each
     table is indexed by ``bucket * (S + 1) + state``: ``next_state``,
-    ``next_start`` (the next segment's first block) and ``outcome``.
+    ``next_start`` (the next segment's first block, in the log's start
+    type), ``next_len`` (that segment's length) and ``outcome``; the
+    sink's entries of the last three are 0.  ``hist`` accumulates the
+    indices of every decision the walk accepted under this machine.
 
     The lockstep pass steps ``depth`` decisions per gather through
     ``composed``, the transition table of ``depth`` consecutive buckets
     (one of up to ``(len(q) + 1) ** depth`` composite buckets).
     """
 
-    __slots__ = ("q", "width", "next_state", "next_start", "outcome",
-                 "depth", "composed", "_every_state")
+    __slots__ = ("q", "width", "next_state", "next_start", "next_len",
+                 "outcome", "hist", "depth", "composed", "_every_state")
 
     def __init__(self, probs: Sequence[float], taken: np.ndarray,
-                 fall: np.ndarray, state_of: np.ndarray):
+                 fall: np.ndarray, state_of: np.ndarray,
+                 seg_len: np.ndarray, start_type: np.dtype):
         num = len(probs)
         p = np.asarray(probs, dtype=np.float64)
         q = np.array(sorted(set(probs)), dtype=np.float64)
         rows = len(q) + 1
         took = np.arange(rows)[:, None] <= np.searchsorted(q, p)
-        next_start = np.zeros((rows, num + 1), dtype=np.int32)
+        next_start = np.zeros((rows, num + 1), dtype=start_type)
         next_start[:, :num] = np.where(took, taken, fall)
         next_state = np.full((rows, num + 1), num, dtype=state_of.dtype)
         next_state[:, :num] = state_of[next_start[:, :num]]
+        next_len = np.zeros((rows, num + 1), dtype=np.int64)
+        next_len[:, :num] = seg_len[next_start[:, :num]]
         outcome = np.zeros((rows, num + 1), dtype=np.int8)
         outcome[:, :num] = took
         # Square the table while it stays cache-sized:
@@ -162,7 +176,9 @@ class _Fsm:
         self.width = num + 1
         self.next_state = next_state.ravel()
         self.next_start = next_start.ravel()
+        self.next_len = next_len.ravel()
         self.outcome = outcome.ravel()
+        self.hist = np.zeros(rows * (num + 1), dtype=np.int64)
         self.depth = depth
         self.composed = composed.ravel()
         self._every_state = np.arange(num + 1,
@@ -369,10 +385,11 @@ class VecWalker:
               ) -> Tuple[RunCounts, Optional[DecisionLog]]:
         """The walk behind :meth:`run` and :meth:`count`.
 
-        Every decided segment is tallied by ``(start << 1) | outcome``
-        (one ``bincount`` per window) and the tally is returned as
-        :class:`RunCounts`.  With ``record`` the decisions are also kept,
-        as a :class:`DecisionLog`.
+        Each window is accepted from one histogram of its decisions'
+        table indices, which its machine accumulates; the machines'
+        histograms are folded into per-start visits and per-branch taken
+        counts, returned as :class:`RunCounts`.  With ``record`` the
+        decisions are also kept, as a :class:`DecisionLog`.
         """
         segments = self._segments
         seg_len_np = segments.length
@@ -380,9 +397,19 @@ class VecWalker:
         branches = self._branches
         state_of = self._state_of
         sink = len(branches)
+        width = sink + 1
         min_seg = self._min_seg
         num_blocks = self.cfg.num_nodes
-        tally = np.zeros(2 * num_blocks, dtype=np.int64)
+        visits = np.zeros(num_blocks, dtype=np.int64)
+        taken_of_state = np.zeros(width, dtype=np.int64)
+
+        def fold(machine: _Fsm) -> None:
+            # Decision ``i`` of a window runs the segment the index of
+            # decision ``i - 1`` leads to; the first start of each
+            # window is added below.
+            np.add.at(visits, machine.next_start, machine.hist)
+            taken_of_state[:] += (machine.hist * machine.outcome).reshape(
+                -1, width).sum(axis=0)
 
         # Per-run mutable behaviour state (compile state is never touched).
         cur_p = list(self._cur_p0)
@@ -396,7 +423,11 @@ class VecWalker:
         # Windows accept decisions at steps < ``limit``; rounding a
         # fractional phase end up keeps that test exact for int steps.
         limit = math.ceil(min(next_change, max_steps))
-        fsm: Optional[_Fsm] = None  # rebuilt after any probability change
+        # The machine of the current probabilities (None after any
+        # change), and the last few machines by their probabilities, so
+        # that alternating phases reuse their tables.
+        fsm: Optional[_Fsm] = None
+        machines: Dict[Tuple[float, ...], _Fsm] = {}
         window = _WINDOW_START
 
         rs = numpy_uniform_stream(self.seed)
@@ -404,7 +435,7 @@ class VecWalker:
         ulen = _DRAW
         ci = 0
 
-        v = self.cfg.entry if start is None else start
+        v = first = self.cfg.entry if start is None else start
         g = 0
         # The decision log: each accepted window's starts and outcomes.
         start_type = self._start_type
@@ -414,6 +445,7 @@ class VecWalker:
         tail_steps = 0
         decisions = 0
         windows = 0
+        exact = 0
         discarded = 0
 
         while g < max_steps:
@@ -445,9 +477,15 @@ class VecWalker:
 
             # ---- all-states window; its first decision is below limit ----
             if fsm is None:
-                fsm = _Fsm([warm_p[x] if warm_left[x] > 0 else cur_p[x]
-                            for x in branches],
-                           self._taken_np, self._fall_np, state_of)
+                probs = tuple([warm_p[x] if warm_left[x] > 0 else cur_p[x]
+                               for x in branches])
+                fsm = machines.pop(probs, None)
+                if fsm is None:
+                    fsm = _Fsm(probs, self._taken_np, self._fall_np,
+                               state_of, seg_len_np, start_type)
+                    if len(machines) >= _MACHINES:
+                        fold(machines.pop(next(iter(machines))))
+                machines[probs] = fsm
             W = min(window, (limit - g) // min_seg)
             W = -(-W // _BLOCK) * _BLOCK
             if ulen - ci < W:
@@ -457,37 +495,59 @@ class VecWalker:
                 ulen = len(U)
                 ci = 0
             st, fi = fsm.path(U[ci:ci + W], int(state_of[v]))
-            # Accept up to the first sink, the first decision at or past
-            # ``limit`` and the last warm-up use of any branch.
-            m = W - int(np.count_nonzero(st == sink))
-            nxt = fsm.next_start.take(fi[:m])
-            starts = np.empty(m, dtype=np.int32)
-            starts[0] = v
-            starts[1:] = nxt[:m - 1]
-            pos = np.cumsum(seg_len_np.take(starts), dtype=np.int64)
-            pos += g - 1
-            if pos[m - 1] >= limit:
-                m = int(np.searchsorted(pos, limit, side="left"))
-            for s, x in warming:
-                uses = np.flatnonzero(st[:m] == s)
-                if len(uses) >= warm_left[x]:
-                    m = int(uses[warm_left[x] - 1]) + 1
-            outcomes = fsm.outcome.take(fi[:m])
+            hist = np.bincount(fi, minlength=len(fsm.next_state))
+            m = W
+            if st[W - 1] == sink:
+                # The sink absorbs: every decision from the first sink
+                # on is one, and none is accepted.
+                m -= int(hist[sink::width].sum())
+                hist[sink::width] = 0
+            # The accepted decisions run the ``L`` steps of the first
+            # segment and the next segment of every decision but the
+            # last; the histogram's column sums are the uses per state.
+            last = int(fi[m - 1])
+            steps = L + int(hist @ fsm.next_len) \
+                - int(fsm.next_len[last])
+            uses = hist.reshape(-1, width).sum(axis=0).tolist() \
+                if warming else []
+            if g + steps > limit or any(
+                    uses[s] >= warm_left[x] for s, x in warming):
+                # ---- exact clip: before the first decision at or past
+                # ``limit`` and after the last warm-up use of any branch.
+                exact += 1
+                lens = np.empty(m, dtype=np.int64)
+                lens[0] = L
+                fsm.next_len.take(fi[:m - 1], out=lens[1:])
+                pos = np.cumsum(lens)
+                pos += g - 1
+                if pos[m - 1] >= limit:
+                    m = int(np.searchsorted(pos, limit, side="left"))
+                for s, x in warming:
+                    at = np.flatnonzero(st[:m] == s)
+                    if len(at) >= warm_left[x]:
+                        m = int(at[warm_left[x] - 1]) + 1
+                hist = np.bincount(fi[:m], minlength=len(fsm.next_state))
+                last = int(fi[m - 1])
+                steps = int(pos[m - 1]) - g + 1
+                uses = hist.reshape(-1, width).sum(axis=0).tolist() \
+                    if warming else []
+            fsm.hist += hist
+            if record:
+                starts = np.empty(m, dtype=start_type)
+                starts[0] = v
+                fsm.next_start.take(fi[:m - 1], out=starts[1:])
+                log_starts.append(starts)
+                log_outcomes.append(fsm.outcome.take(fi[:m]))
+            g += steps
+            v = int(fsm.next_start[last])
             expired = False
             if warming:
                 for s, x in warming:
-                    warm_left[x] -= int(np.count_nonzero(st[:m] == s))
+                    warm_left[x] -= uses[s]
                     expired = expired or not warm_left[x]
                 if expired:
                     warming = [(s, x) for s, x in warming if warm_left[x]]
                     fsm = None
-            tally += np.bincount((starts[:m] << 1) | outcomes,
-                                 minlength=2 * num_blocks)
-            if record:
-                log_starts.append(starts[:m].astype(start_type))
-                log_outcomes.append(outcomes)
-            g = int(pos[m - 1]) + 1
-            v = int(nxt[m - 1])
             ci += m
             windows += 1
             decisions += m
@@ -499,22 +559,28 @@ class VecWalker:
             elif m == W and window < _WINDOW:
                 window *= 2
 
+        # Each window's first start is where the one before it led, so
+        # the starts are the machines' folded next starts, plus the
+        # walk's first start, minus where the last window led (the
+        # tail's start, or the segment the budget stopped before).
+        for machine in machines.values():
+            fold(machine)
+        visits[first] += 1
+        visits[v] -= 1
         # Every visit of a segment start uses each block of its segment
-        # once (a ragged add over the flat segment table) and, with
-        # outcome 1, takes the segment's terminal branch; the tail's
+        # once (a ragged add over the flat segment table); the tail's
         # blocks are counted in closed form.
         use = np.zeros(num_blocks, dtype=np.int64)
-        np.add.at(use, segments.flat,
-                  np.repeat(tally[0::2] + tally[1::2], seg_len_np))
+        np.add.at(use, segments.flat, np.repeat(visits, seg_len_np))
         taken_counts = np.zeros(num_blocks, dtype=np.int64)
-        ended = segments.branch >= 0
-        np.add.at(taken_counts, segments.branch[ended], tally[1::2][ended])
+        taken_counts[branches] = taken_of_state[:sink]
         for block, at in segments.tail(tail_start, tail_steps):
             use[block] += len(at)
 
         inc("kernel.vector.runs")
         inc("kernel.vector.steps", g)
         inc("kernel.vector.windows", windows)
+        inc("kernel.vector.windows.exact", exact)
         inc("kernel.vector.decisions", decisions)
         inc("kernel.vector.decisions.discarded", discarded)
         # These counts needed no pass over steps, and the index needs no
@@ -531,7 +597,8 @@ class VecWalker:
                     else np.zeros(0, dtype=start_type)),
             outcomes=(np.concatenate(log_outcomes) if log_outcomes
                       else np.zeros(0, dtype=np.int8)),
-            tail_start=tail_start, tail_steps=tail_steps)
+            tail_start=tail_start, tail_steps=tail_steps,
+            per_start=visits)
         return counts, log
 
 

@@ -157,8 +157,9 @@ def test_cold_process_serial_coverage():
 
 def test_walker_counters_reach_the_study():
     """A serial two-benchmark study reports the walker's decision,
-    window and speculation-waste counters."""
+    window, exact-clip window and speculation-waste counters."""
     names = ["kernel.vector.decisions", "kernel.vector.windows",
+             "kernel.vector.windows.exact",
              "kernel.vector.decisions.discarded"]
     before = {name: counter_value(name) for name in names}
     results = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
@@ -169,6 +170,8 @@ def test_walker_counters_reach_the_study():
     assert delta["kernel.vector.windows"] > 0
     assert delta["kernel.vector.decisions"] > 0
     assert delta["kernel.vector.decisions.discarded"] >= 0
+    assert 0 <= delta["kernel.vector.windows.exact"] \
+        <= delta["kernel.vector.windows"]
 
 
 def test_walk_counts_come_from_the_walker():

@@ -21,7 +21,7 @@ from repro.harness.faults import (HANG_SECONDS_ENV, FaultPlan,
 from repro.harness.pool import RetryPolicy, dedupe_names, dispatch_study_jobs
 from repro.harness.results import (BenchmarkResult, PerfPoint, load_shard,
                                    save_shard, shard_filename)
-from repro.harness.studyspec import DEFAULT_RETRIES, StudySpec, resolve_spec
+from repro.harness.studyspec import StudySpec, resolve_spec
 from repro.ioutil import atomic_write_text
 from repro.obs import counter_value
 
@@ -128,32 +128,7 @@ def test_fire_inline_raises_instead_of_killing_the_parent():
         fire("segfault", "gzip")
 
 
-# -- policy knob resolution ---------------------------------------------------
-
-
-def test_resolve_retries(monkeypatch):
-    assert resolve_spec().retries == DEFAULT_RETRIES
-    assert resolve_spec(retries=0).retries == 0
-    monkeypatch.setenv("REPRO_RETRIES", "5")
-    assert resolve_spec().retries == 5
-    assert resolve_spec(retries=1).retries == 1  # explicit beats the env
-    monkeypatch.setenv("REPRO_RETRIES", "nope")
-    with pytest.raises(ValueError, match="must be an integer"):
-        resolve_spec()
-    with pytest.raises(ValueError, match=">= 0"):
-        resolve_spec(retries=-1)
-
-
-def test_resolve_job_timeout(monkeypatch):
-    assert resolve_spec().job_timeout is None
-    assert resolve_spec(job_timeout=2.5).job_timeout == 2.5
-    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "7.5")
-    assert resolve_spec().job_timeout == 7.5
-    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
-    with pytest.raises(ValueError, match="must be a number"):
-        resolve_spec()
-    with pytest.raises(ValueError, match="> 0"):
-        resolve_spec(job_timeout=0)
+# -- retry policy -------------------------------------------------------------
 
 
 def test_retry_policy_backoff_grows_and_caps():

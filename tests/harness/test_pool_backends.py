@@ -16,7 +16,7 @@ from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
 from repro.harness.pool import RetryPolicy, dispatch_study_jobs
-from repro.harness.studyspec import StudySpec, resolve_spec
+from repro.harness.studyspec import StudySpec
 from repro.obs import counter_value
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
@@ -43,29 +43,7 @@ def _identical_bytes(results_a, results_b, tmp_path):
         return a.read() == b.read()
 
 
-# -- knob resolution (satellite: empty-but-set env vars) ----------------------
-
-
-def test_resolve_jobs_rejects_empty_env(monkeypatch):
-    # An empty-but-set REPRO_JOBS is a broken shell expansion, and
-    # silently running on every CPU is the worst possible reading.
-    monkeypatch.setenv("REPRO_JOBS", "")
-    with pytest.raises(ValueError, match="must be an integer"):
-        resolve_spec()
-    assert resolve_spec(jobs=2).jobs == 2  # explicit never consults the env
-
-
-def test_resolve_batch_env_and_validation(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert resolve_spec().batch == 1
-    assert resolve_spec(batch=3).batch == 3
-    monkeypatch.setenv("REPRO_BATCH", "4")
-    assert resolve_spec().batch == 4
-    monkeypatch.setenv("REPRO_BATCH", "")
-    with pytest.raises(ValueError, match="must be an integer"):
-        resolve_spec()
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_spec(batch=0)
+# -- backend choice -----------------------------------------------------------
 
 
 def test_one_worker_runs_inline_whatever_the_batch():

@@ -44,6 +44,7 @@ MATRIX = {
     "retries": ("REPRO_RETRIES", {
         "unset": (None, 2),
         "valid": ("5", 5),
+        "zero": ("0", 0),  # the least, and falsy: no retry at all
         "empty": ("", Rejects("REPRO_RETRIES must be an integer")),
         "garbage": ("nope", Rejects("REPRO_RETRIES must be an integer")),
         "out of range": ("-1", Rejects("retries must be >= 0")),
@@ -73,6 +74,7 @@ MATRIX = {
     "profile": ("REPRO_PROFILE", {
         "unset": (None, False),
         "valid": ("on", True),
+        "true 1": ("1", True),
         "empty": ("", False),
         "garbage": ("junk", Rejects("REPRO_PROFILE must be a boolean")),
     }),
@@ -116,12 +118,17 @@ def test_resolve_spec(clean_env, knob, case):
 @pytest.mark.parametrize("knob", sorted(MATRIX))
 def test_explicit_value_never_reads_the_environment(clean_env, knob):
     variable, cases = MATRIX[knob]
-    clean_env.setenv(variable, cases.get("garbage", ("x",))[0])
-    # Every value the environment can give, False included, wins over it
-    # when passed explicitly (``None`` means "read the environment").
-    for _, outcome in cases.values():
-        if outcome is not None and not isinstance(outcome, Rejects):
-            assert getattr(resolve_spec(**{knob: outcome}), knob) == outcome
+    # Every value the environment can give, False and 0 included, wins
+    # over every variable text it rejects (empty or not) when passed
+    # explicitly (``None`` means "read the environment").
+    rejected = [text for text, outcome in cases.values()
+                if isinstance(outcome, Rejects)] or ["x"]
+    for text in rejected:
+        clean_env.setenv(variable, text)
+        for _, outcome in cases.values():
+            if outcome is not None and not isinstance(outcome, Rejects):
+                assert getattr(resolve_spec(**{knob: outcome}), knob) \
+                    == outcome, (text, outcome)
     text, value = cases["valid"]
     if "out of range" in cases:
         # Explicit values pass the same range check as the environment's.

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.harness.studyspec import resolve_spec
 from repro.obs.profile import (PHASE_OF_SPAN, PhaseProfile, phase_of,
                                profile_span, profiling_enabled,
                                reset_sampling, sampled_span, set_profiling)
@@ -166,14 +165,3 @@ def test_sampled_span_counts_per_site(monkeypatch):
     names = sorted(e["name"] for e in trace_events())
     assert names == ["site.a", "site.b"]  # each site's first call
 
-
-def test_resolve_profile_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    assert resolve_spec().profile is False
-    assert resolve_spec(profile=True).profile is True
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    assert resolve_spec().profile is True
-    assert resolve_spec(profile=False).profile is False  # explicit beats env
-    monkeypatch.setenv("REPRO_PROFILE", "junk")
-    with pytest.raises(ValueError):
-        resolve_spec()

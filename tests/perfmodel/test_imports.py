@@ -1,11 +1,14 @@
-"""Importing the study machinery must not load the optimiser or the
-instruction interpreter.
+"""Importing the study machinery must not load the optimiser, the
+instruction interpreter or the instruction-level IR.
 
 ``repro.perfmodel.derive`` prices regions with real retranslation
 (``repro.opt``), but only when asked; every study and CLI start imports
 the perf model, so the optimiser is imported inside the functions that
 use it.  The walker speaks the interpreter's listener protocol only in
-annotations, so a study never loads ``repro.interp`` either.
+annotations, so a study never loads ``repro.interp`` either.  The CFG
+and the perf model name VIR programs in annotations and import them only
+where a program is read (``cfg_from_program``), so a study on synthetic
+workloads never loads ``repro.ir``.
 """
 
 import os
@@ -36,3 +39,7 @@ def test_study_import_leaves_optimiser_unloaded():
 
 def test_study_import_leaves_interpreter_unloaded():
     assert loaded_after_study_import("repro.interp") == "[]"
+
+
+def test_study_import_leaves_ir_unloaded():
+    assert loaded_after_study_import("repro.ir") == "[]"

@@ -772,7 +772,13 @@ def assert_log_matches(scalar, vector, label=""):
     """The logged trace's index, built before any decode, equals the
     scalar walker's index and the oracle's index of the decoded arrays
     (keys, key order, values, dtypes); the decoded arrays equal the
-    scalar walker's, and are decoded once."""
+    scalar walker's, and are decoded once.  The walker's per-start tally
+    counts the logged starts."""
+    log = vector._log
+    assert log.per_start.dtype == np.int64, label
+    np.testing.assert_array_equal(
+        log.per_start, np.bincount(log.starts, minlength=vector.num_blocks),
+        label)
     decodes = counter_value("trace.decodes")
     got = vector.events()
     assert counter_value("trace.decodes") == decodes, label
