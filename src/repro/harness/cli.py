@@ -103,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "fan-out (default: $REPRO_JOBS, else all "
                              "CPUs; 1 = serial; results are identical "
                              "for any N)")
-    parser.add_argument("--batch", type=int, default=None, metavar="N",
-                        help="benchmarks per dispatch unit on the "
-                             "process pool (default: $REPRO_BATCH, else "
-                             "1; needs --jobs >= 2; results are "
-                             "identical for any N)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="per-benchmark retry budget for crashed or "
                              "failing jobs (default: $REPRO_RETRIES, "
@@ -183,7 +178,7 @@ def _resolve_spec(args: argparse.Namespace) -> StudySpec:
     """The study the flags ask for (environment and defaults filled in)."""
     return resolve_spec(
         steps_scale=0.1 if args.quick else 1.0,
-        include_perf=not args.no_perf, jobs=args.jobs, batch=args.batch,
+        include_perf=not args.no_perf, jobs=args.jobs,
         retries=args.retries, job_timeout=args.job_timeout,
         verify=args.verify, profile=args.profile,
         flight_dir=args.flight_dir)

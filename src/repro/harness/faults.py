@@ -65,12 +65,6 @@ _IN_WORKER = False
 #: The plan armed by the currently running study (torn-write hook).
 _ACTIVE: Optional["FaultPlan"] = None
 
-#: The fault kind that last fired in this process (see :func:`fire`).
-#: Attempt runners clear it before the attempt and ship it back with
-#: failures, so the parent can tell "the drawn fault did its work" from
-#: "the attempt died of something else first" and refund the token.
-_FIRED: Optional[str] = None
-
 
 class InjectedFault(RuntimeError):
     """The failure deterministically injected by a fault rule."""
@@ -190,23 +184,8 @@ def mark_worker_process() -> None:
     _IN_WORKER = True
 
 
-def clear_fired() -> None:
-    """Reset the fired-fault marker before running an attempt."""
-    global _FIRED
-    _FIRED = None
-
-
-def pop_fired() -> Optional[str]:
-    """Consume and return the fault kind that fired since the clear."""
-    global _FIRED
-    fired, _FIRED = _FIRED, None
-    return fired
-
-
 def fire(kind: str, name: str) -> None:
     """Fire one worker fault drawn by the parent for this attempt."""
-    global _FIRED
-    _FIRED = kind
     if kind == "crash":
         if _IN_WORKER:
             os._exit(99)

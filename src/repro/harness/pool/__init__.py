@@ -1,8 +1,7 @@
 """Pool backends for the study dispatcher.
 
 * :mod:`~repro.harness.pool.worker` — the worker-side protocol (jobs,
-  outputs, state isolation, the batch runner);
-* :mod:`~repro.harness.pool.base` — the :class:`PoolBackend` interface;
+  outputs, the failure envelope, state isolation);
 * :mod:`~repro.harness.pool.inprocess` / :mod:`~repro.harness.pool.process`
   — the backends: serial inline for one worker, a warm process pool for
   more;
@@ -11,18 +10,16 @@
   :func:`dispatch_study_jobs`, the one entry point callers use.
 """
 
-from .base import PoolBackend
 from .dispatcher import (DispatchResult, Dispatcher, JobFailure, RetryPolicy,
                          dedupe_names, dispatch_study_jobs)
 from .inprocess import InProcessPool
 from .process import ProcessPool, shutdown_warm_pools
-from .worker import (BatchItemFailure, Job, WorkerJobError, WorkerOutput,
-                     run_job_batch, run_job_inprocess, run_study_job)
+from .worker import (Job, WorkerJobError, WorkerOutput, run_job_inprocess,
+                     run_study_job)
 
 __all__ = [
-    "BatchItemFailure", "DispatchResult", "Dispatcher", "InProcessPool",
-    "Job", "JobFailure", "PoolBackend", "ProcessPool", "RetryPolicy",
-    "WorkerJobError", "WorkerOutput", "dedupe_names", "dispatch_study_jobs",
-    "run_job_batch", "run_job_inprocess", "run_study_job",
-    "shutdown_warm_pools",
+    "DispatchResult", "Dispatcher", "InProcessPool", "Job", "JobFailure",
+    "ProcessPool", "RetryPolicy", "WorkerJobError", "WorkerOutput",
+    "dedupe_names", "dispatch_study_jobs", "run_job_inprocess",
+    "run_study_job", "shutdown_warm_pools",
 ]

@@ -3,15 +3,15 @@
 ``run_full_study`` is embarrassingly parallel across benchmarks: each
 :func:`~repro.harness.runner.study_benchmark` call depends only on its
 benchmark name and the run configuration.  This module fans those jobs
-out over a pluggable :class:`~.base.PoolBackend` — and keeps the run
-alive when workers misbehave:
+out inline or over a warm process pool — and keeps the run alive when
+workers misbehave:
 
 * a worker **crash** (segfault, OOM kill, ``os._exit``) breaks the whole
   pool; the dispatcher rebuilds it and resubmits only the jobs that were
   in flight, charging each one attempt of its retry budget (the culprit
   cannot be told apart from its pool-mates — all of them were running in
   the dead executor);
-* a **hung** batch (``job_timeout`` exceeded) is quarantined immediately
+* a **hung** job (``job_timeout`` exceeded) is quarantined immediately
   — retrying a deterministic hang just burns another timeout window —
   and the pool is torn down and rebuilt to reclaim the stuck worker.
   Innocent jobs caught in the teardown are resubmitted without touching
@@ -29,13 +29,10 @@ study completes without them instead of aborting.  Shard writes happen
 in the parent as each job finishes, so nothing a worker does — or how it
 dies — can corrupt the cache.
 
-The unit of dispatch is a *batch* of jobs (``spec.batch`` on the
-process pool, one inline).  Batching coarsens transport, not failure
-semantics: each member succeeds or fails individually
-(:class:`~.worker.BatchItemFailure`), retries are per benchmark, and
-every member gets its own :class:`~repro.obs.dispatch.JobTimeline`
-stamped with the backend name and batch size.  Figure data is
-byte-identical across every jobs × batch combination — the
+The unit of dispatch is one benchmark: each future carries one job,
+retries and timeouts are per benchmark, and every attempt gets its own
+:class:`~repro.obs.dispatch.JobTimeline` stamped with the backend name.
+Figure data is byte-identical for any worker count — the
 non-negotiable invariant the equivalence suite enforces.
 """
 
@@ -48,7 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ...obs import log as obslog
 from ...obs.dispatch import JobTimeline
@@ -56,11 +53,9 @@ from ...obs.registry import inc
 from ...obs.spans import span
 from .. import faults
 from ..studyspec import DEFAULT_RETRIES, StudySpec
-from .base import PoolBackend
 from .inprocess import InProcessPool
 from .process import ProcessPool
-from .worker import (BatchItemFailure, WorkerOutput, _error_text, _flight_of,
-                     run_job_inprocess)
+from .worker import WorkerJobError, WorkerOutput, run_job_inprocess
 
 _log = obslog.get_logger("repro.harness.pool.dispatcher")
 
@@ -72,7 +67,7 @@ class RetryPolicy:
     Attributes:
         retries: extra attempts granted per benchmark after its first
             failure (``0`` = fail straight to the fallback attempt).
-        job_timeout: seconds before an in-flight batch is declared hung
+        job_timeout: seconds before an in-flight job is declared hung
             and quarantined (``None`` = unlimited; only enforced on
             backends with ``supports_timeout`` — inline execution
             cannot be interrupted).
@@ -113,9 +108,8 @@ class DispatchResult:
     records: List[JobTimeline] = field(default_factory=list)
     #: Worker flight rings shipped with failures, keyed by benchmark.
     flights: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
-    #: The backend that executed the run and its dispatch batch size.
+    #: The backend that executed the run.
     backend: str = ""
-    batch_size: int = 1
 
 
 def dedupe_names(names: Sequence[str]) -> List[str]:
@@ -138,7 +132,7 @@ class _JobState:
 
     __slots__ = ("name", "attempts", "not_before", "submitted_at",
                  "inject", "submitted_pc", "serialize_seconds",
-                 "payload_bytes", "batch_size")
+                 "payload_bytes")
 
     def __init__(self, name: str):
         self.name = name
@@ -149,25 +143,23 @@ class _JobState:
         self.submitted_pc = 0.0    # perf_counter at the live submission
         self.serialize_seconds = 0.0  # payload pickling time (live attempt)
         self.payload_bytes = 0     # payload size (live attempt)
-        self.batch_size = 1        # members in the live dispatch unit
 
 
 class Dispatcher:
-    """The retry/rebuild/quarantine engine above every pool backend."""
+    """The retry/rebuild/quarantine engine above both pool backends."""
 
     def __init__(self, names: Sequence[str], spec: StudySpec,
-                 backend: PoolBackend, batch: int, policy: RetryPolicy,
-                 plan: faults.FaultPlan,
+                 backend: Union[InProcessPool, ProcessPool],
+                 policy: RetryPolicy, plan: faults.FaultPlan,
                  on_output: Callable[[WorkerOutput], None]):
         self.spec = spec
         self.backend = backend
-        self.batch = batch
         self.policy = policy
         self.plan = plan
         self.on_output = on_output
         self.queue: deque = deque(_JobState(n) for n in names)
-        self.inflight: Dict[Future, List[_JobState]] = {}
-        self.result = DispatchResult(backend=backend.name, batch_size=batch)
+        self.inflight: Dict[Future, _JobState] = {}
+        self.result = DispatchResult(backend=backend.name)
         self.fallback: List[Tuple[_JobState, str, str]] = []
 
     # -- pool lifecycle ----------------------------------------------------
@@ -179,56 +171,44 @@ class Dispatcher:
 
     # -- attempt accounting ------------------------------------------------
 
-    def _submit_batch(self, states: List[_JobState]) -> None:
-        for state in states:
-            state.inject = self.plan.draw(state.name)
-            state.batch_size = len(states)
-        jobs = [(s.name, self.spec, s.inject) for s in states]
-        if self.backend.is_inline:
-            for state in states:
-                state.serialize_seconds = 0.0  # inline: nothing is pickled
-                state.payload_bytes = 0
-                state.submitted_at = time.monotonic()
-                state.submitted_pc = 0.0
-            self.inflight[self.backend.submit(jobs)] = states
-            return
-        # Measure the payload's pickling cost and size here (the
-        # executor pickles again on its feeder thread, where it cannot
-        # be timed); the payload is small, so paying it twice is cheap.
-        # This is also where an unpicklable job must die: deferring it
-        # to the feeder thread would surface as an opaque pool break.
-        t0 = time.perf_counter()
-        try:
-            payload = pickle.dumps(jobs)
-        except Exception as exc:
-            elapsed = time.perf_counter() - t0
-            error = (f"job payload failed to pickle: "
-                     f"{exc.__class__.__name__}: {exc}")
-            for state in states:
+    def _submit(self, state: _JobState) -> None:
+        state.inject = self.plan.draw(state.name)
+        job = (state.name, self.spec, state.inject)
+        state.serialize_seconds = 0.0  # inline: nothing is pickled
+        state.payload_bytes = 0
+        state.submitted_pc = 0.0
+        if not self.backend.is_inline:
+            # Measure the payload's pickling cost and size here (the
+            # executor pickles again on its feeder thread, where it
+            # cannot be timed); the payload is small, so paying it twice
+            # is cheap.  This is also where an unpicklable job must die:
+            # deferring it to the feeder thread would surface as an
+            # opaque pool break.
+            t0 = time.perf_counter()
+            try:
+                payload = pickle.dumps(job)
+            except Exception as exc:
+                state.serialize_seconds = time.perf_counter() - t0
                 self._refund_inject(state)
-                state.serialize_seconds = elapsed / len(states)
-                state.payload_bytes = 0
-                state.submitted_pc = 0.0  # never submitted: no execute time
                 self._record_attempt(state, outcome="error")
-                self._charge_failure(state, "error", error)
-            return
-        elapsed = time.perf_counter() - t0
-        for state in states:
-            state.serialize_seconds = elapsed / len(states)
-            state.payload_bytes = len(payload) // len(states)
-            state.submitted_at = time.monotonic()
+                self._charge_failure(
+                    state, "error", f"job payload failed to pickle: "
+                    f"{exc.__class__.__name__}: {exc}")
+                return
+            state.serialize_seconds = time.perf_counter() - t0
+            state.payload_bytes = len(payload)
             state.submitted_pc = time.perf_counter()
+        state.submitted_at = time.monotonic()
         try:
-            future = self.backend.submit(jobs)
+            future = self.backend.submit(job)
         except BrokenProcessPool as exc:
             # The pool died between completions; everything in flight is
-            # lost, this batch never ran and is requeued for free.
-            for state in states:
-                self._refund_inject(state)
-            self.queue.extendleft(reversed(states))
+            # lost, this job never ran and is requeued for free.
+            self._refund_inject(state)
+            self.queue.appendleft(state)
             self._handle_pool_break(exc)
             return
-        self.inflight[future] = states
+        self.inflight[future] = state
 
     def _refund_inject(self, state: _JobState) -> None:
         """Hand an unfired fault token back to the plan (see refund)."""
@@ -273,7 +253,7 @@ class Dispatcher:
 
     def _handle_pool_break(self, exc: BaseException) -> None:
         """The pool died: rebuild it, resubmit exactly the lost jobs."""
-        lost = [s for states in self.inflight.values() for s in states]
+        lost = list(self.inflight.values())
         self.inflight.clear()
         self.backend.kill()
         _log.warning("process pool broke, rebuilding",
@@ -302,50 +282,35 @@ class Dispatcher:
 
     def _record_attempt(self, state: _JobState, outcome: str,
                         output: Optional[WorkerOutput] = None,
-                        received: Optional[float] = None,
                         mode: Optional[str] = None,
-                        queue_anchor: Optional[float] = None,
-                        transfer_override: Optional[float] = None,
-                        failure: Optional[BatchItemFailure] = None
+                        error: Optional[WorkerJobError] = None
                         ) -> JobTimeline:
-        """Append this attempt's dispatch timeline to the result.
-
-        ``queue_anchor`` re-bases a later batch member's queue wait on
-        its predecessor's finish time (members run serially in the
-        worker; blaming the whole wait on the executor queue would
-        double-count).  ``transfer_override`` spreads the batch's one
-        result transfer evenly over its members.  With a batch of one,
-        both default to the single-job arithmetic.
-        """
+        """Append this attempt's dispatch timeline to the result."""
         if mode is None:
             mode = "inline" if self.backend.is_inline else "pool"
         record = JobTimeline(
             bench=state.name, mode=mode, attempt=state.attempts + 1,
             payload_bytes=state.payload_bytes,
             serialize_seconds=state.serialize_seconds, outcome=outcome,
-            backend=self.backend.name, batch_size=state.batch_size)
-        if output is not None and received is not None:
+            backend=self.backend.name)
+        if output is not None:
             record.worker_pid = output.pid
             record.execute_seconds = output.seconds
             if mode != "inline" and state.submitted_pc:
-                anchor = (queue_anchor if queue_anchor is not None
-                          else state.submitted_pc)
-                queue = max(0.0, output.started_at - anchor)
+                queue = max(0.0, output.started_at - state.submitted_pc)
                 record.queue_seconds = queue
-                if queue_anchor is None and output.spawned_at is not None:
+                if output.spawned_at is not None:
                     # The slice of queue wait spent before the worker had
                     # even finished initialising: spin-up + import cost.
                     record.spawn_seconds = min(queue, max(
                         0.0, output.spawned_at - state.submitted_pc))
-            record.transfer_seconds = (
-                transfer_override if transfer_override is not None
-                else max(0.0, received - output.finished_at))
-        elif failure is not None:
-            # The worker caught the failure in place and shipped its
-            # timing: charge the member only for its own slice.
-            record.worker_pid = failure.pid or None
+            record.transfer_seconds = max(
+                0.0, time.perf_counter() - output.finished_at)
+        elif error is not None:
+            # The worker caught the failure and shipped its own clock.
+            record.worker_pid = error.pid or None
             record.execute_seconds = max(
-                0.0, failure.finished_at - failure.started_at)
+                0.0, error.finished_at - error.started_at)
         elif state.submitted_pc:
             # The worker never reported back (crash/timeout): all the
             # parent knows is how long the attempt burned.
@@ -354,84 +319,74 @@ class Dispatcher:
         self.result.records.append(record)
         return record
 
-    def _process_future(self, future: Future,
-                        states: List[_JobState]) -> bool:
-        """Fold one finished batch in; True if the pool broke."""
+    def _record_error(self, state: _JobState, exc: Exception,
+                      mode: Optional[str] = None) -> str:
+        """Book an attempt that raised; return its error text.
+
+        A :class:`~.worker.WorkerJobError` says which injected fault
+        fired; any other exception (transport, not the job) fired none.
+        When the drawn fault did not fire, the attempt died of an
+        unrelated cause first and the token goes back so the injection
+        schedule stays deterministic.
+        """
+        if isinstance(exc, WorkerJobError):
+            envelope, fired, message = exc, exc.fault_fired, exc.message
+            self.result.flights[state.name] = exc.flight
+        else:
+            envelope, fired = None, None
+            message = f"{exc.__class__.__name__}: {exc}"
+        if state.inject is not None and fired != state.inject:
+            self._refund_inject(state)
+        state.inject = None
+        self._record_attempt(state, outcome="error", mode=mode,
+                             error=envelope)
+        return message
+
+    def _process_future(self, future: Future, state: _JobState) -> bool:
+        """Fold one finished job in; True if the pool broke."""
         try:
-            items = future.result()
+            output = future.result()
         except BrokenProcessPool as exc:
-            # ``states`` is still in ``self.inflight`` — the break
+            # ``state`` is still in ``self.inflight`` — the break
             # handler charges it together with the rest of the lost jobs.
             self._handle_pool_break(exc)
             return True
-        except Exception as exc:  # the batch runner itself raised
+        except Exception as exc:
             self.inflight.pop(future, None)
-            for state in states:
-                flight = _flight_of(exc)
-                if flight is not None:
-                    self.result.flights[state.name] = flight
-                self._record_attempt(state, outcome="error")
-                self._charge_failure(state, "error", _error_text(exc))
+            self._charge_failure(state, "error",
+                                 self._record_error(state, exc))
             return False
         self.inflight.pop(future, None)
-        received = time.perf_counter()
-        ends = [item.finished_at for item in items if item.finished_at]
-        transfer = (max(0.0, received - max(ends)) / len(items)
-                    if ends else None)
-        prev_end: Optional[float] = None
-        for state, item in zip(states, items):
-            if isinstance(item, BatchItemFailure):
-                if item.flight is not None:
-                    self.result.flights[state.name] = item.flight
-                if state.inject is not None and \
-                        item.fault_fired != state.inject:
-                    # The attempt died of an unrelated cause before its
-                    # drawn fault could fire: the token goes back so the
-                    # injection schedule stays deterministic.
-                    self._refund_inject(state)
-                else:
-                    state.inject = None
-                self._record_attempt(state, outcome="error", failure=item)
-                self._charge_failure(state, "error", item.message)
-            else:
-                state.inject = None
-                self._record_attempt(state, outcome="ok", output=item,
-                                     received=received,
-                                     queue_anchor=prev_end,
-                                     transfer_override=transfer)
-                self._absorb(state, item)
-            if item.finished_at:
-                prev_end = item.finished_at
+        state.inject = None
+        self._record_attempt(state, outcome="ok", output=output)
+        self._absorb(state, output)
         return False
 
     def _cull_timeouts(self) -> None:
-        """Quarantine batches past their deadline; rescue their pool-mates.
+        """Quarantine jobs past their deadline; rescue their pool-mates.
 
-        The timeout is batch-granular: members run serially inside one
-        worker, so the parent cannot tell which member is hung — and any
-        completed members' results died with the teardown anyway.
+        The executor cannot kill one worker, so reclaiming a hung job
+        tears the whole pool down; the jobs running beside it are
+        resubmitted.
         """
         now = time.monotonic()
-        expired: List[Tuple[Future, List[_JobState]]] = []
-        for future, states in list(self.inflight.items()):
+        expired: List[Future] = []
+        for future, state in list(self.inflight.items()):
             if future.done():
                 # Finished between the wait and the deadline check —
                 # harvest it normally rather than blaming it.
-                if self._process_future(future, states):
+                if self._process_future(future, state):
                     return
-            elif now - states[0].submitted_at >= self.policy.job_timeout:
-                expired.append((future, states))
+            elif now - state.submitted_at >= self.policy.job_timeout:
+                expired.append(future)
         if not expired:
             return
-        expired_futures = [f for f, _ in expired]
-        expired_states = [s for _, ss in expired for s in ss]
-        inc("faults.timeout", len(expired_states))
-        survivors = [s for f, ss in self.inflight.items()
-                     if not any(f is ef for ef in expired_futures)
-                     for s in ss]
+        inc("faults.timeout", len(expired))
+        hung = [self.inflight.pop(future) for future in expired]
+        survivors = list(self.inflight.values())
         self.inflight.clear()
         self.backend.kill()
-        for state in expired_states:
+        for state in hung:
             self._record_attempt(state, outcome="timeout")
             self._quarantine(
                 state, "timeout", state.attempts + 1,
@@ -446,25 +401,21 @@ class Dispatcher:
 
     # -- the dispatch loop -------------------------------------------------
 
-    def _take_eligible(self, now: float) -> List[_JobState]:
-        """Up to one batch of queued states clear of their backoff gate."""
-        states: List[_JobState] = []
-        while len(states) < self.batch:
-            index = next((i for i, s in enumerate(self.queue)
-                          if s.not_before <= now), None)
-            if index is None:
-                break
-            states.append(self.queue[index])
-            del self.queue[index]
-        return states
+    def _take_eligible(self, now: float) -> Optional[_JobState]:
+        """The first queued state clear of its backoff gate, if any."""
+        for index, state in enumerate(self.queue):
+            if state.not_before <= now:
+                del self.queue[index]
+                return state
+        return None
 
     def _wait_timeout(self, now: float) -> Optional[float]:
         deadlines: List[float] = []
         if self.policy.job_timeout is not None and \
                 self.backend.supports_timeout:
             deadlines.extend(
-                states[0].submitted_at + self.policy.job_timeout
-                for states in self.inflight.values())
+                state.submitted_at + self.policy.job_timeout
+                for state in self.inflight.values())
         if self.queue and len(self.inflight) < self.backend.workers:
             deadlines.extend(s.not_before for s in self.queue)
         if not deadlines:
@@ -476,14 +427,14 @@ class Dispatcher:
         try:
             while self.queue or self.inflight:
                 now = time.monotonic()
-                # Top up in-flight batches (skipping backoff-gated jobs)
-                # up to the worker count, so every submitted batch is
-                # running and submission time approximates start time.
+                # Top up in-flight jobs (skipping backoff-gated ones) up
+                # to the worker count, so every submitted job is running
+                # and submission time approximates start time.
                 while len(self.inflight) < self.backend.workers:
-                    states = self._take_eligible(now)
-                    if not states:
+                    state = self._take_eligible(now)
+                    if state is None:
                         break
-                    self._submit_batch(states)
+                    self._submit(state)
                 if not self.inflight:
                     if not self.queue:
                         break
@@ -493,8 +444,8 @@ class Dispatcher:
                     continue
                 if self.backend.is_inline:
                     # Inline futures arrive already resolved: drain them.
-                    for future, states in list(self.inflight.items()):
-                        self._process_future(future, states)
+                    for future, state in list(self.inflight.items()):
+                        self._process_future(future, state)
                     continue
                 with span("dispatch.wait", inflight=len(self.inflight)):
                     done, _ = futures_wait(set(self.inflight),
@@ -502,10 +453,10 @@ class Dispatcher:
                                            return_when=FIRST_COMPLETED)
                 broke = False
                 for future in done:
-                    states = self.inflight.get(future)
-                    if states is None:
+                    state = self.inflight.get(future)
+                    if state is None:
                         continue  # cleared by an earlier pool break
-                    if self._process_future(future, states):
+                    if self._process_future(future, state):
                         broke = True
                         break
                 if not broke and self.policy.job_timeout is not None \
@@ -525,36 +476,22 @@ class Dispatcher:
             state.submitted_pc = time.perf_counter()
             state.serialize_seconds = 0.0  # inline: nothing is pickled
             state.payload_bytes = 0
-            state.batch_size = 1
             state.inject = self.plan.draw(state.name)
-            faults.clear_fired()
             try:
                 with span("fallback_inline", bench=state.name):
                     job = (state.name, self.spec, state.inject)
                     output = run_job_inprocess(job)
             except Exception as exc:
-                if state.inject is not None and \
-                        faults.pop_fired() != state.inject:
-                    # Externally-caused death before the drawn fault
-                    # fired: refund, exactly like the pool path.
-                    self._refund_inject(state)
-                else:
-                    state.inject = None
                 inc("faults.fallback.error")
-                flight = _flight_of(exc)
-                if flight is not None:
-                    self.result.flights[state.name] = flight
-                self._record_attempt(state, outcome="error",
-                                     mode="fallback")
+                message = self._record_error(state, exc, mode="fallback")
                 self._quarantine(state, reason, state.attempts + 1,
                                  f"{error}; inline fallback also failed: "
-                                 f"{_error_text(exc)}")
+                                 f"{message}")
             else:
                 state.inject = None
                 inc("faults.fallback.success")
                 _log.info("inline fallback succeeded", bench=state.name)
                 self._record_attempt(state, outcome="ok", output=output,
-                                     received=time.perf_counter(),
                                      mode="fallback")
                 self._absorb(state, output)
 
@@ -569,8 +506,8 @@ def dispatch_study_jobs(
     """Fan ``study_benchmark`` jobs out with retries and quarantine.
 
     One worker (``spec.jobs`` capped at ``len(names)``) runs every job
-    inline; more run them on a :class:`ProcessPool` in dispatch units
-    of ``spec.batch`` benchmarks.
+    inline; more run them on a :class:`ProcessPool`, one benchmark per
+    future.
 
     Args:
         names: benchmarks to study (duplicates dropped with a warning).
@@ -594,14 +531,10 @@ def dispatch_study_jobs(
         faults.FaultPlan.from_spec(spec.fault_spec)
     on_output = on_output or (lambda output: None)
     workers = max(1, min(spec.jobs, len(names)))
-    if workers == 1:
-        backend: PoolBackend = InProcessPool(1)
-        batch = 1
-    else:
-        backend = ProcessPool(workers, profile=spec.profile)
-        batch = spec.batch
+    backend: Union[InProcessPool, ProcessPool] = (
+        InProcessPool() if workers == 1
+        else ProcessPool(workers, profile=spec.profile))
     if policy.job_timeout is not None and not backend.supports_timeout:
         _log.warning("job timeout is not enforced on the inline path",
                      job_timeout=policy.job_timeout)
-    return Dispatcher(names, spec, backend, batch, policy, plan,
-                      on_output).run()
+    return Dispatcher(names, spec, backend, policy, plan, on_output).run()

@@ -1,4 +1,4 @@
-"""The process-pool backend: warm persistent workers, optional batching.
+"""The process-pool backend: warm persistent workers.
 
 :class:`ProcessPool` wraps ``concurrent.futures.ProcessPoolExecutor``
 with a *warm registry*: on graceful shutdown the executor is parked
@@ -13,22 +13,17 @@ Warm reuse is safe across runs with different profiling settings
 because the worker entry point re-arms profiling per job; fault
 injection is parent-side (tokens are drawn before submission), so a
 warm worker carries no fault state either.
-
-The dispatcher hands the pool ``spec.batch`` jobs per submission;
-batching amortizes the per-future pickle/queue/wakeup overhead that
-dominates short study cells, and needs nothing from the pool itself.
 """
 
 from __future__ import annotations
 
 import atexit
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Sequence
+from typing import Dict
 
 from ...obs import log as obslog
 from ...obs.registry import inc
-from .base import PoolBackend
-from .worker import BatchItem, Job, pool_worker_init, run_job_batch
+from .worker import Job, WorkerOutput, pool_worker_init, run_study_job
 
 _log = obslog.get_logger("repro.harness.pool.process")
 
@@ -47,15 +42,25 @@ def shutdown_warm_pools() -> None:
 atexit.register(shutdown_warm_pools)
 
 
-class ProcessPool(PoolBackend):
-    """Persistent worker processes with warm reuse across dispatches."""
+class ProcessPool:
+    """Persistent worker processes with warm reuse across dispatches.
+
+    Lifecycle: ``start()`` once before the first submission,
+    ``submit()`` any number of times, then either ``shutdown()``
+    (graceful; parks the executor for reuse) or ``kill()`` (hard
+    teardown after a hang or a break — never parks).  After ``kill()``
+    the dispatcher calls ``start()`` again to continue on fresh workers.
+    A worker that dies outright (segfault, ``os._exit``) surfaces as
+    ``BrokenProcessPool`` from its future.
+    """
 
     name = "process"
     is_inline = False
     supports_timeout = True
 
     def __init__(self, workers: int, profile: bool = False):
-        super().__init__(workers, profile)
+        self.workers = workers
+        self.profile = profile
         self._executor: ProcessPoolExecutor = None  # type: ignore[assignment]
 
     def start(self) -> None:
@@ -70,8 +75,8 @@ class ProcessPool(PoolBackend):
             max_workers=self.workers, initializer=pool_worker_init,
             initargs=(self.profile,))
 
-    def submit(self, jobs: Sequence[Job]) -> "Future[List[BatchItem]]":
-        return self._executor.submit(run_job_batch, list(jobs))
+    def submit(self, job: Job) -> "Future[WorkerOutput]":
+        return self._executor.submit(run_study_job, job)
 
     def kill(self) -> None:
         """Terminate worker processes and discard the executor.

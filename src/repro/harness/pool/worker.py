@@ -8,12 +8,7 @@ registry, span buffer and flight ring are reset before each job and the
 job's signals travel back only inside the returned
 :class:`WorkerOutput` — so the parent can merge observability
 deterministically and a retried attempt is never double-counted.
-
-Batched dispatch coarsens the unit of transport, not the unit of
-isolation: :func:`run_job_batch` runs each member under the same
-per-job reset, and a member that raises becomes a
-:class:`BatchItemFailure` in the returned list instead of poisoning its
-batch-mates.
+A job that raises comes back as one :class:`WorkerJobError`.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...obs import flightrec
 from ...obs import log as obslog
@@ -68,68 +63,39 @@ class WorkerOutput:
 
 
 class WorkerJobError(RuntimeError):
-    """A study job failed inside a worker; carries its flight ring.
+    """A study job failed inside a worker, as picklable plain data.
 
     Arbitrary worker exceptions do not always survive pickling back to
     the parent, and even when they do they arrive without the worker's
     recent history.  The worker entry point wraps every failure in this
-    (explicitly picklable) envelope: the original error rendered as
-    text, the worker's flight-recorder ring, and the formatted
-    traceback — everything the parent needs to write a diagnosis dump.
+    envelope: the original error rendered as text, the worker's
+    flight-recorder ring and the formatted traceback (everything the
+    parent needs to write a diagnosis dump), plus the attempt's own
+    clock readings and pid.  ``fault_fired`` names the injected fault
+    that actually fired: the parent refunds the drawn token when the
+    attempt died of an unrelated cause before its fault could do its
+    work, keeping the injection schedule deterministic.
     """
 
     def __init__(self, message: str,
                  flight: Optional[List[Dict[str, Any]]] = None,
-                 traceback_text: str = ""):
+                 traceback_text: str = "",
+                 fault_fired: Optional[str] = None, pid: int = 0,
+                 started_at: float = 0.0, finished_at: float = 0.0):
         super().__init__(message)
         self.message = message
         self.flight = flight or []
         self.traceback_text = traceback_text
+        self.fault_fired = fault_fired
+        self.pid = pid
+        self.started_at = started_at
+        self.finished_at = finished_at
 
     def __reduce__(self):
         return (WorkerJobError,
-                (self.message, self.flight, self.traceback_text))
-
-
-@dataclass
-class BatchItemFailure:
-    """One failed member of a dispatched batch, as plain picklable data.
-
-    Raising out of a batch would charge every batch-mate for one
-    member's failure, so the batch runner catches per-member exceptions
-    into this envelope instead.  ``fault_fired`` records which injected
-    fault (if any) actually fired during the attempt — the parent
-    refunds the drawn token when the attempt died of an unrelated cause
-    before its fault could do its work, keeping the injection schedule
-    deterministic.
-    """
-
-    name: str
-    message: str
-    traceback_text: str = ""
-    flight: Optional[List[Dict[str, Any]]] = None
-    fault_fired: Optional[str] = None
-    pid: int = 0
-    started_at: float = 0.0
-    finished_at: float = 0.0
-
-
-#: What a batch future resolves to, one entry per member in order.
-BatchItem = Union[WorkerOutput, BatchItemFailure]
-
-
-def _error_text(exc: BaseException) -> str:
-    """A failure's display string, unwrapping the worker envelope."""
-    if isinstance(exc, WorkerJobError):
-        return exc.message
-    return f"{exc.__class__.__name__}: {exc}"
-
-
-def _flight_of(exc: BaseException) -> Optional[List[Dict[str, Any]]]:
-    """The worker flight ring shipped with a failure, if any."""
-    if isinstance(exc, WorkerJobError):
-        return exc.flight
-    return None
+                (self.message, self.flight, self.traceback_text,
+                 self.fault_fired, self.pid, self.started_at,
+                 self.finished_at))
 
 
 def pool_worker_init(profile: bool = False) -> None:
@@ -150,20 +116,22 @@ def pool_worker_init(profile: bool = False) -> None:
 def run_study_job(job: Job) -> WorkerOutput:
     """Run one benchmark's study in a worker process."""
     name, spec, inject = job
-    # A forked worker inherits the parent's registry/trace contents (and
-    # a warm pool worker keeps state across jobs) — start each job clean
-    # so the returned state is exactly this benchmark's signals.
-    obsregistry.reset_metrics()
-    obsspans.clear_trace()
-    flightrec.clear()
-    obsprofile.set_profiling(spec.profile)
-    obsprofile.reset_sampling()
-    # First breadcrumb after the reset: even a job that dies instantly
-    # ships a ring that says which benchmark it was running.
-    _log.debug("job start", bench=name, pid=os.getpid())
+    fired: Optional[str] = None
     started = time.perf_counter()
     try:
+        # A forked worker inherits the parent's registry/trace contents
+        # (and a warm pool worker keeps state across jobs) — start each
+        # job clean so the returned state is exactly this benchmark's.
+        obsregistry.reset_metrics()
+        obsspans.clear_trace()
+        flightrec.clear()
+        obsprofile.set_profiling(spec.profile)
+        obsprofile.reset_sampling()
+        # First breadcrumb after the reset: even a job that dies
+        # instantly ships a ring that says which benchmark it was running.
+        _log.debug("job start", bench=name, pid=os.getpid())
         if inject is not None:
+            fired = inject
             faults.fire(inject, name)
         from ..runner import study_benchmark  # late: runner imports us
 
@@ -171,11 +139,13 @@ def run_study_job(job: Job) -> WorkerOutput:
             benchmark = get_benchmark(name)
         result = study_benchmark(benchmark, **spec.result_fields())
     except Exception as exc:
-        # Ship the failure in a picklable envelope with the flight ring;
-        # injected crashes (os._exit) and hangs never reach this point.
+        # Injected crashes (os._exit) and hangs never reach this point.
         raise WorkerJobError(f"{exc.__class__.__name__}: {exc}",
                              flight=flightrec.export(),
-                             traceback_text=traceback.format_exc())
+                             traceback_text=traceback.format_exc(),
+                             fault_fired=fired, pid=os.getpid(),
+                             started_at=started,
+                             finished_at=time.perf_counter())
     finished = time.perf_counter()
     return WorkerOutput(name=name, result=result,
                         seconds=finished - started,
@@ -208,28 +178,3 @@ def run_job_inprocess(job: Job) -> WorkerOutput:
         obsspans.extend_trace(parent_trace)
         flightrec.restore(parent_flight)
         obsprofile.set_profiling(parent_profiling)
-
-
-def run_batch(jobs: Sequence[Job],
-              run_one: Callable[[Job], WorkerOutput]) -> List[BatchItem]:
-    """Run a batch of jobs, capturing per-member failures in place."""
-    items: List[BatchItem] = []
-    for job in jobs:
-        faults.clear_fired()
-        started = time.perf_counter()
-        try:
-            items.append(run_one(job))
-        except Exception as exc:
-            items.append(BatchItemFailure(
-                name=job[0], message=_error_text(exc),
-                traceback_text=getattr(exc, "traceback_text", "")
-                or traceback.format_exc(),
-                flight=_flight_of(exc), fault_fired=faults.pop_fired(),
-                pid=os.getpid(), started_at=started,
-                finished_at=time.perf_counter()))
-    return items
-
-
-def run_job_batch(jobs: Sequence[Job]) -> List[BatchItem]:
-    """The pool-worker batch entry point (must be a module-level name)."""
-    return run_batch(jobs, run_study_job)

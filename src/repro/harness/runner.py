@@ -244,7 +244,6 @@ def run_full_study(names: Optional[Iterable[str]] = None,
                    verify: Optional[bool] = None,
                    profile: Optional[bool] = None,
                    flight_dir: Optional[str] = None,
-                   batch: Optional[int] = None,
                    fault_spec: Optional[str] = None) -> StudyResults:
     """Run (or load from cache) the full evaluation study.
 
@@ -263,8 +262,8 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     :class:`~repro.harness.studyspec.StudySpec` field, resolved once by
     :func:`~repro.harness.studyspec.resolve_spec` (``None`` = the
     ``REPRO_*`` variable, else the default; see the spec for what each
-    one means).  Any ``jobs`` and ``batch`` produce bit-identical
-    results; ``jobs=1`` keeps everything in-process.
+    one means).  Any ``jobs`` produces bit-identical results;
+    ``jobs=1`` keeps everything in-process.
 
     Args:
         verbose: emit per-benchmark progress through the structured
@@ -277,7 +276,7 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     spec = resolve_spec(
         thresholds=thresholds, config=config, costs=costs,
         steps_scale=steps_scale, include_perf=include_perf, verify=verify,
-        jobs=jobs, batch=batch, retries=retries, job_timeout=job_timeout,
+        jobs=jobs, retries=retries, job_timeout=job_timeout,
         profile=profile, flight_dir=flight_dir, fault_spec=fault_spec)
     set_profiling(spec.profile)
 
@@ -467,8 +466,6 @@ def _compute_study(names: List[str], spec: StudySpec,
         timings=timings, total_seconds=round(total, 3),
         extra={**spec.manifest(), "cached_benchmarks": cached_names,
                "pool": dispatch.backend if dispatch is not None else None,
-               "batch_size":
-                   dispatch.batch_size if dispatch is not None else None,
                "config_fingerprint": confkey,
                "profile": profile_data,
                "dispatch": dispatch_summary,

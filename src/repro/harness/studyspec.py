@@ -2,9 +2,9 @@
 
 The paper's figures (§4) depend on five things: the benchmark, the
 threshold sweep, the DBT configuration, the cost model and the run
-length.  Everything else about a run — worker count, batching, retry
-budget, timeouts, profiling, where failure dumps go, injected faults —
-is transport.  :class:`StudySpec` holds both kinds in one frozen,
+length.  Everything else about a run — worker count, retry budget,
+timeouts, profiling, where failure dumps go, injected faults — is
+transport.  :class:`StudySpec` holds both kinds in one frozen,
 picklable object, and every field declares in its metadata which kind
 it is.  The declarations drive everything that used to be kept by hand:
 
@@ -125,10 +125,9 @@ class StudySpec:
     Run fields (each may come from the ``REPRO_*`` variable it names):
         jobs: worker processes (default: every CPU; ``1`` runs every
             benchmark inline, more run a process pool).
-        batch: benchmarks per dispatch unit on the process pool.
         retries: per-benchmark retry budget after a failed attempt
             (``0`` = one attempt, then the inline fallback).
-        job_timeout: seconds before an in-flight batch is declared hung
+        job_timeout: seconds before an in-flight job is declared hung
             (``None`` = unlimited; only enforced with a process pool).
         profile: arm the fine-grained profiling span sites in the
             parent and every worker (adds timing spans only).
@@ -148,7 +147,6 @@ class StudySpec:
                          key=lambda on: True if on else None, default=False)
     jobs: int = _knob("REPRO_JOBS", _parse_int, minimum=1,
                       default_factory=_cpu_count)
-    batch: int = _knob("REPRO_BATCH", _parse_int, minimum=1, default=1)
     retries: int = _knob("REPRO_RETRIES", _parse_int, minimum=0,
                          default=DEFAULT_RETRIES)
     job_timeout: Optional[float] = _knob("REPRO_JOB_TIMEOUT", _parse_float,

@@ -1,9 +1,10 @@
 """Dispatch telemetry: a per-job timeline of where parallel time goes.
 
-``BENCH_study.json`` says parallel dispatch is *slower* than serial
-(speedup 0.781) but not why.  This module gives the dispatcher the
-vocabulary to answer: every job carries a :class:`JobTimeline` that
-splits its life into named segments —
+A parallel study's wall time is its benchmarks' execute time plus the
+cost of shipping them to workers and back.  This module gives the
+dispatcher the vocabulary to say where that cost goes: every job
+carries a :class:`JobTimeline` that splits its life into named
+segments —
 
 * ``serialize`` — pickling the job payload in the parent (with the
   payload's byte size, so pickling *rate* is computable),
@@ -43,7 +44,6 @@ class JobTimeline:
     mode: str = "pool"            # "pool" | "inline" | "fallback"
     attempt: int = 1
     backend: str = "process"      # pool-backend name that ran the attempt
-    batch_size: int = 1           # members in the attempt's dispatch unit
     worker_pid: Optional[int] = None
     payload_bytes: int = 0
     serialize_seconds: float = 0.0
@@ -96,14 +96,12 @@ def summarize(records: Sequence[JobTimeline],
     payload_bytes = 0
     outcomes: Dict[str, int] = {}
     backends: Dict[str, int] = {}
-    max_batch = 0
     for record in records:
         for name in SEGMENTS:
             totals[name] += record.segment(name)
         payload_bytes += record.payload_bytes
         outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
         backends[record.backend] = backends.get(record.backend, 0) + 1
-        max_batch = max(max_batch, record.batch_size)
 
     execute = totals["execute"]
     overhead = sum(totals.values()) - execute
@@ -113,7 +111,6 @@ def summarize(records: Sequence[JobTimeline],
         "payload_bytes": payload_bytes,
         "outcomes": outcomes,
         "backends": backends,
-        "max_batch_size": max_batch,
         "segments_seconds": {name: round(totals[name], 6)
                              for name in SEGMENTS},
         "execute_seconds": round(execute, 6),
@@ -141,8 +138,7 @@ def render(summary: Optional[Dict[str, Any]]) -> str:
     if backends:
         detail = ", ".join(f"{name} x{count}"
                            for name, count in sorted(backends.items()))
-        lines.append(f"  backend(s): {detail}, max batch size "
-                     f"{summary.get('max_batch_size', 1)}")
+        lines.append(f"  backend(s): {detail}")
     segments = summary.get("segments_seconds") or {}
     total = sum(segments.values()) or 1.0
     lines.append(f"  {'segment':10s} {'seconds':>10s} {'share':>7s}")

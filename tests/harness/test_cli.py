@@ -70,16 +70,16 @@ def test_every_study_flag_reaches_the_study(monkeypatch, command):
 
     monkeypatch.setattr(cli, "run_full_study", fake_study)
     assert main(command + [
-        "--quick", "--no-perf", "--no-cache", "--jobs", "2", "--batch", "3",
+        "--quick", "--no-perf", "--no-cache", "--jobs", "2",
         "--retries", "1", "--job-timeout", "5", "--verify", "--profile",
         "--flight-dir", "dumps", "--verbose"]) == 0
     assert seen["names"] == ["gzip"]
     assert seen["cache_dir"] is None
     assert seen["verbose"] is True
     assert {key: seen[key] for key in (
-        "steps_scale", "include_perf", "jobs", "batch", "retries",
+        "steps_scale", "include_perf", "jobs", "retries",
         "job_timeout", "verify", "profile", "flight_dir")} == dict(
-        steps_scale=0.1, include_perf=False, jobs=2, batch=3, retries=1,
+        steps_scale=0.1, include_perf=False, jobs=2, retries=1,
         job_timeout=5.0, verify=True, profile=True, flight_dir="dumps")
 
 

@@ -1,16 +1,16 @@
-"""Pool backends: selection, equivalence, batching and warm reuse.
+"""Pool backends: selection, equivalence, failure envelope, warm reuse.
 
 The load-bearing guarantee of :mod:`repro.harness.pool`: figure data is
-byte-identical across every jobs × batch combination — the backends
-differ only in transport cost.  On top of that, the dispatch
-engine's failure semantics must be batch-aware (a failing member never
-charges its batch-mates), warm pools must actually be reused, an
-unpicklable job must fail fast with the original pickling error instead
-of an opaque pool break, and a drawn fault token must be refunded when
-the attempt dies of an unrelated cause before the fault fires.
+byte-identical for any worker count — the backends differ only in
+transport cost.  On top of that, a failing job must charge only itself,
+warm pools must actually be reused, an unpicklable job must fail fast
+with the original pickling error instead of an opaque pool break, and a
+drawn fault token must be refunded when the attempt dies of an
+unrelated cause before the fault fires — on either side of the process
+boundary.
 """
 
-import pytest
+import os
 
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
@@ -22,9 +22,9 @@ from repro.obs import counter_value
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
 
-def _dispatch(names, plan=None, retries=2, jobs=2, batch=1, **overrides):
+def _dispatch(names, plan=None, retries=2, jobs=2, **overrides):
     policy = RetryPolicy(retries=retries, backoff=0.0)
-    spec = StudySpec(jobs=jobs, batch=batch, **dict(KWARGS, **overrides))
+    spec = StudySpec(jobs=jobs, **dict(KWARGS, **overrides))
     return dispatch_study_jobs(
         names, spec, policy=policy,
         plan=plan if plan is not None else FaultPlan.from_spec(None))
@@ -46,14 +46,12 @@ def _identical_bytes(results_a, results_b, tmp_path):
 # -- backend choice -----------------------------------------------------------
 
 
-def test_one_worker_runs_inline_whatever_the_batch():
-    # The worker count picks the backend; a batch only coarsens the
-    # process pool's dispatch unit, so one worker never starts a pool.
+def test_one_worker_runs_inline():
+    # The worker count picks the backend: one worker never starts a pool.
     results = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
-                             batch=2, **KWARGS)
+                             **KWARGS)
     assert results.manifest["pool"] == "inprocess"
-    assert results.manifest["batch_size"] == 1
-    dispatch = _dispatch(["gzip"], jobs=2, batch=2)  # one name: one worker
+    dispatch = _dispatch(["gzip"], jobs=2)  # one name: one worker
     assert dispatch.backend == "inprocess"
     assert {r.mode for r in dispatch.records} == {"inline"}
 
@@ -66,8 +64,7 @@ def test_every_backend_produces_identical_bytes(tmp_path):
     cells = [
         dict(jobs=1),                              # inprocess
         dict(jobs=2),                              # process
-        dict(jobs=2, batch=2),
-        dict(jobs=3, batch=1),
+        dict(jobs=3),
     ]
     runs = []
     deltas = []
@@ -83,48 +80,33 @@ def test_every_backend_produces_identical_bytes(tmp_path):
     for cell, results in zip(cells[1:], runs[1:]):
         assert _identical_bytes(baseline, results, tmp_path), cell
         assert results.manifest["pool"] == "process"
-        assert results.manifest["batch_size"] == cell.get("batch", 1)
+        # One timeline per benchmark, each stamped with its backend.
+        assert results.manifest["dispatch"]["backends"] == {"process": 3}
     # The observability merge is lossless: every cell lands exactly the
     # same replay counters in the parent registry.
     assert len(set(deltas)) == 1 and deltas[0] > 0
 
 
-def test_batched_timelines_carry_backend_and_batch_size():
-    results = run_full_study(names=["gzip", "mcf", "art"], cache_dir=None,
-                             jobs=2, batch=2, **KWARGS)
-    manifest = results.manifest
-    assert manifest["pool"] == "process"
-    assert manifest["batch_size"] == 2
-    summary = manifest["dispatch"]
-    assert summary["backends"] == {"process": 3}
-    assert summary["max_batch_size"] == 2
-    sizes = sorted(r["batch_size"] for r in summary["records_detail"])
-    assert sizes == [1, 2, 2]  # two full members + the leftover
-    assert all(r["backend"] == "process"
-               for r in summary["records_detail"])
+# -- per-job failure semantics -----------------------------------------------
 
 
-# -- batch failure semantics --------------------------------------------------
-
-
-def test_error_inside_batch_spares_batch_mates():
+def test_error_charges_only_its_own_job():
     rebuilds = counter_value("faults.pool_rebuild")
     errors = counter_value("retry.error")
     dispatch = _dispatch(["art", "gzip", "mcf", "swim"],
                          plan=FaultPlan.from_spec("gzip:error:1"),
-                         retries=2, jobs=2, batch=2)
+                         retries=2, jobs=2)
     assert set(dispatch.outputs) == {"art", "gzip", "mcf", "swim"}
     assert dispatch.failures == {}
-    # An in-batch exception is contained per member: the pool survives
-    # and only the failing member is charged — its batch-mate's single
-    # attempt succeeded.
+    # A job that raises keeps the pool up and is charged alone: every
+    # other benchmark succeeds on its first attempt.
     assert counter_value("faults.pool_rebuild") == rebuilds
     assert counter_value("retry.error") == errors + 1
     per_bench = {}
     for record in dispatch.records:
         per_bench.setdefault(record.bench, []).append(record.outcome)
-    assert per_bench["gzip"] == ["error", "ok"]
-    assert per_bench["art"] == ["ok"]
+    assert per_bench == {"gzip": ["error", "ok"], "art": ["ok"],
+                         "mcf": ["ok"], "swim": ["ok"]}
 
 
 # -- warm worker reuse --------------------------------------------------------
@@ -217,3 +199,19 @@ def test_fired_token_consumed_on_failure():
     assert set(dispatch.outputs) == {"gzip"}  # retry succeeded
     assert counter_value("faults.refunded") == refunded
     assert plan.draw("gzip") is None  # budget spent
+
+
+def test_pool_error_envelope_crosses_the_process_boundary():
+    # The worker's envelope carries its pid, its own clock and the fault
+    # that fired: the parent books the attempt in the worker's terms and
+    # consumes the token rather than refunding it.
+    plan = FaultPlan.from_spec("gzip:error:1")
+    refunded = counter_value("faults.refunded")
+    dispatch = _dispatch(["gzip", "art"], plan=plan, retries=1, jobs=2)
+    assert set(dispatch.outputs) == {"gzip", "art"}
+    (error,) = [r for r in dispatch.records if r.outcome == "error"]
+    assert error.bench == "gzip" and error.mode == "pool"
+    assert error.worker_pid not in (None, os.getpid())
+    assert error.execute_seconds > 0
+    assert counter_value("faults.refunded") == refunded
+    assert plan.draw("gzip") is None

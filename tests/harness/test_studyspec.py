@@ -34,13 +34,6 @@ MATRIX = {
         "garbage": ("nope", Rejects("REPRO_JOBS must be an integer")),
         "out of range": ("0", Rejects("jobs must be >= 1")),
     }),
-    "batch": ("REPRO_BATCH", {
-        "unset": (None, 1),
-        "valid": ("4", 4),
-        "empty": ("", Rejects("REPRO_BATCH must be an integer")),
-        "garbage": ("big", Rejects("REPRO_BATCH must be an integer")),
-        "out of range": ("0", Rejects("batch must be >= 1")),
-    }),
     "retries": ("REPRO_RETRIES", {
         "unset": (None, 2),
         "valid": ("5", 5),
@@ -168,7 +161,7 @@ def test_cache_keys_are_pinned(spec, run_key, config_key):
 FLIPPED = dict(
     thresholds=(5, 50), config=DBTConfig(pool_trigger_size=3),
     costs=CostModel(interp_cost=4.0), steps_scale=0.5, include_perf=False,
-    verify=True, jobs=(os.cpu_count() or 1) + 1, batch=2, retries=0,
+    verify=True, jobs=(os.cpu_count() or 1) + 1, retries=0,
     job_timeout=9.0, profile=True, flight_dir="dumps",
     fault_spec="gzip:error")
 

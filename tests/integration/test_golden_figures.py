@@ -101,13 +101,10 @@ def test_golden_corpus_digest(name):
 def test_reduced_study_matrix_byte_identical():
     """dispatch mode x verify: identical bytes."""
     modes = [dict(jobs=1),                            # inprocess backend
-             dict(jobs=2),                            # process backend
-             dict(jobs=2, batch=2)]                   # batched dispatch
+             dict(jobs=2)]                            # process backend
     baseline = None
     for mode in modes:
-        # Verification is dispatch-blind; sweeping it across every
-        # dispatch mode would slow the wall without adding coverage.
-        for verify in ((False, True) if "batch" not in mode else (False,)):
+        for verify in (False, True):
             results = run_full_study(verify=verify, **mode, **REDUCED)
             got = _figure_bytes(results)
             label = f"mode={mode} verify={verify}"
@@ -117,10 +114,8 @@ def test_reduced_study_matrix_byte_identical():
                 assert got == baseline, f"{label} diverged"
             assert "kernel" not in results.manifest, label
             assert "replay_kernel" not in results.manifest, label
-            if "batch" in mode:
-                assert results.manifest["pool"] == "process", label
-                assert results.manifest["batch_size"] == mode["batch"], \
-                    label
+            assert results.manifest["pool"] == (
+                "process" if mode["jobs"] > 1 else "inprocess"), label
 
 
 def test_reduced_figures_render_identically_across_kernels(request):
