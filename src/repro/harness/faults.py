@@ -23,12 +23,15 @@ rules, each ``target:kind[:count]``::
   only that job fails.
 * ``shard:torn-write[:N]`` — the next N cache-file writes die partway
   through (see :func:`repro.ioutil.atomic_write_text`): a partial temp
-  file is left behind and the destination is never replaced.
+  file is left behind and the destination is never replaced.  Shards
+  are written as jobs finish, and jobs are dispatched largest ref step
+  budget first, so the torn writes hit the largest benchmarks' shards.
 
-Fault *decisions* are drawn in the parent at submission time and shipped
-to the worker with the job, so the schedule is deterministic regardless
-of pool scheduling, and the ``faults.injected.*`` counters survive the
-worker's death.  One :class:`FaultPlan` is armed per
+Fault *decisions* are drawn in the parent at submission time, per
+benchmark name, and shipped to the worker with the job, so the schedule
+is deterministic regardless of dispatch order and pool scheduling, and
+the ``faults.injected.*`` counters survive the worker's death.  One
+:class:`FaultPlan` is armed per
 :func:`~repro.harness.runner.run_full_study` call, parsed from the
 resolved spec's ``fault_spec`` (see :mod:`repro.harness.studyspec`).
 """

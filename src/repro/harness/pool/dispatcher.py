@@ -32,6 +32,9 @@ dies — can corrupt the cache.
 The unit of dispatch is one benchmark: each future carries one job,
 retries and timeouts are per benchmark, and every attempt gets its own
 :class:`~repro.obs.dispatch.JobTimeline` stamped with the backend name.
+Jobs are submitted largest first (:func:`largest_first`), so each
+process builds its biggest ref event index before smaller studies have
+fragmented its heap; callers keep their own order for every output.
 Figure data is byte-identical for any worker count — the
 non-negotiable invariant the equivalence suite enforces.
 """
@@ -51,6 +54,7 @@ from ...obs import log as obslog
 from ...obs.dispatch import JobTimeline
 from ...obs.registry import inc
 from ...obs.spans import span
+from ...workloads.spec import get_benchmark
 from .. import faults
 from ..studyspec import DEFAULT_RETRIES, StudySpec
 from .inprocess import InProcessPool
@@ -110,6 +114,8 @@ class DispatchResult:
     flights: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
     #: The backend that executed the run.
     backend: str = ""
+    #: Benchmark names in submission order (see :func:`largest_first`).
+    order: List[str] = field(default_factory=list)
 
 
 def dedupe_names(names: Sequence[str]) -> List[str]:
@@ -125,6 +131,27 @@ def dedupe_names(names: Sequence[str]) -> List[str]:
         _log.warning("duplicate benchmark names dropped",
                      requested=len(names), unique=len(unique))
     return unique
+
+
+def largest_first(names: Sequence[str], steps_scale: float) -> List[str]:
+    """``names`` ordered by scaled ref step budget, largest first.
+
+    The ref event index grows with the ref run's steps, so running the
+    largest budget first lets every later, smaller benchmark reuse its
+    memory instead of growing a fragmented heap.  The key is the
+    registry's budget, not past run times: INT benchmarks take longer
+    per step, so a time order would put them ahead of ``wupwise``.  The
+    sort is stable (ties keep the caller's order); a name the registry
+    does not know sorts last and fails in its own job, to be retried and
+    quarantined like any other failure.
+    """
+    def budget(name: str) -> int:
+        try:
+            return get_benchmark(name).scaled(steps_scale).run_steps
+        except KeyError:
+            return -1
+
+    return sorted(names, key=lambda name: -budget(name))
 
 
 class _JobState:
@@ -159,7 +186,8 @@ class Dispatcher:
         self.on_output = on_output
         self.queue: deque = deque(_JobState(n) for n in names)
         self.inflight: Dict[Future, _JobState] = {}
-        self.result = DispatchResult(backend=backend.name)
+        self.result = DispatchResult(backend=backend.name,
+                                     order=list(names))
         self.fallback: List[Tuple[_JobState, str, str]] = []
 
     # -- pool lifecycle ----------------------------------------------------
@@ -507,7 +535,9 @@ def dispatch_study_jobs(
 
     One worker (``spec.jobs`` capped at ``len(names)``) runs every job
     inline; more run them on a :class:`ProcessPool`, one benchmark per
-    future.
+    future.  On both, jobs are submitted largest first
+    (:func:`largest_first`); the outputs are keyed by name, so callers
+    merge them in their own order.
 
     Args:
         names: benchmarks to study (duplicates dropped with a warning).
@@ -525,6 +555,8 @@ def dispatch_study_jobs(
     deterministically and decides what quarantined benchmarks mean.
     """
     names = dedupe_names(names)
+    with span("dispatch.order", benchmarks=len(names)):
+        names = largest_first(names, spec.steps_scale)
     policy = policy or RetryPolicy(retries=spec.retries,
                                    job_timeout=spec.job_timeout)
     plan = plan if plan is not None else \

@@ -19,6 +19,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ... import blas
 from ...obs import flightrec
 from ...obs import log as obslog
 from ...obs import profile as obsprofile
@@ -99,7 +100,9 @@ class WorkerJobError(RuntimeError):
 
 
 def pool_worker_init(profile: bool = False) -> None:
-    """Pool initializer: stamp spawn time, arm faults and profiling.
+    """Pool initializer: stamp spawn time, arm faults and profiling,
+    and pin OpenBLAS to one thread so workers do not oversubscribe the
+    cores (see :mod:`repro.blas`).
 
     Also pre-imports the study machinery so a *warm* worker pays the
     import bill exactly once, at spawn — under the default fork start
@@ -110,6 +113,7 @@ def pool_worker_init(profile: bool = False) -> None:
     _WORKER_SPAWNED_AT = time.perf_counter()
     faults.mark_worker_process()
     obsprofile.set_profiling(profile)
+    blas.set_threads(1)
     from .. import runner  # noqa: F401  (import once per worker, not per job)
 
 

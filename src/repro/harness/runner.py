@@ -28,6 +28,7 @@ import time
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import blas
 from ..core.study import run_threshold_sweep
 from ..dbt.config import DBTConfig
 from ..dbt.replay import ReplayDBT
@@ -263,7 +264,9 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     :func:`~repro.harness.studyspec.resolve_spec` (``None`` = the
     ``REPRO_*`` variable, else the default; see the spec for what each
     one means).  Any ``jobs`` produces bit-identical results;
-    ``jobs=1`` keeps everything in-process.
+    ``jobs=1`` keeps everything in-process.  The study runs on one
+    OpenBLAS thread (see :mod:`repro.blas`), and the caller's thread
+    count is restored on return.
 
     Args:
         verbose: emit per-benchmark progress through the structured
@@ -294,7 +297,8 @@ def run_full_study(names: Optional[Iterable[str]] = None,
     plan = FaultPlan.from_spec(spec.fault_spec)
     set_active_plan(plan)
     try:
-        return _compute_study(names, spec, cache_dir, plan)
+        with blas.one_thread():
+            return _compute_study(names, spec, cache_dir, plan)
     finally:
         set_active_plan(None)
 
@@ -441,11 +445,15 @@ def _compute_study(names: List[str], spec: StudySpec,
     total = time.perf_counter() - study_started
 
     set_gauge("study.jobs", spec.jobs)
+    blas_facts = blas.facts()
+    if blas_facts["threads"] != blas.UNKNOWN:
+        set_gauge("blas.threads", blas_facts["threads"])
     dispatch_summary = None
     if dispatch is not None and dispatch.records:
         _observe_dispatch(dispatch.records)
         dispatch_summary = obsdispatch.summarize(
-            dispatch.records, jobs=spec.jobs, wall_seconds=dispatch_wall)
+            dispatch.records, jobs=spec.jobs, wall_seconds=dispatch_wall,
+            order=dispatch.order)
     if dispatch is not None and failures:
         _write_flight_dumps(failures, dispatch.flights, spec.flight_dir,
                             cache_dir)
@@ -463,10 +471,13 @@ def _compute_study(names: List[str], spec: StudySpec,
             results.benchmarks[name] = collected[name]
     results.manifest = build_manifest(
         fingerprint=key, names=names, thresholds=spec.thresholds,
-        timings=timings, total_seconds=round(total, 3),
+        # Jobs finish largest first; list them in the caller's order.
+        timings={name: timings[name] for name in names if name in timings},
+        total_seconds=round(total, 3),
         extra={**spec.manifest(), "cached_benchmarks": cached_names,
                "pool": dispatch.backend if dispatch is not None else None,
                "config_fingerprint": confkey,
+               "blas": blas_facts,
                "profile": profile_data,
                "dispatch": dispatch_summary,
                "navep": (_navep_health(dispatch.outputs)

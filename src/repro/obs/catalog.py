@@ -148,6 +148,9 @@ CATALOG: List[Instrument] = [
                "Duplicate benchmark names dropped before dispatch."),
     Instrument("study.jobs", "gauge",
                "Worker processes the dispatcher ran with."),
+    Instrument("blas.threads", "gauge",
+               "OpenBLAS threads the study ran on (one; absent when the "
+               "library is not reachable)."),
     Instrument("retry.*", "counter",
                "Job retries by failure reason (error/timeout/crash), "
                "plus retry.resubmitted for requeued jobs."),

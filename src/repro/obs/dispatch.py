@@ -85,12 +85,14 @@ class JobTimeline:
 
 def summarize(records: Sequence[JobTimeline],
               jobs: int = 1,
-              wall_seconds: Optional[float] = None) -> Dict[str, Any]:
+              wall_seconds: Optional[float] = None,
+              order: Sequence[str] = ()) -> Dict[str, Any]:
     """Aggregate job timelines into the manifest's ``dispatch`` section.
 
     The summary answers the speedup question directly: total execute
     seconds vs. wall seconds gives the achievable parallelism, and the
-    per-segment totals name what ate the difference.
+    per-segment totals name what ate the difference.  ``order`` is the
+    benchmarks' submission order.
     """
     totals = {name: 0.0 for name in SEGMENTS}
     payload_bytes = 0
@@ -108,6 +110,7 @@ def summarize(records: Sequence[JobTimeline],
     summary: Dict[str, Any] = {
         "jobs": jobs,
         "records": len(records),
+        "order": list(order),
         "payload_bytes": payload_bytes,
         "outcomes": outcomes,
         "backends": backends,
@@ -139,6 +142,9 @@ def render(summary: Optional[Dict[str, Any]]) -> str:
         detail = ", ".join(f"{name} x{count}"
                            for name, count in sorted(backends.items()))
         lines.append(f"  backend(s): {detail}")
+    order = summary.get("order") or []
+    if order:
+        lines.append(f"  order: {' '.join(order)}")
     segments = summary.get("segments_seconds") or {}
     total = sum(segments.values()) or 1.0
     lines.append(f"  {'segment':10s} {'seconds':>10s} {'share':>7s}")

@@ -77,6 +77,10 @@ def render_manifest(manifest: Optional[Dict[str, Any]]) -> str:
                 "steps_scale", "include_perf", "total_seconds", "jobs"):
         if manifest.get(key) is not None:
             lines.append(f"  {key:15s} {manifest[key]}")
+    blas = manifest.get("blas")
+    if blas:
+        lines.append(f"  {'blas':15s} core {blas['core']}, threads "
+                     f"{blas['threads']}")
     benchmarks = manifest.get("benchmarks") or []
     lines.append(f"  {'benchmarks':15s} {len(benchmarks)}: "
                  f"{' '.join(benchmarks)}")

@@ -132,6 +132,7 @@ PHASE_OF_SPAN: Dict[str, str] = {
     "cache.load_aggregate": "cache-io",
     "cache.save_results": "cache-io",
     # dispatch machinery
+    "dispatch.order": "dispatch",
     "dispatch.serialize": "dispatch",
     "dispatch.merge": "dispatch",
     "dispatch.wait": "dispatch-wait",

@@ -61,7 +61,12 @@ def _breakdown(tables: CostTables, tmap: TranslationMap, costs: CostModel,
     if tables.num_steps > 1 and tmap.internal_pairs:
         tails = np.zeros(tables.num_blocks, dtype=bool)
         tails[list(tmap.tail_blocks)] = True
-        side = ~(np.isin(tables.edge_code, tmap.internal_pair_codes()) |
+        # Membership by binary search in the sorted codes: ``np.isin``
+        # would import ``numpy.ma`` into every pricing process.
+        codes = tmap.internal_pair_codes()
+        found = np.minimum(np.searchsorted(codes, tables.edge_code),
+                           len(codes) - 1)
+        side = ~((codes[found] == tables.edge_code) |
                  tails[tables.edge_src])
         num_side_exits = int(np.sum(opt_edge_steps[side]))
     n = tables.num_steps

@@ -135,7 +135,8 @@ def test_serial_manifest_attributes_without_double_counting():
 
 def test_cold_process_serial_coverage():
     """In a fresh process, building the benchmark before its study (suite
-    imports, CFG construction) is a named ``workload.build`` span, so
+    imports, CFG construction) runs in named spans: ``dispatch.order``,
+    which reads each benchmark's step budget, and ``workload.build``, so
     attribution stays above the bar without a warm interpreter."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     code = ("from repro.harness import run_full_study\n"

@@ -10,7 +10,7 @@ rests on:
    regeneration (see EXPERIMENTS.md, "Regenerating the golden corpus")
    instead of silent drift.
 2. **Reduced-study matrix** — a small study is recomputed under every
-   pool backend, job count (1/2) and verification mode, and every cell
+   pool backend, job count (1/2/3) and verification mode, and every cell
    must serialise to identical bytes; the same study on the reference
    engines (``oracle_engines``) must render identical figures.  This is
    the fast, always-on version of the full-corpus guarantee.
@@ -101,7 +101,8 @@ def test_golden_corpus_digest(name):
 def test_reduced_study_matrix_byte_identical():
     """dispatch mode x verify: identical bytes."""
     modes = [dict(jobs=1),                            # inprocess backend
-             dict(jobs=2)]                            # process backend
+             dict(jobs=2),                            # process backend
+             dict(jobs=3)]                            # one job per worker
     baseline = None
     for mode in modes:
         for verify in (False, True):
@@ -114,6 +115,12 @@ def test_reduced_study_matrix_byte_identical():
                 assert got == baseline, f"{label} diverged"
             assert "kernel" not in results.manifest, label
             assert "replay_kernel" not in results.manifest, label
+            # Jobs run largest first; results keep the caller's order.
+            assert list(results.benchmarks) == REDUCED["names"], label
+            assert list(results.manifest["timings"]) == \
+                REDUCED["names"], label
+            assert results.manifest["dispatch"]["order"] == \
+                ["mcf", "art", "gzip"], label
             assert results.manifest["pool"] == (
                 "process" if mode["jobs"] > 1 else "inprocess"), label
 

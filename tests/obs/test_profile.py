@@ -106,8 +106,8 @@ def test_every_harness_span_name_maps_to_a_phase():
     # The map itself must stay total over the names the harness emits;
     # a rename that misses this table would silently lower coverage.
     for name in ("full_study", "study_benchmark", "record_traces",
-                 "threshold_sweep", "perf_model", "dispatch.wait",
-                 "dispatch.merge", "cache.save_shard"):
+                 "threshold_sweep", "perf_model", "dispatch.order",
+                 "dispatch.wait", "dispatch.merge", "cache.save_shard"):
         assert name in PHASE_OF_SPAN
 
 
