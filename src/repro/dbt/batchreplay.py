@@ -6,8 +6,10 @@ the candidate-pool state machine per event in Python.  This module
 replays the *same* event stream in bulk:
 
 1. every live block's next registrations are gathered into one sorted
-   **position window** (numpy concatenate + argsort over the precomputed
-   per-block registration-position arrays);
+   **position window**: one gather over every live block, read straight
+   off the event index's shared residue array (block ``b``'s ``j``-th
+   registration is its execution ``(j + 1)·T − 1``, at a known slot of
+   that array), then one argsort;
 2. the pool-trigger scan over a window is vectorised — first-occurrence
    detection, pool-membership lookup and the running pool-size cumsum
    find the earliest trigger as array operations;
@@ -34,10 +36,11 @@ Equivalence to the heap walk (the differential suite in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Set
+from typing import Callable, List, Set
 
 import numpy as np
 
+from ..stochastic.trace import EventIndex
 from .config import DBTConfig
 
 #: Target registration events per window.
@@ -57,7 +60,7 @@ class ReplaySweepStats:
     events: int = 0
 
 
-def run_batched_replay(positions: Mapping[int, np.ndarray],
+def run_batched_replay(events: EventIndex,
                        config: DBTConfig,
                        optimize_blocks: OptimizeFn,
                        num_blocks: int,
@@ -66,28 +69,30 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
     """Drain one threshold's registration stream in sorted windows.
 
     Args:
-        positions: per block, its sorted registration positions (from
-            :func:`~repro.dbt.replay.registration_positions`).
-        config: the threshold's DBT knobs (pool trigger size and the
-            register-twice rule are read here).
+        events: the trace's event index; block ``b``'s registrations are
+            its executions ``T − 1, 2T − 1, ...`` (``T`` the threshold).
+        config: the threshold's DBT knobs (threshold, pool trigger size
+            and the register-twice rule are read here).
         optimize_blocks: drains into the host pipeline state; returns
-            the newly frozen blocks so the sweep can stop materialising
+            the newly frozen blocks so the sweep can stop gathering
             their remaining registrations.
         num_blocks: size of the block id space.
         chunk: target registration events per window.  Windows adapt to
             event density — only *live* (unfrozen, unexhausted) blocks
             contribute — so post-freeze registrations are never
-            materialised and tiny thresholds cost what a heap walk
-            pays, not the full registration count.
+            gathered and tiny thresholds cost what a heap walk pays,
+            not the full registration count.
     """
     stats = ReplaySweepStats()
-    ids = np.fromiter(positions.keys(), dtype=np.int64,
-                      count=len(positions))
+    threshold = config.threshold
+    lens = events.uses // threshold
+    has = lens > 0
+    ids = events.blocks[has]
     if ids.size == 0:
         return stats
-    regs = list(positions.values())
-    lens = np.fromiter((len(r) for r in regs), dtype=np.int64,
-                       count=len(regs))
+    lens = lens[has]
+    # Slot of each block's first registration; the next are T apart.
+    first_slot = events.offsets[has] + (threshold - 1)
     ptr = np.zeros(ids.size, dtype=np.int64)
     frozen = np.zeros(num_blocks, dtype=bool)
     pool_member = np.zeros(num_blocks, dtype=bool)
@@ -103,21 +108,20 @@ def run_batched_replay(positions: Mapping[int, np.ndarray],
         # position *not* taken from any block bounds the window: below
         # it, the gathered candidates are the complete event set.
         k = max(1, chunk // alive.size)
-        cand_pos: List[np.ndarray] = []
-        cand_blk: List[np.ndarray] = []
-        limit = None
-        for i in alive:
-            p = int(ptr[i])
-            take = regs[i][p:p + k]
-            cand_pos.append(take)
-            cand_blk.append(np.full(len(take), ids[i], dtype=np.int64))
-            if p + k < lens[i]:
-                nxt = int(regs[i][p + k])
-                if limit is None or nxt < limit:
-                    limit = nxt
-        pos = np.concatenate(cand_pos)
-        blk = np.concatenate(cand_blk)
-        if limit is not None:
+        left = lens[alive] - ptr[alive]
+        take = np.minimum(left, k)
+        at = first_slot[alive] + ptr[alive] * threshold
+        rank = np.arange(k)
+        slots = (at[:, None] + rank * threshold)[rank < take[:, None]]
+        more = left > k
+        bounded = bool(more.any())
+        if bounded:
+            slots = np.concatenate([slots, at[more] + k * threshold])
+        pos = events.slot_steps(slots)
+        blk = np.repeat(ids[alive], take)
+        if bounded:
+            limit = pos[len(blk):].min()
+            pos = pos[:len(blk)]
             keep = pos < limit
             pos = pos[keep]
             blk = blk[keep]

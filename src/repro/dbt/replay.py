@@ -39,15 +39,16 @@ def registration_positions(events: Mapping[int, BlockEvents],
     """Per block, the trace positions of its registration events.
 
     The k-th registration of a block is its ``(k*T)``-th execution, i.e.
-    ``steps[k*T - 1]``; one strided slice pulls all of them out of the
-    sorted step array at once, so the replay hot loop indexes a
-    precomputed array instead of re-deriving positions event by event.
+    the step of its execution ``k*T - 1`` (0-based), selected for every
+    ``k`` at once.  The production sweep gathers registrations window by
+    window instead (:func:`~repro.dbt.batchreplay.run_batched_replay`);
+    this whole-stream form feeds the reference heap walk and tests.
     """
     positions: Dict[int, np.ndarray] = {}
     for block, ev in events.items():
-        regs = ev.steps[threshold - 1::threshold]
-        if len(regs):
-            positions[block] = regs
+        if ev.use >= threshold:
+            positions[block] = ev.steps_at(
+                np.arange(threshold - 1, ev.use, threshold))
     return positions
 
 
@@ -59,20 +60,25 @@ def frozen_counter_view(events: Mapping[int, BlockEvents],
     A block's counters stop at its freeze step; unfrozen blocks report
     their counts up to ``now``.  This is the optimiser's (frozen-aware)
     view of the profile, shared by the single- and multi-threshold
-    replays.
+    replays.  Each block's counts are looked up once per view: region
+    formation asks about most blocks more than once, and a block frozen
+    while the view is in use is frozen at ``now``, which leaves its
+    counts as they were.
     """
     events_get = events.get
     freeze_get = freeze_step.get
+    seen: Dict[int, Tuple[int, int]] = {}
 
     def view(block: int) -> Tuple[int, int]:
-        ev = events_get(block)
-        if ev is None:
-            return (0, 0)
-        limit = freeze_get(block)
-        upto = now if limit is None else min(now, limit)
-        use = ev.use_before(upto)
-        taken = int(ev.taken_prefix[use])
-        return (use, taken)
+        counts = seen.get(block)
+        if counts is None:
+            ev = events_get(block)
+            if ev is None:
+                return (0, 0)
+            limit = freeze_get(block)
+            use = ev.use_before(now if limit is None else min(now, limit))
+            counts = seen[block] = (use, ev.taken_upto(use))
+        return counts
 
     return view
 
@@ -89,8 +95,11 @@ def snapshot_from_state(trace: ExecutionTrace,
     freeze_get = freeze_step.get
     for block, ev in events.items():
         limit = freeze_get(block)
-        use = ev.use if limit is None else ev.use_before(limit)
-        taken = int(ev.taken_prefix[use])
+        if limit is None:
+            use, taken = ev.use, ev.taken
+        else:
+            use = ev.use_before(limit)
+            taken = ev.taken_upto(use)
         if use > 0:
             blocks[block] = BlockProfile(
                 block_id=block, use=use, taken=taken, frozen_at=limit)
@@ -143,9 +152,7 @@ class ThresholdReplayState:
     def sweep(self) -> ReplaySweepStats:
         """Drive this threshold's registration stream through the
         pipeline, updating the state in place."""
-        positions = registration_positions(self._events,
-                                           self.config.threshold)
-        return run_batched_replay(positions, self.config,
+        return run_batched_replay(self._events, self.config,
                                   self._optimize_blocks,
                                   self.trace.num_blocks)
 

@@ -43,7 +43,7 @@ from ..perfmodel.costs import DEFAULT_COSTS, CostModel
 from ..perfmodel.execution import estimate_cost
 from ..perfmodel.tables import CostTables
 from ..workloads.spec import (BASE_THRESHOLD, SIM_THRESHOLDS,
-                              SyntheticBenchmark, all_benchmarks)
+                              SyntheticBenchmark, suite_names)
 from .faults import FaultPlan, set_active_plan
 from .pool import WorkerOutput, dedupe_names, dispatch_study_jobs
 from .results import (BenchmarkResult, PerfPoint, StudyResults,
@@ -274,7 +274,7 @@ def run_full_study(names: Optional[Iterable[str]] = None,
             :func:`repro.obs.configure` has not been called yet).
     """
     if names is None:
-        names = [b.name for b in all_benchmarks()]
+        names = suite_names()
     names = dedupe_names(list(names))
     spec = resolve_spec(
         thresholds=thresholds, config=config, costs=costs,

@@ -62,7 +62,8 @@ CATALOG: List[Instrument] = [
                "Per-block event indexes built (lazily, on first use)."),
     Instrument("trace.index_bytes", "histogram",
                "Bytes held by each event index built, every buffer "
-               "counted once (the shared zero prefix too)."),
+               "counted once (residues, bucket tables, outcomes and "
+               "checkpoints)."),
     Instrument("trace.count_passes", "counter",
                "Whole-run counts bincounted from a trace's per-step "
                "arrays (traces not recorded by the vector walker)."),

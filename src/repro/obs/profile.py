@@ -130,10 +130,8 @@ PHASE_OF_SPAN: Dict[str, str] = {
     "cache.load_shard": "cache-io",
     "cache.save_aggregate": "cache-io",
     "cache.load_aggregate": "cache-io",
-    "cache.save_results": "cache-io",
     # dispatch machinery
     "dispatch.order": "dispatch",
-    "dispatch.serialize": "dispatch",
     "dispatch.merge": "dispatch",
     "dispatch.wait": "dispatch-wait",
     "pool_rebuild": "dispatch",

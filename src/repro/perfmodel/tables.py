@@ -5,19 +5,19 @@ maps.  All the estimator needs are *counts*: how many of block ``b``'s
 executions ran optimised, and how many of those left by each successor
 edge.  A map settles both with one number per block: step ``s`` of
 ``b`` runs optimised iff ``optimized_at[b] <= s``.  So
-:class:`CostTables` keeps each block's sorted ``steps`` and
-``taken_prefix`` from the event index (``trace.events()``) and prices
-each map by rank in O(blocks · log N), with no per-step array:
+:class:`CostTables` keeps each block's rank/select store from the
+event index (``trace.events()``) and prices each map by rank in
+O(blocks · log N), with no per-step array:
 
 * a block's ``m`` executions with a successor (its ``use``, less one
   for the trace's last step) leave by one edge if the successor table
-  (``trace.successors``) gives one successor, else ``taken_prefix[m]``
+  (``trace.successors``) gives one successor, else ``taken_upto(m)``
   by the taken edge and the rest by the fall-through edge;
 * per map, with ``start = ceil(clip(optimized_at, 0, N))``, a block
-  counts whole if ``start <= steps[0]`` and zero if ``start >
-  steps[-1]``; else ``i = use_before(start) <= m`` leaves
+  counts whole if ``start <= first_step`` and zero if ``start >
+  last_step``; else ``i = use_before(start) <= m`` leaves
   ``use - i`` optimised executions, ``m - i`` optimised traversals and
-  ``taken_prefix[m] - taken_prefix[i]`` optimised taken ones.
+  ``taken_upto(m) - taken_upto(i)`` optimised taken ones.
 
 Exactness: the estimator sums ``count * price``.  With integral sizes
 and costs (every study's sizes and ``DEFAULT_COSTS``) every price,
@@ -76,12 +76,12 @@ class CostTables:
         stats[0] = n + 1
         edges = []
         for block, events in self._events.items():
-            use = m = len(events.steps)
-            last = int(events.steps[-1])
-            if last == n - 1:
+            use = m = events.use
+            if events.last_step == n - 1:
                 m -= 1  # the last step has no successor
-            taken = int(events.taken_prefix[m])
-            stats[:, block] = events.steps[0], last, use, m, taken
+            taken = events.taken_upto(m)
+            stats[:, block] = (events.first_step, events.last_step, use, m,
+                               taken)
             # Each edge is traversed ``a * m + b * taken`` times.
             fall, hit = trace.successors[block].tolist()
             for succ, count, a, b in (
@@ -113,8 +113,8 @@ class CostTables:
                                 self._leaving[part].tolist()):
             events = self._events[block]
             i = events.use_before(at)
-            per_block[block] = len(events.steps) - i
+            per_block[block] = events.use - i
             trips[block] = m - i
-            taken[block] = events.taken_prefix[m] - events.taken_prefix[i]
+            taken[block] = self._taken[block] - events.taken_upto(i)
         return per_block, (self._edge_a * trips[self.edge_src] +
                            self._edge_b * taken[self.edge_src])

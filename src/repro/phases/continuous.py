@@ -147,10 +147,9 @@ class SelectiveReprofiler:
                     uses = last - first
                     if uses <= 0:
                         break
-                    taken = int(ev.taken_prefix[last] -
-                                ev.taken_prefix[first])
+                    taken = ev.taken_upto(last) - ev.taken_upto(first)
                     new_p = taken / uses
-                    end_step = int(ev.steps[last - 1]) + 1
+                    end_step = int(ev.steps_at([last - 1])[0]) + 1
                     est.segments.append((end_step, new_p))
                     est.reprofiles += 1
                     est.extra_ops += uses + taken

@@ -68,9 +68,9 @@ def windowed_rates(trace: ExecutionTrace, block_id: int,
     use = np.zeros(num_windows, dtype=np.int64)
     taken = np.zeros(num_windows, dtype=np.int64)
     if events is not None:
-        windows = events.steps // window_steps
+        windows = events.steps() // window_steps
         np.add.at(use, windows, 1)
-        outcomes = np.diff(events.taken_prefix)
+        outcomes = np.diff(events.taken_prefix())
         np.add.at(taken, windows, outcomes)
     return WindowedRates(block_id=block_id, window_steps=window_steps,
                          use=use, taken=taken)

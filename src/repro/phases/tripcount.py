@@ -37,16 +37,17 @@ def extract_trips(trace: ExecutionTrace, latch: int) -> List[TripSample]:
     events = trace.events().get(latch)
     if events is None:
         return []
-    outcomes = np.diff(events.taken_prefix)  # 1 = taken (loop back)
+    outcomes = np.diff(events.taken_prefix())  # 1 = taken (loop back)
+    steps = events.steps()
     samples: List[TripSample] = []
     start_index = 0
     for i, outcome in enumerate(outcomes):
         if outcome == 0:
-            samples.append(TripSample(step=int(events.steps[start_index]),
+            samples.append(TripSample(step=int(steps[start_index]),
                                       trips=i - start_index + 1))
             start_index = i + 1
     if start_index < len(outcomes):
-        samples.append(TripSample(step=int(events.steps[start_index]),
+        samples.append(TripSample(step=int(steps[start_index]),
                                   trips=len(outcomes) - start_index))
     return samples
 

@@ -17,15 +17,16 @@
 from .behavior import (BranchBehavior, Phase, ProgramBehavior, drifting,
                        loopback_for_trip_count, phased, steady,
                        trip_count_for_loopback, warmup)
-from .trace import (NO_BRANCH, BlockEvents, ExecutionTrace, RunCounts,
-                    TraceError)
+from .trace import (NO_BRANCH, BlockEvents, EventIndex, ExecutionTrace,
+                    RunCounts, TraceError)
 from .vecwalker import (VecWalker, numpy_uniform_stream, record_counts,
                         record_trace)
 from .walker import CFGWalker, TraceRecorder, replay_trace, walk
 
 __all__ = [
     "NO_BRANCH", "BlockEvents", "BranchBehavior", "CFGWalker",
-    "ExecutionTrace", "Phase", "ProgramBehavior", "RunCounts", "TraceError",
+    "EventIndex", "ExecutionTrace", "Phase", "ProgramBehavior", "RunCounts",
+    "TraceError",
     "TraceRecorder", "VecWalker", "drifting", "loopback_for_trip_count", "numpy_uniform_stream",
     "phased", "record_counts", "record_trace", "replay_trace", "steady",
     "trip_count_for_loopback", "walk", "warmup",

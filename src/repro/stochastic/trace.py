@@ -13,12 +13,16 @@ many times (see :mod:`repro.dbt.replay`).
 A trace recorded by the vector walker keeps its run as a
 :class:`DecisionLog` instead of per-step arrays: one segment start and
 one branch outcome per decision, plus the undecided tail.  Its per-block
-event index is built straight from the log (each segment's blocks at
-fixed offsets from the segment's start step), and ``blocks``/``taken``
-are decoded only if something reads them (counted in
-``trace.decodes``).  Traces built from arrays (the scalar walker,
-:meth:`ExecutionTrace.load`, :meth:`ExecutionTrace.from_sequences`) are
-indexed by a radix argsort of their block ids.
+event index is built straight from the log, chunk by chunk in time
+order (each segment's blocks at fixed offsets from the segment's start
+step), and ``blocks``/``taken`` are decoded only if something reads them
+(counted in ``trace.decodes``).  Traces built from arrays (the scalar
+walker, :meth:`ExecutionTrace.load`, :meth:`ExecutionTrace.from_sequences`)
+are indexed by per-chunk radix argsorts of their block ids.  Both lay
+out the same :class:`EventIndex`: per block, a rank/select store of
+16-bit step residues, a per-bucket table and, for a block taken at
+least once, its outcomes with a taken-count checkpoint every 64
+executions (:class:`BlockEvents`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +40,26 @@ from ..obs.spans import span
 #: sentinel in the taken array for non-branch block executions.
 NO_BRANCH = -1
 
-#: Steps per stable argsort when the event index groups a trace by
-#: block: the sort's int64 output and scratch stay this size, not two
-#: whole-trace arrays next to the index.
+#: Steps per stable argsort when the event index groups an array trace
+#: by block: the sort's int64 output and scratch stay this size, not
+#: two whole-trace arrays next to the index.
 _SORT_CHUNK = 1 << 19
+
+#: Decisions per time-ordered chunk when the event index is built from
+#: a decision log.  Steps in one chunk all come before those of the
+#: next, so a join block's runs are merged within a chunk, and the
+#: chunk's start steps, sort order and merge keys are all the scratch
+#: the build holds next to the index.  Smaller chunks lower the build's
+#: peak and cost Python iterations (docs/performance.md, "The index
+#: layout").
+_INDEX_CHUNK = 1 << 17
+
+#: A step is ``(bucket << BUCKET_BITS) | residue``: the index keeps every
+#: execution's 16-bit residue and, per block, where each bucket starts.
+BUCKET_BITS = 16
+
+#: Executions between two taken-count checkpoints of a taken block.
+_CHECK_BITS = 6
 
 
 def step_dtype(num_steps: int) -> type:
@@ -56,54 +76,151 @@ class TraceError(ValueError):
     """Raised for malformed or inconsistent traces."""
 
 
-@dataclass
 class BlockEvents:
-    """Per-block view of a trace (built once, queried many times).
+    """One block's executions in the event index, as a rank/select store.
+
+    The replay asks a block two things: how many of its executions (and
+    how many taken ones) come before a step, and at which step its
+    ``i``-th execution runs.  The store answers both without a full
+    step per execution:
+
+    * **steps**: the low :data:`BUCKET_BITS` bits of every step, as a
+      ``uint16`` view of the index's shared residue array, plus a small
+      table of where each ``2**16``-step bucket starts in it, from the
+      block's first bucket to its last (its slice of the index's
+      ``bucket_at``);
+    * **taken counts**: for a block taken at least once, its int8
+      outcomes in step order (a slice of the index's shared ``bytes``)
+      and the taken count before every 64th execution.
+
+    The index's bucket table and the checkpoints are of the run's
+    :func:`step_dtype`, and so are decoded steps; everything is
+    read-only.
 
     Attributes:
-        steps: sorted global steps at which the block executed.
-        taken_prefix: ``taken_prefix[k]`` = taken outcomes among the first
-            ``k`` executions (so ``taken_prefix[len(steps)]`` is the total);
-            all zeros for a block that is never taken.
-
-    Both arrays are read-only and of the run's :func:`step_dtype`.
+        use: executions of the block in the trace.
+        taken: taken outcomes of its branch in the trace.
+        first_step, last_step: steps of its first and last execution.
     """
 
-    steps: np.ndarray
-    taken_prefix: np.ndarray
+    __slots__ = ("use", "taken", "first_step", "last_step", "_res",
+                 "_starts", "_b0", "_type", "_outcomes", "_out_off",
+                 "_checks")
 
-    @property
-    def use(self) -> int:
-        """Total executions of the block in the trace."""
-        return int(len(self.steps))
-
-    @property
-    def taken(self) -> int:
-        """Total taken outcomes of the block's branch in the trace."""
-        return int(self.taken_prefix[-1])
+    def __init__(self, residues: np.ndarray, offset: int, at: np.ndarray,
+                 first_bucket: int, outcomes: Optional[bytes],
+                 out_offset: int, checks: Optional[np.ndarray]):
+        self.use = int(at[-1]) - offset
+        self._res = residues[offset:offset + self.use]
+        # The block's slice of the index's bucket table, counted from
+        # its first execution, as Python ints: a rank lookup reads two
+        # of them, and a numpy scalar read costs more than the search.
+        self._starts = tuple(start - offset for start in at.tolist())
+        self._b0 = first_bucket
+        self._type = at.dtype.type
+        self._outcomes = outcomes
+        self._out_off = out_offset
+        self._checks = checks
+        self.taken = 0 if checks is None else self.taken_upto(self.use)
+        self.first_step = (first_bucket << BUCKET_BITS) | int(self._res[0])
+        self.last_step = ((first_bucket + len(at) - 2) << BUCKET_BITS |
+                          int(self._res[-1]))
 
     def use_before(self, step: int) -> int:
         """Executions strictly before global ``step`` (any step of the
-        run, or its length).
+        run, or its length): one bucket table read and one search inside
+        that bucket.
 
-        The needle is cast to the index's type first: searching an int32
-        array for a Python int or an int64 casts the whole array.  It
-        goes through ``operator.index`` so that a float raises instead
-        of truncating, and an integer out of the type's range raises
-        instead of wrapping.
+        The needle goes through ``operator.index``, so that a float
+        raises instead of truncating, and outside the block's buckets
+        through the index's type, so that an integer out of the type's
+        range raises instead of wrapping.  The in-bucket needle is cast
+        to ``uint16`` first, since searching a ``uint16`` array for a
+        wider integer casts the whole array.
         """
-        needle = self.steps.dtype.type(operator.index(step))
-        return int(self.steps.searchsorted(needle))
+        needle = operator.index(step)
+        starts = self._starts
+        j = (needle >> BUCKET_BITS) - self._b0
+        if 0 <= j < len(starts) - 1:
+            lo = starts[j]
+            low = np.uint16(needle & 0xFFFF)
+            return lo + int(self._res[lo:starts[j + 1]].searchsorted(low))
+        self._type(needle)
+        return 0 if j < 0 else self.use
 
-    def taken_before(self, step: int) -> int:
-        """Taken outcomes strictly before global ``step``."""
-        return int(self.taken_prefix[self.use_before(step)])
+    def taken_upto(self, i: int) -> int:
+        """Taken outcomes among the block's first ``i`` executions
+        (``0 <= i <= use``)."""
+        if self._checks is None:
+            return 0
+        c = i >> _CHECK_BITS
+        o = self._out_off
+        return int(self._checks[c]) + self._outcomes.count(
+            1, o + (c << _CHECK_BITS), o + i)
 
-    def step_of_use(self, k: int) -> Optional[int]:
-        """Global step of the block's ``k``-th execution (1-based), if any."""
-        if 1 <= k <= len(self.steps):
-            return int(self.steps[k - 1])
-        return None
+    def steps_at(self, indices) -> np.ndarray:
+        """Steps of the block's executions at the 0-based ``indices``
+        (each in ``[0, use)``), in the index's type."""
+        indices = np.asarray(indices, dtype=np.int64)
+        bucket = np.searchsorted(self._starts, indices, "right")
+        bucket += self._b0 - 1
+        return ((bucket << BUCKET_BITS) | self._res[indices]).astype(
+            self._type)
+
+    def steps(self) -> np.ndarray:
+        """Every execution's step, in order (decoded on each call)."""
+        return self.steps_at(np.arange(self.use))
+
+    def taken_prefix(self) -> np.ndarray:
+        """``taken_prefix()[i]`` = taken outcomes among the first ``i``
+        executions, for ``i`` in ``0..use`` (decoded on each call)."""
+        prefix = np.zeros(self.use + 1, dtype=self._type)
+        if self._outcomes is not None:
+            np.cumsum(np.frombuffer(self._outcomes, np.int8, self.use,
+                                    self._out_off),
+                      dtype=prefix.dtype, out=prefix[1:])
+        return prefix
+
+
+class EventIndex(Dict[int, BlockEvents]):
+    """A run's per-block event index: executed block id ->
+    :class:`BlockEvents`, in ascending id order.
+
+    Besides the per-block stores it exposes the shared arrays they view,
+    so that a caller can select the steps of many blocks' executions in
+    one gather (:meth:`slot_steps`).  Block ``b``'s executions occupy
+    *slots* ``offsets[i] .. offsets[i] + uses[i] - 1`` of ``residues``,
+    for ``b = blocks[i]``.
+
+    Attributes:
+        residues: uint16 low bits of every execution's step.
+        bucket_at: slot where each (block, bucket) entry starts, block by
+            block, closed by the run's length.
+        bucket_base: ``bucket << BUCKET_BITS`` of each entry.
+        blocks, offsets, uses: int64 executed block ids, their first
+            slots and their executions.
+    """
+
+    def __init__(self, residues: np.ndarray, bucket_at: np.ndarray,
+                 bucket_base: np.ndarray, blocks: np.ndarray,
+                 offsets: np.ndarray, uses: np.ndarray):
+        super().__init__()
+        for array in (residues, bucket_at, bucket_base, blocks, offsets,
+                      uses):
+            array.flags.writeable = False
+        self.residues = residues
+        self.bucket_at = bucket_at
+        self.bucket_base = bucket_base
+        self.blocks = blocks
+        self.offsets = offsets
+        self.uses = uses
+
+    def slot_steps(self, slots: np.ndarray) -> np.ndarray:
+        """Steps at global ``slots`` (each below the run's length)."""
+        entry = self.bucket_at.searchsorted(
+            slots.astype(self.bucket_at.dtype), "right")
+        entry -= 1
+        return self.bucket_base[entry] + self.residues[slots]
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,112 +364,193 @@ class DecisionLog:
             blocks[decided + at.start:decided + at.stop:at.step] = block
         return blocks, taken
 
-    def events(self, counts: RunCounts) -> Dict[int, BlockEvents]:
+    def events(self, counts: RunCounts) -> EventIndex:
         """The per-block event index of the logged walk.
 
         Decision ``i`` starts at the sum of the lengths of the segments
         before it, and block ``b`` at offset ``k`` of segment ``v`` runs
-        at that start plus ``k`` for every decision of ``v``.  One stable
-        (radix, for 8/16-bit starts) argsort groups the decisions by
-        segment; each segment's start steps, plus each offset, fill its
-        blocks' slices of one shared ``order`` array laid out from the
-        whole-run counts; the decisions per segment are the walker's
-        ``per_start`` tally, so no pass over the log counts them.  A
-        block in several segments (a join) merges its sorted runs with
-        one stable sort, of ``step << 1 | outcome`` (int32 up to 2**30
-        steps, else int64) when the block is a branch, whose int8
-        outcomes give ``taken_prefix``.  The tail's steps, the last of
-        the run, close each slice.
+        at that start plus ``k`` for every decision of ``v``.  The log is
+        read in time-ordered chunks of :data:`_INDEX_CHUNK` decisions.
+        Each chunk packs every decision into one key, ``start << 1 |
+        outcome`` with the start counted from the chunk's first step
+        (int32 unless a chunk could span 2**30 steps), and one stable
+        (radix, for 8/16-bit starts) argsort groups the keys by segment,
+        each group in time order.  A group's keys plus ``k << 1`` are the
+        executions of the segment's block at offset ``k``, each with the
+        decision's outcome, and are appended to that block's store.  A
+        block in several segments (a join) first merges its runs in the
+        chunk with one stable sort.  The tail's steps, the last of the
+        run, close each store.
         """
         seg = self.segments
-        starts = self.starts
-        num_steps = counts.num_steps
-        use = counts.use
-        dtype = step_dtype(num_steps)
-        pos = np.zeros(len(starts), dtype=dtype)
-        np.cumsum(seg.length[starts[:-1]], out=pos[1:])
-        perm = np.argsort(starts, kind="stable")
-        pos = pos[perm]
-        outcomes = self.outcomes[perm]
-        del perm
-        ends = np.cumsum(use)
-        fill = ends - use  # next free slot of each block's slice
-        order = np.empty(num_steps, dtype=dtype)
-        runs: Dict[int, List[Tuple[int, int]]] = {}
-        per_start = self.per_start
-        group_end = np.cumsum(per_start)
-        for v in np.flatnonzero(per_start).tolist():
-            hi = int(group_end[v])
-            lo = hi - int(per_start[v])
-            for k, block in enumerate(seg.blocks(v).tolist()):
-                f = fill[block]
-                np.add(pos[lo:hi], k, out=order[f:f + hi - lo])
-                fill[block] = f + hi - lo
-                runs.setdefault(block, []).append((lo, hi))
-        del pos
-        taken_of: Dict[int, np.ndarray] = {}
-        # ``step << 1 | 1`` of the run's last step fits int32 up to
-        # 2**30 steps.
-        key_type = np.int32 if num_steps <= 2**30 else np.int64
-        for block, parts in runs.items():
-            is_branch = seg.branch[block] == block
-            if len(parts) == 1:
-                if is_branch:
-                    taken_of[block] = outcomes[parts[0][0]:parts[0][1]]
-                continue
-            steps = order[ends[block] - use[block]:fill[block]]
-            if is_branch:
-                keys = np.left_shift(steps, 1, dtype=key_type)
-                keys |= np.concatenate([outcomes[lo:hi] for lo, hi in parts])
-                keys.sort(kind="stable")
-                np.right_shift(keys, 1, out=steps)
-                taken_of[block] = (keys & 1).astype(np.int8)
-            else:
-                steps.sort(kind="stable")
-        decided = num_steps - self.tail_steps
+        build = _IndexBuilder(counts)
+        present = np.flatnonzero(self.per_start)
+        blocks_of = [seg.blocks(v).tolist() for v in present.tolist()]
+        seen = np.zeros(counts.num_blocks, dtype=np.int64)
+        for blocks in blocks_of:
+            seen[blocks] += 1
+        joins = set(np.flatnonzero(seen > 1).tolist())
+        present = present.astype(self.starts.dtype)
+        # ``start << 1 | outcome`` of a chunk's last decision.
+        widest = _INDEX_CHUNK * int(seg.length.max(initial=1)) << 1 | 1
+        key_type = np.int32 if widest < 2**31 else np.int64
+        first = 0  # step of the chunk's first decision
+        for lo in range(0, len(self.starts), _INDEX_CHUNK):
+            part = self.starts[lo:lo + _INDEX_CHUNK]
+            key = np.empty(len(part), dtype=key_type)
+            key[0] = 0
+            np.cumsum(seg.length[part[:-1]], dtype=key_type, out=key[1:])
+            span = int(key[-1]) + int(seg.length[part[-1]])
+            key <<= 1
+            key |= self.outcomes[lo:lo + len(part)]
+            perm = np.argsort(part, kind="stable")
+            key = key[perm]
+            part = part[perm]
+            del perm
+            group_lo = part.searchsorted(present).tolist()
+            group_hi = part.searchsorted(present, "right").tolist()
+            runs: Dict[int, List[Tuple[np.ndarray, int]]] = {}
+            for blocks, a, b in zip(blocks_of, group_lo, group_hi):
+                if a == b:
+                    continue
+                for k, block in enumerate(blocks):
+                    if block in joins:
+                        runs.setdefault(block, []).append((key[a:b], k))
+                    else:
+                        build.append(block, key[a:b], first + k)
+            for block, parts in runs.items():
+                if len(parts) > 1:
+                    merged = np.empty(sum(len(at) for at, _ in parts),
+                                      dtype=key_type)
+                    end = 0
+                    for at, k in parts:
+                        np.add(at, k << 1, out=merged[end:end + len(at)])
+                        end += len(at)
+                    merged.sort(kind="stable")
+                    parts = [(merged, 0)]
+                for at, k in parts:
+                    build.append(block, at, first + k)
+            del key
+            first += span
         for block, at in seg.tail(self.tail_start, self.tail_steps):
-            f = fill[block]
-            order[f:f + len(at)] = np.arange(decided + at.start,
-                                             decided + at.stop, at.step)
-            fill[block] = f + len(at)
-        return _block_events(order, counts,
-                             lambda block, steps: taken_of[block])
+            build.append(block, np.arange(at.start << 1, at.stop << 1,
+                                          at.step << 1), first)
+        return build.finish()
 
 
-def _block_events(order: np.ndarray, counts: RunCounts,
-                  outcomes: Callable[[int, np.ndarray], np.ndarray]
-                  ) -> Dict[int, BlockEvents]:
-    """Cut the by-block ``order`` of a run's steps into its event index.
+class _IndexBuilder:
+    """Lays a run's executions into the event index's shared arrays.
 
-    ``order`` holds each executed block's steps, sorted, in block order,
-    as laid out by ``counts``.  A block that is taken at least once gets
-    its own ``taken_prefix``, the running sum of ``outcomes(block,
-    steps)`` (its 0/1 outcomes in step order); every other block gets a
-    view of one zero array.  All of it is read-only and of ``order``'s
-    type; its bytes, each buffer counted once, go to
-    ``trace.index_bytes``.
+    Each block's slice of the residue (and, if it is ever taken,
+    outcome) array is laid out from the whole-run counts up front.
+    :meth:`append` adds a sorted run of one block's executions, as
+    ``step << 1 | outcome`` keys counted from a base step, which must
+    come after every execution appended for that block before; it
+    records where each bucket the run enters starts.  :meth:`finish`
+    cuts the arrays into the :class:`EventIndex`.  Both index builders
+    (the decision log's and the array trace's) finish here, so there is
+    one layout.
     """
-    use = counts.use
-    ends = np.cumsum(use)
-    taken = counts.taken > 0
-    zeros = np.zeros(int(use[~taken].max(initial=0)) + 1, dtype=order.dtype)
-    zeros.flags.writeable = False
-    order.flags.writeable = False
-    nbytes = order.nbytes + zeros.nbytes
-    events: Dict[int, BlockEvents] = {}
-    for block in np.flatnonzero(use).tolist():
-        steps = order[ends[block] - use[block]:ends[block]]
-        if taken[block]:
-            prefix = np.zeros(len(steps) + 1, dtype=order.dtype)
-            np.cumsum(outcomes(block, steps), dtype=order.dtype,
-                      out=prefix[1:])
-            prefix.flags.writeable = False
-            nbytes += prefix.nbytes
-        else:
-            prefix = zeros[:len(steps) + 1]
-        events[block] = BlockEvents(steps=steps, taken_prefix=prefix)
-    observe("trace.index_bytes", nbytes)
-    return events
+
+    def __init__(self, counts: RunCounts):
+        use = counts.use
+        self.counts = counts
+        self.dtype = step_dtype(counts.num_steps)
+        self.residues = np.empty(counts.num_steps, dtype=np.uint16)
+        self.fill = (np.cumsum(use) - use).tolist()
+        kept = np.where(counts.taken > 0, use, 0)
+        self.keeps = (kept > 0).tolist()
+        self.outcomes = np.empty(int(kept.sum()), dtype=np.int8)
+        self.out_fill = (np.cumsum(kept) - kept).tolist()
+        # Per block: the slot where each bucket from its first to its
+        # current one starts, its first bucket and its current bucket.
+        self.marks: Dict[int, List[int]] = {}
+        self.first_bucket: Dict[int, int] = {}
+        self.bucket: Dict[int, int] = {}
+
+    def append(self, block: int, keys: np.ndarray, k: int) -> None:
+        """Append executions ``keys`` to ``block``: sorted, non-empty
+        ``(step - k) << 1 | outcome`` keys, the outcome 0 where the
+        execution has none.  Outcomes are kept only for a block that is
+        taken at least once."""
+        n = len(keys)
+        f = self.fill[block]
+        residues = self.residues[f:f + n]
+        np.right_shift(keys, 1, out=residues, casting="unsafe")
+        residues += k & 0xFFFF
+        low = ((int(keys[0]) >> 1) + k) >> BUCKET_BITS
+        high = ((int(keys[-1]) >> 1) + k) >> BUCKET_BITS
+        marks = self.marks.get(block)
+        if marks is None:
+            marks = self.marks[block] = [f]
+            self.first_bucket[block] = low
+        elif low > self.bucket[block]:
+            marks.extend([f] * (low - self.bucket[block]))
+        if high > low:
+            # The first execution at or past each bucket edge after the
+            # first, as a key.
+            edges = np.arange((low + 1 << BUCKET_BITS) - k << 1,
+                              (high << BUCKET_BITS) - k + 1 << 1,
+                              2 << BUCKET_BITS, dtype=keys.dtype)
+            marks.extend([f + i for i in keys.searchsorted(edges).tolist()])
+        self.bucket[block] = high
+        self.fill[block] = f + n
+        if self.keeps[block]:
+            g = self.out_fill[block]
+            np.bitwise_and(keys, 1, out=self.outcomes[g:g + n],
+                           casting="unsafe")
+            self.out_fill[block] = g + n
+
+    def finish(self) -> EventIndex:
+        """The index, all of it read-only; its bytes, each buffer counted
+        once, go to ``trace.index_bytes``."""
+        use = self.counts.use
+        dtype = self.dtype
+        blocks = np.flatnonzero(use)
+        marks = [self.marks[b] for b in blocks.tolist()]
+        sizes = [len(m) for m in marks]
+        bucket_at = np.empty(sum(sizes) + 1, dtype=dtype)
+        bucket_at[:-1] = [f for m in marks for f in m]
+        bucket_at[-1] = self.counts.num_steps
+        bucket_base = np.array(
+            [self.first_bucket[b] + j
+             for b, n in zip(blocks.tolist(), sizes) for j in range(n)],
+            dtype=dtype)
+        bucket_base <<= BUCKET_BITS
+        kept = np.where(self.counts.taken > 0, use, 0)
+        per_check = (kept >> _CHECK_BITS) + (kept > 0)
+        checks = np.zeros(int(per_check.sum()), dtype=dtype)
+        check_at = np.cumsum(per_check) - per_check
+        out_at = np.cumsum(kept) - kept
+        for b in np.flatnonzero(kept).tolist():
+            whole = (int(kept[b]) >> _CHECK_BITS) << _CHECK_BITS
+            c = int(check_at[b])
+            sums = self.outcomes[out_at[b]:out_at[b] + whole].reshape(
+                -1, 1 << _CHECK_BITS).sum(axis=1, dtype=dtype)
+            np.cumsum(sums, out=checks[c + 1:c + 1 + len(sums)])
+        outcomes = self.outcomes.tobytes()
+        self.outcomes = None
+        checks.flags.writeable = False
+        offsets = (np.cumsum(use) - use)[blocks]
+        index = EventIndex(self.residues, bucket_at, bucket_base, blocks,
+                           offsets, use[blocks])
+        entry = 0
+        for b, off, n in zip(blocks.tolist(), offsets.tolist(), sizes):
+            at = bucket_at[entry:entry + n + 1]
+            entry += n
+            if kept[b]:
+                c = int(check_at[b])
+                index[b] = BlockEvents(self.residues, off, at,
+                                       self.first_bucket[b], outcomes,
+                                       int(out_at[b]),
+                                       checks[c:c + int(per_check[b])])
+            else:
+                index[b] = BlockEvents(self.residues, off, at,
+                                       self.first_bucket[b], None, 0, None)
+        observe("trace.index_bytes", len(outcomes) + sum(
+            array.nbytes for array in (self.residues, bucket_at,
+                                       bucket_base, checks)))
+        return index
 
 
 class ExecutionTrace:
@@ -388,7 +586,7 @@ class ExecutionTrace:
         self.num_blocks = int(num_blocks)
         self._num_steps = len(blocks)
         self._counts = counts
-        self._events: Optional[Dict[int, BlockEvents]] = None
+        self._events: Optional[EventIndex] = None
         self._successors: Optional[np.ndarray] = None
 
     @classmethod
@@ -497,7 +695,7 @@ class ExecutionTrace:
 
     # -- per-block event index ---------------------------------------------------
 
-    def events(self) -> Dict[int, BlockEvents]:
+    def events(self) -> EventIndex:
         """Per-block event index, built on first use and cached.
 
         Only the replay and pricing consumers of the *ref* trace read it,
@@ -514,27 +712,24 @@ class ExecutionTrace:
             inc("trace.index_builds")
         return self._events
 
-    def _build_events(self) -> Dict[int, BlockEvents]:
+    def _build_events(self) -> EventIndex:
         """Group an array trace's steps by block with stable per-chunk
         argsorts.
 
         Ids are narrowed to the smallest unsigned width holding
         ``num_blocks`` (checked in ``__init__``); for 8/16-bit keys
         numpy's stable sort is an O(N) radix sort.  Each chunk of
-        :data:`_SORT_CHUNK` steps is sorted on its own and its runs are
-        appended to their blocks' slices of one shared ``order`` array,
-        which the cached whole-run counts lay out up front; so the sort's
-        scratch stays chunk-sized and no pass counts the steps again.
-        Every block's ``steps`` is a read-only view of ``order``.
+        :data:`_SORT_CHUNK` steps is sorted on its own and each block's
+        run in it is appended to the block's store, so the sort's scratch
+        stays chunk-sized.
         """
         keys = self.blocks
         if self.num_blocks <= 1 << 8:
             keys = keys.astype(np.uint8)
         elif self.num_blocks <= 1 << 16:
             keys = keys.astype(np.uint16)
-        counts = self.use_counts()
-        fill = np.cumsum(counts) - counts  # next free slot of each slice
-        order = np.empty(len(keys), dtype=step_dtype(len(keys)))
+        build = _IndexBuilder(self.counts())
+        taken = self.taken
         inner = np.arange(1, self.num_blocks, dtype=keys.dtype)
         for lo in range(0, len(keys), _SORT_CHUNK):
             part = keys[lo:lo + _SORT_CHUNK]
@@ -544,14 +739,13 @@ class ExecutionTrace:
             bounds[0] = 0
             bounds[1:-1] = np.searchsorted(part[perm], inner)
             bounds[-1] = len(part)
-            perm += lo
             for bid in np.flatnonzero(np.diff(bounds)).tolist():
-                a, b = bounds[bid], bounds[bid + 1]
-                order[fill[bid]:fill[bid] + b - a] = perm[a:b]
-                fill[bid] += b - a
-        taken = self.taken
-        return _block_events(order, self.counts(),
-                             lambda block, steps: taken[steps] == 1)
+                run = perm[bounds[bid]:bounds[bid + 1]]
+                packed = run << 1
+                if build.keeps[bid]:
+                    packed |= taken[run + lo] == 1
+                build.append(bid, packed, lo)
+        return build.finish()
 
     def edge_counts(self) -> Dict[Tuple[int, int], int]:
         """Dynamic traversal count of every executed control-flow edge."""

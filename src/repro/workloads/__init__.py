@@ -16,7 +16,7 @@ from .generators import (DRIVER_ROLE, BranchySegment, ChainSegment,
 from .spec import (BASE_THRESHOLD, NOMINAL_THRESHOLDS, SIM_THRESHOLDS,
                    THRESHOLD_SCALE, SyntheticBenchmark, all_benchmarks,
                    benchmark_names, fp_benchmarks, get_benchmark,
-                   int_benchmarks, nominal_label, register)
+                   int_benchmarks, nominal_label, register, suite_names)
 
 __all__ = [
     "BASE_THRESHOLD", "BranchSpec", "BranchySegment", "ChainSegment",
@@ -25,5 +25,6 @@ __all__ = [
     "THRESHOLD_SCALE", "Workload", "WorkloadBuilder", "all_benchmarks",
     "as_behavior", "benchmark_names", "build_workload", "fp_benchmarks",
     "get_benchmark", "int_benchmarks", "jitter", "jitter_trips",
-    "nominal_label", "realize_character", "register", "trips",
+    "nominal_label", "realize_character", "register", "suite_names",
+    "trips",
 ]

@@ -77,7 +77,7 @@ def _stencil_specs(name: str, inner: float = 400.0, sweep: float = 1000.0,
     }
 
 
-@register("wupwise")
+@register("wupwise", "fp")
 def wupwise() -> SyntheticBenchmark:
     """Lattice QCD: 20% mismatch until nominal ~1M (very long warm-up)."""
     segments = [
@@ -102,7 +102,7 @@ def wupwise() -> SyntheticBenchmark:
                  run_steps=4_000_000, seed=21)
 
 
-@register("swim")
+@register("swim", "fp")
 def swim() -> SyntheticBenchmark:
     """Shallow water: textbook steady stencil."""
     return _make("swim", _stencil("swim"),
@@ -110,7 +110,7 @@ def swim() -> SyntheticBenchmark:
                  seed=22)
 
 
-@register("mgrid")
+@register("mgrid", "fp")
 def mgrid() -> SyntheticBenchmark:
     """Multigrid: steady, deeply nested, very high trip counts."""
     config = _fp_config(seed=203)
@@ -120,7 +120,7 @@ def mgrid() -> SyntheticBenchmark:
                  seed=23)
 
 
-@register("applu")
+@register("applu", "fp")
 def applu() -> SyntheticBenchmark:
     """SSOR solver: steady with a mild per-grid-sweep warm-up."""
     config = _fp_config(seed=204, warmup_fraction=0.3, warmup_uses=50,
@@ -130,7 +130,7 @@ def applu() -> SyntheticBenchmark:
                  seed=24)
 
 
-@register("mesa")
+@register("mesa", "fp")
 def mesa() -> SyntheticBenchmark:
     """3-D graphics library: more branchy than the other FP codes."""
     segments = [
@@ -149,7 +149,7 @@ def mesa() -> SyntheticBenchmark:
     return _make("mesa", segments, Character(config, specs), seed=25)
 
 
-@register("galgel")
+@register("galgel", "fp")
 def galgel() -> SyntheticBenchmark:
     """Galerkin FEM: steady spectral loops."""
     config = _fp_config(seed=206)
@@ -158,7 +158,7 @@ def galgel() -> SyntheticBenchmark:
                  seed=26)
 
 
-@register("art")
+@register("art", "fp")
 def art() -> SyntheticBenchmark:
     """Neural net: steady training epochs, slightly noisier branches."""
     config = _fp_config(seed=207,
@@ -170,7 +170,7 @@ def art() -> SyntheticBenchmark:
                  seed=27)
 
 
-@register("equake")
+@register("equake", "fp")
 def equake() -> SyntheticBenchmark:
     """Seismic wave propagation: sparse-matrix loops, steady."""
     segments = [
@@ -187,7 +187,7 @@ def equake() -> SyntheticBenchmark:
     return _make("equake", segments, Character(config, specs), seed=28)
 
 
-@register("facerec")
+@register("facerec", "fp")
 def facerec() -> SyntheticBenchmark:
     """Face recognition: steady with one mildly phased gallery loop."""
     from ..stochastic.behavior import phased
@@ -200,7 +200,7 @@ def facerec() -> SyntheticBenchmark:
     return _make("facerec", segments, Character(config, specs), seed=29)
 
 
-@register("ammp")
+@register("ammp", "fp")
 def ammp() -> SyntheticBenchmark:
     """Molecular dynamics: neighbour-list loops, slight drift."""
     from ..stochastic.behavior import drifting
@@ -220,7 +220,7 @@ def ammp() -> SyntheticBenchmark:
     return _make("ammp", segments, Character(config, specs), seed=30)
 
 
-@register("lucas")
+@register("lucas", "fp")
 def lucas() -> SyntheticBenchmark:
     """Lucas–Lehmer primality: training input diverges badly (~25%)."""
     segments = _stencil("fft")
@@ -234,7 +234,7 @@ def lucas() -> SyntheticBenchmark:
     return _make("lucas", segments, Character(config, specs), seed=31)
 
 
-@register("fma3d")
+@register("fma3d", "fp")
 def fma3d() -> SyntheticBenchmark:
     """Crash simulation: steady element loops."""
     config = _fp_config(seed=212)
@@ -243,7 +243,7 @@ def fma3d() -> SyntheticBenchmark:
                  seed=32)
 
 
-@register("sixtrack")
+@register("sixtrack", "fp")
 def sixtrack() -> SyntheticBenchmark:
     """Particle tracking: extremely regular, highest trip counts."""
     config = _fp_config(seed=213, train_jitter=0.02)
@@ -253,7 +253,7 @@ def sixtrack() -> SyntheticBenchmark:
                  seed=33)
 
 
-@register("apsi")
+@register("apsi", "fp")
 def apsi() -> SyntheticBenchmark:
     """Pollutant distribution: training input diverges (~20%)."""
     segments = _stencil("apsi")

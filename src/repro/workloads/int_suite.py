@@ -49,7 +49,7 @@ def _make(name: str, segments, character: Character,
         seed_train=seed * 2 + 12)
 
 
-@register("gzip")
+@register("gzip", "int")
 def gzip() -> SyntheticBenchmark:
     """Compression: warm-up-dominated branches plus a late phase shift."""
     segments = [
@@ -80,7 +80,7 @@ def gzip() -> SyntheticBenchmark:
     return _make("gzip", segments, Character(config, specs), seed=1)
 
 
-@register("vpr")
+@register("vpr", "int")
 def vpr() -> SyntheticBenchmark:
     """Place & route: trip counts wrong until nominal ~80k."""
     segments = [
@@ -107,7 +107,7 @@ def vpr() -> SyntheticBenchmark:
     return _make("vpr", segments, Character(config, specs), seed=2)
 
 
-@register("gcc")
+@register("gcc", "int")
 def gcc() -> SyntheticBenchmark:
     """Compiler: large CFG, trip-count warm-up like vpr, noisier branches."""
     segments = [
@@ -131,7 +131,7 @@ def gcc() -> SyntheticBenchmark:
     return _make("gcc", segments, Character(config, specs), seed=3)
 
 
-@register("mcf")
+@register("mcf", "int")
 def mcf() -> SyntheticBenchmark:
     """Network simplex: the paper's phase-change poster child.
 
@@ -181,7 +181,7 @@ def mcf() -> SyntheticBenchmark:
                  run_steps=steps, seed=4)
 
 
-@register("crafty")
+@register("crafty", "int")
 def crafty() -> SyntheticBenchmark:
     """Chess: ~18% of branch weight persistently lands in the wrong range."""
     segments = [
@@ -206,7 +206,7 @@ def crafty() -> SyntheticBenchmark:
     return _make("crafty", segments, Character(config, specs), seed=5)
 
 
-@register("parser")
+@register("parser", "int")
 def parser() -> SyntheticBenchmark:
     """Link grammar: slow drift — accuracy keeps improving with T."""
     from ..stochastic.behavior import drifting
@@ -233,7 +233,7 @@ def parser() -> SyntheticBenchmark:
     return _make("parser", segments, Character(config, specs), seed=6)
 
 
-@register("eon")
+@register("eon", "int")
 def eon() -> SyntheticBenchmark:
     """Ray tracer (C++): very stable; beats the training input early."""
     segments = [
@@ -252,7 +252,7 @@ def eon() -> SyntheticBenchmark:
     return _make("eon", segments, Character(config, specs), seed=7)
 
 
-@register("perlbmk")
+@register("perlbmk", "int")
 def perlbmk() -> SyntheticBenchmark:
     """Perl: the training input exercises entirely different paths.
 
@@ -298,7 +298,7 @@ def perlbmk() -> SyntheticBenchmark:
     return _make("perlbmk", segments, Character(config, specs), seed=8)
 
 
-@register("gap")
+@register("gap", "int")
 def gap() -> SyntheticBenchmark:
     """Group theory: long warm-up (~nominal 16k) then stable."""
     segments = [
@@ -324,7 +324,7 @@ def gap() -> SyntheticBenchmark:
     return _make("gap", segments, Character(config, specs), seed=9)
 
 
-@register("vortex")
+@register("vortex", "int")
 def vortex() -> SyntheticBenchmark:
     """OO database: middling, mildly warm-up biased."""
     segments = [
@@ -343,7 +343,7 @@ def vortex() -> SyntheticBenchmark:
     return _make("vortex", segments, Character(config), seed=10)
 
 
-@register("bzip2")
+@register("bzip2", "int")
 def bzip2() -> SyntheticBenchmark:
     """Block-sorting compression: stable; initial profile beats train."""
     segments = [
@@ -362,7 +362,7 @@ def bzip2() -> SyntheticBenchmark:
     return _make("bzip2", segments, Character(config, specs), seed=11)
 
 
-@register("twolf")
+@register("twolf", "int")
 def twolf() -> SyntheticBenchmark:
     """Placement/annealing: stable with a mild cooling drift."""
     from ..stochastic.behavior import drifting

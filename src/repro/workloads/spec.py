@@ -144,13 +144,22 @@ class SyntheticBenchmark:
 #: Builder registry: name -> zero-arg factory (populated by the suites).
 _REGISTRY: Dict[str, Callable[[], SyntheticBenchmark]] = {}
 
+#: Suite of each registered name, recorded at registration so that the
+#: names of a suite resolve without building any benchmark.
+_SUITE: Dict[str, str] = {}
 
-def register(name: str):
-    """Decorator registering a benchmark factory under ``name``."""
+
+def register(name: str, suite: str):
+    """Decorator registering a benchmark factory under ``name`` in
+    ``suite`` (``"int"`` or ``"fp"``)."""
+    if suite not in ("int", "fp"):
+        raise ValueError(f"suite must be 'int' or 'fp', got {suite!r}")
+
     def wrap(factory: Callable[[], SyntheticBenchmark]):
         if name in _REGISTRY:
             raise ValueError(f"benchmark {name!r} already registered")
         _REGISTRY[name] = factory
+        _SUITE[name] = suite
         return factory
     return wrap
 
@@ -160,12 +169,17 @@ def _ensure_suites_loaded() -> None:
 
 
 def benchmark_names(suite: Optional[str] = None) -> List[str]:
-    """Registered benchmark names, optionally filtered by suite."""
+    """Registered benchmark names, sorted, optionally of one suite.
+    Builds no benchmark."""
     _ensure_suites_loaded()
-    if suite is None:
-        return sorted(_REGISTRY)
     return sorted(name for name in _REGISTRY
-                  if get_benchmark(name).suite == suite)
+                  if suite is None or _SUITE[name] == suite)
+
+
+def suite_names() -> List[str]:
+    """The whole suite's names, INT then FP, each sorted (the study's
+    default order).  Builds no benchmark."""
+    return benchmark_names("int") + benchmark_names("fp")
 
 
 def get_benchmark(name: str) -> SyntheticBenchmark:
@@ -176,7 +190,12 @@ def get_benchmark(name: str) -> SyntheticBenchmark:
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; known: "
                        f"{sorted(_REGISTRY)}") from None
-    return factory()
+    benchmark = factory()
+    if benchmark.suite != _SUITE[name]:
+        raise ValueError(f"benchmark {name!r} is registered in suite "
+                         f"{_SUITE[name]!r} but built in "
+                         f"{benchmark.suite!r}")
+    return benchmark
 
 
 def int_benchmarks() -> List[SyntheticBenchmark]:
@@ -191,4 +210,4 @@ def fp_benchmarks() -> List[SyntheticBenchmark]:
 
 def all_benchmarks() -> List[SyntheticBenchmark]:
     """The whole suite, INT then FP."""
-    return int_benchmarks() + fp_benchmarks()
+    return [get_benchmark(n) for n in suite_names()]

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt.batchreplay import ReplaySweepStats
+from repro.dbt.replay import registration_positions
 from repro.ir import Cond, ProgramBuilder
 from repro.stochastic import ProgramBehavior, steady, walk
 
@@ -43,11 +44,13 @@ def oracle_engines(monkeypatch):
 
     Trace recording runs the scalar walker, count-only runs count the
     scalar walker's trace with ``bincount``, and every replay drains its
-    registrations off a heap (see ``tests/reference.py``).  The patches
+    registrations, decoded from each block's store, off a heap (see
+    ``tests/reference.py``).  The patches
     live in this process only, so use it with ``jobs=1``.
     """
-    def reference_sweep(positions, config, optimize_blocks, num_blocks):
-        heap_replay(positions, config, optimize_blocks)
+    def reference_sweep(events, config, optimize_blocks, num_blocks):
+        heap_replay(registration_positions(events, config.threshold),
+                    config, optimize_blocks)
         return ReplaySweepStats()
 
     monkeypatch.setattr("repro.workloads.spec.record_trace", walker_trace)

@@ -72,12 +72,12 @@ def test_registration_positions_properties(blocks, threshold):
     pos = registration_positions(events, threshold)
     seen = []
     for block, regs in pos.items():
-        assert len(regs) == len(events[block].steps) // threshold
+        assert len(regs) == events[block].use // threshold
         assert np.all(np.diff(regs) > 0)  # monotone within a block
         seen.extend(int(p) for p in regs)
     assert len(seen) == len(set(seen))  # one block executes per step
     for block, ev in events.items():
-        if len(ev.steps) >= threshold:
+        if ev.use >= threshold:
             assert block in pos
 
 

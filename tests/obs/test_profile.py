@@ -1,7 +1,11 @@
 """Phase profiler: exclusive-time sweep, coverage, sampling, gating."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.obs.profile import (PHASE_OF_SPAN, PhaseProfile, phase_of,
                                profile_span, profiling_enabled,
                                reset_sampling, sampled_span, set_profiling)
@@ -109,6 +113,18 @@ def test_every_harness_span_name_maps_to_a_phase():
                  "threshold_sweep", "perf_model", "dispatch.order",
                  "dispatch.wait", "dispatch.merge", "cache.save_shard"):
         assert name in PHASE_OF_SPAN
+
+
+def test_every_phase_span_name_is_emitted():
+    # The reverse: each mapped name is the literal first argument of
+    # some span(...) or sampled_span(...) call in the package, so the
+    # table documents no span that does not exist.
+    root = pathlib.Path(repro.__file__).parent
+    emitted = set()
+    for path in root.rglob("*.py"):
+        emitted.update(re.findall(r"\b(?:sampled_)?span\(\s*\"([^\"]+)\"",
+                                  path.read_text()))
+    assert sorted(set(PHASE_OF_SPAN) - emitted) == []
 
 
 # -- profiling mode and sampling ----------------------------------------------

@@ -1,8 +1,8 @@
 """Differential wall: rank pricing off the event index against a gather.
 
-:class:`~repro.perfmodel.CostTables` keeps each block's ``steps`` and
-``taken_prefix`` from the event index and its dynamic edges from the
-trace's successor table, and counts a map's optimised steps and edge
+:class:`~repro.perfmodel.CostTables` keeps each block's rank/select
+store from the event index and its dynamic edges from the trace's
+successor table, and counts a map's optimised steps and edge
 traversals by rank.  Here every count must equal
 :func:`reference.reference_optimized_steps`, which gathers every step
 of the decoded trace: the tables' edge codes are exactly the trace's

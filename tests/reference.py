@@ -13,13 +13,15 @@ live here, where only tests can reach them:
   count-only ``record_counts``'s signature;
 * :func:`heap_replay` — one threshold's registration stream drained off
   a heap, one Python iteration per registration, with
-  ``run_batched_replay``'s ``(positions, config, optimize)`` callback
-  contract;
+  ``run_batched_replay``'s ``(config, optimize)`` callback contract,
+  fed the whole stream by
+  :func:`~repro.dbt.replay.registration_positions`;
 * :func:`reference_breakdown` — the performance model priced step by
   step, one full-length pass over the trace per map, against which
   :class:`~repro.perfmodel.CostTables`' rank pricing is checked;
-* :func:`reference_events` — the per-block event index, one linear scan
-  of the trace per block, against which the radix-sorted
+* :func:`reference_events` — the per-block event index spelled out as
+  full step and taken-prefix arrays, one linear scan of the trace per
+  block, against which the compact store of
   :meth:`~repro.stochastic.ExecutionTrace.events` is checked;
 * :func:`reference_optimized_steps` — the optimised steps per block
   and traversals per dynamic edge under one map, from one gather of
@@ -35,7 +37,8 @@ directly.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -156,7 +159,22 @@ def reference_breakdown(trace: ExecutionTrace, tmap: TranslationMap,
                             if len(blocks) else 0.0))
 
 
-def reference_events(trace: ExecutionTrace) -> Dict[int, BlockEvents]:
+class ReferenceEvents(NamedTuple):
+    """One block's executions, spelled out: its steps in order and
+    ``taken_prefix[i]``, the taken outcomes among its first ``i``."""
+
+    steps: np.ndarray
+    taken_prefix: np.ndarray
+
+
+def spelled_out(events: Mapping[int, BlockEvents]
+                ) -> Dict[int, ReferenceEvents]:
+    """An event index's stores decoded into :class:`ReferenceEvents`."""
+    return {block: ReferenceEvents(ev.steps(), ev.taken_prefix())
+            for block, ev in events.items()}
+
+
+def reference_events(trace: ExecutionTrace) -> Dict[int, ReferenceEvents]:
     """The per-block event index, one scan of the trace per block.
 
     Each executed block gets its steps in order (``flatnonzero``) and
@@ -164,12 +182,12 @@ def reference_events(trace: ExecutionTrace) -> Dict[int, BlockEvents]:
     index promises for the run's length (``step_dtype``).
     """
     dtype = step_dtype(trace.num_steps)
-    events: Dict[int, BlockEvents] = {}
+    events: Dict[int, ReferenceEvents] = {}
     for block in sorted(set(trace.blocks.tolist())):
         steps = np.flatnonzero(trace.blocks == block).astype(dtype)
         prefix = np.zeros(len(steps) + 1, dtype=dtype)
         prefix[1:] = np.cumsum(trace.taken[steps] == 1)
-        events[block] = BlockEvents(steps=steps, taken_prefix=prefix)
+        events[block] = ReferenceEvents(steps=steps, taken_prefix=prefix)
     return events
 
 

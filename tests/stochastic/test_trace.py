@@ -10,8 +10,9 @@ import pytest
 import repro
 from repro.interp import Interpreter
 from repro.obs.registry import counter_value, get_registry
-from repro.stochastic import (NO_BRANCH, BlockEvents, ExecutionTrace,
-                              RunCounts, TraceError, TraceRecorder)
+from repro.stochastic import (NO_BRANCH, BlockEvents, EventIndex,
+                              ExecutionTrace, RunCounts, TraceError,
+                              TraceRecorder)
 from repro.workloads import get_benchmark
 
 
@@ -51,7 +52,7 @@ def test_recorded_counts_are_read_not_recounted():
                            3, counts=counts)
     passes = counter_value("trace.count_passes")
     assert trace.counts() is counts
-    assert list(trace.events()[1].taken_prefix) == [0, 1, 1]
+    assert list(trace.events()[1].taken_prefix()) == [0, 1, 1]
     assert counter_value("trace.count_passes") == passes
     with pytest.raises(TraceError):
         ExecutionTrace(trace.blocks[:4], trace.taken[:4], 3, counts=counts)
@@ -60,11 +61,13 @@ def test_recorded_counts_are_read_not_recounted():
 def test_events_index():
     trace = _tiny_trace()
     events = trace.events()
-    assert list(events[1].steps) == [1, 3]
-    assert list(events[1].taken_prefix) == [0, 1, 1]
+    assert list(events[1].steps()) == [1, 3]
+    assert list(events[1].taken_prefix()) == [0, 1, 1]
     assert events[1].use == 2
     assert events[1].taken == 1
     assert events[0].taken == 0
+    assert (events[1].first_step, events[1].last_step) == (1, 3)
+    assert (events[2].first_step, events[2].last_step) == (4, 4)
 
 
 def test_events_prefix_queries():
@@ -73,26 +76,25 @@ def test_events_prefix_queries():
     assert ev.use_before(0) == 0
     assert ev.use_before(2) == 1
     assert ev.use_before(4) == 2
-    assert ev.taken_before(1) == 0
-    assert ev.taken_before(2) == 1
-    assert ev.taken_before(4) == 1
-    assert ev.step_of_use(1) == 1
-    assert ev.step_of_use(2) == 3
-    assert ev.step_of_use(3) is None
-    assert ev.step_of_use(0) is None
+    assert ev.use_before(5) == 2
+    assert [ev.taken_upto(i) for i in range(3)] == [0, 1, 1]
+    assert list(ev.steps_at([0, 1])) == [1, 3]
+    assert list(ev.steps_at([1, 1, 0])) == [3, 3, 1]
+    assert ev.steps_at([]).dtype == np.int32
 
 
 @pytest.mark.parametrize("needle", [700_001, np.int64(700_001),
                                     np.int32(700_001)],
                          ids=["int", "int64", "int32"])
 def test_rank_lookup_does_not_copy_the_index(needle):
-    """``use_before`` casts its needle to the index's type: searching an
-    int32 array for a Python int or an int64 would cast all of it (4 MB
-    here) on every call."""
+    """``use_before`` casts its in-bucket needle to the residues' type:
+    searching a ``uint16`` array for a Python int or an int64 would cast
+    a whole bucket of it on every call, or, without the bucket table,
+    the whole index."""
     n = (1 << 20) + 1
     ev = ExecutionTrace(np.zeros(n, np.int32), np.zeros(n, np.int8),
                         1).events()[0]
-    assert ev.steps.dtype == np.int32 and len(ev.steps) == n
+    assert ev.steps().dtype == np.int32 and ev.use == n
     tracemalloc.start()
     try:
         assert ev.use_before(needle) == 700_001
@@ -106,7 +108,7 @@ def test_rank_lookup_rejects_needles_the_index_type_cannot_hold():
     """A float needle is not truncated and an int64 one beyond int32 is
     not wrapped: both raise."""
     ev = _tiny_trace().events()[1]
-    assert ev.steps.dtype == np.int32
+    assert ev.steps().dtype == np.int32
     with pytest.raises(TypeError):
         ev.use_before(2.5)
     with pytest.raises(OverflowError):
@@ -114,22 +116,32 @@ def test_rank_lookup_rejects_needles_the_index_type_cannot_hold():
 
 
 def test_only_use_before_searches_the_index():
-    """Every rank lookup on a ``BlockEvents.steps`` goes through
-    ``use_before`` (see the test above): no other line of the package
-    searches an array of steps."""
+    """Every rank lookup on the index's step residues goes through
+    ``use_before`` (see the test above), and every search of the
+    index's bucket table goes through ``slot_steps``, which casts its
+    needles to the table's type: no other line of the package searches
+    them."""
     own = inspect.getsource(BlockEvents.use_before)
+    select = [inspect.getsource(EventIndex.slot_steps)]
+    assert all(".astype(self." in source for source in select)
     root = pathlib.Path(repro.__file__).parent
     for path in sorted(root.rglob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
-            if "searchsorted" in line and "steps" in line:
-                assert line.strip() in own, f"{path}:{number}: {line}"
+            where = f"{path}:{number}: {line}"
+            if "searchsorted" not in line:
+                continue
+            if "_res" in line or "residues" in line:
+                assert line.strip() in own, where
+            if "_at.searchsorted" in line:
+                assert any(line.strip() in source for source in select), \
+                    where
 
 
 def test_ref_index_layout_and_size():
-    """gzip's ref index: int32 steps and prefixes, all read-only; never
-    taken blocks view one shared zero prefix; ``trace.index_bytes``
-    counts every buffer once, at most 6 bytes per step (16 with int64
-    steps and a prefix per block)."""
+    """gzip's ref index: uint16 residues, int32 bucket tables and
+    checkpoints, int8 outcomes (one shared ``bytes``) only for taken
+    blocks, all read-only; ``trace.index_bytes`` counts every buffer
+    once, exactly the layout's bytes and at most 2.5 bytes per step."""
     trace = get_benchmark("gzip").scaled(0.05).trace("ref")
     sizes = get_registry().histogram("trace.index_bytes")
     before = sizes.count
@@ -137,19 +149,33 @@ def test_ref_index_layout_and_size():
     assert sizes.count == before + 1
     index_bytes = sizes.values()[-1]
     counts = trace.counts()
+    steps = {b: np.flatnonzero(trace.blocks == b) for b in events}
+    buckets = sum(int(s[-1] >> 16) - int(s[0] >> 16) + 1
+                  for s in steps.values())
     taken = [b for b in events if counts.taken[b]]
-    never = [b for b in events if not counts.taken[b]]
-    zeros = events[never[0]].taken_prefix.base
-    assert taken and zeros is not None and not zeros.any()
-    assert all(events[b].taken_prefix.base is zeros for b in never)
-    longest = max(int(counts.use[b]) for b in never)
-    assert index_bytes == 4 * (trace.num_steps + longest + 1 +
-                               sum(int(counts.use[b]) + 1 for b in taken))
-    assert index_bytes <= 6 * trace.num_steps
-    for ev in events.values():
-        for array in (ev.steps, ev.taken_prefix):
-            assert array.dtype == np.int32
-            assert not array.flags.writeable
+    assert taken and len(taken) < len(events)
+    kept = sum(int(counts.use[b]) for b in taken)
+    checks = sum(int(counts.use[b]) // 64 + 1 for b in taken)
+    assert index_bytes == (2 * trace.num_steps + 4 * (2 * buckets + 1) +
+                           kept + 4 * checks)
+    assert index_bytes <= 2.5 * trace.num_steps
+    assert events.residues.dtype == np.uint16
+    assert len(events.residues) == trace.num_steps
+    assert len(events.bucket_at) == buckets + 1
+    for array in (events.residues, events.bucket_at, events.bucket_base):
+        assert not array.flags.writeable
+    for array in (events.bucket_at, events.bucket_base):
+        assert array.dtype == np.int32
+    outcomes = {id(ev._outcomes) for ev in events.values()
+                if ev._outcomes is not None}
+    assert len(outcomes) == 1
+    for block, ev in events.items():
+        if counts.taken[block]:
+            assert isinstance(ev._outcomes, bytes)
+            assert ev._checks.dtype == np.int32
+            assert not ev._checks.flags.writeable
+        else:
+            assert ev._outcomes is None and ev._checks is None
 
 
 def test_edge_counts():

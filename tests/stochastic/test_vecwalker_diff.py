@@ -49,7 +49,8 @@ from repro.stochastic import vecwalker
 from repro.stochastic.trace import step_dtype
 from repro.workloads import all_benchmarks, get_benchmark
 
-from ..reference import reference_counts, reference_events, walker_counts
+from ..reference import (reference_counts, reference_events, spelled_out,
+                         walker_counts)
 
 # Sizes of the chunks the walker draws its uniforms in (``_DRAW``),
 # straddling every interesting boundary: degenerate (1, so every window
@@ -75,7 +76,7 @@ def assert_traces_equal(scalar, vector, label=""):
     np.testing.assert_array_equal(scalar.use_counts(), vector.use_counts())
     np.testing.assert_array_equal(scalar.taken_counts(),
                                   vector.taken_counts())
-    se, ve = scalar.events(), vector.events()
+    se, ve = spelled_out(scalar.events()), spelled_out(vector.events())
     assert se.keys() == ve.keys()
     for block in se:
         np.testing.assert_array_equal(se[block].steps, ve[block].steps)
@@ -780,9 +781,9 @@ def assert_log_matches(scalar, vector, label=""):
         log.per_start, np.bincount(log.starts, minlength=vector.num_blocks),
         label)
     decodes = counter_value("trace.decodes")
-    got = vector.events()
+    got = spelled_out(vector.events())
     assert counter_value("trace.decodes") == decodes, label
-    for want in (scalar.events(), reference_events(vector)):
+    for want in (spelled_out(scalar.events()), reference_events(vector)):
         assert list(got) == list(want), label
         for block, ref in want.items():
             ev = got[block]

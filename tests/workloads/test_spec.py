@@ -6,7 +6,9 @@ import pytest
 from repro.workloads import (NOMINAL_THRESHOLDS, SIM_THRESHOLDS,
                              THRESHOLD_SCALE, all_benchmarks,
                              benchmark_names, fp_benchmarks, get_benchmark,
-                             int_benchmarks, nominal_label)
+                             int_benchmarks, nominal_label, register,
+                             suite_names)
+from repro.workloads import spec
 
 
 def test_registry_has_full_spec2000():
@@ -34,6 +36,41 @@ def test_suite_helpers():
     assert all(b.suite == "int" for b in int_benchmarks())
     assert all(b.suite == "fp" for b in fp_benchmarks())
     assert len(all_benchmarks()) == 26
+
+
+def count_builds(monkeypatch):
+    """Wrap every registered factory; the list collects built names."""
+    built = []
+    for name, factory in list(spec._REGISTRY.items()):
+        def counted(name=name, factory=factory):
+            built.append(name)
+            return factory()
+        monkeypatch.setitem(spec._REGISTRY, name, counted)
+    return built
+
+
+def test_listing_names_builds_no_benchmark(monkeypatch):
+    """Names, per suite and in the study's INT-then-FP order, come from
+    the registry alone: no factory runs until a benchmark is asked for."""
+    built = count_builds(monkeypatch)
+    ints, fps = benchmark_names("int"), benchmark_names("fp")
+    assert len(ints) == 12 and len(fps) == 14
+    assert benchmark_names() == sorted(ints + fps)
+    assert suite_names() == ints + fps
+    assert ints == sorted(ints) and fps == sorted(fps)
+    assert built == []
+    assert [b.name for b in all_benchmarks()] == suite_names()
+    assert built == suite_names()
+
+
+def test_registered_suite_must_match_the_built_one(monkeypatch):
+    monkeypatch.setitem(spec._REGISTRY, "swim2", spec._REGISTRY["swim"])
+    monkeypatch.setitem(spec._SUITE, "swim2", "int")
+    assert "swim2" in benchmark_names("int")
+    with pytest.raises(ValueError, match="registered in suite 'int'"):
+        get_benchmark("swim2")
+    with pytest.raises(ValueError, match="suite"):
+        register("x", "vector")
 
 
 def test_threshold_scaling():
