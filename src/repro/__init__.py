@@ -17,7 +17,7 @@ Layer map (bottom to top):
 * :mod:`repro.core` — the paper's methodology: NAVEP normalisation,
   Sd.BP/Sd.CP/Sd.LP, range matching, threshold-sweep studies.
 * :mod:`repro.workloads` — the 26 synthetic SPEC2000 stand-ins.
-* :mod:`repro.perfmodel` — the §4.4 cost model and §4.5 overhead counts.
+* :mod:`repro.perfmodel` — the §4.4 cost model.
 * :mod:`repro.phases` — phase-awareness extensions from the paper's
   future-work section.
 * :mod:`repro.obs` — the observability substrate: metrics registry,
@@ -33,7 +33,7 @@ Quickstart::
     study = run_threshold_sweep(
         bench.name, bench.cfg, bench.trace("ref"), bench.counts("train"),
         thresholds=SIM_THRESHOLDS[:5])
-    print(study.sd_bp_series())
+    print([study.outcomes[t].comparison.sd_bp for t in study.thresholds])
 """
 
 __version__ = "1.0.0"

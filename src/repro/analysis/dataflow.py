@@ -251,21 +251,6 @@ class Liveness:
         solver = IterativeDataflow(labels, flow_into, gen, kill)
         self.live_out, self.live_in = solver.solve()
 
-    def instruction_live_out(self, label: str) -> List[FrozenSet[str]]:
-        """Per instruction of ``label``, the registers live *after* it."""
-        block = self.fn.blocks[label]
-        live = set(self.live_out[label])
-        result: List[Set[str]] = [set()] * len(block.instructions)
-        for index in range(len(block.instructions) - 1, -1, -1):
-            instr = block.instructions[index]
-            result[index] = set(live)
-            if instr.opcode is Opcode.CALL:
-                live = set(self.universe)
-                continue
-            live -= set(writes(instr))
-            live |= set(reads(instr))
-        return [frozenset(s) for s in result]
-
 
 def liveness(fn: Function) -> Liveness:
     """Solve liveness for ``fn``."""

@@ -139,18 +139,6 @@ class PostDominatorTree:
         idom = self._dom.idom[v]
         return idom
 
-    def post_dominates(self, a: int, b: int) -> bool:
-        """True if every path from ``b`` to the exit passes through ``a``.
-
-        A node post-dominates itself.  Nodes that cannot reach the exit
-        neither post-dominate nor are post-dominated.
-        """
-        return self._dom.dominates(a, b)
-
-    def reaches_exit(self, v: int) -> bool:
-        """True if some path from ``v`` reaches a function exit."""
-        return self._dom.idom[v] is not None
-
 
 def compute_post_dominators(cfg: ControlFlowGraph) -> PostDominatorTree:
     """Build the post-dominator tree of ``cfg``."""

@@ -42,11 +42,6 @@ class FunctionLoops:
     forest: LoopForest
     irreducible: List[Tuple[int, int]]
 
-    @property
-    def is_reducible(self) -> bool:
-        """True when every cycle is a natural loop."""
-        return not self.irreducible
-
 
 def irreducible_edges(cfg: ControlFlowGraph,
                       dom: Optional[DominatorTree] = None

@@ -80,25 +80,6 @@ class DominatorTree:
             v = self.idom[v]
         return False
 
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        """True if ``a`` dominates ``b`` and ``a != b``."""
-        return a != b and self.dominates(a, b)
-
-    def dominator_sets(self) -> List[set]:
-        """Full dominator set per node (O(n·depth); for tests/small graphs)."""
-        out: List[set] = []
-        for v in range(self._cfg.num_nodes):
-            doms: set = set()
-            if self.idom[v] is not None:
-                node: Optional[int] = v
-                while True:
-                    doms.add(node)
-                    if node == self._cfg.entry:
-                        break
-                    node = self.idom[node]  # type: ignore[index]
-            out.append(doms)
-        return out
-
 
 def compute_dominators(cfg: ControlFlowGraph) -> DominatorTree:
     """Build the dominator tree of ``cfg``."""

@@ -34,11 +34,6 @@ class NaturalLoop:
     parent: Optional[int] = None
     children: List[int] = field(default_factory=list)
 
-    @property
-    def latches(self) -> Tuple[int, ...]:
-        """The tail node of every back edge."""
-        return tuple(t for t, _ in self.back_edges)
-
     def contains(self, node: int) -> bool:
         """True if ``node`` is in the loop body."""
         return node in self.body
@@ -112,13 +107,6 @@ class LoopForest:
         """All loop header nodes."""
         return {loop.header for loop in self.loops}
 
-    def loop_of_header(self, header: int) -> Optional[NaturalLoop]:
-        """The loop headed by ``header``, if any."""
-        for loop in self.loops:
-            if loop.header == header:
-                return loop
-        return None
-
     def innermost_containing(self, node: int) -> Optional[NaturalLoop]:
         """The smallest loop whose body contains ``node``, if any."""
         best: Optional[NaturalLoop] = None
@@ -127,15 +115,6 @@ class LoopForest:
                                       len(loop.body) < len(best.body)):
                 best = loop
         return best
-
-    def nesting_depth(self, node: int) -> int:
-        """0 outside any loop, 1 in a top-level loop body, and so on."""
-        depth = 0
-        loop = self.innermost_containing(node)
-        while loop is not None:
-            depth += 1
-            loop = self.loops[loop.parent] if loop.parent is not None else None
-        return depth
 
     def __len__(self) -> int:
         return len(self.loops)

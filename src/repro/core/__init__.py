@@ -21,8 +21,7 @@ from .markov import NormalizedProfile, normalize_avep
 from .matching import (BPRange, MatchPair, TripCountClass, bp_match,
                        bp_range, lp_class, lp_match, mismatch_rate,
                        trip_count_class)
-from .metrics import (WeightedPair, combine_sd, coverage_weight,
-                      weighted_mean_abs, weighted_sd)
+from .metrics import WeightedPair, weighted_sd
 from .normalize import CopyRef, DuplicatedGraph
 from .study import BenchmarkStudy, ThresholdOutcome, run_threshold_sweep
 from .train_regions import (TrainRegionComparison, compare_train_regions,
@@ -32,13 +31,13 @@ __all__ = [
     "BPRange", "BenchmarkStudy", "BranchProbabilityFn", "ComparisonResult",
     "CopyRef", "DuplicatedGraph", "MatchPair", "NormalizedProfile",
     "ThresholdOutcome", "TrainRegionComparison", "TripCountClass", "WeightedPair", "bp_match",
-    "bp_range", "combine_sd", "compare_flat_profiles",
+    "bp_range", "compare_flat_profiles",
     "compare_inip_to_avep", "compare_train_regions",
-    "completion_probability", "coverage_weight",
+    "completion_probability",
     "form_regions_from_profile",
     "loopback_probability", "lp_class", "lp_match", "mismatch_rate",
     "normalize_avep", "run_threshold_sweep", "trip_count_class",
-    "weighted_mean_abs", "weighted_sd",
+    "weighted_sd",
     "key_matching", "order_based_report", "overlap_percentage",
     "weight_matching",
 ]

@@ -9,7 +9,7 @@ dummy node's frequency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..cfg.traversal import topological_order
 from ..profiles.model import Region, RegionKind
@@ -21,7 +21,7 @@ def loopback_probability(region: Region,
     """LP of a loop region under branch probabilities ``bp_of``.
 
     ``LP = (tc - 1) / tc`` relates this to the loop's mean trip count
-    (see :func:`repro.stochastic.behavior.trip_count_for_loopback`).
+    (see :func:`repro.stochastic.behavior.loopback_for_trip_count`).
 
     Raises:
         ValueError: for non-loop regions.

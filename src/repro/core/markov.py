@@ -22,7 +22,7 @@ import numpy as np
 
 from ..obs.registry import inc, observe
 from ..profiles.model import ProfileSnapshot
-from .normalize import CopyRef, DuplicatedGraph
+from .normalize import DuplicatedGraph
 
 
 class NormalizedProfile:
@@ -71,10 +71,6 @@ class NormalizedProfile:
                                 max(expected, 1.0))
             self._drift = (avep, drift)
         return self._drift[1]
-
-    def frequency_of(self, ref: CopyRef) -> float:
-        """Frequency of one copy."""
-        return float(self.frequencies[self.graph.node_index(ref)])
 
     def block_total(self, block_id: int) -> float:
         """Summed frequency of every copy of ``block_id``.

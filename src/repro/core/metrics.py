@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -46,40 +46,3 @@ def weighted_sd(pairs: Iterable[WeightedPair]) -> Optional[float]:
         return None
     return math.sqrt(num / den)
 
-
-def weighted_mean_abs(pairs: Iterable[WeightedPair]) -> Optional[float]:
-    """Weighted mean absolute deviation (a robustness companion metric)."""
-    num = 0.0
-    den = 0.0
-    for pair in pairs:
-        num += abs(pair.predicted - pair.average) * pair.weight
-        den += pair.weight
-    if den <= 0.0:
-        return None
-    return num / den
-
-
-def coverage_weight(pairs: Sequence[WeightedPair]) -> float:
-    """Total AVEP weight covered by the comparison (for diagnostics)."""
-    return sum(p.weight for p in pairs)
-
-
-def combine_sd(values_and_weights: Iterable[Tuple[Optional[float], float]]
-               ) -> Optional[float]:
-    """Combine per-benchmark SDs into a suite average.
-
-    The paper's suite lines (Figure 8's INT/FP averages) average the
-    per-benchmark standard deviations; ``None`` entries (benchmarks with
-    nothing to compare) are skipped.  Weights allow equal (1.0) or
-    execution-weighted averaging.
-    """
-    num = 0.0
-    den = 0.0
-    for value, weight in values_and_weights:
-        if value is None:
-            continue
-        num += value * weight
-        den += weight
-    if den <= 0.0:
-        return None
-    return num / den

@@ -85,10 +85,6 @@ class BenchmarkStudy:
         """Swept thresholds in ascending order."""
         return sorted(self.outcomes)
 
-    def sd_bp_series(self) -> List[Optional[float]]:
-        """Sd.BP(T) along :attr:`thresholds`."""
-        return [self.outcomes[t].comparison.sd_bp for t in self.thresholds]
-
     @property
     def train_ops(self) -> int:
         """Profiling operations of the full training run (Fig 18 base)."""

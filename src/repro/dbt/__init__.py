@@ -18,12 +18,12 @@ from .counters import CounterTable
 from .multireplay import MultiThresholdReplay
 from .pool import CandidatePool
 from .regions import FormationResult, RegionFormer
-from .replay import ReplayDBT, ThresholdReplayState, inip_from_trace
+from .replay import ReplayDBT, ThresholdReplayState
 from .translator import TwoPhaseDBT
 
 __all__ = [
     "CandidatePool", "CounterTable", "DBTConfig", "FormationResult",
     "MultiThresholdReplay", "RegionFormer", "ReplayDBT",
     "ThresholdReplayState", "TranslationMap", "TwoPhaseDBT",
-    "inip_from_trace", "translation_map_from_replay",
+    "translation_map_from_replay",
 ]

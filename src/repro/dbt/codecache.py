@@ -14,7 +14,7 @@ those facts at original-block granularity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Iterable, List, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class TranslationMap:
             dtype=np.int64, count=len(self.internal_pairs))
         codes.sort()
         return codes
-
-    def is_internal(self, src: int, dst: int) -> bool:
-        """True if the dynamic edge src->dst stays inside optimised code."""
-        return (src, dst) in self.internal_pairs
 
     def instructions_translated(self, block_sizes) -> float:
         """Guest instructions retranslated by the optimiser, duplicates

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-import numpy as np
-
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
 from ..obs.profile import sampled_span
@@ -32,24 +30,6 @@ from .batchreplay import ReplaySweepStats, run_batched_replay
 from .codecache import TranslationMap, translation_map_from_replay
 from .config import DBTConfig
 from .regions import RegionFormer
-
-
-def registration_positions(events: Mapping[int, BlockEvents],
-                           threshold: int) -> Dict[int, np.ndarray]:
-    """Per block, the trace positions of its registration events.
-
-    The k-th registration of a block is its ``(k*T)``-th execution, i.e.
-    the step of its execution ``k*T - 1`` (0-based), selected for every
-    ``k`` at once.  The production sweep gathers registrations window by
-    window instead (:func:`~repro.dbt.batchreplay.run_batched_replay`);
-    this whole-stream form feeds the reference heap walk and tests.
-    """
-    positions: Dict[int, np.ndarray] = {}
-    for block, ev in events.items():
-        if ev.use >= threshold:
-            positions[block] = ev.steps_at(
-                np.arange(threshold - 1, ev.use, threshold))
-    return positions
 
 
 def frozen_counter_view(events: Mapping[int, BlockEvents],
@@ -239,9 +219,3 @@ class ReplayDBT(ThresholdReplayState):
         self.run()
         return super().translation_map()
 
-
-def inip_from_trace(trace: ExecutionTrace, cfg: ControlFlowGraph,
-                    config: DBTConfig, loops: Optional[LoopForest] = None,
-                    input_name: str = "ref") -> ProfileSnapshot:
-    """One-shot helper: replay ``trace`` and return the INIP(T) snapshot."""
-    return ReplayDBT(trace, cfg, config, loops=loops).snapshot(input_name)

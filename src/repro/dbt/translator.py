@@ -3,10 +3,10 @@ registers, triggers optimisation, forms regions, and freezes counters.
 
 This is the reference implementation of the IA32EL pipeline the paper
 describes.  It subscribes to the block/branch event protocol, so it runs
-unchanged on the instruction interpreter, on the stochastic walker (via
-:func:`repro.stochastic.walker.replay_trace`), or on any other event
-source.  For threshold sweeps over large traces, use the algebraically
-identical but much faster :class:`repro.dbt.replay.ReplayDBT`.
+unchanged on the instruction interpreter, on a recorded trace fed back
+event by event, or on any other event source.  For threshold sweeps over
+large traces, use the algebraically identical but much faster
+:class:`repro.dbt.replay.ReplayDBT`.
 """
 
 from __future__ import annotations

@@ -164,11 +164,6 @@ class FaultPlan:
                 return True
         return False
 
-    def any_hangs(self) -> bool:
-        """Whether the plan still holds hang rules (needs a timeout)."""
-        return any(r.kind == "hang" and r.remaining > 0
-                   for r in self.rules)
-
 
 def set_active_plan(plan: Optional[FaultPlan]) -> None:
     """Arm ``plan`` for the current study (``None`` disarms)."""

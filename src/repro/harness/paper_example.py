@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..core.completion import completion_probability
-from ..core.loopback import loopback_probability
 from ..core.metrics import WeightedPair, weighted_sd
 from ..profiles.model import EdgeKind, Region, RegionKind
 
@@ -111,20 +109,3 @@ def mcf_loop_regions() -> List[Region]:
         tail=1)
     return [non_loop, inner_loop, outer_loop]
 
-
-def example_loopback_checks() -> Dict[str, float]:
-    """LT of the inner loop region under the example's INIP probabilities.
-
-    With BP(b4)=.977 and BP(b2)=.88 the inner loop's loop-back probability
-    is the path product .977 × .88 = .86 — the quantity the paper's
-    Figure 5 uses.
-    """
-    regions = mcf_loop_regions()
-    inip_bp = {1: 0.88, 2: 0.88, 3: 0.12, 4: 0.977}
-
-    def bp_of(block: int):
-        return inip_bp.get(block)
-
-    inner = loopback_probability(regions[1], bp_of)
-    non_loop_cp = completion_probability(regions[0], bp_of)
-    return {"inner_loop_lt": inner, "non_loop_cp": non_loop_cp}

@@ -11,15 +11,12 @@ lives in its own ``shard-<bench>-<fingerprint>.json`` file (see
 the shard index (:func:`save_aggregate`/:func:`load_aggregate`).  Adding
 a benchmark, changing the name subset, or resuming an interrupted run
 therefore only recomputes the missing shards.  v5 monolithic files fail
-the version check and are recomputed with a warning.  The monolithic
-:meth:`StudyResults.save`/:meth:`StudyResults.load` pair remains for
-exporting a whole result set as one file.
+the version check and are recomputed with a warning.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -122,30 +119,6 @@ class StudyResults:
     def of_suite(self, suite: str) -> List[BenchmarkResult]:
         """All results of one suite."""
         return [self.benchmarks[n] for n in self.names(suite)]
-
-    # -- persistence -------------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write results as JSON, atomically (creating parent dirs)."""
-        payload = {
-            "version": _FORMAT_VERSION,
-            "manifest": self.manifest,
-            "benchmarks": {name: _result_to_dict(result)
-                           for name, result in self.benchmarks.items()},
-        }
-        _write_json(path, payload)
-
-    @classmethod
-    def load(cls, path: str) -> "StudyResults":
-        """Read results previously written by :meth:`save`."""
-        with open(path) as f:
-            payload = json.load(f)
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError("stale results file (format version mismatch)")
-        results = cls(manifest=payload.get("manifest"))
-        for name, data in payload["benchmarks"].items():
-            results.benchmarks[name] = _result_from_dict(data)
-        return results
 
 
 # -- shard + aggregate persistence (cache format v6) -------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+from typing import List, Union
 
 Cell = Union[str, float, int, None]
 
@@ -52,11 +52,6 @@ def render(table: Table) -> str:
     for note in table.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)
-
-
-def render_all(tables: Sequence[Table]) -> str:
-    """Render several tables separated by blank lines."""
-    return "\n\n".join(render(t) for t in tables)
 
 
 def to_csv(table: Table) -> str:

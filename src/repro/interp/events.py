@@ -9,7 +9,7 @@ through the :class:`ExecutionListener` protocol; anything implementing it
 
 from __future__ import annotations
 
-from typing import List, Protocol, Tuple
+from typing import Protocol
 
 
 class ExecutionListener(Protocol):
@@ -30,25 +30,6 @@ class NullListener:
 
     def on_branch(self, block_id: int, taken: bool) -> None:  # noqa: D102
         pass
-
-
-class RecordingListener:
-    """Accumulates the raw event stream — handy in tests and examples.
-
-    Attributes:
-        blocks: block ids in execution order.
-        branches: ``(block_id, taken)`` tuples in resolution order.
-    """
-
-    def __init__(self) -> None:
-        self.blocks: List[int] = []
-        self.branches: List[Tuple[int, bool]] = []
-
-    def on_block(self, block_id: int) -> None:  # noqa: D102
-        self.blocks.append(block_id)
-
-    def on_branch(self, block_id: int, taken: bool) -> None:  # noqa: D102
-        self.branches.append((block_id, taken))
 
 
 class TeeListener:

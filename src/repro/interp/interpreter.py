@@ -14,10 +14,10 @@ event protocol, so everything downstream is engine-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..ir.errors import ExecutionError
-from ..ir.instructions import Cond, Opcode
+from ..ir.instructions import Opcode
 from ..ir.program import BlockRef, Program
 from ..obs.registry import inc
 from .events import ExecutionListener, NullListener
@@ -226,10 +226,3 @@ class Interpreter:
         return RunResult(steps=steps, blocks_executed=blocks_executed,
                          halted=halted)
 
-
-def run_program(program: Program,
-                listener: Optional[ExecutionListener] = None,
-                step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
-    """Convenience wrapper: interpret ``program`` with ``listener`` attached."""
-    return Interpreter(program, listener=listener,
-                       step_limit=step_limit).run()

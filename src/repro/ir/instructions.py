@@ -15,7 +15,7 @@ is a flat word-addressed array.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -129,11 +129,6 @@ class Instruction:
     def is_terminator(self) -> bool:
         """True if this instruction ends a basic block."""
         return self.opcode in TERMINATORS
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        """True for the two-way ``br`` terminator (the profiled branch)."""
-        return self.opcode is Opcode.BR
 
     def successors(self) -> Tuple[str, ...]:
         """Labels this instruction may transfer control to (terminators only).

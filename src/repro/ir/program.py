@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BuildError
-from .instructions import Instruction, Opcode
+from .instructions import Instruction
 
 
 @dataclass
@@ -47,11 +47,6 @@ class BasicBlock:
     def is_sealed(self) -> bool:
         """True once the block ends in a terminator."""
         return bool(self.instructions) and self.instructions[-1].is_terminator
-
-    @property
-    def has_conditional_branch(self) -> bool:
-        """True if the block ends in a two-way ``br`` (a profiled branch)."""
-        return self.is_sealed and self.terminator.opcode is Opcode.BR
 
     def successor_labels(self) -> Tuple[str, ...]:
         """Labels of successor blocks; taken target first for ``br``."""
@@ -173,10 +168,6 @@ class Program:
     def num_blocks(self) -> int:
         """Total number of basic blocks in the program."""
         return sum(len(fn) for fn in self.functions.values())
-
-    def num_instructions(self) -> int:
-        """Total static instruction count."""
-        return sum(len(b) for fn in self.functions.values() for b in fn)
 
     def __iter__(self) -> Iterator[Function]:
         return iter(self.functions.values())

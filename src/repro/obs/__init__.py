@@ -41,24 +41,24 @@ from .dispatch import JobTimeline, summarize
 from .flightrec import FlightRecorder, resolve_flight_dir, write_dump
 from .log import StructuredLogger, configure, get_logger
 from .manifest import build_manifest, render_manifest
-from .profile import (PhaseProfile, profile_span, profiling_enabled,
-                      sampled_span, set_profiling)
+from .profile import (PhaseProfile, profiling_enabled, sampled_span,
+                      set_profiling)
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        counter_value, disable, enable, enabled,
                        export_state, get_registry, inc, merge_state,
                        metrics_snapshot, observe, reset_metrics, set_gauge,
                        write_metrics)
-from .spans import (clear_trace, current_span, extend_trace, label_lane,
-                    now_ts, span, trace_events, write_trace)
+from .spans import (clear_trace, extend_trace, now_ts, span, trace_events,
+                    write_trace)
 
 __all__ = [
     "Counter", "FlightRecorder", "Gauge", "Histogram", "JobTimeline",
     "MetricsRegistry", "PhaseProfile", "StructuredLogger",
     "build_manifest", "clear_trace", "configure", "counter_value",
-    "current_span", "disable", "enable", "enabled", "export_state",
-    "extend_trace", "get_logger", "get_registry", "inc", "label_lane",
+    "disable", "enable", "enabled", "export_state",
+    "extend_trace", "get_logger", "get_registry", "inc",
     "merge_state", "metrics_snapshot", "now_ts", "observe",
-    "profile_span", "profiling_enabled", "render_manifest",
+    "profiling_enabled", "render_manifest",
     "reset_metrics", "resolve_flight_dir",
     "sampled_span", "set_gauge", "set_profiling", "span", "summarize",
     "trace_events", "write_dump", "write_metrics", "write_trace",

@@ -18,11 +18,11 @@ of study wall time.
 
 **Profiling mode** (``--profile`` / ``$REPRO_PROFILE``) additionally
 arms fine-grained span sites that are too hot to record unconditionally
-— per-event region formation, batch assembly — via
-:func:`profile_span` and the deterministically *sampled*
-:func:`sampled_span` (every Nth call per site records; no randomness, so
-two identical runs record identical spans).  Profiling only ever adds
-timing spans: study figures are byte-identical with it on or off.
+— per-event region formation, batch assembly — via the
+deterministically *sampled* :func:`sampled_span` (every Nth call per
+site records; no randomness, so two identical runs record identical
+spans).  Profiling only ever adds timing spans: study figures are
+byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ def sample_every() -> int:
 def reset_sampling() -> None:
     """Reset the per-site sample counters (worker/test isolation)."""
     _SAMPLE_COUNTS.clear()
-
-
-def profile_span(name: str, **attrs: Any) -> Any:
-    """A span recorded only in profiling mode (otherwise a shared no-op)."""
-    if not profiling_enabled():
-        return NULL_SPAN
-    return span(name, **attrs)
 
 
 def sampled_span(name: str, **attrs: Any) -> Any:

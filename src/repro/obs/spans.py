@@ -123,12 +123,6 @@ def span(name: str, **attrs: Any) -> Any:
     return Span(name, attrs)
 
 
-def current_span() -> Optional[Span]:
-    """The innermost span open on this thread, if any."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
 def trace_events() -> List[Dict[str, Any]]:
     """Completed span events, in completion order (a copy)."""
     with _EVENTS_LOCK:
@@ -178,12 +172,6 @@ def extend_trace(events: List[Dict[str, Any]],
         if label:
             for pid in lane_pids:
                 _LANE_LABELS.setdefault(pid, label)
-
-
-def label_lane(pid: int, label: str) -> None:
-    """Name a trace lane (rendered as the process name in Perfetto)."""
-    with _EVENTS_LOCK:
-        _LANE_LABELS[pid] = label
 
 
 def now_ts() -> float:

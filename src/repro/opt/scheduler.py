@@ -62,10 +62,6 @@ class DependenceDAG:
     successors: List[List[int]] = field(default_factory=list)
     predecessors: List[List[int]] = field(default_factory=list)
 
-    def edge_count(self) -> int:
-        """Total dependence edges."""
-        return sum(len(s) for s in self.successors)
-
 
 def build_dag(code: List[Instruction]) -> DependenceDAG:
     """Dependence DAG with RAW/WAR/WAW, memory and call ordering edges."""
@@ -133,13 +129,6 @@ class Schedule:
 
     issue_cycle: List[int]
     length: int
-
-    @property
-    def ilp(self) -> float:
-        """Instructions per cycle achieved."""
-        if self.length <= 0:
-            return 0.0
-        return len(self.issue_cycle) / self.length
 
 
 def list_schedule(code: List[Instruction],

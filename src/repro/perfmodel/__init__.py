@@ -1,14 +1,10 @@
-"""Performance and overhead modelling (paper §4.4–§4.5)."""
+"""The performance model (paper §4.4, Figure 17)."""
 
 from .costs import DEFAULT_COSTS, CostModel
-from .derive import estimate_cost_measured, measured_block_costs
-from .execution import CostBreakdown, estimate_cost, relative_performance
-from .overhead import OverheadSeries, average_normalized, overhead_series
+from .execution import CostBreakdown, estimate_cost
 from .tables import CostTables
 
 __all__ = [
     "CostBreakdown", "CostModel", "CostTables", "DEFAULT_COSTS",
-    "OverheadSeries", "average_normalized", "estimate_cost",
-    "estimate_cost_measured", "measured_block_costs", "overhead_series",
-    "relative_performance",
+    "estimate_cost",
 ]

@@ -1,15 +1,15 @@
 """Trace-replay performance estimation (paper §4.4, Figure 17).
 
 Given a recorded trace and the translation map of a finished DBT run, this
-module computes the modelled execution cost of the run and the relative
-performance across thresholds (base = threshold 1, exactly as the paper
-normalises Figure 17).
+module computes the modelled execution cost of the run.  Figure 17
+normalises it across thresholds (base = threshold 1, exactly as the paper
+does) in :meth:`repro.harness.results.BenchmarkResult.perf_relative`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .tables import CostTables
 class CostBreakdown:
     """Modelled cost of one run, by mechanism.
 
-    ``total`` is the sum of the four components; ``relative_performance``
-    against another run is ``other.total / self.total`` (higher = faster).
+    ``total`` is the sum of the four components; performance relative
+    to another run is ``other.total / self.total`` (higher = faster).
     """
 
     unoptimized: float
@@ -43,16 +43,12 @@ class CostBreakdown:
                 self.translation)
 
 
-def _breakdown(tables: CostTables, tmap: TranslationMap, costs: CostModel,
-               opt_price: np.ndarray) -> CostBreakdown:
-    """Price one translation map with the trace's :class:`CostTables`.
-
-    ``opt_price`` is the per-block cost of an optimised execution: the
-    flat ``tables.opt_price``, or measured costs for the derived model.
-    """
+def _breakdown(tables: CostTables, tmap: TranslationMap,
+               costs: CostModel) -> CostBreakdown:
+    """Price one translation map with the trace's :class:`CostTables`."""
     opt_steps, opt_edge_steps = tables.optimized_steps(tmap)
     unopt_cost = float(np.sum((tables.use - opt_steps) * tables.unopt_price))
-    opt_cost = float(np.sum(opt_steps * opt_price))
+    opt_cost = float(np.sum(opt_steps * tables.opt_price))
 
     # Side exits: an optimised block whose *dynamic* successor edge is
     # not covered by any region's internal/back edges fell out of
@@ -105,19 +101,8 @@ def estimate_cost(trace: ExecutionTrace, tmap: TranslationMap,
         raise ValueError("tables were built from a different trace")
 
     with span("perfmodel.estimate_cost", steps=trace.num_steps):
-        breakdown = _breakdown(tables, tmap, costs, tables.opt_price)
+        breakdown = _breakdown(tables, tmap, costs)
     inc("perfmodel.estimates")
     inc("perfmodel.side_exits", breakdown.num_side_exits)
     return breakdown
 
-
-def relative_performance(costs_by_threshold: Dict[int, CostBreakdown],
-                         base_threshold: int = 1) -> Dict[int, float]:
-    """Figure 17 normalisation: performance relative to the base threshold.
-
-    ``perf(T) = cost(base) / cost(T)`` — higher is better, base = 1.0.
-    """
-    if base_threshold not in costs_by_threshold:
-        raise KeyError(f"base threshold {base_threshold} missing")
-    base = costs_by_threshold[base_threshold].total
-    return {t: base / c.total for t, c in costs_by_threshold.items()}

@@ -41,7 +41,7 @@ from .costs import DEFAULT_COSTS, CostModel
 
 
 class CostTables:
-    """Trace-invariant inputs of the cost estimators, computed once.
+    """Trace-invariant inputs of the cost estimator, computed once.
 
     Attributes:
         num_blocks, num_steps: the trace's block id space and length.
@@ -50,7 +50,7 @@ class CostTables:
         use: executions per block.
         unopt_price / opt_price: per-block cost of one unoptimised
             (``size * interp_cost + profile_overhead``) or optimised
-            (flat model, ``size * opt_cost``) execution.
+            (``size * opt_cost``) execution.
         edge_src / edge_code: per dynamic edge, its source block and
             pair code ``src * num_blocks + dst``.
     """

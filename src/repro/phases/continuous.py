@@ -53,11 +53,6 @@ class AdaptiveEstimate:
                 break
         return current
 
-    @property
-    def final_estimate(self) -> Optional[float]:
-        """The last estimate produced."""
-        return self.segments[-1][1] if self.segments else None
-
 
 @dataclass
 class AdaptiveOutcome:

@@ -51,11 +51,6 @@ class PhaseChange:
     old_probability: float
     new_probability: float
 
-    @property
-    def magnitude(self) -> float:
-        """Absolute probability shift."""
-        return abs(self.new_probability - self.old_probability)
-
 
 def windowed_rates(trace: ExecutionTrace, block_id: int,
                    window_steps: int) -> WindowedRates:

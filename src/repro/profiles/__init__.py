@@ -1,15 +1,11 @@
-"""Profile snapshots (INIP/AVEP), their file format, and set operations."""
+"""Profile snapshots (INIP/AVEP), their dict form, and AVEP from a run."""
 
-from .io import (load_snapshot, save_snapshot, snapshot_from_dict,
-                 snapshot_to_dict)
-from .merge import (BlockDelta, avep_from_trace, diff_branch_probabilities,
-                    hottest_blocks)
+from .io import snapshot_from_dict, snapshot_to_dict
+from .merge import avep_from_trace
 from .model import (BlockProfile, EdgeKind, ProfileSnapshot, Region,
                     RegionKind)
 
 __all__ = [
-    "BlockDelta", "BlockProfile", "EdgeKind", "ProfileSnapshot", "Region",
-    "RegionKind", "avep_from_trace", "diff_branch_probabilities",
-    "hottest_blocks", "load_snapshot", "save_snapshot", "snapshot_from_dict",
-    "snapshot_to_dict",
+    "BlockProfile", "EdgeKind", "ProfileSnapshot", "Region", "RegionKind",
+    "avep_from_trace", "snapshot_from_dict", "snapshot_to_dict",
 ]

@@ -1,13 +1,13 @@
 """JSON (de)serialisation of profile snapshots.
 
 The paper's tooling dumps INIP/AVEP information "into files" and analyses
-them offline; this module is that file format.  The encoding is plain JSON
-so snapshots are diffable and greppable.
+them offline; this module is that file format.  A snapshot encodes to
+plain JSON-ready data, so snapshot files are diffable and greppable (the
+``repro.analysis`` CLI lints them).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict
 
 from .model import (BlockProfile, EdgeKind, ProfileSnapshot, Region,
@@ -92,14 +92,3 @@ def snapshot_from_dict(data: Dict[str, Any],
         snapshot.validate()
     return snapshot
 
-
-def save_snapshot(snapshot: ProfileSnapshot, path: str) -> None:
-    """Write a snapshot to ``path`` as JSON."""
-    with open(path, "w") as f:
-        json.dump(snapshot_to_dict(snapshot), f, indent=1)
-
-
-def load_snapshot(path: str) -> ProfileSnapshot:
-    """Read a snapshot previously written by :func:`save_snapshot`."""
-    with open(path) as f:
-        return snapshot_from_dict(json.load(f))

@@ -1,9 +1,8 @@
-"""Profile set operations: building AVEP from traces, diffing snapshots."""
+"""Building AVEP from a run's counts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Union
 
 from ..stochastic.trace import ExecutionTrace, RunCounts
 from .model import BlockProfile, ProfileSnapshot
@@ -33,46 +32,3 @@ def avep_from_trace(trace: Union[ExecutionTrace, RunCounts],
                 taken=int(taken[block_id]))
     return snapshot
 
-
-@dataclass
-class BlockDelta:
-    """Branch-probability difference of one block across two profiles."""
-
-    block_id: int
-    bp_left: Optional[float]
-    bp_right: Optional[float]
-    weight: int
-
-    @property
-    def abs_difference(self) -> Optional[float]:
-        """|left - right| when both sides have a probability."""
-        if self.bp_left is None or self.bp_right is None:
-            return None
-        return abs(self.bp_left - self.bp_right)
-
-
-def diff_branch_probabilities(left: ProfileSnapshot, right: ProfileSnapshot,
-                              weight_from: Optional[ProfileSnapshot] = None
-                              ) -> List[BlockDelta]:
-    """Per-block BP deltas between two profiles.
-
-    Blocks present in either snapshot are reported; weights default to the
-    right snapshot's use counts (AVEP weighting, as in the paper).
-    """
-    weight_source = weight_from or right
-    block_ids = sorted(set(left.blocks) | set(right.blocks))
-    out: List[BlockDelta] = []
-    for block_id in block_ids:
-        out.append(BlockDelta(
-            block_id=block_id,
-            bp_left=left.branch_probability(block_id),
-            bp_right=right.branch_probability(block_id),
-            weight=weight_source.block_frequency(block_id)))
-    return out
-
-
-def hottest_blocks(snapshot: ProfileSnapshot, count: int = 10
-                   ) -> List[Tuple[int, int]]:
-    """The ``count`` most frequently executed blocks as (id, use) pairs."""
-    ranked = sorted(snapshot.blocks.values(), key=lambda b: -b.use)
-    return [(b.block_id, b.use) for b in ranked[:count]]

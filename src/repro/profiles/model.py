@@ -191,11 +191,6 @@ class ProfileSnapshot:
         profile = self.blocks.get(block_id)
         return 0 if profile is None else profile.use
 
-    @property
-    def is_optimized(self) -> bool:
-        """True if the snapshot includes optimisation-phase regions."""
-        return bool(self.regions)
-
     def loop_regions(self) -> List[Region]:
         """Regions with loop-back probabilities (paper §2.3)."""
         return [r for r in self.regions if r.kind is RegionKind.LOOP]

@@ -22,8 +22,8 @@ from ..core.comparison import ComparisonResult
 from ..core.matching import MatchPair, bp_match, mismatch_rate
 from ..core.metrics import WeightedPair, weighted_sd
 from ..ir.program import Program
-from ..profiles.model import BlockProfile, ProfileSnapshot
-from .heuristics import BranchEstimate, estimate_all_branches
+from ..profiles.model import ProfileSnapshot
+from .heuristics import estimate_all_branches
 
 
 @dataclass
@@ -59,29 +59,6 @@ def static_profile(cfg: ControlFlowGraph,
         frequencies = np.ones(cfg.num_nodes)
     return StaticProfile(branch_probabilities=probabilities,
                          frequencies=frequencies)
-
-
-def static_snapshot(cfg: ControlFlowGraph,
-                    loops: Optional[LoopForest] = None,
-                    program: Optional[Program] = None,
-                    scale: float = 1_000_000.0) -> ProfileSnapshot:
-    """The static profile packaged as a :class:`ProfileSnapshot`.
-
-    Frequencies are scaled to integers so the snapshot interoperates with
-    every profile consumer (diffing, serialisation, metrics).
-    """
-    profile = static_profile(cfg, loops, program)
-    total = float(profile.frequencies.sum()) or 1.0
-    snapshot = ProfileSnapshot(label="STATIC", input_name="static",
-                               threshold=None)
-    for block in range(cfg.num_nodes):
-        use = int(round(profile.frequencies[block] / total * scale))
-        if use <= 0:
-            continue
-        p = profile.branch_probabilities.get(block, 0.0)
-        snapshot.blocks[block] = BlockProfile(
-            block_id=block, use=use, taken=int(round(use * p)))
-    return snapshot
 
 
 def compare_static_to_avep(cfg: ControlFlowGraph,

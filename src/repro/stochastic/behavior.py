@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def _check_probability(p: float, what: str) -> float:
@@ -90,30 +90,10 @@ class BranchBehavior:
                 return phase.p
         return self.phases[-1].p  # pragma: no cover - inf phase catches all
 
-    def change_steps(self) -> List[float]:
-        """Global steps at which the scheduled probability changes."""
-        return [ph.until for ph in self.phases[:-1]]
-
     @property
     def steady_p(self) -> float:
         """Probability of the final (steady-state) phase."""
         return self.phases[-1].p
-
-    def mean_probability(self, total_steps: int) -> float:
-        """Schedule-average probability over a run of ``total_steps``
-        (ignoring warm-up, which is local-clock based)."""
-        if total_steps <= 0:
-            return self.steady_p
-        acc = 0.0
-        start = 0.0
-        for phase in self.phases:
-            end = min(phase.until, float(total_steps))
-            if end > start:
-                acc += (end - start) * phase.p
-                start = end
-            if end >= total_steps:
-                break
-        return acc / total_steps
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +164,6 @@ def loopback_for_trip_count(trip_count: float) -> float:
     return (trip_count - 1.0) / trip_count
 
 
-def trip_count_for_loopback(lp: float) -> float:
-    """Mean trip count of a loop with loop-back probability ``lp``."""
-    _check_probability(lp, "loop-back probability")
-    if lp >= 1.0:
-        return math.inf
-    return 1.0 / (1.0 - lp)
-
-
 @dataclass
 class ProgramBehavior:
     """Behaviour of every branch in one benchmark under one input.
@@ -213,7 +185,3 @@ class ProgramBehavior:
     def set(self, node: int, behavior: BranchBehavior) -> None:
         """Assign ``behavior`` to branch ``node``."""
         self.branches[node] = behavior
-
-    def steady_probabilities(self) -> Dict[int, float]:
-        """Steady-state taken probability per configured branch."""
-        return {node: b.steady_p for node, b in self.branches.items()}

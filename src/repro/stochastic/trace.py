@@ -17,18 +17,17 @@ event index is built straight from the log, chunk by chunk in time
 order (each segment's blocks at fixed offsets from the segment's start
 step), and ``blocks``/``taken`` are decoded only if something reads them
 (counted in ``trace.decodes``).  Traces built from arrays (the scalar
-walker, :meth:`ExecutionTrace.load`, :meth:`ExecutionTrace.from_sequences`)
-are indexed by per-chunk radix argsorts of their block ids.  Both lay
-out the same :class:`EventIndex`: per block, a rank/select store of
-16-bit step residues, a per-bucket table and, for a block taken at
-least once, its outcomes with a taken-count checkpoint every 64
-executions (:class:`BlockEvents`).
+walker, :meth:`ExecutionTrace.from_sequences`) are indexed by per-chunk
+radix argsorts of their block ids.  Both lay out the same
+:class:`EventIndex`: per block, a rank/select store of 16-bit step
+residues, a per-bucket table and, for a block taken at least once, its
+outcomes with a taken-count checkpoint every 64 executions
+(:class:`BlockEvents`).
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -746,78 +745,6 @@ class ExecutionTrace:
                     packed |= taken[run + lo] == 1
                 build.append(bid, packed, lo)
         return build.finish()
-
-    def edge_counts(self) -> Dict[Tuple[int, int], int]:
-        """Dynamic traversal count of every executed control-flow edge."""
-        if len(self.blocks) < 2:
-            return {}
-        src = self.blocks[:-1]
-        dst = self.blocks[1:]
-        pairs = src.astype(np.int64) * self.num_blocks + dst
-        unique, counts = np.unique(pairs, return_counts=True)
-        return {(int(p // self.num_blocks), int(p % self.num_blocks)):
-                int(c) for p, c in zip(unique, counts)}
-
-    def validate_against_cfg(self, cfg) -> None:
-        """Check the trace is a legal walk of ``cfg``.
-
-        Raises :class:`TraceError` if block counts disagree, any recorded
-        transition does not follow a CFG edge, or a branch outcome is
-        recorded for a non-branch block (and vice versa).  The replay DBT
-        and the analysis assume these invariants; validating externally
-        sourced traces up front turns silent corruption into a loud
-        error.
-        """
-        if cfg.num_nodes != self.num_blocks:
-            raise TraceError(
-                f"trace has {self.num_blocks} blocks, CFG has "
-                f"{cfg.num_nodes}")
-        for i in range(len(self.blocks)):
-            block = int(self.blocks[i])
-            outcome = int(self.taken[i])
-            is_branch = cfg.is_branch(block)
-            if is_branch and outcome == NO_BRANCH:
-                raise TraceError(
-                    f"step {i}: branch block {block} recorded without an "
-                    "outcome")
-            if not is_branch and outcome != NO_BRANCH:
-                raise TraceError(
-                    f"step {i}: non-branch block {block} recorded with "
-                    f"outcome {outcome}")
-            if i + 1 < len(self.blocks):
-                nxt = int(self.blocks[i + 1])
-                succ = cfg.successors(block)
-                if is_branch:
-                    expected = succ[0] if outcome == 1 else succ[1]
-                    if nxt != expected:
-                        raise TraceError(
-                            f"step {i}: branch block {block} with outcome "
-                            f"{outcome} must go to {expected}, trace goes "
-                            f"to {nxt}")
-                elif succ and nxt != succ[0]:
-                    raise TraceError(
-                        f"step {i}: block {block} must fall through to "
-                        f"{succ[0]}, trace goes to {nxt}")
-                elif not succ:
-                    raise TraceError(
-                        f"step {i}: exit block {block} is not last in the "
-                        "trace")
-
-    # -- persistence -------------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Persist to ``path`` (.npz)."""
-        np.savez_compressed(path, blocks=self.blocks, taken=self.taken,
-                            num_blocks=np.int64(self.num_blocks))
-
-    @classmethod
-    def load(cls, path: str) -> "ExecutionTrace":
-        """Load a trace previously stored with :meth:`save`."""
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        data = np.load(path)
-        return cls(data["blocks"], data["taken"],
-                   int(data["num_blocks"]))
 
     @classmethod
     def from_sequences(cls, blocks: Sequence[int], taken: Sequence[int],

@@ -9,26 +9,24 @@ branch outcome from its :class:`~repro.stochastic.behavior.BranchBehavior`
 and moves along the corresponding edge, recording the event stream as an
 :class:`~repro.stochastic.trace.ExecutionTrace`.
 
-The walker and the instruction interpreter emit the same block/branch
-protocol, so profilers and the DBT cannot tell them apart; the walker is
-simply the engine that makes SPEC2000-scale runs tractable (run lengths are
-additionally scaled — see DESIGN.md §2).
+The walker records the same block/branch stream the instruction
+interpreter emits (:class:`TraceRecorder` turns an interpreter run into the
+same trace format); the walker is simply the engine that makes
+SPEC2000-scale runs tractable (run lengths are additionally scaled — see
+DESIGN.md §2).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..cfg.graph import ControlFlowGraph
 from .behavior import BranchBehavior, ProgramBehavior
 from .trace import NO_BRANCH, ExecutionTrace
-
-if TYPE_CHECKING:
-    from ..interp.events import ExecutionListener
 
 
 class TraceRecorder:
@@ -59,23 +57,6 @@ class TraceRecorder:
         """The trace accumulated so far."""
         return ExecutionTrace.from_sequences(self._blocks, self._taken,
                                              self.num_blocks)
-
-
-def replay_trace(trace: ExecutionTrace, listener: ExecutionListener) -> None:
-    """Feed a recorded trace back through the listener protocol.
-
-    This lets the *live* DBT (which subscribes to execution events) run on a
-    pre-recorded trace, guaranteeing INIP(T) and AVEP observe the identical
-    execution — the paper achieves the same by running the same input.
-    """
-    blocks = trace.blocks
-    taken = trace.taken
-    for i in range(len(blocks)):
-        bid = int(blocks[i])
-        listener.on_block(bid)
-        t = taken[i]
-        if t != NO_BRANCH:
-            listener.on_branch(bid, bool(t))
 
 
 class CFGWalker:

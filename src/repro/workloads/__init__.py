@@ -15,16 +15,16 @@ from .generators import (DRIVER_ROLE, BranchySegment, ChainSegment,
                          build_workload)
 from .spec import (BASE_THRESHOLD, NOMINAL_THRESHOLDS, SIM_THRESHOLDS,
                    THRESHOLD_SCALE, SyntheticBenchmark, all_benchmarks,
-                   benchmark_names, fp_benchmarks, get_benchmark,
-                   int_benchmarks, nominal_label, register, suite_names)
+                   benchmark_names, get_benchmark, nominal_label, register,
+                   suite_names)
 
 __all__ = [
     "BASE_THRESHOLD", "BranchSpec", "BranchySegment", "ChainSegment",
     "Character", "CharacterConfig", "DRIVER_ROLE", "LoopInfo", "LoopSegment",
     "NOMINAL_THRESHOLDS", "SIM_THRESHOLDS", "SyntheticBenchmark",
     "THRESHOLD_SCALE", "Workload", "WorkloadBuilder", "all_benchmarks",
-    "as_behavior", "benchmark_names", "build_workload", "fp_benchmarks",
-    "get_benchmark", "int_benchmarks", "jitter", "jitter_trips",
+    "as_behavior", "benchmark_names", "build_workload",
+    "get_benchmark", "jitter", "jitter_trips",
     "nominal_label", "realize_character", "register", "suite_names",
     "trips",
 ]

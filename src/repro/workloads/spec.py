@@ -198,16 +198,6 @@ def get_benchmark(name: str) -> SyntheticBenchmark:
     return benchmark
 
 
-def int_benchmarks() -> List[SyntheticBenchmark]:
-    """The 12 SPEC2000 INT stand-ins."""
-    return [get_benchmark(n) for n in benchmark_names("int")]
-
-
-def fp_benchmarks() -> List[SyntheticBenchmark]:
-    """The 14 SPEC2000 FP stand-ins."""
-    return [get_benchmark(n) for n in benchmark_names("fp")]
-
-
 def all_benchmarks() -> List[SyntheticBenchmark]:
     """The whole suite, INT then FP."""
     return [get_benchmark(n) for n in suite_names()]

@@ -107,29 +107,11 @@ class TestLiveness:
         assert "b" in lv.live_out["entry"]
         assert "a" not in lv.live_out["entry"]
 
-    def test_instruction_live_out_granularity(self):
-        pb = ProgramBuilder()
-        with pb.function("main") as fb:
-            (fb.block("entry")
-               .li("a", 1)        # a live until the mov
-               .mov("b", "a")     # a dead after this, b live
-               .mov("c", "b")
-               .halt())
-        lv = Liveness(pb.build().functions["main"])
-        per_instr = lv.instruction_live_out("entry")
-        assert len(per_instr) == 4
-        assert "a" in per_instr[0]
-        assert "a" not in per_instr[1]
-        assert "b" in per_instr[1]
-        assert "b" not in per_instr[2]
-
     def test_call_keeps_everything_live(self):
         program = _call_program()
         lv = Liveness(program.functions["main"])
-        per_instr = lv.instruction_live_out("entry")
         # before the call, every register may be read by the callee
         assert set(lv.live_in["entry"]) == set(lv.universe)
-        assert len(per_instr) == 3
 
 
 class TestIterativeDataflow:

@@ -10,7 +10,7 @@ def test_loop_program_forest(loop_program):
     assert set(forests) == {"main"}
     fl = forests["main"]
     assert fl.function == "main"
-    assert fl.is_reducible
+    assert fl.irreducible == []
     loops = fl.forest.loops
     assert len(loops) == 1
     header = fl.label_to_node["loop"]
@@ -53,5 +53,5 @@ def test_multi_function_program_gets_one_forest_each(loop_program):
         fb.block("entry").ret()
     forests = program_loop_forests(pb.build())
     assert set(forests) == {"main", "leaf"}
-    assert all(fl.is_reducible for fl in forests.values())
+    assert all(fl.irreducible == [] for fl in forests.values())
     assert all(not fl.forest.loops for fl in forests.values())

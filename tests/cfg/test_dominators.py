@@ -50,8 +50,7 @@ def test_nested_loops(nested_cfg):
     dom = compute_dominators(nested_cfg)
     assert dom.dominates(1, 7)
     assert dom.dominates(2, 3)
-    assert dom.strictly_dominates(2, 4)
-    assert not dom.strictly_dominates(2, 2)
+    assert dom.dominates(2, 4)
     # back edges: 3->2 and 7->1
     assert dom.dominates(2, 3)
     assert dom.dominates(1, 7)
@@ -65,10 +64,16 @@ def test_unreachable_nodes_dominate_nothing():
     assert not dom.dominates(1, 2)
 
 
+def dominator_sets(cfg, dom):
+    """Every node's dominator set, read off ``dom.dominates``."""
+    return [{a for a in range(cfg.num_nodes) if dom.dominates(a, v)}
+            for v in range(cfg.num_nodes)]
+
+
 def test_dominator_sets_match_brute_force(nested_cfg):
     dom = compute_dominators(nested_cfg)
     expected = brute_force_dominators(nested_cfg)
-    assert dom.dominator_sets()[:len(expected)] == \
+    assert dominator_sets(nested_cfg, dom) == \
         [expected[v] for v in range(nested_cfg.num_nodes)]
 
 
@@ -91,7 +96,7 @@ def random_cfgs(draw):
 def test_dominators_match_brute_force_randomised(cfg):
     dom = compute_dominators(cfg)
     expected = brute_force_dominators(cfg)
-    got = dom.dominator_sets()
+    got = dominator_sets(cfg, dom)
     for v in range(cfg.num_nodes):
         assert got[v] == expected[v], f"node {v}"
 

@@ -5,13 +5,18 @@ import pytest
 from repro.cfg import ControlFlowGraph, back_edges, find_loops
 
 
+def _loop(forest, header):
+    """The loop headed by ``header``."""
+    (loop,) = [loop for loop in forest.loops if loop.header == header]
+    return loop
+
+
 def test_nested_loops_found(nested_cfg):
     forest = find_loops(nested_cfg)
     headers = forest.headers
     assert headers == {1, 2}
-    inner = forest.loop_of_header(2)
-    outer = forest.loop_of_header(1)
-    assert inner is not None and outer is not None
+    inner = _loop(forest, 2)
+    outer = _loop(forest, 1)
     assert inner.body == frozenset({2, 3})
     assert outer.body == frozenset({1, 2, 3, 4, 5, 6, 7})
     assert inner.body < outer.body
@@ -19,19 +24,11 @@ def test_nested_loops_found(nested_cfg):
 
 def test_nesting_links(nested_cfg):
     forest = find_loops(nested_cfg)
-    inner = forest.loop_of_header(2)
-    outer = forest.loop_of_header(1)
+    inner = _loop(forest, 2)
+    outer = _loop(forest, 1)
     assert inner.parent is not None
     assert forest.loops[inner.parent] is outer
     assert forest.loops.index(inner) in outer.children  # type: ignore
-
-
-def test_nesting_depth(nested_cfg):
-    forest = find_loops(nested_cfg)
-    assert forest.nesting_depth(0) == 0
-    assert forest.nesting_depth(4) == 1
-    assert forest.nesting_depth(3) == 2
-    assert forest.nesting_depth(8) == 0
 
 
 def test_innermost_containing(nested_cfg):
@@ -47,15 +44,15 @@ def test_back_edges(nested_cfg):
 
 def test_loop_exits(nested_cfg):
     forest = find_loops(nested_cfg)
-    inner = forest.loop_of_header(2)
+    inner = _loop(forest, 2)
     assert inner.exits(nested_cfg) == [(2, 4)]
-    outer = forest.loop_of_header(1)
+    outer = _loop(forest, 1)
     assert outer.exits(nested_cfg) == [(7, 8)]
 
 
 def test_latches(nested_cfg):
     forest = find_loops(nested_cfg)
-    assert forest.loop_of_header(2).latches == (3,)
+    assert _loop(forest, 2).back_edges == ((3, 2),)
 
 
 def test_self_loop():
@@ -80,7 +77,7 @@ def test_shared_header_loops_merge():
     assert len(forest) == 1
     loop = forest.loops[0]
     assert loop.body == frozenset({1, 2, 3})
-    assert set(loop.latches) == {2, 3}
+    assert {tail for tail, _ in loop.back_edges} == {2, 3}
 
 
 def test_no_loops_in_dag(diamond_cfg):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -9,17 +10,27 @@ from hypothesis import settings
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt.batchreplay import ReplaySweepStats
-from repro.dbt.replay import registration_positions
+from repro.harness.results import _result_to_dict
 from repro.ir import Cond, ProgramBuilder
 from repro.stochastic import ProgramBehavior, steady, walk
 
-from .reference import heap_replay, walker_counts, walker_trace
+from .reference import (heap_replay, registration_positions, walker_counts,
+                        walker_trace)
 
 # ``--hypothesis-profile=ci``: more examples for every property test that
 # does not pin its own count, and a reproduction blob on any failure.
 # Without the flag the default profile applies.
 settings.register_profile("ci", max_examples=500, print_blob=True,
                           deadline=None)
+
+
+def identical_bytes(results_a, results_b) -> bool:
+    """Whether two ``StudyResults`` serialise to the same JSON bytes,
+    benchmark by benchmark in their order, manifests left out."""
+    def dump(results):
+        return json.dumps({name: _result_to_dict(result)
+                           for name, result in results.benchmarks.items()})
+    return dump(results_a) == dump(results_b)
 
 
 @pytest.fixture(autouse=True)

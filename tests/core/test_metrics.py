@@ -1,13 +1,10 @@
 """Weighted-SD metric tests, including the paper's own arithmetic."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (WeightedPair, combine_sd, coverage_weight,
-                        weighted_mean_abs, weighted_sd)
+from repro.core import WeightedPair, weighted_sd
 
 
 def test_paper_figure5_bp_value():
@@ -37,13 +34,11 @@ def test_paper_figure5_lp_value():
 def test_identical_profiles_have_zero_sd():
     pairs = [WeightedPair(p, p, w) for p, w in [(0.1, 5), (0.9, 100)]]
     assert weighted_sd(pairs) == 0.0
-    assert weighted_mean_abs(pairs) == 0.0
 
 
 def test_empty_comparison_returns_none():
     assert weighted_sd([]) is None
     assert weighted_sd([WeightedPair(0.5, 0.1, 0.0)]) is None
-    assert weighted_mean_abs([]) is None
 
 
 def test_negative_weight_rejected():
@@ -53,23 +48,6 @@ def test_negative_weight_rejected():
 
 def test_single_pair():
     assert weighted_sd([WeightedPair(0.8, 0.5, 10)]) == pytest.approx(0.3)
-    assert weighted_mean_abs([WeightedPair(0.8, 0.5, 10)]) == \
-        pytest.approx(0.3)
-
-
-def test_coverage_weight():
-    pairs = [WeightedPair(0, 0, 3), WeightedPair(1, 1, 4)]
-    assert coverage_weight(pairs) == 7
-
-
-def test_combine_sd_skips_none():
-    assert combine_sd([(0.1, 1.0), (None, 1.0), (0.3, 1.0)]) == \
-        pytest.approx(0.2)
-    assert combine_sd([(None, 1.0)]) is None
-
-
-def test_combine_sd_weighted():
-    assert combine_sd([(0.1, 3.0), (0.5, 1.0)]) == pytest.approx(0.2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,14 +70,3 @@ def test_sd_invariants(raw):
                for p in pairs]
     assert weighted_sd(flipped) == pytest.approx(sd, rel=1e-9)
 
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1),
-                          st.floats(0.01, 100)),
-                min_size=1, max_size=20))
-def test_mean_abs_below_sd_relation(raw):
-    """Jensen: weighted mean |d| <= weighted sqrt(mean d^2)."""
-    pairs = [WeightedPair(p, a, w) for p, a, w in raw]
-    sd = weighted_sd(pairs)
-    mean_abs = weighted_mean_abs(pairs)
-    assert mean_abs <= sd + 1e-12

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.harness import (compute_example, example_loopback_checks,
-                           figure5_pairs, mcf_loop_regions)
+from repro.core import completion_probability, loopback_probability
+from repro.harness import compute_example, figure5_pairs, mcf_loop_regions
 
 
 def test_figure5_standard_deviations():
@@ -35,6 +35,11 @@ def test_structural_regions_validate():
 
 
 def test_inner_loop_path_product():
-    checks = example_loopback_checks()
-    assert checks["inner_loop_lt"] == pytest.approx(0.977 * 0.88)
-    assert checks["non_loop_cp"] == pytest.approx(0.88)
+    # The example's INIP probabilities: the inner loop's loop-back
+    # probability is the path product BP(b4) x BP(b2) = .977 x .88.
+    inip_bp = {1: 0.88, 2: 0.88, 3: 0.12, 4: 0.977}
+    non_loop, inner, _ = mcf_loop_regions()
+    assert loopback_probability(inner, inip_bp.get) == \
+        pytest.approx(0.977 * 0.88)
+    assert completion_probability(non_loop, inip_bp.get) == \
+        pytest.approx(0.88)

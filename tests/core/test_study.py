@@ -46,12 +46,6 @@ def test_ops_bounded_by_avep(small_study):
             small_study.avep.profiling_ops
 
 
-def test_sd_bp_series_matches_outcomes(small_study):
-    series = small_study.sd_bp_series()
-    assert series == [small_study.outcomes[t].comparison.sd_bp
-                      for t in small_study.thresholds]
-
-
 def test_train_comparison_has_no_region_metrics(small_study):
     assert small_study.train_comparison.sd_cp is None
     assert small_study.train_comparison.sd_lp is None

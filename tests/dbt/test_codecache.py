@@ -5,7 +5,8 @@ import numpy as np
 from repro.dbt import (DBTConfig, ReplayDBT, TranslationMap,
                        translation_map_from_replay, TwoPhaseDBT)
 from repro.profiles import EdgeKind, Region, RegionKind
-from repro.stochastic import replay_trace
+
+from ..reference import replay_trace
 
 
 def _loop_region():
@@ -21,9 +22,9 @@ def test_map_contents():
     tmap = TranslationMap(6, [_loop_region()], {2: 100, 3: 100})
     assert tmap.optimized_at[2] == 100
     assert np.isinf(tmap.optimized_at[0])
-    assert tmap.is_internal(2, 3)      # internal edge
-    assert tmap.is_internal(3, 2)      # back edge
-    assert not tmap.is_internal(2, 4)  # the exit
+    assert (2, 3) in tmap.internal_pairs      # internal edge
+    assert (3, 2) in tmap.internal_pairs      # back edge
+    assert (2, 4) not in tmap.internal_pairs  # the exit
     assert tmap.blocks_translated == 2
     assert tmap.regions_formed == 1
     assert tmap.tail_blocks == {3}

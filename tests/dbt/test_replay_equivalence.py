@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from repro.cfg import ControlFlowGraph
 from repro.dbt import DBTConfig, ReplayDBT, TwoPhaseDBT
 from repro.profiles import snapshot_to_dict
-from repro.stochastic import ProgramBehavior, replay_trace, steady, walk
+from repro.stochastic import ProgramBehavior, steady, walk
+
+from ..reference import replay_trace
 
 
 def _assert_equivalent(cfg, trace, config):
@@ -73,11 +75,3 @@ def test_replay_rejects_mismatched_cfg(nested_trace):
     small = ControlFlowGraph([(1,), ()])
     with pytest.raises(ValueError, match="disagree"):
         ReplayDBT(nested_trace, small, DBTConfig())
-
-
-def test_inip_from_trace_helper(nested_cfg, nested_trace):
-    from repro.dbt import inip_from_trace
-    snapshot = inip_from_trace(nested_trace, nested_cfg,
-                               DBTConfig(threshold=30))
-    assert snapshot.threshold == 30
-    snapshot.validate()

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
 from repro.dbt import CandidatePool, DBTConfig, MultiThresholdReplay, ReplayDBT
-from repro.dbt.replay import frozen_counter_view, registration_positions
+from repro.dbt.replay import frozen_counter_view
 from repro.obs.registry import counter_value
 from repro.stochastic import ProgramBehavior, walk
 from repro.stochastic.trace import ExecutionTrace
+
+from ..reference import registration_positions
 
 
 def _trace_of(blocks, taken=None, num_blocks=None):

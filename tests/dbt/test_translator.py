@@ -3,7 +3,9 @@
 import pytest
 
 from repro.dbt import DBTConfig, TwoPhaseDBT
-from repro.stochastic import replay_trace, walk, steady, ProgramBehavior
+from repro.stochastic import walk, steady, ProgramBehavior
+
+from ..reference import replay_trace
 
 
 def _run_live(cfg, trace, **config_kwargs):

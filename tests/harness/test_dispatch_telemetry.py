@@ -17,20 +17,9 @@ from repro.obs.profile import PHASE_OF_SPAN
 from repro.obs.registry import counter_value
 from repro.obs.spans import clear_trace, trace_events, write_trace
 
+from ..conftest import identical_bytes
+
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
-
-
-def _identical_bytes(results_a, results_b, tmp_path):
-    """Byte-compare two StudyResults after manifest normalisation."""
-    paths = []
-    for i, results in enumerate((results_a, results_b)):
-        manifest, results.manifest = results.manifest, None
-        path = str(tmp_path / f"cmp{i}.json")
-        results.save(path)
-        results.manifest = manifest
-        paths.append(path)
-    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
-        return a.read() == b.read()
 
 
 def _dispatch(names, jobs):
@@ -222,12 +211,12 @@ def test_cached_run_skips_dispatch_section(tmp_path):
 # -- figures are identical with profiling on or off ---------------------------
 
 
-def test_profile_flag_does_not_change_figures(tmp_path):
+def test_profile_flag_does_not_change_figures():
     base = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
                           profile=False, **KWARGS)
     profiled = run_full_study(names=["gzip", "art"], cache_dir=None,
                               jobs=1, profile=True, **KWARGS)
-    assert _identical_bytes(base, profiled, tmp_path)
+    assert identical_bytes(base, profiled)
     assert profiled.manifest["profile_enabled"] is True
 
 

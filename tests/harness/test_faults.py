@@ -25,6 +25,8 @@ from repro.harness.studyspec import StudySpec, resolve_spec
 from repro.ioutil import atomic_write_text
 from repro.obs import counter_value
 
+from ..conftest import identical_bytes
+
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
 #: A long injected "hang" that any test timeout comfortably beats.
@@ -37,19 +39,6 @@ def _dispatch(names, plan, retries=2, job_timeout=None, jobs=2):
                          backoff=0.0)
     return dispatch_study_jobs(names, StudySpec(jobs=jobs, **KWARGS),
                                policy=policy, plan=plan)
-
-
-def _identical_bytes(results_a, results_b, tmp_path):
-    """Byte-compare two StudyResults after manifest normalisation."""
-    paths = []
-    for i, results in enumerate((results_a, results_b)):
-        manifest, results.manifest = results.manifest, None
-        path = str(tmp_path / f"cmp{i}.json")
-        results.save(path)
-        results.manifest = manifest
-        paths.append(path)
-    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
-        return a.read() == b.read()
 
 
 # -- fault-spec parsing -------------------------------------------------------
@@ -111,11 +100,9 @@ def test_refund_returns_token_to_the_plan():
 
 def test_draw_torn_write_and_any_hangs():
     plan = FaultPlan.from_spec("shard:torn-write:1,mcf:hang:1")
-    assert plan.any_hangs()
     assert plan.draw_torn_write()
     assert not plan.draw_torn_write()
-    plan.draw("mcf")
-    assert not plan.any_hangs()
+    assert plan.draw("mcf") == "hang"
 
 
 def test_fire_inline_raises_instead_of_killing_the_parent():
@@ -170,10 +157,14 @@ def test_torn_shard_write_recovers_on_next_run(tmp_path, monkeypatch):
         os.path.join(cache_dir, shard_filename("art", confkey)))
     assert os.path.exists(
         os.path.join(cache_dir, shard_filename("gzip", confkey)))
+    # The tear's only debris is its one partial temp file.
+    debris = [f for f in os.listdir(cache_dir) if f.endswith(".tmp")]
+    assert len(debris) == 1
     # A fault-free rerun recomputes exactly the missing shard and agrees.
     monkeypatch.delenv("REPRO_FAULT_SPEC")
     second = run_full_study(names=["art", "gzip"], cache_dir=cache_dir,
                             jobs=1, **KWARGS)
+    assert set(second.benchmarks) == {"art", "gzip"}
     assert second.manifest["cached_benchmarks"] == ["gzip"]
     assert first.benchmarks["art"].sd_bp == second.benchmarks["art"].sd_bp
 
@@ -395,7 +386,7 @@ def test_acceptance_crash_retried_hang_quarantined_bytes_identical(
     assert faulted.manifest["failed_benchmarks"]["mcf"]["reason"] \
         == "timeout"
     del serial.benchmarks["mcf"]
-    assert _identical_bytes(serial, faulted, tmp_path)
+    assert identical_bytes(serial, faulted)
 
 
 def test_metrics_not_double_counted_across_retries():

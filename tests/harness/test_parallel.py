@@ -15,20 +15,9 @@ from repro.harness.studyspec import StudySpec
 from repro.dbt import DBTConfig
 from repro.obs import counter_value
 
+from ..conftest import identical_bytes
+
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
-
-
-def _identical_bytes(results_a, results_b, tmp_path):
-    """Byte-compare two StudyResults after manifest normalisation."""
-    paths = []
-    for i, results in enumerate((results_a, results_b)):
-        manifest, results.manifest = results.manifest, None
-        path = str(tmp_path / f"cmp{i}.json")
-        results.save(path)
-        results.manifest = manifest
-        paths.append(path)
-    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
-        return a.read() == b.read()
 
 
 # -- jobs flag ----------------------------------------------------------------
@@ -43,12 +32,12 @@ def test_cli_parses_jobs():
 # -- parallel == serial -------------------------------------------------------
 
 
-def test_parallel_results_identical_to_serial(tmp_path):
+def test_parallel_results_identical_to_serial():
     names = ["art", "gzip", "swim"]
     serial = run_full_study(names=names, cache_dir=None, jobs=1, **KWARGS)
     parallel = run_full_study(names=names, cache_dir=None, jobs=2,
                               **KWARGS)
-    assert _identical_bytes(serial, parallel, tmp_path)
+    assert identical_bytes(serial, parallel)
     assert parallel.manifest["jobs"] == 2
     assert serial.manifest["jobs"] == 1
 

@@ -19,6 +19,8 @@ from repro.harness.pool import RetryPolicy, dispatch_study_jobs
 from repro.harness.studyspec import StudySpec
 from repro.obs import counter_value
 
+from ..conftest import identical_bytes
+
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
 
@@ -28,19 +30,6 @@ def _dispatch(names, plan=None, retries=2, jobs=2, **overrides):
     return dispatch_study_jobs(
         names, spec, policy=policy,
         plan=plan if plan is not None else FaultPlan.from_spec(None))
-
-
-def _identical_bytes(results_a, results_b, tmp_path):
-    """Byte-compare two StudyResults after manifest normalisation."""
-    paths = []
-    for i, results in enumerate((results_a, results_b)):
-        manifest, results.manifest = results.manifest, None
-        path = str(tmp_path / f"cmp{i}.json")
-        results.save(path)
-        results.manifest = manifest
-        paths.append(path)
-    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
-        return a.read() == b.read()
 
 
 # -- backend choice -----------------------------------------------------------
@@ -59,7 +48,7 @@ def test_one_worker_runs_inline():
 # -- backend equivalence (the non-negotiable invariant) -----------------------
 
 
-def test_every_backend_produces_identical_bytes(tmp_path):
+def test_every_backend_produces_identical_bytes():
     names = ["gzip", "mcf", "art"]
     cells = [
         dict(jobs=1),                              # inprocess
@@ -78,7 +67,7 @@ def test_every_backend_produces_identical_bytes(tmp_path):
     baseline = runs[0]
     assert baseline.manifest["pool"] == "inprocess"
     for cell, results in zip(cells[1:], runs[1:]):
-        assert _identical_bytes(baseline, results, tmp_path), cell
+        assert identical_bytes(baseline, results), cell
         assert results.manifest["pool"] == "process"
         # One timeline per benchmark, each stamped with its backend.
         assert results.manifest["dispatch"]["backends"] == {"process": 3}

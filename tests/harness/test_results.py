@@ -1,9 +1,14 @@
-"""StudyResults persistence and aggregation tests."""
+"""Result persistence (cache shards and the run aggregate) and
+aggregation tests."""
+
+import json
 
 import pytest
 
 from repro.harness import (BenchmarkResult, PerfPoint, StudyResults,
                            average_scalar, average_series)
+from repro.harness.results import (load_aggregate, load_shard,
+                                   save_aggregate, save_shard)
 
 
 def _result(name="demo", suite="int"):
@@ -37,14 +42,12 @@ def test_perf_relative():
 
 
 def test_save_load_roundtrip(tmp_path):
-    results = StudyResults()
-    results.benchmarks["demo"] = _result()
-    results.benchmarks["swim"] = _result(name="swim", suite="fp")
-    path = str(tmp_path / "results.json")
-    results.save(path)
-    loaded = StudyResults.load(path)
-    assert set(loaded.benchmarks) == {"demo", "swim"}
-    restored = loaded.benchmarks["demo"]
+    path = str(tmp_path / "shard.json")
+    save_shard(path, _result(), "fp123", seconds=1.5)
+    restored, seconds = load_shard(path, expect_name="demo",
+                                   expect_fingerprint="fp123")
+    assert seconds == 1.5
+    assert restored == _result()
     assert restored.sd_bp == {10: 0.2, 100: 0.1}
     assert restored.bp_mismatch[100] is None
     assert restored.perf[1].total == 100.0
@@ -59,28 +62,26 @@ def test_manifest_roundtrip(tmp_path):
         fingerprint="abc123", names=["demo"], thresholds=[10, 100],
         steps_scale=0.5, include_perf=True,
         timings={"demo": 1.25}, total_seconds=1.3)
-    path = str(tmp_path / "results.json")
-    results.save(path)
-    loaded = StudyResults.load(path)
-    assert loaded.manifest["fingerprint"] == "abc123"
-    assert loaded.manifest["timings"] == {"demo": 1.25}
-    assert loaded.manifest["steps_scale"] == 0.5
-    assert "counters" in loaded.manifest["metrics"]
+    path = str(tmp_path / "study.json")
+    save_aggregate(path, results.manifest, {"demo": "shard-demo.json"})
+    manifest, shards = load_aggregate(path)
+    assert shards == {"demo": "shard-demo.json"}
+    assert manifest["fingerprint"] == "abc123"
+    assert manifest["timings"] == {"demo": 1.25}
+    assert manifest["steps_scale"] == 0.5
+    assert "counters" in manifest["metrics"]
 
 
 def test_missing_manifest_tolerated(tmp_path):
-    results = StudyResults()
-    results.benchmarks["demo"] = _result()
-    path = str(tmp_path / "results.json")
-    results.save(path)
+    path = str(tmp_path / "study.json")
+    save_aggregate(path, None, {"demo": "shard-demo.json"})
     # Simulate a file written without a manifest key.
-    import json
     with open(path) as f:
         payload = json.load(f)
     del payload["manifest"]
     with open(path, "w") as f:
         json.dump(payload, f)
-    assert StudyResults.load(path).manifest is None
+    assert load_aggregate(path) == (None, {"demo": "shard-demo.json"})
 
 
 def test_render_manifest_smoke():
@@ -94,12 +95,13 @@ def test_render_manifest_smoke():
 
 
 def test_stale_format_rejected(tmp_path):
-    import json
     path = str(tmp_path / "stale.json")
     with open(path, "w") as f:
         json.dump({"version": -1, "benchmarks": {}}, f)
     with pytest.raises(ValueError, match="stale"):
-        StudyResults.load(path)
+        load_aggregate(path)
+    with pytest.raises(ValueError, match="stale"):
+        load_shard(path)
 
 
 def test_suite_filters():

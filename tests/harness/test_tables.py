@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import Table, render, render_all
+from repro.harness import Table, render
 
 
 def _table():
@@ -42,11 +42,6 @@ def test_alignment_is_consistent():
     header = lines[2]
     data = lines[4]
     assert len(header) == len(data)
-
-
-def test_render_all_joins_tables():
-    text = render_all([_table(), _table()])
-    assert text.count("Demo") == 2
 
 
 def test_to_csv():

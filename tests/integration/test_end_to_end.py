@@ -89,7 +89,7 @@ def test_workload_pipeline_matches_interpreter_protocol():
     equals the ReplayDBT result — cross-checking engines end to end."""
     from repro.dbt import ReplayDBT
     from repro.profiles import snapshot_to_dict
-    from repro.stochastic import replay_trace
+    from ..reference import replay_trace
     from repro.workloads import get_benchmark
 
     bench = get_benchmark("eon")

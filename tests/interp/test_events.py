@@ -1,6 +1,8 @@
 """Listener utility tests."""
 
-from repro.interp import NullListener, RecordingListener, TeeListener
+from repro.interp import NullListener, TeeListener
+
+from ..reference import RecordingListener
 
 
 def test_null_listener_ignores_everything():

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.interp import Interpreter, RecordingListener, run_program
+from repro.interp import Interpreter
 from repro.ir import Cond, ExecutionError, Opcode, ProgramBuilder, \
     parse_program
+
+from ..reference import RecordingListener
 
 
 def _run(source, **kwargs):
@@ -158,7 +160,3 @@ class TestEvents:
         recorder = RecordingListener()
         result = Interpreter(loop_program, listener=recorder).run()
         assert result.blocks_executed == len(recorder.blocks)
-
-    def test_run_program_wrapper(self, loop_program):
-        result = run_program(loop_program)
-        assert result.halted

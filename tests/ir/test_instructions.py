@@ -52,7 +52,6 @@ class TestInstructionShape:
         instr = ins.br(Cond.EQ, "a", "b", "yes", "no")
         assert instr.successors() == ("yes", "no")
         assert instr.is_terminator
-        assert instr.is_conditional_branch
 
     def test_jmp_successors(self):
         assert ins.jmp("target").successors() == ("target",)

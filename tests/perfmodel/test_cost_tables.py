@@ -82,34 +82,6 @@ def test_tables_reject_wrong_sizes(nested_cfg, nested_trace):
         CostTables(nested_trace, [1, 2, 3])
 
 
-def test_measured_estimator_accepts_tables():
-    """The derived-cost estimator is tables-blind too (bit-identical)."""
-    from repro.cfg import cfg_from_program
-    from repro.dbt import TwoPhaseDBT, translation_map_from_replay
-    from repro.interp import Interpreter, TeeListener
-    from repro.ir import branchy_prng
-    from repro.perfmodel import estimate_cost_measured
-    from repro.stochastic import TraceRecorder
-
-    program = branchy_prng(iterations=2000)
-    cfg, _ = cfg_from_program(program)
-    recorder = TraceRecorder(program.num_blocks())
-    dbt = TwoPhaseDBT(cfg, DBTConfig(threshold=100, pool_trigger_size=2))
-    Interpreter(program, listener=TeeListener(recorder, dbt),
-                step_limit=10**8).run()
-    snapshot = dbt.snapshot()
-    tmap = translation_map_from_replay(dbt)
-    trace = recorder.trace()
-    table = program.block_table()
-    sizes = np.array([len(block) for _, block in table], dtype=float)
-
-    direct = estimate_cost_measured(trace, tmap, program, cfg, snapshot)
-    shared = estimate_cost_measured(trace, tmap, program, cfg, snapshot,
-                                    tables=CostTables(trace, sizes,
-                                                      CostModel()))
-    _exact_equal(direct, shared)
-
-
 def test_multireplay_maps_price_identically_under_tables(nested_cfg,
                                                          nested_trace):
     """The full sweep shape the harness runs: one tables object, many

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dbt import TranslationMap
-from repro.perfmodel import CostModel, estimate_cost, relative_performance
+from repro.perfmodel import CostModel, estimate_cost
 from repro.profiles import EdgeKind, Region, RegionKind
 from repro.stochastic import NO_BRANCH, ExecutionTrace
 
@@ -89,22 +89,3 @@ def test_size_mismatch_rejected():
     tmap = TranslationMap(4, [], {})
     with pytest.raises(ValueError, match="length"):
         estimate_cost(_trace(), tmap, [1.0, 2.0], COSTS)
-
-
-def test_relative_performance():
-    from repro.perfmodel.execution import CostBreakdown
-
-    def bd(total):
-        return CostBreakdown(unoptimized=total, optimized=0,
-                             side_exits=0, translation=0,
-                             num_side_exits=0, optimized_fraction=0)
-
-    rel = relative_performance({1: bd(100.0), 5: bd(80.0), 10: bd(200.0)})
-    assert rel[1] == 1.0
-    assert rel[5] == pytest.approx(1.25)
-    assert rel[10] == pytest.approx(0.5)
-
-
-def test_relative_performance_missing_base():
-    with pytest.raises(KeyError):
-        relative_performance({}, base_threshold=1)

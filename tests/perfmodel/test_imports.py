@@ -1,14 +1,11 @@
 """Importing the study machinery must not load the optimiser, the
 instruction interpreter or the instruction-level IR.
 
-``repro.perfmodel.derive`` prices regions with real retranslation
-(``repro.opt``), but only when asked; every study and CLI start imports
-the perf model, so the optimiser is imported inside the functions that
-use it.  The walker speaks the interpreter's listener protocol only in
-annotations, so a study never loads ``repro.interp`` either.  The CFG
-and the perf model name VIR programs in annotations and import them only
-where a program is read (``cfg_from_program``), so a study on synthetic
-workloads never loads ``repro.ir``.  Side-exit pricing tests membership
+A study runs on the block-level walker alone, so it never loads
+``repro.opt`` or ``repro.interp``.  The CFG names VIR programs in
+annotations and imports them only where a program is read
+(``cfg_from_program``), so a study on synthetic workloads never loads
+``repro.ir``.  Side-exit pricing tests membership
 with a binary search, because ``np.isin`` imports ``numpy.ma``.
 """
 

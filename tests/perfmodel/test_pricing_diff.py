@@ -6,9 +6,8 @@ event index (through :class:`~repro.perfmodel.CostTables`);
 trace step at a time.
 With integral sizes and costs (``DEFAULT_COSTS`` and every study) every
 partial sum is an exact integer, so the two must agree with raw ``==``.
-Fractional costs and measured per-block costs may differ only by
-summation rounding (``rel=1e-12``); the counts (side exits, optimised
-fraction) stay exact.
+Fractional costs may differ only by summation rounding (``rel=1e-12``);
+the counts (side exits, optimised fraction) stay exact.
 
 The hypothesis tests fuzz random CFGs x behaviours x thresholds x sizes,
 plus synthetic maps no replay would produce; the named tests pin the
@@ -26,7 +25,7 @@ from hypothesis import strategies as st
 from repro.cfg import ControlFlowGraph
 from repro.dbt import DBTConfig, ReplayDBT, TranslationMap
 from repro.perfmodel import (DEFAULT_COSTS, CostModel, CostTables,
-                             estimate_cost, estimate_cost_measured)
+                             estimate_cost)
 from repro.profiles import EdgeKind, Region, RegionKind
 from repro.stochastic import (NO_BRANCH, ExecutionTrace, ProgramBehavior,
                               walk)
@@ -156,27 +155,6 @@ def test_fuzz_fractional_costs_close(case, data):
     _check(trace, tmap, sizes, FRACTIONAL, exact=False)
 
 
-@settings(deadline=None)
-@given(trace_case(), st.data())
-def test_fuzz_measured_costs_close(case, data):
-    """estimate_cost_measured prices per-block measured costs."""
-    trace, cfg = case
-    sizes = data.draw(int_sizes(cfg.num_nodes))
-    measured = np.array(data.draw(st.lists(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        min_size=cfg.num_nodes, max_size=cfg.num_nodes)))
-    tmap = data.draw(synthetic_map(cfg.num_nodes, trace.num_steps))
-    tables = CostTables(trace, sizes, FRACTIONAL)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("repro.perfmodel.derive.measured_block_costs",
-                   lambda *args: measured)
-        priced = estimate_cost_measured(trace, tmap, None, cfg, None,
-                                        costs=FRACTIONAL, tables=tables)
-    oracle = reference_breakdown(trace, tmap, sizes, FRACTIONAL,
-                                 opt_price=measured)
-    _assert_close(priced, oracle)
-
-
 # ---------------------------------------------------------------------------
 # Named edge cases.
 # ---------------------------------------------------------------------------
@@ -266,31 +244,3 @@ def test_never_optimised_blocks():
     # Only block 1 optimised (from step 0): its 1 -> 3 exit is a side exit.
     partly = TranslationMap(4, [_loop_region(tail=1)], {1: 0})
     assert _check(trace, partly, SIZES, DEFAULT_COSTS).num_side_exits == 1
-
-
-def test_measured_costs_on_a_vir_program():
-    """The derived model on a real retranslated program."""
-    from repro.cfg import cfg_from_program
-    from repro.dbt import TwoPhaseDBT, translation_map_from_replay
-    from repro.interp import Interpreter, TeeListener
-    from repro.ir import branchy_prng
-    from repro.perfmodel import measured_block_costs
-    from repro.stochastic import TraceRecorder
-
-    program = branchy_prng(iterations=2000)
-    cfg, _ = cfg_from_program(program)
-    recorder = TraceRecorder(program.num_blocks())
-    dbt = TwoPhaseDBT(cfg, DBTConfig(threshold=100, pool_trigger_size=2))
-    Interpreter(program, listener=TeeListener(recorder, dbt),
-                step_limit=10**8).run()
-    snapshot = dbt.snapshot()
-    tmap = translation_map_from_replay(dbt)
-    trace = recorder.trace()
-    sizes = [len(block) for _, block in program.block_table()]
-
-    priced = estimate_cost_measured(trace, tmap, program, cfg, snapshot)
-    oracle = reference_breakdown(
-        trace, tmap, sizes, DEFAULT_COSTS,
-        opt_price=measured_block_costs(program, cfg, snapshot))
-    _assert_close(priced, oracle)
-    assert priced.optimized_fraction > 0

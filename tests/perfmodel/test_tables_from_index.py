@@ -28,7 +28,7 @@ from repro.stochastic import (NO_BRANCH, ExecutionTrace, ProgramBehavior,
 from repro.workloads import all_benchmarks, get_benchmark
 
 from ..reference import (reference_breakdown, reference_optimized_steps,
-                         walker_trace)
+                         validate_against_cfg, walker_trace)
 from ..stochastic.test_vecwalker_diff import walk_case
 
 
@@ -153,7 +153,7 @@ _LOOP = ControlFlowGraph([(1,), (2, 3), (1,), ()])
 ])
 def test_named_array_traces(blocks, taken):
     trace = ExecutionTrace.from_sequences(blocks, taken, 4)
-    trace.validate_against_cfg(_LOOP)
+    validate_against_cfg(trace, _LOOP)
     assert_tables_equal_gather(trace, str(blocks))
 
 

@@ -32,7 +32,7 @@ def test_estimate_timeline():
     assert est.estimate_at(99) == 0.9
     assert est.estimate_at(100) == 0.2
     assert est.estimate_at(10_000) == 0.6
-    assert est.final_estimate == 0.6
+    assert est.segments[-1][1] == 0.6
     assert AdaptiveEstimate(block_id=2).estimate_at(5) is None
 
 
@@ -45,7 +45,7 @@ def test_adaptive_tracks_phase_change():
     assert outcome.extra_profiling_ops > 0
     # block 4's estimate must end near the late-phase probability
     est = outcome.estimates[4]
-    assert est.final_estimate == pytest.approx(0.1, abs=0.1)
+    assert est.segments[-1][1] == pytest.approx(0.1, abs=0.1)
 
 
 def test_adaptive_beats_static_on_phased_program():

@@ -47,7 +47,7 @@ def test_detects_planted_phase_change():
     assert change.old_probability > 0.8
     assert change.new_probability < 0.4
     assert abs(change.step - 20_000) <= 4000
-    assert change.magnitude > 0.5
+    assert change.old_probability - change.new_probability > 0.5
 
 
 def test_no_false_positives_on_steady_branch():

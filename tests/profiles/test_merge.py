@@ -1,9 +1,6 @@
-"""AVEP construction and profile-diff tests."""
+"""AVEP construction tests."""
 
-import pytest
-
-from repro.profiles import (avep_from_trace, diff_branch_probabilities,
-                            hottest_blocks)
+from repro.profiles import avep_from_trace
 from repro.stochastic import NO_BRANCH, ExecutionTrace
 
 
@@ -23,35 +20,10 @@ def test_avep_counts():
     assert avep.total_steps == 7
     # ops = sum(use) + sum(taken) = 7 + 2
     assert avep.profiling_ops == 9
-    assert not avep.is_optimized
+    assert not avep.regions
 
 
 def test_avep_skips_unexecuted_blocks():
     trace = ExecutionTrace.from_sequences([0], [NO_BRANCH], num_blocks=5)
     avep = avep_from_trace(trace)
     assert set(avep.blocks) == {0}
-
-
-def test_diff_branch_probabilities():
-    left = avep_from_trace(_trace(), label="A")
-    right = avep_from_trace(ExecutionTrace.from_sequences(
-        blocks=[0, 1, 1, 1, 3],
-        taken=[NO_BRANCH, 0, 0, 1, NO_BRANCH],
-        num_blocks=4), label="B")
-    deltas = diff_branch_probabilities(left, right)
-    by_block = {d.block_id: d for d in deltas}
-    assert by_block[1].bp_left == pytest.approx(2 / 3)
-    assert by_block[1].bp_right == pytest.approx(1 / 3)
-    assert by_block[1].abs_difference == pytest.approx(1 / 3)
-    assert by_block[1].weight == 3  # right snapshot weighting
-    # block 2 never took a branch: probability 0, absent on the right
-    assert by_block[2].bp_left == 0.0
-    assert by_block[2].bp_right is None
-    assert by_block[2].abs_difference is None
-
-
-def test_hottest_blocks():
-    avep = avep_from_trace(_trace())
-    top = hottest_blocks(avep, count=2)
-    assert top[0][0] == 1 and top[0][1] == 3
-    assert len(top) == 2

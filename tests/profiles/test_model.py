@@ -82,7 +82,7 @@ class TestProfileSnapshot:
         assert snapshot.branch_probability(99) is None
         assert snapshot.block_frequency(2) == 4
         assert snapshot.block_frequency(99) == 0
-        assert snapshot.is_optimized
+        assert snapshot.regions
         assert snapshot.optimized_blocks() == {1: snapshot.regions}
 
     def test_region_kind_filters(self):

@@ -14,8 +14,7 @@ live here, where only tests can reach them:
 * :func:`heap_replay` — one threshold's registration stream drained off
   a heap, one Python iteration per registration, with
   ``run_batched_replay``'s ``(config, optimize)`` callback contract,
-  fed the whole stream by
-  :func:`~repro.dbt.replay.registration_positions`;
+  fed the whole stream by :func:`registration_positions`;
 * :func:`reference_breakdown` — the performance model priced step by
   step, one full-length pass over the trace per map, against which
   :class:`~repro.perfmodel.CostTables`' rank pricing is checked;
@@ -28,6 +27,13 @@ live here, where only tests can reach them:
   every step, against which :class:`~repro.perfmodel.CostTables`' rank
   counts off the event index and successor table are checked.
 
+Checks and adapters the tests use as oracles live here too:
+:func:`validate_against_cfg` (a trace is a legal walk of its CFG),
+:func:`edge_counts` (dynamic traversals per edge), and
+:func:`replay_trace` with :class:`RecordingListener` (a recorded trace
+fed back through the interpreter's listener protocol, e.g. into the
+live :class:`~repro.dbt.TwoPhaseDBT`).
+
 The ``oracle_engines`` fixture (``tests/conftest.py``) swaps the
 walkers and the heap replay into the study pipeline;
 :func:`reference_replay` runs one threshold through the heap walk
@@ -37,8 +43,7 @@ directly.
 from __future__ import annotations
 
 import heapq
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -47,10 +52,11 @@ from repro.cfg.loops import find_loops
 from repro.dbt import (CandidatePool, DBTConfig, ThresholdReplayState,
                        TranslationMap)
 from repro.dbt.batchreplay import OptimizeFn
-from repro.dbt.replay import registration_positions
+from repro.interp import ExecutionListener
 from repro.perfmodel import DEFAULT_COSTS, CostBreakdown, CostModel
-from repro.stochastic import (BlockEvents, CFGWalker, ExecutionTrace,
-                              ProgramBehavior, RunCounts)
+from repro.stochastic import (NO_BRANCH, BlockEvents, CFGWalker,
+                              ExecutionTrace, ProgramBehavior, RunCounts,
+                              TraceError)
 from repro.stochastic.trace import step_dtype
 
 
@@ -75,6 +81,23 @@ def walker_counts(cfg: ControlFlowGraph, behavior: ProgramBehavior,
                   max_steps: int, seed: int = 0) -> RunCounts:
     """Count one run: the scalar walker's trace, bincounted."""
     return reference_counts(walker_trace(cfg, behavior, max_steps, seed))
+
+
+def registration_positions(events: Mapping[int, BlockEvents],
+                           threshold: int) -> Dict[int, np.ndarray]:
+    """Per block, the trace positions of its registration events.
+
+    The k-th registration of a block is its ``(k*T)``-th execution, i.e.
+    the step of its execution ``k*T - 1`` (0-based), selected for every
+    ``k`` at once.  The production sweep gathers registrations window by
+    window instead (:func:`~repro.dbt.batchreplay.run_batched_replay`).
+    """
+    positions: Dict[int, np.ndarray] = {}
+    for block, ev in events.items():
+        if ev.use >= threshold:
+            positions[block] = ev.steps_at(
+                np.arange(threshold - 1, ev.use, threshold))
+    return positions
 
 
 def heap_replay(positions: Mapping[int, np.ndarray], config: DBTConfig,
@@ -114,25 +137,19 @@ def reference_replay(trace: ExecutionTrace, cfg: ControlFlowGraph,
 
 def reference_breakdown(trace: ExecutionTrace, tmap: TranslationMap,
                         block_sizes: Sequence[float],
-                        costs: CostModel = DEFAULT_COSTS,
-                        opt_price: Optional[np.ndarray] = None
+                        costs: CostModel = DEFAULT_COSTS
                         ) -> CostBreakdown:
     """Price one translation map step by step.
 
     Step ``s`` runs optimised iff ``optimized_at[blocks[s]] <= s``; an
     optimised step whose dynamic edge is neither internal to a region
-    nor leaves through a region tail is a side exit.  ``opt_price`` is
-    the per-block cost of an optimised execution (measured costs),
-    ``size * opt_cost`` when omitted.
+    nor leaves through a region tail is a side exit.
     """
     sizes = np.asarray(block_sizes, dtype=float)
     blocks = trace.blocks.astype(np.int64)
     step_sizes = sizes[blocks]
     unopt_price = step_sizes * costs.interp_cost + costs.profile_overhead
-    if opt_price is None:
-        step_opt_price = step_sizes * costs.opt_cost
-    else:
-        step_opt_price = np.asarray(opt_price, dtype=float)[blocks]
+    step_opt_price = step_sizes * costs.opt_cost
     optimized = tmap.optimized_at[blocks] <= np.arange(len(blocks))
 
     unopt_cost = float(np.sum(np.where(~optimized, unopt_price, 0.0)))
@@ -212,3 +229,91 @@ def reference_optimized_steps(trace: ExecutionTrace,
                            minlength=len(codes)).astype(np.int64)
     return per_block.astype(np.int64), dict(zip(codes.tolist(),
                                                  per_edge.tolist()))
+
+
+def validate_against_cfg(trace: ExecutionTrace, cfg: ControlFlowGraph
+                         ) -> None:
+    """Check ``trace`` is a legal walk of ``cfg``.
+
+    Raises :class:`TraceError` if block counts disagree, any recorded
+    transition does not follow a CFG edge, or a branch outcome is
+    recorded for a non-branch block (and vice versa).
+    """
+    if cfg.num_nodes != trace.num_blocks:
+        raise TraceError(
+            f"trace has {trace.num_blocks} blocks, CFG has "
+            f"{cfg.num_nodes}")
+    blocks, taken = trace.blocks, trace.taken
+    for i in range(len(blocks)):
+        block = int(blocks[i])
+        outcome = int(taken[i])
+        is_branch = cfg.is_branch(block)
+        if is_branch and outcome == NO_BRANCH:
+            raise TraceError(
+                f"step {i}: branch block {block} recorded without an "
+                "outcome")
+        if not is_branch and outcome != NO_BRANCH:
+            raise TraceError(
+                f"step {i}: non-branch block {block} recorded with "
+                f"outcome {outcome}")
+        if i + 1 < len(blocks):
+            nxt = int(blocks[i + 1])
+            succ = cfg.successors(block)
+            if is_branch:
+                expected = succ[0] if outcome == 1 else succ[1]
+                if nxt != expected:
+                    raise TraceError(
+                        f"step {i}: branch block {block} with outcome "
+                        f"{outcome} must go to {expected}, trace goes "
+                        f"to {nxt}")
+            elif succ and nxt != succ[0]:
+                raise TraceError(
+                    f"step {i}: block {block} must fall through to "
+                    f"{succ[0]}, trace goes to {nxt}")
+            elif not succ:
+                raise TraceError(
+                    f"step {i}: exit block {block} is not last in the "
+                    "trace")
+
+
+def edge_counts(trace: ExecutionTrace) -> Dict[Tuple[int, int], int]:
+    """Dynamic traversal count of every executed control-flow edge."""
+    if trace.num_steps < 2:
+        return {}
+    n = trace.num_blocks
+    pairs = trace.blocks[:-1].astype(np.int64) * n + trace.blocks[1:]
+    unique, counts = np.unique(pairs, return_counts=True)
+    return {(int(p // n), int(p % n)): int(c)
+            for p, c in zip(unique, counts)}
+
+
+class RecordingListener:
+    """Accumulates the raw event stream of a listener-protocol source.
+
+    Attributes:
+        blocks: block ids in execution order.
+        branches: ``(block_id, taken)`` tuples in resolution order.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: List[int] = []
+        self.branches: List[Tuple[int, bool]] = []
+
+    def on_block(self, block_id: int) -> None:  # noqa: D102
+        self.blocks.append(block_id)
+
+    def on_branch(self, block_id: int, taken: bool) -> None:  # noqa: D102
+        self.branches.append((block_id, taken))
+
+
+def replay_trace(trace: ExecutionTrace, listener: ExecutionListener) -> None:
+    """Feed a recorded trace back through the listener protocol, so the
+    live DBT observes exactly the execution a replay sweep indexes."""
+    blocks = trace.blocks
+    taken = trace.taken
+    for i in range(len(blocks)):
+        bid = int(blocks[i])
+        listener.on_block(bid)
+        t = taken[i]
+        if t != NO_BRANCH:
+            listener.on_branch(bid, bool(t))

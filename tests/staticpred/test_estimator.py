@@ -5,8 +5,7 @@ import pytest
 
 from repro.cfg import ControlFlowGraph, find_loops
 from repro.profiles import avep_from_trace
-from repro.staticpred import (compare_static_to_avep, static_profile,
-                              static_snapshot)
+from repro.staticpred import compare_static_to_avep, static_profile
 from repro.stochastic import ProgramBehavior, steady, walk
 
 
@@ -24,15 +23,6 @@ def test_probabilities_clamped(nested_cfg):
     profile = static_profile(nested_cfg)
     for p in profile.branch_probabilities.values():
         assert 0.01 <= p <= 0.99
-
-
-def test_static_snapshot_is_valid_profile(nested_cfg):
-    snapshot = static_snapshot(nested_cfg)
-    snapshot.validate()
-    assert snapshot.label == "STATIC"
-    hottest = max(snapshot.blocks.values(), key=lambda b: b.use)
-    # the inner-loop body carries the most static weight
-    assert hottest.block_id in (2, 3)
 
 
 def test_unconditional_cycle_falls_back_to_flat():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.stochastic import (BranchBehavior, Phase, ProgramBehavior,
                               drifting, loopback_for_trip_count, phased,
-                              steady, trip_count_for_loopback, warmup)
+                              steady, warmup)
 
 
 class TestConstruction:
@@ -53,7 +53,6 @@ class TestSchedules:
         assert b.probability(299, 100) == 0.9
         assert b.probability(300, 100) == 0.2
         assert b.probability(999_999, 100) == 0.2
-        assert b.change_steps() == [300.0]
 
     def test_warmup_uses_local_clock(self):
         b = warmup(5, p_init=0.1, p_steady=0.9)
@@ -71,23 +70,12 @@ class TestSchedules:
         with pytest.raises(ValueError):
             drifting(0.2, 0.8, 100, segments=0)
 
-    def test_mean_probability_weights_phases(self):
-        b = phased([(0.25, 1.0), (0.75, 0.0)], total_steps=1000)
-        assert b.mean_probability(1000) == pytest.approx(0.25)
-        assert b.mean_probability(250) == pytest.approx(1.0)
-        assert b.mean_probability(500) == pytest.approx(0.5)
-
-    def test_mean_probability_degenerate(self):
-        assert steady(0.4).mean_probability(0) == 0.4
-
 
 class TestTripCountRelation:
     def test_known_values(self):
         assert loopback_for_trip_count(1) == 0.0
         assert loopback_for_trip_count(10) == pytest.approx(0.9)
         assert loopback_for_trip_count(50) == pytest.approx(0.98)
-        assert trip_count_for_loopback(0.9) == pytest.approx(10.0)
-        assert trip_count_for_loopback(1.0) == math.inf
 
     def test_trip_count_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -98,8 +86,8 @@ class TestTripCountRelation:
     def test_roundtrip(self, trip_count):
         lp = loopback_for_trip_count(trip_count)
         assert 0.0 <= lp < 1.0
-        assert trip_count_for_loopback(lp) == pytest.approx(trip_count,
-                                                            rel=1e-9)
+        # The mean of a geometric trip count: 1 / (1 - LP).
+        assert 1.0 / (1.0 - lp) == pytest.approx(trip_count, rel=1e-9)
 
 
 class TestProgramBehavior:
@@ -112,4 +100,5 @@ class TestProgramBehavior:
         pb = ProgramBehavior()
         pb.set(1, steady(0.8))
         pb.set(2, phased([(0.5, 0.2), (0.5, 0.6)], 100))
-        assert pb.steady_probabilities() == {1: 0.8, 2: 0.6}
+        assert {node: b.steady_p for node, b in pb.branches.items()} == {
+            1: 0.8, 2: 0.6}

@@ -15,6 +15,8 @@ from repro.stochastic import (NO_BRANCH, BlockEvents, EventIndex,
                               TraceRecorder)
 from repro.workloads import get_benchmark
 
+from ..reference import edge_counts, validate_against_cfg
+
 
 def _tiny_trace():
     # blocks: 0 1 0 1 2 ; block 1 is a branch (T, F), others plain.
@@ -180,7 +182,7 @@ def test_ref_index_layout_and_size():
 
 def test_edge_counts():
     trace = _tiny_trace()
-    edges = trace.edge_counts()
+    edges = edge_counts(trace)
     assert edges[(0, 1)] == 2
     assert edges[(1, 0)] == 1
     assert edges[(1, 2)] == 1
@@ -189,7 +191,7 @@ def test_edge_counts():
 def test_empty_trace():
     trace = ExecutionTrace.from_sequences([], [], num_blocks=4)
     assert trace.num_steps == 0
-    assert trace.edge_counts() == {}
+    assert edge_counts(trace) == {}
     assert list(trace.use_counts()) == [0, 0, 0, 0]
 
 
@@ -199,21 +201,6 @@ def test_validation():
                                       num_blocks=3)
     with pytest.raises(TraceError):
         ExecutionTrace(np.zeros(3, np.int32), np.zeros(2, np.int8), 1)
-
-
-def test_save_load_roundtrip(tmp_path):
-    trace = _tiny_trace()
-    path = str(tmp_path / "trace.npz")
-    trace.save(path)
-    loaded = ExecutionTrace.load(path)
-    assert np.array_equal(loaded.blocks, trace.blocks)
-    assert np.array_equal(loaded.taken, trace.taken)
-    assert loaded.num_blocks == trace.num_blocks
-
-
-def test_load_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        ExecutionTrace.load(str(tmp_path / "nope.npz"))
 
 
 def test_recorder_matches_interpreter_counts(loop_program):
@@ -246,41 +233,41 @@ class TestValidateAgainstCFG:
         behavior = ProgramBehavior()
         behavior.set(1, steady(0.9))
         trace = walk(cfg, behavior, 500, seed=1)
-        trace.validate_against_cfg(cfg)  # no exception
+        validate_against_cfg(trace, cfg)  # no exception
 
     def test_block_count_mismatch(self):
         trace = ExecutionTrace.from_sequences([0], [NO_BRANCH],
                                               num_blocks=5)
         with pytest.raises(TraceError, match="blocks"):
-            trace.validate_against_cfg(self._cfg())
+            validate_against_cfg(trace, self._cfg())
 
     def test_illegal_transition(self):
         # 0 must fall through to 1, not jump to 2... encode 0 -> 2
         trace = ExecutionTrace.from_sequences(
             [0, 2], [NO_BRANCH, NO_BRANCH], num_blocks=3)
         with pytest.raises(TraceError, match="fall through"):
-            trace.validate_against_cfg(self._cfg())
+            validate_against_cfg(trace, self._cfg())
 
     def test_wrong_branch_direction(self):
         # branch 1 taken must go to 1 (self), recorded going to 2
         trace = ExecutionTrace.from_sequences(
             [0, 1, 2], [NO_BRANCH, 1, NO_BRANCH], num_blocks=3)
         with pytest.raises(TraceError, match="outcome"):
-            trace.validate_against_cfg(self._cfg())
+            validate_against_cfg(trace, self._cfg())
 
     def test_missing_branch_outcome(self):
         trace = ExecutionTrace.from_sequences(
             [0, 1], [NO_BRANCH, NO_BRANCH], num_blocks=3)
         with pytest.raises(TraceError, match="without an"):
-            trace.validate_against_cfg(self._cfg())
+            validate_against_cfg(trace, self._cfg())
 
     def test_spurious_outcome_on_plain_block(self):
         trace = ExecutionTrace.from_sequences([0], [1], num_blocks=3)
         with pytest.raises(TraceError, match="non-branch"):
-            trace.validate_against_cfg(self._cfg())
+            validate_against_cfg(trace, self._cfg())
 
     def test_exit_must_be_last(self):
         trace = ExecutionTrace.from_sequences(
             [2, 0], [NO_BRANCH, NO_BRANCH], num_blocks=3)
         with pytest.raises(TraceError, match="exit"):
-            trace.validate_against_cfg(self._cfg())
+            validate_against_cfg(trace, self._cfg())

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cfg import ControlFlowGraph
-from repro.interp import RecordingListener
-from repro.stochastic import (CFGWalker, ProgramBehavior, phased,
-                              replay_trace, steady, walk, warmup)
+from repro.stochastic import (CFGWalker, ProgramBehavior, phased, steady,
+                              walk, warmup)
+
+from ..reference import RecordingListener, edge_counts, replay_trace
 
 
 def test_same_seed_same_trace(nested_cfg, nested_behavior):
@@ -82,7 +83,7 @@ def test_warmup_respected():
 
 def test_flow_conservation(nested_trace, nested_cfg):
     """Each block's use equals its dynamic inflow (+1 for the start)."""
-    edges = nested_trace.edge_counts()
+    edges = edge_counts(nested_trace)
     use = nested_trace.use_counts()
     inflow = np.zeros(nested_cfg.num_nodes, dtype=np.int64)
     for (src, dst), count in edges.items():
@@ -94,7 +95,7 @@ def test_flow_conservation(nested_trace, nested_cfg):
 
 
 def test_trace_edges_follow_cfg(nested_trace, nested_cfg):
-    for (src, dst), _count in nested_trace.edge_counts().items():
+    for (src, dst), _count in edge_counts(nested_trace).items():
         assert dst in nested_cfg.successors(src)
 
 

@@ -96,8 +96,10 @@ class TestBuildWorkload:
     def test_nested_loop_bodies_nest(self):
         workload = build_workload(self._segments(), seed=3)
         forest = find_loops(workload.cfg)
-        outer = forest.loop_of_header(workload.loops["l2"].header)
-        inner = forest.loop_of_header(workload.loops["l2.inner"].header)
+        outer, inner = [
+            next(loop for loop in forest.loops if loop.header == header)
+            for header in (workload.loops["l2"].header,
+                           workload.loops["l2.inner"].header)]
         assert inner.body < outer.body
 
     def test_inner_loop_mirrors_branchiness(self):

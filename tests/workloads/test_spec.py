@@ -5,9 +5,8 @@ import pytest
 
 from repro.workloads import (NOMINAL_THRESHOLDS, SIM_THRESHOLDS,
                              THRESHOLD_SCALE, all_benchmarks,
-                             benchmark_names, fp_benchmarks, get_benchmark,
-                             int_benchmarks, nominal_label, register,
-                             suite_names)
+                             benchmark_names, get_benchmark, nominal_label,
+                             register, suite_names)
 from repro.workloads import spec
 
 
@@ -33,8 +32,9 @@ def test_unknown_benchmark_raises():
 
 
 def test_suite_helpers():
-    assert all(b.suite == "int" for b in int_benchmarks())
-    assert all(b.suite == "fp" for b in fp_benchmarks())
+    for suite in ("int", "fp"):
+        assert all(get_benchmark(name).suite == suite
+                   for name in benchmark_names(suite))
     assert len(all_benchmarks()) == 26
 
 
