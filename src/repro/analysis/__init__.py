@@ -3,10 +3,9 @@
 Two layers:
 
 * **framework** — the classic analyses over VIR/CFGs that the verifier
-  (and future optimisations) build on: dominators and post-dominators
-  (:mod:`repro.analysis.dominators`), loop-nest forests and
-  irreducibility (:mod:`repro.analysis.loops`), liveness and reaching
-  definitions (:mod:`repro.analysis.dataflow`);
+  builds on: loop-nest forests and irreducibility
+  (:mod:`repro.analysis.loops`) and reaching definitions
+  (:mod:`repro.analysis.dataflow`);
 * **verifier** — semantic lint of every artefact the study pipeline
   produces (:mod:`repro.analysis.verify`), plus differential
   verification of the optimisation passes
@@ -16,10 +15,8 @@ Two layers:
 See ``docs/analysis.md`` for the rule table and severity model.
 """
 
-from .dataflow import (Definition, IterativeDataflow, Liveness,
-                       ReachingDefinitions, liveness, reaching_definitions)
-from .dominators import (GenericDominators, PostDominatorTree,
-                         compute_post_dominators)
+from .dataflow import (Definition, IterativeDataflow, ReachingDefinitions,
+                       reaching_definitions)
 from .loops import FunctionLoops, irreducible_edges, program_loop_forests
 from .passcheck import (PassVerificationError, check_constprop, check_dce,
                         checked_pipeline)
@@ -28,12 +25,11 @@ from .verify import (Diagnostic, Severity, VerifyReport, verify_cfg,
                      verify_snapshot, verify_study, verify_translation_map)
 
 __all__ = [
-    "Definition", "Diagnostic", "FunctionLoops", "GenericDominators",
-    "IterativeDataflow", "Liveness", "PassVerificationError",
-    "PostDominatorTree", "ReachingDefinitions", "Severity", "VerifyReport",
-    "check_constprop", "check_dce", "checked_pipeline",
-    "compute_post_dominators", "irreducible_edges", "liveness",
-    "program_loop_forests", "reaching_definitions", "verify_cfg",
-    "verify_normalization", "verify_program", "verify_region",
-    "verify_snapshot", "verify_study", "verify_translation_map",
+    "Definition", "Diagnostic", "FunctionLoops", "IterativeDataflow",
+    "PassVerificationError", "ReachingDefinitions", "Severity",
+    "VerifyReport", "check_constprop", "check_dce", "checked_pipeline",
+    "irreducible_edges", "program_loop_forests", "reaching_definitions",
+    "verify_cfg", "verify_normalization", "verify_program",
+    "verify_region", "verify_snapshot", "verify_study",
+    "verify_translation_map",
 ]

@@ -1,18 +1,12 @@
 """Classic iterative dataflow analyses over VIR functions.
 
-The verifier (:mod:`repro.analysis.verify`) and the pass checks
-(:mod:`repro.analysis.passcheck`) need the two textbook bit-vector
-problems at basic-block granularity:
+The verifier (:mod:`repro.analysis.verify`) needs **reaching
+definitions** (forward, may) at basic-block granularity: which
+``(block, index, reg)`` definition sites can reach each program point —
+the basis of the possibly-undefined-read lint.
 
-* **reaching definitions** (forward, may): which ``(block, index, reg)``
-  definition sites can reach each program point — the fact constant
-  propagation must preserve, and the basis of the possibly-undefined-read
-  lint;
-* **liveness** (backward, may): which registers may still be read after
-  each point — the fact dead-code elimination must not violate.
-
-Both are solved by one shared worklist engine
-(:class:`IterativeDataflow`) over the intra-function label graph.  VIR
+It is solved by a generic worklist engine (:class:`IterativeDataflow`)
+over the intra-function label graph.  VIR
 has no SSA form and no function parameters, so the lattices are plain
 register/definition sets; ``call`` instructions are modelled
 conservatively (they may read and write every register in the function).
@@ -214,47 +208,6 @@ def _reachable_labels(fn: Function) -> Set[str]:
                 seen.add(target)
                 stack.append(target)
     return seen
-
-
-class Liveness:
-    """Live registers of one VIR function (backward may analysis).
-
-    Attributes:
-        live_in / live_out: per block label, registers that may be read
-            before being overwritten from block entry / exit onwards.
-    """
-
-    def __init__(self, fn: Function):
-        self.fn = fn
-        self.universe = register_universe(fn)
-        labels, succs, _preds = function_flow(fn)
-
-        gen: Dict[str, FrozenSet] = {}    # upward-exposed uses
-        kill: Dict[str, FrozenSet] = {}   # registers definitely written
-        for block in fn:
-            used: Set[str] = set()
-            defined: Set[str] = set()
-            for instr in block.instructions:
-                if instr.opcode is Opcode.CALL:
-                    # The callee may read anything not yet overwritten
-                    # locally, and nothing it writes can be relied upon.
-                    used |= set(self.universe) - defined
-                    continue
-                used |= set(reads(instr)) - defined
-                defined |= set(writes(instr))
-            gen[block.label] = frozenset(used)
-            kill[block.label] = frozenset(defined)
-
-        # Backward: facts flow from successors, so the "into" edges of
-        # the solver are each block's successors.
-        flow_into = {label: list(succs[label]) for label in labels}
-        solver = IterativeDataflow(labels, flow_into, gen, kill)
-        self.live_out, self.live_in = solver.solve()
-
-
-def liveness(fn: Function) -> Liveness:
-    """Solve liveness for ``fn``."""
-    return Liveness(fn)
 
 
 def reaching_definitions(fn: Function) -> ReachingDefinitions:

@@ -32,7 +32,7 @@ from ..ir.instructions import BINARY_OPS, Instruction, Opcode
 from ..obs import inc
 from ..opt.constprop import _fold
 from ..opt.dce import ALL_REGISTERS
-from ..opt.ir_utils import reads, writes
+from ..opt.ir_utils import writes
 from .verify import Severity, VerifyReport
 
 #: Number of pseudo-random machine states each differential check runs.

@@ -12,9 +12,8 @@ VIR :class:`~repro.ir.program.Program` / :class:`~repro.ir.program.Function`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from ..ir.program import BlockRef, Function, Program

@@ -24,7 +24,7 @@ degenerates because INIP's ordering is meaningless.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..profiles.model import ProfileSnapshot
 

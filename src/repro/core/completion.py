@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..cfg.traversal import topological_order
-from ..profiles.model import EdgeKind, Region, RegionKind
+from ..profiles.model import Region, RegionKind
 
 #: Maps a block id to its branch probability (None = unprofiled).
 BranchProbabilityFn = Callable[[int], Optional[float]]

@@ -17,7 +17,7 @@ To compare them, AVEP is normalised onto INIP(T)'s graph:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg.graph import ControlFlowGraph

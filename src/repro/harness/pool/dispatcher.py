@@ -3,7 +3,7 @@
 ``run_full_study`` is embarrassingly parallel across benchmarks: each
 :func:`~repro.harness.runner.study_benchmark` call depends only on its
 benchmark name and the run configuration.  This module fans those jobs
-out inline or over a warm process pool — and keeps the run alive when
+out inline or over a process pool — and keeps the run alive when
 workers misbehave:
 
 * a worker **crash** (segfault, OOM kill, ``os._exit``) breaks the whole
@@ -491,9 +491,14 @@ class Dispatcher:
                         and self.backend.supports_timeout:
                     self._cull_timeouts()
             self._run_fallbacks()
-            return self.result
-        finally:
-            self.backend.shutdown()
+        except BaseException:
+            # An interrupt or a bug unwinding the loop: a graceful
+            # shutdown would wait on whatever the workers are still
+            # running, and a stuck one would block the unwinding.
+            self.backend.kill()
+            raise
+        self.backend.shutdown()
+        return self.result
 
     # -- last-resort inline attempts ---------------------------------------
 

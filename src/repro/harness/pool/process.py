@@ -1,55 +1,37 @@
-"""The process-pool backend: warm persistent workers.
+"""The process-pool backend: a fresh worker pool for every dispatch.
 
-:class:`ProcessPool` wraps ``concurrent.futures.ProcessPoolExecutor``
-with a *warm registry*: on graceful shutdown the executor is parked
-(keyed by worker count) instead of destroyed, and the next pool of the
-same width adopts it — workers are spawned once, import the study
-machinery once, and are reused across dispatches.  ``kill()`` never
-parks: a pool torn down to reclaim a hung worker, or one that broke
-under a crashed job, is discarded so the warm registry only ever holds
-healthy executors.
+:class:`ProcessPool` wraps ``concurrent.futures.ProcessPoolExecutor`` on
+an explicit ``fork`` context: workers inherit the parent's imported
+study machinery for free, whatever the interpreter's default start
+method (Python 3.14 makes it ``forkserver``, which re-pays the imports
+in every cold pool).
 
-Warm reuse is safe across runs with different profiling settings
-because the worker entry point re-arms profiling per job; fault
-injection is parent-side (tokens are drawn before submission), so a
-warm worker carries no fault state either.
+Every exit joins.  ``shutdown()`` and ``kill()`` return only once every
+worker process and every executor thread (the manager thread, the call
+queue's feeder) is gone, so the next ``start()`` — a rebuild after a
+crash or a timeout, or the next dispatch — forks with no other thread
+alive.  A child forked while another thread holds a lock inherits that
+lock held and can wait on it forever.
 """
 
 from __future__ import annotations
 
-import atexit
+import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict
 
-from ...obs import log as obslog
-from ...obs.registry import inc
 from .worker import Job, WorkerOutput, pool_worker_init, run_study_job
 
-_log = obslog.get_logger("repro.harness.pool.process")
-
-#: Parked executors awaiting reuse, keyed by worker count.  One slot
-#: per width is enough: the study engine runs one dispatch at a time.
-_WARM: Dict[int, ProcessPoolExecutor] = {}
-
-
-def shutdown_warm_pools() -> None:
-    """Terminate every parked warm executor (atexit, test teardown)."""
-    while _WARM:
-        _, executor = _WARM.popitem()
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(shutdown_warm_pools)
+#: Seconds a terminated worker gets to exit before it is SIGKILLed.
+_TERMINATE_GRACE = 5.0
 
 
 class ProcessPool:
-    """Persistent worker processes with warm reuse across dispatches.
+    """Forked worker processes for one dispatch.
 
-    Lifecycle: ``start()`` once before the first submission,
-    ``submit()`` any number of times, then either ``shutdown()``
-    (graceful; parks the executor for reuse) or ``kill()`` (hard
-    teardown after a hang or a break — never parks).  After ``kill()``
-    the dispatcher calls ``start()`` again to continue on fresh workers.
+    Lifecycle: ``start()`` before the first submission, ``submit()`` any
+    number of times, then either ``shutdown()`` (graceful) or ``kill()``
+    (hard teardown after a hang or a break).  After ``kill()`` the
+    dispatcher calls ``start()`` again to continue on fresh workers.
     A worker that dies outright (segfault, ``os._exit``) surfaces as
     ``BrokenProcessPool`` from its future.
     """
@@ -64,22 +46,16 @@ class ProcessPool:
         self._executor: ProcessPoolExecutor = None  # type: ignore[assignment]
 
     def start(self) -> None:
-        warm = _WARM.pop(self.workers, None)
-        if warm is not None:
-            inc("pool.warm_hit")
-            _log.debug("adopted warm process pool", workers=self.workers)
-            self._executor = warm
-            return
-        inc("pool.warm_miss")
         self._executor = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=pool_worker_init,
-            initargs=(self.profile,))
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=pool_worker_init, initargs=(self.profile,))
 
     def submit(self, job: Job) -> "Future[WorkerOutput]":
         return self._executor.submit(run_study_job, job)
 
     def kill(self) -> None:
-        """Terminate worker processes and discard the executor.
+        """Terminate the workers, reap them, and join the executor.
 
         ``ProcessPoolExecutor`` offers no per-worker kill, so reclaiming
         one hung worker means tearing the whole pool down (``_processes``
@@ -89,12 +65,13 @@ class ProcessPool:
             (getattr(self._executor, "_processes", None) or {}).values())
         for process in processes:
             process.terminate()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.join(_TERMINATE_GRACE)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     def shutdown(self) -> None:
-        """Park the executor for the next same-width pool to adopt."""
-        stale = _WARM.pop(self.workers, None)
-        if stale is not None:  # defensive: never leak a displaced pool
-            stale.shutdown(wait=False, cancel_futures=True)
-        _WARM[self.workers] = self._executor
-
+        """Let the workers finish and join them."""
+        self._executor.shutdown(wait=True)

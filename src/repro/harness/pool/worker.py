@@ -3,10 +3,10 @@
 A *job* is one benchmark's study as shipped to a worker: its name, the
 resolved :class:`~repro.harness.studyspec.StudySpec` and the fault kind
 the parent drew for the attempt.  Workers run jobs under strict
-state isolation — the (fork-inherited, or warm-pool-retained) metrics
-registry, span buffer and flight ring are reset before each job and the
-job's signals travel back only inside the returned
-:class:`WorkerOutput` — so the parent can merge observability
+state isolation — the metrics registry, span buffer and flight ring,
+whether fork-inherited or left by the worker's previous job, are reset
+before each job and the job's signals travel back only inside the
+returned :class:`WorkerOutput` — so the parent can merge observability
 deterministically and a retried attempt is never double-counted.
 A job that raises comes back as one :class:`WorkerJobError`.
 """
@@ -102,19 +102,12 @@ class WorkerJobError(RuntimeError):
 def pool_worker_init(profile: bool = False) -> None:
     """Pool initializer: stamp spawn time, arm faults and profiling,
     and pin OpenBLAS to one thread so workers do not oversubscribe the
-    cores (see :mod:`repro.blas`).
-
-    Also pre-imports the study machinery so a *warm* worker pays the
-    import bill exactly once, at spawn — under the default fork start
-    method the modules are inherited for free, but a spawn-started or
-    long-lived worker would otherwise re-pay it on its first job.
-    """
+    cores (see :mod:`repro.blas`)."""
     global _WORKER_SPAWNED_AT
     _WORKER_SPAWNED_AT = time.perf_counter()
     faults.mark_worker_process()
     obsprofile.set_profiling(profile)
     blas.set_threads(1)
-    from .. import runner  # noqa: F401  (import once per worker, not per job)
 
 
 def run_study_job(job: Job) -> WorkerOutput:
@@ -124,7 +117,7 @@ def run_study_job(job: Job) -> WorkerOutput:
     started = time.perf_counter()
     try:
         # A forked worker inherits the parent's registry/trace contents
-        # (and a warm pool worker keeps state across jobs) — start each
+        # (and keeps state across the jobs of one dispatch) — start each
         # job clean so the returned state is exactly this benchmark's.
         obsregistry.reset_metrics()
         obsspans.clear_trace()

@@ -19,7 +19,7 @@ validator before returning the program.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from . import instructions as ins
 from .errors import BuildError

@@ -13,7 +13,7 @@ See :mod:`repro.ir.printer` for the exact rendering this parser inverts.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import instructions as ins
 from .errors import BuildError, ParseError

@@ -15,7 +15,7 @@ expected observable results are documented per function and asserted in
 from __future__ import annotations
 
 from .builder import ProgramBuilder
-from .instructions import Cond, Opcode
+from .instructions import Cond
 from .program import Program
 
 #: Multiplier/increment/modulus of the embedded linear congruential PRNG.

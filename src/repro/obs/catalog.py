@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 KINDS = ("counter", "gauge", "histogram")
 
@@ -159,10 +159,6 @@ CATALOG: List[Instrument] = [
                "Test-only injected faults fired, by kind."),
     Instrument("faults.refunded", "counter",
                "Injected fault draws refunded on the non-charged path."),
-    Instrument("pool.warm_hit", "counter",
-               "Dispatches that adopted a parked warm worker pool."),
-    Instrument("pool.warm_miss", "counter",
-               "Dispatches that had to spawn a fresh worker pool."),
     Instrument("faults.pool_rebuild", "counter",
                "Process-pool rebuilds after a crashed worker."),
     Instrument("faults.timeout", "counter",

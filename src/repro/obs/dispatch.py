@@ -12,7 +12,7 @@ segments —
   (this includes pool spin-up and worker import cost for the first job
   a fresh worker runs; ``spawn`` isolates that part),
 * ``spawn`` — the slice of queue time spent before the worker process
-  finished initialising (zero once a worker is warm),
+  finished initialising (zero for a worker's later jobs),
 * ``execute`` — the worker running the study benchmark,
 * ``transfer`` — worker done until the parent future resolves
   (result pickling + pipe transfer + parent wake-up),
@@ -30,7 +30,7 @@ timebase and cross-process differences are meaningful.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 #: Segment names in pipeline order (the rendering order everywhere).
 SEGMENTS = ("serialize", "queue", "spawn", "execute", "transfer", "merge")

@@ -16,7 +16,6 @@ JSON-serialisable dict, and :func:`write_metrics` persists it.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from typing import Dict, List, Optional, Union
 

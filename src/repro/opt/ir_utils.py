@@ -8,7 +8,7 @@ operand layout documented in :mod:`repro.ir.instructions`.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from ..ir.instructions import BINARY_OPS, Instruction, Opcode
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..cfg.graph import ControlFlowGraph
 from ..ir.instructions import Instruction
 from ..ir.program import Program
 from ..profiles.model import ProfileSnapshot, Region

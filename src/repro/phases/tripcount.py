@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.matching import TripCountClass, lp_class, trip_count_class
+from ..core.matching import lp_class, trip_count_class
 from ..stochastic.trace import ExecutionTrace
 
 

@@ -26,7 +26,7 @@ All values are in simulator units (paper thresholds / 10 — see
 from __future__ import annotations
 
 from .characters import BranchSpec, Character, CharacterConfig, trips
-from .generators import BranchySegment, ChainSegment, LoopSegment
+from .generators import BranchySegment, LoopSegment
 from .spec import SyntheticBenchmark, register
 from ..stochastic.behavior import phased, warmup
 

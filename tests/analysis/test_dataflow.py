@@ -1,8 +1,7 @@
-"""Dataflow framework: reaching definitions, liveness, the worklist engine."""
+"""Dataflow framework: reaching definitions and the worklist engine."""
 
-from repro.analysis import (Definition, IterativeDataflow, Liveness,
-                            ReachingDefinitions, liveness,
-                            reaching_definitions)
+from repro.analysis import (Definition, IterativeDataflow,
+                            ReachingDefinitions, reaching_definitions)
 from repro.analysis.dataflow import function_flow, register_universe
 from repro.ir import Cond, ProgramBuilder
 
@@ -88,30 +87,6 @@ class TestReachingDefinitions:
         regs = {d.reg for d in rd.all_definitions}
         assert regs == {"acc", "i", "zero", "one"}
         assert rd.universe == frozenset({"acc", "i", "zero", "one"})
-
-
-class TestLiveness:
-    def test_loop_keeps_its_registers_live(self, loop_program):
-        lv = Liveness(loop_program.functions["main"])
-        # everything the loop body reads is live at loop entry
-        assert {"acc", "i", "zero", "one"} <= set(lv.live_in["loop"])
-        # nothing is live after the final halt block
-        assert lv.live_out["done"] == frozenset()
-
-    def test_dead_after_last_read(self):
-        pb = ProgramBuilder()
-        with pb.function("main") as fb:
-            fb.block("entry").li("a", 1).mov("b", "a").jmp("next")
-            fb.block("next").mov("c", "b").halt()
-        lv = liveness(pb.build().functions["main"])
-        assert "b" in lv.live_out["entry"]
-        assert "a" not in lv.live_out["entry"]
-
-    def test_call_keeps_everything_live(self):
-        program = _call_program()
-        lv = Liveness(program.functions["main"])
-        # before the call, every register may be read by the callee
-        assert set(lv.live_in["entry"]) == set(lv.universe)
 
 
 class TestIterativeDataflow:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import os
+import signal
 
 import pytest
 from hypothesis import settings
@@ -42,11 +44,34 @@ def _hermetic_repro_env(monkeypatch):
     """
     for var in [v for v in os.environ if v.startswith("REPRO_")]:
         monkeypatch.delenv(var)
-    yield
-    # Warm pool workers hold fork-time state (environment, module
-    # globals) — a worker parked by one test must not serve the next.
-    from repro.harness.pool import shutdown_warm_pools
-    shutdown_warm_pools()
+
+
+#: Seconds a test under ``wall_limit`` may run before it fails.  The
+#: slowest process-pool test takes a few seconds; a lost job waits forever.
+WALL_LIMIT_SECONDS = 120
+
+
+@pytest.fixture
+def wall_limit():
+    """Fail the test, printing every thread's stack, past the wall limit.
+
+    ``pytest-timeout`` is not a dependency, and a process-pool test that
+    loses a job would otherwise wait until CI's outer timeout.  The
+    alarm interrupts the main thread's wait, so the dispatcher unwinds
+    through its kill path.
+    """
+    def expire(signum, frame):
+        faulthandler.dump_traceback(all_threads=True)
+        raise TimeoutError(
+            f"test exceeded its {WALL_LIMIT_SECONDS} s wall limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WALL_LIMIT_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

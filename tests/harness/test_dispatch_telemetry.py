@@ -21,6 +21,12 @@ from ..conftest import identical_bytes
 
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
+#: Full-length runs for the coverage floor: a few milliseconds of the
+#: host descheduling the test between spans must stay a small share of
+#: the study (0.17-0.27 s on a 2-core VM, against 25-100 ms at
+#: ``KWARGS``).
+FULL_LENGTH = dict(KWARGS, steps_scale=1.0)
+
 
 def _dispatch(names, jobs):
     policy = RetryPolicy(retries=0, backoff=0.0)
@@ -93,7 +99,7 @@ def test_pool_dispatch_records_full_segments():
 
 def test_manifest_carries_dispatch_and_profile_sections():
     results = run_full_study(names=["gzip", "mcf"], cache_dir=None,
-                             jobs=2, **KWARGS)
+                             jobs=2, **FULL_LENGTH)
     manifest = results.manifest
     dispatch = manifest["dispatch"]
     assert dispatch["jobs"] == 2
@@ -111,8 +117,8 @@ def test_manifest_carries_dispatch_and_profile_sections():
 
 
 def test_serial_manifest_attributes_without_double_counting():
-    results = run_full_study(names=["gzip"], cache_dir=None, jobs=1,
-                             **KWARGS)
+    results = run_full_study(names=["gzip", "mcf"], cache_dir=None, jobs=1,
+                             **FULL_LENGTH)
     profile = results.manifest["profile"]
     # Inline job spans re-nest under full_study: one lane, and the
     # total is the run's wall time once, not twice.
@@ -236,8 +242,7 @@ def test_only_ref_traces_build_an_event_index():
     before = counter_value("trace.index_builds")
     # Long enough runs that fixed harness overhead stays under 5%.
     results = run_full_study(names=["gzip", "mcf"], cache_dir=None,
-                             jobs=1, profile=True,
-                             **dict(KWARGS, steps_scale=0.25))
+                             jobs=1, profile=True, **FULL_LENGTH)
     assert counter_value("trace.index_builds") - before == 2
     assert PHASE_OF_SPAN["trace.index"] == "walker"
     assert sum(e["name"] == "trace.index" for e in trace_events()) == 2

@@ -27,6 +27,8 @@ from repro.obs import counter_value
 
 from ..conftest import identical_bytes
 
+pytestmark = pytest.mark.usefixtures("wall_limit")
+
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
 #: A long injected "hang" that any test timeout comfortably beats.
@@ -286,6 +288,16 @@ def test_crash_breaks_pool_then_retry_succeeds():
     assert 1 <= counter_value("retry.crash") - charged <= 2
     # ...and no benchmark was absorbed twice.
     assert sorted(absorbed) == sorted(names)
+
+
+def test_back_to_back_crash_dispatches_all_complete():
+    # Each dispatch crashes a worker, rebuilds its pool and joins it on
+    # the way out, the way consecutive tests (or studies) run.
+    for _ in range(20):
+        dispatch = _dispatch(["art", "gzip"],
+                             FaultPlan.from_spec("gzip:crash:1"))
+        assert set(dispatch.outputs) == {"art", "gzip"}
+        assert dispatch.failures == {}
 
 
 def test_error_fault_retries_without_pool_rebuild():

@@ -1,27 +1,44 @@
-"""Pool backends: selection, equivalence, failure envelope, warm reuse.
+"""Pool backends: selection, equivalence, failure envelope, lifecycle.
 
 The load-bearing guarantee of :mod:`repro.harness.pool`: figure data is
 byte-identical for any worker count — the backends differ only in
 transport cost.  On top of that, a failing job must charge only itself,
-warm pools must actually be reused, an unpicklable job must fail fast
-with the original pickling error instead of an opaque pool break, and a
+every pool must fork with no other thread alive, an unpicklable job must
+fail fast with the original pickling error instead of an opaque pool
+break, and a
 drawn fault token must be refunded when the attempt dies of an
 unrelated cause before the fault fires — on either side of the process
 boundary.
 """
 
 import os
+import threading
+
+import pytest
 
 from repro.dbt import DBTConfig
 from repro.harness import run_full_study
 from repro.harness.faults import FaultPlan
-from repro.harness.pool import RetryPolicy, dispatch_study_jobs
+from repro.harness.pool import ProcessPool, RetryPolicy, dispatch_study_jobs
 from repro.harness.studyspec import StudySpec
 from repro.obs import counter_value
 
 from ..conftest import identical_bytes
 
+pytestmark = pytest.mark.usefixtures("wall_limit")
+
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
+
+#: Live thread counts at each fork while a test records them, else None.
+_threads_at_fork = None
+
+
+def _record_threads_at_fork():
+    if _threads_at_fork is not None:
+        _threads_at_fork.append(threading.active_count())
+
+
+os.register_at_fork(before=_record_threads_at_fork)
 
 
 def _dispatch(names, plan=None, retries=2, jobs=2, **overrides):
@@ -98,20 +115,39 @@ def test_error_charges_only_its_own_job():
                          "mcf": ["ok"], "swim": ["ok"]}
 
 
-# -- warm worker reuse --------------------------------------------------------
+# -- pool lifecycle -----------------------------------------------------------
 
 
-def test_warm_pool_reused_across_dispatches():
-    misses = counter_value("pool.warm_miss")
-    hits = counter_value("pool.warm_hit")
-    first = _dispatch(["art", "gzip"], jobs=2)
-    second = _dispatch(["art", "gzip"], jobs=2)
-    assert counter_value("pool.warm_miss") == misses + 1
-    assert counter_value("pool.warm_hit") == hits + 1
-    first_pids = {o.pid for o in first.outputs.values()}
-    second_pids = {o.pid for o in second.outputs.values()}
-    # The second dispatch adopted the parked pool: same worker processes.
-    assert first_pids & second_pids
+def test_pool_forks_its_workers():
+    # Explicit, so an interpreter whose default start method is
+    # ``forkserver`` or ``spawn`` does not re-pay the imports per pool.
+    pool = ProcessPool(2)
+    pool.start()
+    try:
+        assert pool._executor._mp_context.get_start_method() == "fork"
+    finally:
+        pool.shutdown()
+
+
+def test_every_fork_happens_with_only_the_main_thread_alive():
+    # A crash tears the pool down and rebuilds it mid-dispatch, and the
+    # next dispatch builds another: each of those forks must wait until
+    # the previous executor's threads are gone, or a worker can inherit
+    # a lock some other thread held.
+    global _threads_at_fork
+    rebuilds = counter_value("faults.pool_rebuild")
+    _threads_at_fork = []
+    try:
+        crashed = _dispatch(["art", "gzip"],
+                            plan=FaultPlan.from_spec("gzip:crash:1"))
+        clean = _dispatch(["art", "gzip"])
+    finally:
+        forks, _threads_at_fork = _threads_at_fork, None
+    assert set(crashed.outputs) == set(clean.outputs) == {"art", "gzip"}
+    assert counter_value("faults.pool_rebuild") == rebuilds + 1
+    # Two workers each for the first pool, its rebuild and the next pool.
+    assert forks == [1] * 6
+    assert threading.active_count() == 1
 
 
 # -- pickling failures (satellite: swallowed into an empty payload) -----------
