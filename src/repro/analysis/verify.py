@@ -170,7 +170,7 @@ def verify_program(program: Program,
     possibly-undefined register reads are warnings.
     """
     from ..ir.validate import program_diagnostics
-    from .dataflow import ReachingDefinitions
+    from .dataflow import possibly_undefined_reads
 
     report = report if report is not None else VerifyReport()
     inc("analysis.checks")
@@ -191,8 +191,7 @@ def verify_program(program: Program,
             # caller — the intraprocedural analysis can only be trusted
             # on the program's entry function.
             continue
-        rd = ReachingDefinitions(fn)
-        for label, index, reg in rd.possibly_undefined_reads():
+        for label, index, reg in possibly_undefined_reads(fn):
             report.warning(
                 "ir.maybe-undefined-read", f"{fn.name}:{label}[{index}]",
                 f"register {reg!r} may be read before any definition "

@@ -37,8 +37,7 @@ class TwoPhaseDBT:
     """
 
     def __init__(self, cfg: ControlFlowGraph, config: DBTConfig,
-                 loops: Optional[LoopForest] = None,
-                 program=None, machine=None):
+                 loops: Optional[LoopForest] = None):
         self.cfg = cfg
         self.config = config
         self.loops = loops or find_loops(cfg)
@@ -46,14 +45,6 @@ class TwoPhaseDBT:
         self.pool = CandidatePool(config)
         self.former = RegionFormer(cfg, self.loops, config)
         self.regions: List[Region] = []
-        #: When a VIR ``program`` is supplied, every formed region is
-        #: actually retranslated (const-prop, DCE, scheduling) at its
-        #: optimisation event, and the per-region
-        #: :class:`~repro.opt.regionopt.RegionOptimizationReport`\ s
-        #: accumulate here, parallel to :attr:`regions`.
-        self.program = program
-        self.machine = machine
-        self.optimization_reports: List = []
         self.optimized: Set[int] = set()
         self.step = 0
         self._pending_optimize = False
@@ -97,13 +88,6 @@ class TwoPhaseDBT:
             pool_blocks, self.counters.counters, self.optimized,
             next_region_id=len(self.regions), formed_at=self.step)
         self.regions.extend(result.regions)
-        if self.program is not None:
-            from ..opt.regionopt import optimize_region
-            from ..opt.scheduler import MachineModel
-            machine = self.machine or MachineModel()
-            for region in result.regions:
-                self.optimization_reports.append(
-                    optimize_region(self.program, region, machine))
         for block in result.newly_optimized:
             self.counters.freeze(block, self.step)
         self.optimized.update(result.newly_optimized)

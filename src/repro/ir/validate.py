@@ -130,7 +130,7 @@ class ProgramDiagnostics:
         return not self.errors
 
 
-def _reachable_block_labels(fn: Function) -> Set[str]:
+def reachable_block_labels(fn: Function) -> Set[str]:
     """Labels reachable from the function entry along terminator edges."""
     if fn.entry is None or fn.entry not in fn.blocks:
         return set()
@@ -164,7 +164,7 @@ def program_diagnostics(program: Program) -> ProgramDiagnostics:
     for fn in program:
         if fn.entry is None:
             continue
-        live = _reachable_block_labels(fn)
+        live = reachable_block_labels(fn)
         for block in fn:
             if block.label not in live:
                 diags.warnings.append(

@@ -187,10 +187,6 @@ CATALOG: List[Instrument] = [
                "Verification studies that raised instead of completing."),
     Instrument("analysis.cli.files", "counter",
                "Files processed by the analysis CLI."),
-    Instrument("analysis.passcheck.runs", "counter",
-               "Pass-equivalence checks executed."),
-    Instrument("analysis.passcheck.failures", "counter",
-               "Pass-equivalence checks that found a mismatch."),
     # -- timing ---------------------------------------------------------------
     Instrument("study.benchmark_seconds", "histogram",
                "Wall seconds per study benchmark (successful attempts)."),

@@ -102,21 +102,3 @@ def test_live_on_interpreter_events(loop_program):
     snapshot = dbt.snapshot()
     assert snapshot.total_steps == 7  # entry + 5 loop + done
     assert snapshot.regions  # the loop got hot enough to optimise
-
-
-def test_live_translator_retranslates_with_program():
-    """Supplying the VIR program makes every optimisation event actually
-    retranslate its regions (paper: 'advanced optimizations are applied')."""
-    from repro.cfg import cfg_from_program
-    from repro.ir import branchy_prng
-
-    program = branchy_prng(iterations=3000)
-    cfg, _ = cfg_from_program(program)
-    dbt = TwoPhaseDBT(cfg, DBTConfig(threshold=100, pool_trigger_size=2),
-                      program=program)
-    from repro.interp import Interpreter
-    Interpreter(program, listener=dbt, step_limit=10**8).run()
-    assert dbt.regions
-    assert len(dbt.optimization_reports) == len(dbt.regions)
-    assert all(r.speedup >= 1.0 for r in dbt.optimization_reports)
-    assert any(r.speedup > 1.0 for r in dbt.optimization_reports)

@@ -1,8 +1,8 @@
-"""Importing the study machinery must not load the optimiser, the
-instruction interpreter or the instruction-level IR.
+"""Importing the study machinery must not load the instruction
+interpreter or the instruction-level IR.
 
 A study runs on the block-level walker alone, so it never loads
-``repro.opt`` or ``repro.interp``.  The CFG names VIR programs in
+``repro.interp``.  The CFG names VIR programs in
 annotations and imports them only where a program is read
 (``cfg_from_program``), so a study on synthetic workloads never loads
 ``repro.ir``.  Side-exit pricing tests membership
@@ -31,10 +31,6 @@ def loaded_after_study_import(package, study=""):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     return out.stdout.strip().splitlines()[-1]
-
-
-def test_study_import_leaves_optimiser_unloaded():
-    assert loaded_after_study_import("repro.opt") == "[]"
 
 
 def test_study_import_leaves_interpreter_unloaded():

@@ -25,7 +25,11 @@ live here, where only tests can reach them:
 * :func:`reference_optimized_steps` — the optimised steps per block
   and traversals per dynamic edge under one map, from one gather of
   every step, against which :class:`~repro.perfmodel.CostTables`' rank
-  counts off the event index and successor table are checked.
+  counts off the event index and successor table are checked;
+* :func:`reference_undefined_reads` — the possibly-undefined-read lint
+  as one breadth-first search per register over ``(block,
+  defined-yet)`` states, against which the set fixpoint of
+  :func:`repro.analysis.dataflow.possibly_undefined_reads` is checked.
 
 Checks and adapters the tests use as oracles live here too:
 :func:`validate_against_cfg` (a trace is a legal walk of its CFG),
@@ -43,16 +47,19 @@ directly.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.analysis.dataflow import reads, writes
 from repro.cfg import ControlFlowGraph
 from repro.cfg.loops import find_loops
 from repro.dbt import (CandidatePool, DBTConfig, ThresholdReplayState,
                        TranslationMap)
 from repro.dbt.batchreplay import OptimizeFn
 from repro.interp import ExecutionListener
+from repro.ir import Function, Opcode
 from repro.perfmodel import DEFAULT_COSTS, CostBreakdown, CostModel
 from repro.stochastic import (NO_BRANCH, BlockEvents, CFGWalker,
                               ExecutionTrace, ProgramBehavior, RunCounts,
@@ -285,6 +292,59 @@ def edge_counts(trace: ExecutionTrace) -> Dict[Tuple[int, int], int]:
     unique, counts = np.unique(pairs, return_counts=True)
     return {(int(p // n), int(p % n)): int(c)
             for p, c in zip(unique, counts)}
+
+
+def reference_undefined_reads(fn: Function) -> List[Tuple[str, int, str]]:
+    """Reads no definition of their register reaches, by path search.
+
+    For each register, a breadth-first search over ``(block,
+    defined-yet)`` states: leaving a block that writes the register, or
+    calls (the callee may write anything), sets ``defined-yet`` on every
+    successor state.  The search starts from ``(block, False)`` at every
+    block, not only the entry: the lint counts a definition on any path
+    of the label graph into the read, one that starts in an unreachable
+    block included.  A read in a block reachable from the entry is
+    flagged unless an earlier instruction of its block defines the
+    register or the search reached ``(block, True)``.
+    """
+    succs = {block.label: [t for t in (block.successor_labels()
+                                        if block.is_sealed else ())
+                           if t in fn.blocks]
+             for block in fn}
+
+    def defines(code: Sequence, reg: str) -> bool:
+        return any(instr.opcode is Opcode.CALL or reg in writes(instr)
+                   for instr in code)
+
+    def defined_on_entry(reg: str) -> Set[str]:
+        """Blocks whose state ``(block, True)`` the search reaches."""
+        seen = {(label, False) for label in succs}
+        queue = deque(seen)
+        while queue:
+            label, defined = queue.popleft()
+            defined = defined or defines(fn.blocks[label].instructions, reg)
+            for target in succs[label]:
+                if (target, defined) not in seen:
+                    seen.add((target, defined))
+                    queue.append((target, defined))
+        return {label for label, defined in seen if defined}
+
+    reachable: Set[str] = set()
+    frontier = [fn.entry] if fn.entry is not None else []
+    while frontier:
+        label = frontier.pop()
+        if label not in reachable:
+            reachable.add(label)
+            frontier.extend(succs[label])
+    registers = {reg for block in fn for instr in block.instructions
+                 for reg in instr.regs}
+    defined_at = {reg: defined_on_entry(reg) for reg in registers}
+    return [(block.label, index, reg)
+            for block in fn if block.label in reachable
+            for index, instr in enumerate(block.instructions)
+            for reg in reads(instr)
+            if block.label not in defined_at[reg]
+            and not defines(block.instructions[:index], reg)]
 
 
 class RecordingListener:
