@@ -5,7 +5,7 @@ the attribution contract PR-over-PR::
 
     PYTHONPATH=src python benchmarks/bench_profile.py --out BENCH_profile.json
 
-Four gates, any failure exits non-zero:
+Three gates, any failure exits non-zero:
 
 * **attribution** — the phase profiler must attribute at least
   ``MIN_COVERAGE`` (95%) of a serial run's wall time to named phases;
@@ -13,9 +13,7 @@ Four gates, any failure exits non-zero:
   dispatch breakdown whose segments account for the jobs dispatched;
 * **overhead** — the study with observability enabled must stay within
   ``MAX_OVERHEAD`` (2%) of the same study with :func:`repro.obs.disable`
-  in force, best-of-``--repeat`` wall times on both sides;
-* **figures** — figure data must be byte-identical with ``--profile``
-  on and off (profiling observes, never steers).
+  in force, best-of-``--repeat`` wall times on both sides.
 
 Run as a script (pytest collects this file but finds no tests in it).
 """
@@ -37,26 +35,14 @@ MIN_COVERAGE = 0.95
 MAX_OVERHEAD = 0.02
 
 
-def _strip_manifest_bytes(results) -> bytes:
-    """Serialised figure data with the (timing-bearing) manifest removed."""
-    manifest, results.manifest = results.manifest, None
-    try:
-        from repro.harness.results import _result_to_dict
-        payload = {name: _result_to_dict(r)
-                   for name, r in results.benchmarks.items()}
-        return json.dumps(payload, sort_keys=True).encode()
-    finally:
-        results.manifest = manifest
-
-
-def _run_study(jobs, scale, profile=False):
+def _run_study(jobs, scale):
     from repro.harness import run_full_study
 
     started = time.perf_counter()
     results = run_full_study(names=BENCH_NAMES,
                              thresholds=BENCH_THRESHOLDS,
                              steps_scale=scale, include_perf=True,
-                             cache_dir=None, jobs=jobs, profile=profile)
+                             cache_dir=None, jobs=jobs)
     return time.perf_counter() - started, results
 
 
@@ -103,13 +89,6 @@ def bench_overhead(scale, repeat):
     return enabled, disabled, overhead
 
 
-def bench_profile_identity(scale):
-    """Figure bytes with ``--profile`` off vs on."""
-    _, base = _run_study(jobs=1, scale=scale, profile=False)
-    _, profiled = _run_study(jobs=1, scale=scale, profile=True)
-    return _strip_manifest_bytes(base) == _strip_manifest_bytes(profiled)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_profile.json",
@@ -144,15 +123,11 @@ def main(argv=None) -> int:
     print(f"overhead: enabled {enabled:.2f}s vs disabled "
           f"{disabled:.2f}s ({overhead:+.2%}, best of {args.repeat})")
 
-    identical = bench_profile_identity(args.scale)
-    print(f"--profile figure data identical: {identical}")
-
     gates = {
         "attribution": coverage >= MIN_COVERAGE,
         "dispatch": (dispatch["records"] >= len(BENCH_NAMES)
                      and dispatch["segments_seconds"]["execute"] > 0),
         "overhead": overhead <= MAX_OVERHEAD,
-        "figures": identical,
     }
     payload = {
         "benchmarks": BENCH_NAMES,
@@ -182,7 +157,6 @@ def main(argv=None) -> int:
             "overhead_ratio": round(overhead, 4),
             "repeat": args.repeat,
         },
-        "figure_data_identical": identical,
         "gates": gates,
     }
     with open(args.out, "w") as f:

@@ -54,15 +54,17 @@ def possibly_undefined_reads(fn: Function) -> List[Tuple[str, int, str]]:
     graph: block out = block in ∪ the block's writes, and every register
     after a ``call``.  VIR registers are implicitly zero at machine
     start, so these are lint warnings (latent bugs in generated code),
-    not errors.  Unreachable blocks are skipped — their reads are the
-    unreachable-block lint's finding — but their writes still flow
-    along their out-edges.
+    not errors.  Unreachable blocks take no part: their reads are the
+    unreachable-block lint's finding, and their writes never execute,
+    so they reach no read.
     """
     universe = frozenset(reg for block in fn for instr in block.instructions
                          for reg in instr.regs)
-    preds: Dict[str, List[str]] = {block.label: [] for block in fn}
+    reachable = reachable_block_labels(fn)
+    live = [block for block in fn if block.label in reachable]
+    preds: Dict[str, List[str]] = {block.label: [] for block in live}
     written: Dict[str, FrozenSet[str]] = {}
-    for block in fn:
+    for block in live:
         code = block.instructions
         written[block.label] = universe if any(
             instr.opcode is Opcode.CALL for instr in code) else frozenset(
@@ -81,11 +83,8 @@ def possibly_undefined_reads(fn: Function) -> List[Tuple[str, int, str]]:
             if new != defined_in[label]:
                 defined_in[label], changed = new, True
 
-    reachable = reachable_block_labels(fn)
     out: List[Tuple[str, int, str]] = []
-    for block in fn:
-        if block.label not in reachable:
-            continue
+    for block in live:
         defined = set(defined_in[block.label])
         for index, instr in enumerate(block.instructions):
             if instr.opcode is Opcode.CALL:

@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import LoopForest, find_loops
-from ..obs.profile import sampled_span
 from ..obs.registry import inc
 from ..obs.spans import span
 from ..profiles.model import BlockProfile, ProfileSnapshot, Region
@@ -145,8 +144,8 @@ class ThresholdReplayState:
         if not pool_blocks:
             return set()
         counters = frozen_counter_view(self._events, self.freeze_step, now)
-        with sampled_span("region.form", threshold=self.config.threshold,
-                          blocks=len(pool_blocks)):
+        with span("region.form", threshold=self.config.threshold,
+                  blocks=len(pool_blocks)):
             result = self.former.form(
                 pool_blocks, counters, self.optimized,
                 next_region_id=len(self.regions), formed_at=now)

@@ -117,12 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the semantic verifier over every "
                              "study (default: $REPRO_VERIFY, else off); "
                              "error-severity findings exit with code 4")
-    parser.add_argument("--profile", action="store_true", default=None,
-                        help="arm the fine-grained profiling spans in "
-                             "every worker (default: $REPRO_PROFILE, "
-                             "else off; figures are byte-identical "
-                             "either way — this only sharpens the phase "
-                             "attribution in --stats and the trace)")
     parser.add_argument("--flight-dir", metavar="DIR", default=None,
                         help="write flight-recorder dumps for failed "
                              "benchmarks into DIR (default: "
@@ -180,8 +174,7 @@ def _resolve_spec(args: argparse.Namespace) -> StudySpec:
         steps_scale=0.1 if args.quick else 1.0,
         include_perf=not args.no_perf, jobs=args.jobs,
         retries=args.retries, job_timeout=args.job_timeout,
-        verify=args.verify, profile=args.profile,
-        flight_dir=args.flight_dir)
+        verify=args.verify, flight_dir=args.flight_dir)
 
 
 def _dispatch(args: argparse.Namespace, spec: StudySpec) -> int:

@@ -570,7 +570,7 @@ def dispatch_study_jobs(
     workers = max(1, min(spec.jobs, len(names)))
     backend: Union[InProcessPool, ProcessPool] = (
         InProcessPool() if workers == 1
-        else ProcessPool(workers, profile=spec.profile))
+        else ProcessPool(workers))
     if policy.job_timeout is not None and not backend.supports_timeout:
         _log.warning("job timeout is not enforced on the inline path",
                      job_timeout=policy.job_timeout)

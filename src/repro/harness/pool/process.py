@@ -40,16 +40,15 @@ class ProcessPool:
     is_inline = False
     supports_timeout = True
 
-    def __init__(self, workers: int, profile: bool = False):
+    def __init__(self, workers: int):
         self.workers = workers
-        self.profile = profile
         self._executor: ProcessPoolExecutor = None  # type: ignore[assignment]
 
     def start(self) -> None:
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=pool_worker_init, initargs=(self.profile,))
+            initializer=pool_worker_init)
 
     def submit(self, job: Job) -> "Future[WorkerOutput]":
         return self._executor.submit(run_study_job, job)

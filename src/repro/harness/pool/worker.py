@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ... import blas
 from ...obs import flightrec
 from ...obs import log as obslog
-from ...obs import profile as obsprofile
 from ...obs import registry as obsregistry
 from ...obs import spans as obsspans
 from ...workloads.spec import get_benchmark
@@ -99,14 +98,13 @@ class WorkerJobError(RuntimeError):
                  self.finished_at))
 
 
-def pool_worker_init(profile: bool = False) -> None:
-    """Pool initializer: stamp spawn time, arm faults and profiling,
-    and pin OpenBLAS to one thread so workers do not oversubscribe the
-    cores (see :mod:`repro.blas`)."""
+def pool_worker_init() -> None:
+    """Pool initializer: stamp spawn time, arm faults, and pin OpenBLAS
+    to one thread so workers do not oversubscribe the cores (see
+    :mod:`repro.blas`)."""
     global _WORKER_SPAWNED_AT
     _WORKER_SPAWNED_AT = time.perf_counter()
     faults.mark_worker_process()
-    obsprofile.set_profiling(profile)
     blas.set_threads(1)
 
 
@@ -122,8 +120,6 @@ def run_study_job(job: Job) -> WorkerOutput:
         obsregistry.reset_metrics()
         obsspans.clear_trace()
         flightrec.clear()
-        obsprofile.set_profiling(spec.profile)
-        obsprofile.reset_sampling()
         # First breadcrumb after the reset: even a job that dies
         # instantly ships a ring that says which benchmark it was running.
         _log.debug("job start", bench=name, pid=os.getpid())
@@ -165,7 +161,6 @@ def run_job_inprocess(job: Job) -> WorkerOutput:
     parent_metrics = obsregistry.export_state()
     parent_trace = obsspans.trace_events()
     parent_flight = flightrec.export()
-    parent_profiling = obsprofile.profiling_enabled()
     try:
         return run_study_job(job)
     finally:
@@ -174,4 +169,3 @@ def run_job_inprocess(job: Job) -> WorkerOutput:
         obsspans.clear_trace()
         obsspans.extend_trace(parent_trace)
         flightrec.restore(parent_flight)
-        obsprofile.set_profiling(parent_profiling)

@@ -36,7 +36,7 @@ from ..obs import dispatch as obsdispatch
 from ..obs import flightrec
 from ..obs import log as obslog
 from ..obs.manifest import build_manifest
-from ..obs.profile import PhaseProfile, set_profiling
+from ..obs.profile import PhaseProfile
 from ..obs.registry import inc, merge_state, observe, set_gauge
 from ..obs.spans import extend_trace, now_ts, span, trace_events
 from ..perfmodel.costs import DEFAULT_COSTS, CostModel
@@ -243,7 +243,6 @@ def run_full_study(names: Optional[Iterable[str]] = None,
                    retries: Optional[int] = None,
                    job_timeout: Optional[float] = None,
                    verify: Optional[bool] = None,
-                   profile: Optional[bool] = None,
                    flight_dir: Optional[str] = None,
                    fault_spec: Optional[str] = None) -> StudyResults:
     """Run (or load from cache) the full evaluation study.
@@ -280,8 +279,7 @@ def run_full_study(names: Optional[Iterable[str]] = None,
         thresholds=thresholds, config=config, costs=costs,
         steps_scale=steps_scale, include_perf=include_perf, verify=verify,
         jobs=jobs, retries=retries, job_timeout=job_timeout,
-        profile=profile, flight_dir=flight_dir, fault_spec=fault_spec)
-    set_profiling(spec.profile)
+        flight_dir=flight_dir, fault_spec=fault_spec)
 
     if verbose and not obslog.is_configured():
         obslog.configure(level="info")

@@ -3,10 +3,10 @@
 The paper's figures (§4) depend on five things: the benchmark, the
 threshold sweep, the DBT configuration, the cost model and the run
 length.  Everything else about a run — worker count, retry budget,
-timeouts, profiling, where failure dumps go, injected faults — is
-transport.  :class:`StudySpec` holds both kinds in one frozen,
-picklable object, and every field declares in its metadata which kind
-it is.  The declarations drive everything that used to be kept by hand:
+timeouts, where failure dumps go, injected faults — is transport.
+:class:`StudySpec` holds both kinds in one frozen, picklable object,
+and every field declares in its metadata which kind it is.  The
+declarations drive everything that used to be kept by hand:
 
 * :meth:`StudySpec.config_key` / :meth:`StudySpec.run_key` hash exactly
   the result-affecting fields, so a run knob can never split a cache;
@@ -82,11 +82,11 @@ def _knob(env: str, parse: Callable[[str, str], Any],
           affects_results: bool = False,
           key: Optional[Callable[[Any], Any]] = None,
           minimum: Optional[float] = None, above: Optional[float] = None,
-          manifest: Optional[str] = None, **kwargs: Any) -> Any:
+          **kwargs: Any) -> Any:
     """A field that the ``env`` variable may set, with its range check."""
     return field(metadata={"affects_results": affects_results, "key": key,
                            "env": env, "parse": parse, "minimum": minimum,
-                           "above": above, "manifest": manifest}, **kwargs)
+                           "above": above}, **kwargs)
 
 
 def _cpu_count() -> int:
@@ -129,8 +129,6 @@ class StudySpec:
             (``0`` = one attempt, then the inline fallback).
         job_timeout: seconds before an in-flight job is declared hung
             (``None`` = unlimited; only enforced with a process pool).
-        profile: arm the fine-grained profiling span sites in the
-            parent and every worker (adds timing spans only).
         flight_dir: where flight-recorder dumps go (``None`` = the
             cache's ``flight`` directory, or nowhere without a cache).
         fault_spec: the fault-injection rules (see
@@ -151,8 +149,6 @@ class StudySpec:
                          default=DEFAULT_RETRIES)
     job_timeout: Optional[float] = _knob("REPRO_JOB_TIMEOUT", _parse_float,
                                          above=0, default=None)
-    profile: bool = _knob("REPRO_PROFILE", _parse_bool,
-                          manifest="profile_enabled", default=False)
     flight_dir: Optional[str] = _knob("REPRO_FLIGHT_DIR", _parse_str,
                                       default=None)
     fault_spec: Optional[str] = _knob("REPRO_FAULT_SPEC", _parse_str,
@@ -196,8 +192,7 @@ class StudySpec:
 
     def manifest(self) -> Dict[str, Any]:
         """Every field as a run-manifest key (JSON data)."""
-        return {f.metadata.get("manifest") or f.name:
-                _plain(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def resolve_spec(**explicit: Any) -> StudySpec:

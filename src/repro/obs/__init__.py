@@ -18,8 +18,7 @@ Every layer of the pipeline reports into this package:
 On top of the substrate sits the profiling & attribution layer:
 
 * :mod:`repro.obs.profile` — the phase profiler: exclusive/inclusive
-  wall-time per pipeline phase from the span tree, plus the
-  ``--profile`` deterministic sampling mode.
+  wall-time per pipeline phase from the span tree.
 * :mod:`repro.obs.dispatch` — per-job dispatch timelines (serialize /
   queue / spawn / execute / transfer / merge) that decompose the
   parallel harness's overhead into named costs.
@@ -41,8 +40,7 @@ from .dispatch import JobTimeline, summarize
 from .flightrec import FlightRecorder, resolve_flight_dir, write_dump
 from .log import StructuredLogger, configure, get_logger
 from .manifest import build_manifest, render_manifest
-from .profile import (PhaseProfile, profiling_enabled, sampled_span,
-                      set_profiling)
+from .profile import PhaseProfile
 from .registry import (Counter, Gauge, Histogram, MetricsRegistry,
                        counter_value, disable, enable, enabled,
                        export_state, get_registry, inc, merge_state,
@@ -58,8 +56,8 @@ __all__ = [
     "disable", "enable", "enabled", "export_state",
     "extend_trace", "get_logger", "get_registry", "inc",
     "merge_state", "metrics_snapshot", "now_ts", "observe",
-    "profiling_enabled", "render_manifest",
+    "render_manifest",
     "reset_metrics", "resolve_flight_dir",
-    "sampled_span", "set_gauge", "set_profiling", "span", "summarize",
+    "set_gauge", "span", "summarize",
     "trace_events", "write_dump", "write_metrics", "write_trace",
 ]

@@ -27,11 +27,8 @@ from typing import Any, Deque, Dict, List, Optional
 
 from . import registry as _registry
 
-#: Ring capacity when ``REPRO_FLIGHT_CAPACITY`` does not say otherwise.
+#: Ring capacity unless the caller sizes a recorder itself.
 DEFAULT_CAPACITY = 256
-
-#: Environment variable overriding the ring capacity.
-CAPACITY_ENV = "REPRO_FLIGHT_CAPACITY"
 
 #: Format version stamped into every dump file.
 DUMP_VERSION = 1
@@ -41,25 +38,11 @@ DUMP_VERSION = 1
 _BASE_KEYS = frozenset({"seq", "ts", "pid", "kind", "name"})
 
 
-def _capacity() -> int:
-    env = os.environ.get(CAPACITY_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{CAPACITY_ENV} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"{CAPACITY_ENV} must be >= 1, got {value}")
-        return value
-    return DEFAULT_CAPACITY
-
-
 class FlightRecorder:
     """A bounded ring of recent observability events."""
 
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity or _capacity()
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        self.capacity = capacity
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self._seq = 0
 

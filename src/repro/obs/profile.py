@@ -14,83 +14,14 @@ attribution is complete by construction, and whatever is *not* covered
 by a named phase shows up honestly as ``harness``/``other`` instead of
 silently vanishing.  The acceptance gate
 (``benchmarks/bench_profile.py``) requires named phases to cover >= 95%
-of study wall time.
-
-**Profiling mode** (``--profile`` / ``$REPRO_PROFILE``) additionally
-arms fine-grained span sites that are too hot to record unconditionally
-— per-event region formation, batch assembly — via the
-deterministically *sampled* :func:`sampled_span` (every Nth call per
-site records; no randomness, so two identical runs record identical
-spans).  Profiling only ever adds timing spans: study figures are
-byte-identical with it on or off.
+of study wall time.  Every span site records on every call (region
+formation's ``region.form`` included), so each manifest carries the same
+phase table.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Iterable, List, Tuple
-
-from . import registry as _registry
-from .spans import NULL_SPAN, span
-
-#: Environment variable overriding the sampling stride of sampled_span.
-SAMPLE_ENV = "REPRO_PROFILE_SAMPLE"
-
-#: Default stride: record every call.  Raise to thin out pathological
-#: sites (the stride is deterministic, never random).
-DEFAULT_SAMPLE_EVERY = 1
-
-_PROFILING = False
-
-#: Per-site call counters behind :func:`sampled_span`.
-_SAMPLE_COUNTS: Dict[str, int] = {}
-
-
-def set_profiling(on: bool) -> None:
-    """Arm or disarm the fine-grained profiling span sites."""
-    global _PROFILING
-    _PROFILING = bool(on)
-
-
-def profiling_enabled() -> bool:
-    """Whether profiling mode is armed (and observability enabled)."""
-    return _PROFILING and _registry.enabled()
-
-
-def sample_every() -> int:
-    """The deterministic sampling stride of :func:`sampled_span`."""
-    env = os.environ.get(SAMPLE_ENV)
-    if not env:
-        return DEFAULT_SAMPLE_EVERY
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{SAMPLE_ENV} must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ValueError(f"{SAMPLE_ENV} must be >= 1, got {value}")
-    return value
-
-
-def reset_sampling() -> None:
-    """Reset the per-site sample counters (worker/test isolation)."""
-    _SAMPLE_COUNTS.clear()
-
-
-def sampled_span(name: str, **attrs: Any) -> Any:
-    """A profiling-mode span recorded every Nth call per site.
-
-    The counter is per span name and process-local, so which calls get
-    recorded is a pure function of the call sequence — deterministic
-    across identical runs.
-    """
-    if not profiling_enabled():
-        return NULL_SPAN
-    count = _SAMPLE_COUNTS.get(name, 0)
-    _SAMPLE_COUNTS[name] = count + 1
-    if count % sample_every():
-        return NULL_SPAN
-    return span(name, **attrs)
 
 
 # -- phase mapping ------------------------------------------------------------

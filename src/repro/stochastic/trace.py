@@ -89,12 +89,12 @@ class BlockEvents:
       block's first bucket to its last (its slice of the index's
       ``bucket_at``);
     * **taken counts**: for a block taken at least once, its int8
-      outcomes in step order (a slice of the index's shared ``bytes``)
-      and the taken count before every 64th execution.
+      outcomes in step order (a slice of the index's shared
+      ``bytearray``) and the taken count before every 64th execution.
 
     The index's bucket table and the checkpoints are of the run's
-    :func:`step_dtype`, and so are decoded steps; everything is
-    read-only.
+    :func:`step_dtype`, and so are decoded steps; the arrays are
+    read-only, and nothing writes the outcomes once the index is built.
 
     Attributes:
         use: executions of the block in the trace.
@@ -107,7 +107,7 @@ class BlockEvents:
                  "_checks")
 
     def __init__(self, residues: np.ndarray, offset: int, at: np.ndarray,
-                 first_bucket: int, outcomes: Optional[bytes],
+                 first_bucket: int, outcomes: Optional[bytearray],
                  out_offset: int, checks: Optional[np.ndarray]):
         self.use = int(at[-1]) - offset
         self._res = residues[offset:offset + self.use]
@@ -459,7 +459,10 @@ class _IndexBuilder:
         self.fill = (np.cumsum(use) - use).tolist()
         kept = np.where(counts.taken > 0, use, 0)
         self.keeps = (kept > 0).tolist()
-        self.outcomes = np.empty(int(kept.sum()), dtype=np.int8)
+        # Written through an int8 view and handed to the index as is,
+        # so finish() never holds a second copy of the outcomes.
+        self.out_buf = bytearray(int(kept.sum()))
+        self.outcomes = np.frombuffer(self.out_buf, dtype=np.int8)
         self.out_fill = (np.cumsum(kept) - kept).tolist()
         # Per block: the slot where each bucket from its first to its
         # current one starts, its first bucket and its current bucket.
@@ -501,8 +504,8 @@ class _IndexBuilder:
             self.out_fill[block] = g + n
 
     def finish(self) -> EventIndex:
-        """The index, all of it read-only; its bytes, each buffer counted
-        once, go to ``trace.index_bytes``."""
+        """The index (its arrays read-only); its bytes, each buffer
+        counted once, go to ``trace.index_bytes``."""
         use = self.counts.use
         dtype = self.dtype
         blocks = np.flatnonzero(use)
@@ -527,8 +530,8 @@ class _IndexBuilder:
             sums = self.outcomes[out_at[b]:out_at[b] + whole].reshape(
                 -1, 1 << _CHECK_BITS).sum(axis=1, dtype=dtype)
             np.cumsum(sums, out=checks[c + 1:c + 1 + len(sums)])
-        outcomes = self.outcomes.tobytes()
-        self.outcomes = None
+        outcomes = self.out_buf
+        self.outcomes = self.out_buf = None
         checks.flags.writeable = False
         offsets = (np.cumsum(use) - use)[blocks]
         index = EventIndex(self.residues, bucket_at, bucket_base, blocks,

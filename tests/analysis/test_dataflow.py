@@ -91,4 +91,6 @@ class TestPossiblyUndefinedReads:
             fb.block("entry").jmp("use")
             fb.block("orphan").li("a", 1).jmp("use")
             fb.block("use").mov("b", "a").halt()
-        assert possibly_undefined_reads(_main(pb)) == []
+        # The orphan's edge into 'use' is never taken, so its write
+        # must not silence the read on the only path that runs.
+        assert possibly_undefined_reads(_main(pb)) == [("use", 0, "a")]

@@ -71,16 +71,16 @@ def test_every_study_flag_reaches_the_study(monkeypatch, command):
     monkeypatch.setattr(cli, "run_full_study", fake_study)
     assert main(command + [
         "--quick", "--no-perf", "--no-cache", "--jobs", "2",
-        "--retries", "1", "--job-timeout", "5", "--verify", "--profile",
+        "--retries", "1", "--job-timeout", "5", "--verify",
         "--flight-dir", "dumps", "--verbose"]) == 0
     assert seen["names"] == ["gzip"]
     assert seen["cache_dir"] is None
     assert seen["verbose"] is True
     assert {key: seen[key] for key in (
         "steps_scale", "include_perf", "jobs", "retries",
-        "job_timeout", "verify", "profile", "flight_dir")} == dict(
+        "job_timeout", "verify", "flight_dir")} == dict(
         steps_scale=0.1, include_perf=False, jobs=2, retries=1,
-        job_timeout=5.0, verify=True, profile=True, flight_dir="dumps")
+        job_timeout=5.0, verify=True, flight_dir="dumps")
 
 
 @pytest.mark.parametrize("variable,value,flags,message", [

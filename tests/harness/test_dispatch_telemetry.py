@@ -17,8 +17,6 @@ from repro.obs.profile import PHASE_OF_SPAN
 from repro.obs.registry import counter_value
 from repro.obs.spans import clear_trace, trace_events, write_trace
 
-from ..conftest import identical_bytes
-
 KWARGS = dict(thresholds=[5, 50], steps_scale=0.02, include_perf=False)
 
 #: Full-length runs for the coverage floor: a few milliseconds of the
@@ -113,7 +111,7 @@ def test_manifest_carries_dispatch_and_profile_sections():
     assert profile["total_seconds"] > 0
     assert profile["coverage"] > 0.85
     assert "replay-walk" in profile["phases"]
-    assert manifest["profile_enabled"] is False
+    assert "region-formation" in profile["phases"]
 
 
 def test_serial_manifest_attributes_without_double_counting():
@@ -214,24 +212,17 @@ def test_cached_run_skips_dispatch_section(tmp_path):
     assert again.manifest["cached_benchmarks"] == []
 
 
-# -- figures are identical with profiling on or off ---------------------------
-
-
-def test_profile_flag_does_not_change_figures():
-    base = run_full_study(names=["gzip", "art"], cache_dir=None, jobs=1,
-                          profile=False, **KWARGS)
-    profiled = run_full_study(names=["gzip", "art"], cache_dir=None,
-                              jobs=1, profile=True, **KWARGS)
-    assert identical_bytes(base, profiled)
-    assert profiled.manifest["profile_enabled"] is True
+# -- region formation is its own phase ----------------------------------------
 
 
 def test_profile_mode_sharpens_attribution():
-    run_full_study(names=["gzip"], cache_dir=None, jobs=1, profile=True,
-                   **KWARGS)
-    # The profile-gated region.form spans only exist in profile mode.
-    names = {e["name"] for e in trace_events()}
-    assert "region.form" in names
+    # Every serial study times region formation: the span is recorded
+    # unconditionally, so the manifest's phase table always names it.
+    clear_trace()
+    results = run_full_study(names=["gzip"], cache_dir=None, jobs=1,
+                             **KWARGS)
+    assert "region.form" in {e["name"] for e in trace_events()}
+    assert "region-formation" in results.manifest["profile"]["phases"]
 
 
 def test_only_ref_traces_build_an_event_index():
@@ -242,7 +233,7 @@ def test_only_ref_traces_build_an_event_index():
     before = counter_value("trace.index_builds")
     # Long enough runs that fixed harness overhead stays under 5%.
     results = run_full_study(names=["gzip", "mcf"], cache_dir=None,
-                             jobs=1, profile=True, **FULL_LENGTH)
+                             jobs=1, **FULL_LENGTH)
     assert counter_value("trace.index_builds") - before == 2
     assert PHASE_OF_SPAN["trace.index"] == "walker"
     assert sum(e["name"] == "trace.index" for e in trace_events()) == 2

@@ -180,12 +180,13 @@ def test_unpicklable_job_quarantine_names_pickling(monkeypatch):
     class LocalConfig(DBTConfig):
         pass
 
-    # Break the fallback too (profiling reset runs before the study), so
-    # the quarantine surfaces and its error names the real culprit.
+    # Break the fallback too (the flight-ring reset runs before the
+    # study), so the quarantine surfaces and its error names the real
+    # culprit.
     def _boom():
-        raise RuntimeError("sampler exploded")
+        raise RuntimeError("ring reset exploded")
 
-    monkeypatch.setattr("repro.obs.profile.reset_sampling", _boom)
+    monkeypatch.setattr("repro.obs.flightrec.clear", _boom)
     dispatch = _dispatch(["gzip", "art"], retries=0, jobs=2,
                          config=LocalConfig())
     assert dispatch.outputs == {}
@@ -203,14 +204,14 @@ def test_unfired_token_refunded_when_attempt_dies_early(monkeypatch):
     # token must go back to the plan, or the injection schedule would
     # silently lose a scheduled fault to an unrelated failure.
     def _boom():
-        raise RuntimeError("sampler exploded")
+        raise RuntimeError("ring reset exploded")
 
-    monkeypatch.setattr("repro.obs.profile.reset_sampling", _boom)
+    monkeypatch.setattr("repro.obs.flightrec.clear", _boom)
     plan = FaultPlan.from_spec("gzip:error:1")
     refunded = counter_value("faults.refunded")
     dispatch = _dispatch(["gzip"], plan=plan, retries=0, jobs=1)
     assert dispatch.failures["gzip"].reason == "error"
-    assert "sampler exploded" in dispatch.failures["gzip"].error
+    assert "ring reset exploded" in dispatch.failures["gzip"].error
     assert counter_value("faults.refunded") == refunded + 1
     # The schedule survives: the token is drawable again.
     assert plan.draw("gzip") == "error"

@@ -64,13 +64,6 @@ MATRIX = {
         "false no": ("no", False),
         "false off": ("off", False),
     }),
-    "profile": ("REPRO_PROFILE", {
-        "unset": (None, False),
-        "valid": ("on", True),
-        "true 1": ("1", True),
-        "empty": ("", False),
-        "garbage": ("junk", Rejects("REPRO_PROFILE must be a boolean")),
-    }),
     "flight_dir": ("REPRO_FLIGHT_DIR", {
         "unset": (None, None),
         "valid": ("dumps", "dumps"),
@@ -162,7 +155,7 @@ FLIPPED = dict(
     thresholds=(5, 50), config=DBTConfig(pool_trigger_size=3),
     costs=CostModel(interp_cost=4.0), steps_scale=0.5, include_perf=False,
     verify=True, jobs=(os.cpu_count() or 1) + 1, retries=0,
-    job_timeout=9.0, profile=True, flight_dir="dumps",
+    job_timeout=9.0, flight_dir="dumps",
     fault_spec="gzip:error")
 
 RESULT_FIELDS = {"thresholds", "config", "costs", "steps_scale",
@@ -185,8 +178,8 @@ def test_declarations_drive_the_config_key():
 
 
 def test_manifest_lists_every_field():
-    manifest = StudySpec(thresholds=[50, 5], profile=True).manifest()
+    manifest = StudySpec(thresholds=[50, 5], verify=True).manifest()
     assert manifest["thresholds"] == [50, 5]  # as given, not sorted
-    assert manifest["profile_enabled"] is True
+    assert manifest["verify"] is True
     assert manifest["config"]["threshold"] == DBTConfig().threshold
     assert len(manifest) == len(fields(StudySpec))

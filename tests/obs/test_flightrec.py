@@ -29,17 +29,6 @@ def test_ring_is_bounded_and_oldest_falls_off():
     assert [e["seq"] for e in events] == [3, 4, 5]
 
 
-def test_capacity_env_override(monkeypatch):
-    monkeypatch.setenv(flightrec.CAPACITY_ENV, "7")
-    assert flightrec.FlightRecorder().capacity == 7
-    monkeypatch.setenv(flightrec.CAPACITY_ENV, "0")
-    with pytest.raises(ValueError):
-        flightrec.FlightRecorder()
-    monkeypatch.setenv(flightrec.CAPACITY_ENV, "nope")
-    with pytest.raises(ValueError):
-        flightrec.FlightRecorder()
-
-
 def test_restore_replaces_contents_and_respects_capacity():
     recorder = flightrec.FlightRecorder(capacity=2)
     recorder.record("log", "mine")

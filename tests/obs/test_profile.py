@@ -1,4 +1,4 @@
-"""Phase profiler: exclusive-time sweep, coverage, sampling, gating."""
+"""Phase profiler: exclusive-time sweep, coverage, span-name mapping."""
 
 import pathlib
 import re
@@ -6,23 +6,12 @@ import re
 import pytest
 
 import repro
-from repro.obs.profile import (PHASE_OF_SPAN, PhaseProfile, phase_of,
-                               profiling_enabled, reset_sampling,
-                               sampled_span, set_profiling)
-from repro.obs.registry import disable, enable
-from repro.obs.spans import NULL_SPAN, clear_trace, span, trace_events
+from repro.obs.profile import PHASE_OF_SPAN, PhaseProfile, phase_of
 
 
 def _event(name, ts, dur, pid=1, tid=1):
     return {"name": name, "ph": "X", "ts": ts, "dur": dur,
             "pid": pid, "tid": tid, "args": {}}
-
-
-@pytest.fixture(autouse=True)
-def _profiling_off():
-    yield
-    set_profiling(False)
-    reset_sampling()
 
 
 # -- the exclusive-time sweep -------------------------------------------------
@@ -117,68 +106,11 @@ def test_every_harness_span_name_maps_to_a_phase():
 
 def test_every_phase_span_name_is_emitted():
     # The reverse: each mapped name is the literal first argument of
-    # some span(...) or sampled_span(...) call in the package, so the
-    # table documents no span that does not exist.
+    # some span(...) call in the package, so the table documents no
+    # span that does not exist.
     root = pathlib.Path(repro.__file__).parent
     emitted = set()
     for path in root.rglob("*.py"):
-        emitted.update(re.findall(r"\b(?:sampled_)?span\(\s*\"([^\"]+)\"",
+        emitted.update(re.findall(r"\bspan\(\s*\"([^\"]+)\"",
                                   path.read_text()))
     assert sorted(set(PHASE_OF_SPAN) - emitted) == []
-
-
-# -- profiling mode and sampling ----------------------------------------------
-
-
-def test_profile_span_gated_on_profiling_mode():
-    set_profiling(False)
-    assert sampled_span("region.form") is NULL_SPAN
-    set_profiling(True)
-    assert profiling_enabled()
-    reset_sampling()
-    clear_trace()
-    with sampled_span("region.form", blocks=3):
-        pass
-    assert [e["name"] for e in trace_events()] == ["region.form"]
-
-
-def test_profiling_requires_registry_enabled():
-    set_profiling(True)
-    disable()
-    try:
-        assert not profiling_enabled()
-        assert sampled_span("region.form") is NULL_SPAN
-    finally:
-        enable()
-
-
-def test_sampled_span_every_nth_deterministic(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE_SAMPLE", "3")
-    set_profiling(True)
-
-    def recorded_pattern():
-        reset_sampling()
-        clear_trace()
-        for _ in range(7):
-            with sampled_span("region.form"):
-                pass
-        return len(trace_events())
-
-    # Calls 0, 3, 6 record: identical on every run — no randomness.
-    assert recorded_pattern() == 3
-    assert recorded_pattern() == 3
-
-
-def test_sampled_span_counts_per_site(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE_SAMPLE", "2")
-    set_profiling(True)
-    reset_sampling()
-    clear_trace()
-    for _ in range(2):
-        with sampled_span("site.a"):
-            pass
-        with sampled_span("site.b"):
-            pass
-    names = sorted(e["name"] for e in trace_events())
-    assert names == ["site.a", "site.b"]  # each site's first call
-

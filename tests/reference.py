@@ -300,12 +300,12 @@ def reference_undefined_reads(fn: Function) -> List[Tuple[str, int, str]]:
     For each register, a breadth-first search over ``(block,
     defined-yet)`` states: leaving a block that writes the register, or
     calls (the callee may write anything), sets ``defined-yet`` on every
-    successor state.  The search starts from ``(block, False)`` at every
-    block, not only the entry: the lint counts a definition on any path
-    of the label graph into the read, one that starts in an unreachable
-    block included.  A read in a block reachable from the entry is
-    flagged unless an earlier instruction of its block defines the
-    register or the search reached ``(block, True)``.
+    successor state.  The search starts from ``(entry, False)`` only: a
+    definition counts when some path from the entry runs through it
+    into the read, so a write in an unreachable block counts for
+    nothing.  A read in a block reachable from the entry is flagged
+    unless an earlier instruction of its block defines the register or
+    the search reached ``(block, True)``.
     """
     succs = {block.label: [t for t in (block.successor_labels()
                                         if block.is_sealed else ())
@@ -318,7 +318,7 @@ def reference_undefined_reads(fn: Function) -> List[Tuple[str, int, str]]:
 
     def defined_on_entry(reg: str) -> Set[str]:
         """Blocks whose state ``(block, True)`` the search reaches."""
-        seen = {(label, False) for label in succs}
+        seen = {(fn.entry, False)} if fn.entry in succs else set()
         queue = deque(seen)
         while queue:
             label, defined = queue.popleft()

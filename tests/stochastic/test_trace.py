@@ -141,8 +141,8 @@ def test_only_use_before_searches_the_index():
 
 def test_ref_index_layout_and_size():
     """gzip's ref index: uint16 residues, int32 bucket tables and
-    checkpoints, int8 outcomes (one shared ``bytes``) only for taken
-    blocks, all read-only; ``trace.index_bytes`` counts every buffer
+    checkpoints, int8 outcomes (one shared ``bytearray``) only for taken
+    blocks, the arrays read-only; ``trace.index_bytes`` counts every buffer
     once, exactly the layout's bytes and at most 2.5 bytes per step."""
     trace = get_benchmark("gzip").scaled(0.05).trace("ref")
     sizes = get_registry().histogram("trace.index_bytes")
@@ -173,7 +173,7 @@ def test_ref_index_layout_and_size():
     assert len(outcomes) == 1
     for block, ev in events.items():
         if counts.taken[block]:
-            assert isinstance(ev._outcomes, bytes)
+            assert isinstance(ev._outcomes, bytearray)
             assert ev._checks.dtype == np.int32
             assert not ev._checks.flags.writeable
         else:
